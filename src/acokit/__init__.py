@@ -20,6 +20,7 @@ from .iteration import (
     DecomposedOperator,
     Schedule,
     Trajectory,
+    campaign,
     check_admissible_prefix,
     make_synchronous_schedule,
     run_async,
@@ -39,7 +40,6 @@ from .ultrametric import (
     classify_contraction,
     height_distance,
     height_space,
-    product_distance,
     string_distance,
 )
 
@@ -57,6 +57,7 @@ __all__ = [
     "Trajectory",
     "ball_members",
     "boxes_from_ultrametric",
+    "campaign",
     "certify_aco",
     "check_admissible_prefix",
     "check_axioms",
@@ -68,7 +69,6 @@ __all__ = [
     "height_distance",
     "height_space",
     "make_synchronous_schedule",
-    "product_distance",
     "run_async",
     "run_sync",
     "sample_schedule",

@@ -11,10 +11,16 @@ against each other.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
-from .errors import MalformedBoxError, PreconditionError, SizeLimitError
-from .iteration import DecomposedOperator, run_async, sample_schedule
+from .errors import (
+    MalformedBoxError,
+    PreconditionError,
+    SemanticsError,
+    SizeLimitError,
+)
+from .iteration import DecomposedOperator, campaign
 from .ultrametric import (
     FiniteUltrametricSpace,
     ProductSpace,
@@ -235,9 +241,7 @@ def ultrametric_from_boxes(seq: BoxSequence) -> FiniteUltrametricSpace:
 
 
 def _all_boxes(op: DecomposedOperator, max_boxes: int) -> list[Box]:
-    total = 1
-    for dom in op.domains:
-        total *= 2 ** len(dom) - 1
+    total = math.prod(2 ** len(dom) - 1 for dom in op.domains)
     if total > max_boxes:
         raise SizeLimitError(
             f"{total} candidate boxes exceed the search cap {max_boxes}")
@@ -453,20 +457,22 @@ def certify_aco(op: DecomposedOperator, *,
                 staleness: int = 5,
                 window: int = 8,
                 seed: int = 0,
+                activation_prob: float = 0.5,
                 max_boxes: int = 4096) -> AcoCertificate:
     """Certify or refute an operator by exact box-sequence search.
 
     Refutation always comes from the exhausted search (plus the fixed-point
     census), never from schedule sampling.  A certified operator is
     additionally exercised under seeded admissible schedules from every
-    start state, and the observed convergence ticks are recorded.
+    start state, and the observed convergence ticks are recorded.  A run
+    that hits the horizon is counted; one that converges anywhere but the
+    chain's fixed point contradicts the chain and raises
+    :class:`SemanticsError`.
     """
     fixed_points = [m for m in op.iter_states() if op.apply(m) == m]
     seq = search_box_sequence(op, max_boxes=max_boxes)
     if seq is None:
-        total = 1
-        for dom in op.domains:
-            total *= 2 ** len(dom) - 1
+        total = math.prod(2 ** len(dom) - 1 for dom in op.domains)
         if len(fixed_points) != 1:
             reason = (f"{len(fixed_points)} fixed points; a certificate "
                       "requires exactly one")
@@ -478,28 +484,28 @@ def certify_aco(op: DecomposedOperator, *,
             "boxes_examined": total,
         })
 
-    runs = 0
-    converged = 0
-    max_tick = 0
-    for s in range(schedules):
-        schedule = sample_schedule(op.processors, horizon, seed + s,
-                                   max_staleness=staleness,
-                                   fairness_window=window)
-        for start in op.iter_states():
-            runs += 1
-            traj = run_async(op, start, schedule)
-            if traj.status == "converged" and traj.final == seq.fixed_point:
-                converged += 1
-                max_tick = max(max_tick, traj.converged_at)
+    runs = campaign(op, op.iter_states(), schedules=schedules, seed=seed,
+                    horizon=horizon, staleness=staleness, window=window,
+                    activation_prob=activation_prob)
+    converged = [r for r in runs if r.trajectory.status == "converged"]
+    for r in converged:
+        if r.trajectory.final != seq.fixed_point:
+            raise SemanticsError(
+                f"run from {r.start!r} under schedule seed {r.seed} converged "
+                f"to {r.trajectory.final!r}, not to the box chain's fixed "
+                f"point {seq.fixed_point!r}")
     sampling = {
         "schedules": schedules,
         "seed": seed,
         "horizon": horizon,
         "staleness_bound": staleness,
         "fairness_window": window,
-        "runs": runs,
-        "converged": converged,
-        "max_converged_tick": max_tick,
+        "activation_prob": activation_prob,
+        "runs": len(runs),
+        "converged": len(converged),
+        "horizon_exhausted": len(runs) - len(converged),
+        "max_converged_tick": max(
+            (r.trajectory.converged_at for r in converged), default=0),
     }
     return AcoCertificate("certified", box_sequence=seq, sampling=sampling)
 

@@ -18,17 +18,10 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import aco, iteration, logic, routing, ultrametric
-from .errors import (
-    MalformedBoxError,
-    MalformedSpaceError,
-    PreconditionError,
-    PreferenceCycleError,
-    ScheduleRejectedError,
-    SizeLimitError,
-)
+from .errors import PreconditionError, PreferenceCycleError
 from .util import format_value, jsonable
 
 EXIT_OK = 0
@@ -59,8 +52,7 @@ class RunConfig:
     schedule_file: str | None = None
 
 
-def emit_trace(path, trajectory, activations=None, distances=None,
-               value_format=format_value):
+def emit_trace(path, trajectory, distances=None, value_format=format_value):
     """Write a run as CSV: one row per (tick, processor) plus a summary row.
 
     Columns: t, processor, activated, value, dist_to_fixpoint.  The
@@ -75,8 +67,8 @@ def emit_trace(path, trajectory, activations=None, distances=None,
         for t, state in enumerate(states):
             if t == 0:
                 active = frozenset()
-            elif activations is not None:
-                active = activations[t - 1]
+            elif trajectory.activations is not None:
+                active = trajectory.activations[t - 1]
             else:
                 active = frozenset(range(len(state)))
             dist = "" if distances is None else str(distances[t])
@@ -92,6 +84,13 @@ def emit_trace(path, trajectory, activations=None, distances=None,
             writer.writerow(
                 ["summary", "", "",
                  f"converged_at={conv};status={trajectory.status}", ""])
+
+
+def _campaign_args(config: RunConfig) -> dict:
+    """The campaign flags, passed the same way to every campaign."""
+    return dict(schedules=config.schedules, seed=config.seed,
+                horizon=config.horizon, staleness=config.staleness,
+                window=config.window, activation_prob=config.activation_prob)
 
 
 def _write_json(path, payload):
@@ -132,11 +131,7 @@ def _cmd_space_check(config: RunConfig) -> int:
 
 def _cmd_aco_certify(config: RunConfig) -> int:
     op, _ = iteration.load_operator(config.instance)
-    cert = aco.certify_aco(op, schedules=config.schedules,
-                           horizon=config.horizon,
-                           staleness=config.staleness,
-                           window=config.window,
-                           seed=config.seed)
+    cert = aco.certify_aco(op, **_campaign_args(config))
     print(f"file: {config.instance}")
     print(f"verdict: {cert.verdict}")
     if cert.certified:
@@ -150,6 +145,7 @@ def _cmd_aco_certify(config: RunConfig) -> int:
             print(f"  box {r}: {rendered}")
         s = cert.sampling
         print(f"sampling: runs={s['runs']} converged={s['converged']} "
+              f"horizon_exhausted={s['horizon_exhausted']} "
               f"max_tick={s['max_converged_tick']}")
     else:
         print(f"reason: {cert.refutation['reason']}")
@@ -219,16 +215,9 @@ def _cmd_routing_solve(config: RunConfig) -> int:
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
         return EXIT_FAIL
     result = routing.solve(
-        instance, config.mode,
-        granularity=config.granularity,
-        max_steps=config.max_steps,
-        schedules=config.schedules,
-        seed=config.seed,
-        horizon=config.horizon,
-        staleness=config.staleness,
-        window=config.window,
-        activation_prob=config.activation_prob,
-        force=config.force)
+        instance, config.mode, granularity=config.granularity,
+        max_steps=config.max_steps, force=config.force,
+        **_campaign_args(config))
     print(f"file: {config.instance}")
     print(f"mode: {config.mode}")
     print(f"granularity: {config.granularity}")
@@ -249,43 +238,34 @@ def _cmd_routing_solve(config: RunConfig) -> int:
         for state in result.cycle:
             print(f"  state: {routing.format_state(state)}")
         payload["cycle"] = jsonable(result.cycle)
-    if config.mode == "sync" and result.trajectory is not None:
+    if result.status == "divergent":
+        print(f"distinct finals: {len(result.finals)}")
+        for state in result.finals:
+            print(f"  final: {routing.format_state(state)}")
+        payload["finals"] = jsonable(result.finals)
+    if config.mode == "sync":
         conv = result.trajectory.converged_at
         print(f"converged_at: {'none' if conv is None else conv}")
         payload["converged_at"] = conv
-        if config.trace:
-            emit_trace(config.trace, result.trajectory,
-                       distances=_routing_distances(
-                           instance, result.trajectory, result.fixed_point),
-                       value_format=_routing_value)
     if config.mode == "async":
         converged = sum(1 for r in result.runs if r.status == "converged")
         print(f"schedules: {config.schedules}")
         print(f"converged: {converged}/{len(result.runs)}")
-        if result.runs:
-            ticks = [r.converged_at for r in result.runs
-                     if r.converged_at is not None]
-            if ticks:
-                print(f"max convergence tick: {max(ticks)}")
-                payload["max_convergence_tick"] = max(ticks)
+        ticks = [r.converged_at for r in result.runs
+                 if r.converged_at is not None]
+        if ticks:
+            print(f"max convergence tick: {max(ticks)}")
+            payload["max_convergence_tick"] = max(ticks)
         payload["runs"] = [
             {"seed": r.seed, "status": r.status,
              "converged_at": r.converged_at,
              "final": jsonable(r.final)} for r in result.runs]
-        if config.trace:
-            op = routing.decompose(instance, config.granularity)
-            schedule = iteration.sample_schedule(
-                op.processors, config.horizon, config.seed,
-                activation_prob=config.activation_prob,
-                max_staleness=config.staleness,
-                fairness_window=config.window)
-            start = routing.state_to_components(
-                instance, config.granularity, frozenset())
-            traj = iteration.run_async(op, start, schedule)
-            emit_trace(config.trace, traj, activations=schedule.activations,
-                       distances=_routing_distances(
-                           instance, traj, result.fixed_point),
-                       value_format=_routing_value)
+    if config.trace:
+        # the synchronous run, or the first run of the async campaign
+        emit_trace(config.trace, result.trajectory,
+                   distances=_routing_distances(
+                       instance, result.trajectory, result.fixed_point),
+                   value_format=_routing_value)
     if config.json_out:
         _write_json(config.json_out, payload)
     return EXIT_OK if result.status == "converged" else EXIT_FAIL
@@ -326,22 +306,15 @@ def _cmd_logic_solve(config: RunConfig) -> int:
         op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
-        converged = 0
-        max_tick = 0
-        for s in range(config.schedules):
-            schedule = iteration.sample_schedule(
-                op.processors, config.horizon, config.seed + s,
-                activation_prob=config.activation_prob,
-                max_staleness=config.staleness,
-                fairness_window=config.window)
-            traj = iteration.run_async(op, start, schedule)
-            if traj.status == "converged" and traj.final == target:
-                converged += 1
-                max_tick = max(max_tick, traj.converged_at)
+        runs = iteration.campaign(op, [start], **_campaign_args(config))
+        ticks = [r.trajectory.converged_at for r in runs
+                 if r.trajectory.status == "converged"
+                 and r.trajectory.final == target]
+        converged = len(ticks)
         print(f"schedules: {config.schedules}")
         print(f"converged to model: {converged}/{config.schedules}")
         if converged:
-            print(f"max convergence tick: {max_tick}")
+            print(f"max convergence tick: {max(ticks)}")
         payload["async_converged"] = converged
         payload["async_schedules"] = config.schedules
         ok = converged == config.schedules
@@ -376,7 +349,6 @@ def _cmd_run(config: RunConfig) -> int:
         steps = config.max_steps if config.max_steps is not None \
             else op.size() + 1
         traj = iteration.run_sync(op, start, steps)
-        activations = None
     else:
         if config.schedule_file:
             schedule = iteration.load_schedule(config.schedule_file)
@@ -387,7 +359,6 @@ def _cmd_run(config: RunConfig) -> int:
                 max_staleness=config.staleness,
                 fairness_window=config.window)
         traj = iteration.run_async(op, start, schedule)
-        activations = schedule.activations
     print(f"status: {traj.status}")
     conv = traj.converged_at
     print(f"converged_at: {'none' if conv is None else conv}")
@@ -395,7 +366,7 @@ def _cmd_run(config: RunConfig) -> int:
     if traj.status == "cycle":
         print(f"cycle: start={traj.cycle_start} length={traj.cycle_length}")
     if config.trace:
-        emit_trace(config.trace, traj, activations=activations)
+        emit_trace(config.trace, traj)
     return EXIT_OK if traj.status == "converged" else EXIT_FAIL
 
 
@@ -420,14 +391,9 @@ def dispatch(config: RunConfig) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
-    except (MalformedSpaceError, MalformedBoxError, SizeLimitError,
-            ScheduleRejectedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
+        # malformed input (bad JSON included), size limits, rejected
+        # sampling parameters, unreadable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 
@@ -504,25 +470,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    command = (args.group, args.action)
-    mode = getattr(args, "mode", args.action if args.group == "run" else "sync")
-    return RunConfig(
-        command=command,
-        instance=getattr(args, "instance", None),
-        mode=mode,
-        seed=getattr(args, "seed", 0),
-        horizon=getattr(args, "horizon", 200),
-        staleness=getattr(args, "staleness", 5),
-        window=getattr(args, "window", 8),
-        activation_prob=getattr(args, "activation_prob", 0.5),
-        granularity=getattr(args, "granularity", routing.PER_NODE),
-        schedules=getattr(args, "schedules", 100),
-        max_steps=getattr(args, "max_steps", None),
-        force=getattr(args, "force", False),
-        trace=getattr(args, "trace", None),
-        json_out=getattr(args, "json_out", None),
-        schedule_file=getattr(args, "schedule_file", None),
-    )
+    """Each parsed flag fills the field of the same name; ``run`` takes
+    its mode from the action."""
+    values = {f.name: getattr(args, f.name)
+              for f in fields(RunConfig) if hasattr(args, f.name)}
+    if args.group == "run":
+        values["mode"] = args.action
+    return RunConfig(command=(args.group, args.action), **values)
 
 
 def main(argv=None) -> int:

@@ -5,24 +5,29 @@ maps.  Processor indices are 0-based.  Admissibility at finite horizon
 means: delays point strictly into the past (causality), no value older
 than the staleness bound is ever read, and every processor activates in
 every window of the fairness length.
+
+Runs read a schedule tick by tick through ``schedule.tick(t)``: a
+:class:`Schedule` stores every tick, a :class:`SampledSchedule` draws each
+tick the first time a run reads it.  :func:`campaign` is the one place
+that maps a seed to a sampled schedule and runs starts under it.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass
 
 from .errors import PreconditionError, ScheduleRejectedError
+from .util import _load_json
 
 
 class DecomposedOperator:
     """Operator on a finite product domain, split per processor.
 
-    Construct with :meth:`from_table` (an explicit state-to-state mapping)
-    or :meth:`from_global` (a callable returning the full next state).
+    Construct from a callable returning the full next state, or with
+    :meth:`from_table` from an explicit state-to-state mapping.
     """
 
     def __init__(self, domains, global_fn):
@@ -34,10 +39,6 @@ class DecomposedOperator:
                 raise PreconditionError("domain elements must be distinct")
         self._domain_sets = tuple(frozenset(d) for d in self.domains)
         self._global = global_fn
-
-    @classmethod
-    def from_global(cls, domains, fn):
-        return cls(domains, fn)
 
     @classmethod
     def from_table(cls, domains, table):
@@ -54,10 +55,7 @@ class DecomposedOperator:
         return len(self.domains)
 
     def size(self) -> int:
-        total = 1
-        for d in self.domains:
-            total *= len(d)
-        return total
+        return math.prod(len(d) for d in self.domains)
 
     def iter_states(self):
         return itertools.product(*self.domains)
@@ -87,15 +85,10 @@ class DecomposedOperator:
     def component(self, i: int, state: tuple):
         return self.apply(state)[i]
 
-    def validate(self):
-        """Exhaustively confirm every component is total over the domain."""
-        for state in self.iter_states():
-            self._check_output(self.apply(state))
-
 
 @dataclass(frozen=True)
 class Schedule:
-    """Finite-horizon activation sets and delay maps.
+    """Finite-horizon activation sets and delay maps, stored densely.
 
     ``activations[t-1]`` is the processor set active at tick ``t``;
     ``delays[t-1][i][j]`` is the time whose value of processor ``j`` is
@@ -128,6 +121,11 @@ class Schedule:
             if len(row) != k or any(len(r) != k for r in row):
                 raise ScheduleRejectedError("delay table must be k x k per tick")
 
+    def tick(self, t: int) -> tuple:
+        """``(active set, delay rows)`` of tick ``t``; row ``i`` is read
+        only when ``i`` is active."""
+        return self.activations[t - 1], self.delays[t - 1]
+
 
 def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
     """All processors active every tick, reading the immediately preceding
@@ -143,15 +141,44 @@ def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
                     staleness_bound=1, fairness_window=1)
 
 
+class SampledSchedule:
+    """A schedule whose ticks are drawn from ``source`` on first read and
+    then kept, so every run that shares it sees the same ticks."""
+
+    def __init__(self, processors, horizon, staleness_bound, fairness_window,
+                 source):
+        self.processors = processors
+        self.horizon = horizon
+        self.staleness_bound = staleness_bound
+        self.fairness_window = fairness_window
+        self._source = source  # yields ticks 1, 2, ... in order
+        self._ticks: list[tuple] = []
+
+    @property
+    def ticks_drawn(self) -> int:
+        return len(self._ticks)
+
+    def tick(self, t: int) -> tuple:
+        """``(active set, delay rows)`` of tick ``t``."""
+        while len(self._ticks) < t:
+            self._ticks.append(next(self._source))
+        return self._ticks[t - 1]
+
+
 def sample_schedule(k: int, horizon: int, seed: int, *,
                     activation_prob: float = 0.5,
                     max_staleness: int = 5,
-                    fairness_window: int = 8) -> Schedule:
-    """Draw a random admissible schedule, deterministically from the seed.
+                    fairness_window: int = 8) -> SampledSchedule:
+    """A random admissible schedule, deterministic in the seed, whose ticks
+    are drawn as runs read them.
 
-    Each processor activates with the given probability per tick (forced
-    when it would otherwise miss a fairness window) and each delay is
-    uniform over the staleness-bounded past.
+    Tick ``t`` first draws its activation set: each processor with the
+    given probability, forced when it would otherwise miss a fairness
+    window.  Then it draws a delay row for each active processor only,
+    uniform over the staleness-bounded past; inactive rows are ``None``.
+    Ticks come in order from one generator, so tick ``t`` depends only on
+    the seed and the parameters, never on which run reads it first or on
+    how long the runs last.
     """
     if not 0 < activation_prob <= 1:
         raise ScheduleRejectedError("activation_prob must be in (0, 1]")
@@ -165,25 +192,21 @@ def sample_schedule(k: int, horizon: int, seed: int, *,
     if k < 1 or horizon < 1:
         raise ScheduleRejectedError("k and horizon must be at least 1")
 
-    rng = random.Random(seed)
-    last_active = [0] * k
-    activations = []
-    delays = []
-    for t in range(1, horizon + 1):
-        active = {i for i in range(k) if rng.random() < activation_prob}
-        for i in range(k):
-            if t - last_active[i] >= fairness_window:
-                active.add(i)
-        for i in active:
-            last_active[i] = t
-        activations.append(frozenset(active))
-        low = max(0, t - max_staleness)
-        delays.append(tuple(
-            tuple(rng.randint(low, t - 1) for _ in range(k))
-            for _ in range(k)))
-    return Schedule(k, horizon, tuple(activations), tuple(delays),
-                    staleness_bound=max_staleness,
-                    fairness_window=fairness_window)
+    def draw(rng):
+        last_active = [0] * k
+        for t in itertools.count(1):
+            active = [i for i in range(k)
+                      if rng.random() < activation_prob
+                      or t - last_active[i] >= fairness_window]
+            past = range(max(0, t - max_staleness), t)
+            rows = [None] * k
+            for i in active:
+                last_active[i] = t
+                rows[i] = tuple(rng.choices(past, k=k))
+            yield frozenset(active), tuple(rows)
+
+    return SampledSchedule(k, horizon, max_staleness, fairness_window,
+                           draw(random.Random(seed)))
 
 
 @dataclass(frozen=True)
@@ -192,31 +215,43 @@ class AdmissibilityReport:
     violation: tuple | None = None
 
 
-def check_admissible_prefix(schedule: Schedule) -> AdmissibilityReport:
-    """Verify causality, bounded staleness, and windowed fairness.
+def _tick_violation(t, active, rows, last_active, staleness_bound,
+                    fairness_window):
+    """The first admissibility violation at tick ``t``, or None.
+
+    Checks causality and staleness of the rows the active processors read,
+    and that no processor has been idle for more than the fairness window;
+    then records tick ``t``'s activations in ``last_active``.
+    """
+    for i in sorted(active):
+        for j, b in enumerate(rows[i]):
+            if not 0 <= b <= t - 1:
+                return ("causality", t, i, j, b)
+            if t - b > staleness_bound:
+                return ("staleness", t, i, j, b)
+    for i, last in enumerate(last_active):
+        if t - last > fairness_window:
+            return ("fairness", (last + 1, last + fairness_window), i)
+    for i in active:
+        last_active[i] = t
+    return None
+
+
+def check_admissible_prefix(schedule) -> AdmissibilityReport:
+    """Verify causality, bounded staleness, and windowed fairness over the
+    whole horizon.
 
     Returns the first violation as ``(kind, details...)`` with kinds
     ``causality``, ``staleness``, and ``fairness``.
     """
-    k = schedule.processors
-    B = schedule.staleness_bound
-    W = schedule.fairness_window
-    last_active = [0] * k
+    last_active = [0] * schedule.processors
     for t in range(1, schedule.horizon + 1):
-        row = schedule.delays[t - 1]
-        for i in range(k):
-            for j in range(k):
-                b = row[i][j]
-                if not 0 <= b <= t - 1:
-                    return AdmissibilityReport(False, ("causality", t, i, j, b))
-                if t - b > B:
-                    return AdmissibilityReport(False, ("staleness", t, i, j, b))
-        for i in range(k):
-            if t - last_active[i] > W:
-                window = (last_active[i] + 1, last_active[i] + W)
-                return AdmissibilityReport(False, ("fairness", window, i))
-        for i in schedule.activations[t - 1]:
-            last_active[i] = t
+        active, rows = schedule.tick(t)
+        violation = _tick_violation(t, active, rows, last_active,
+                                    schedule.staleness_bound,
+                                    schedule.fairness_window)
+        if violation is not None:
+            return AdmissibilityReport(False, violation)
     return AdmissibilityReport(True)
 
 
@@ -226,7 +261,9 @@ class Trajectory:
 
     ``converged_at`` is the first tick after which the state never changed
     (only set when that is certain within the horizon).  ``status`` is one
-    of ``converged``, ``cycle``, ``horizon-exhausted``.
+    of ``converged``, ``cycle``, ``horizon-exhausted``.  An asynchronous
+    run records in ``activations`` the processor set active at each tick
+    ``1..T``; ``None`` means every processor was active.
     """
 
     states: tuple[tuple, ...]
@@ -234,6 +271,7 @@ class Trajectory:
     status: str
     cycle_start: int | None = None
     cycle_length: int | None = None
+    activations: tuple[frozenset, ...] | None = None
 
     def history(self, i: int) -> tuple:
         return tuple(state[i] for state in self.states)
@@ -262,14 +300,15 @@ def run_sync(op: DecomposedOperator, start: tuple, max_steps: int) -> Trajectory
     return Trajectory(tuple(states), None, "horizon-exhausted")
 
 
-def run_async(op: DecomposedOperator, start: tuple, schedule: Schedule) -> Trajectory:
+def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     """Run the asynchronous recurrence under a schedule.
 
     Inactive processors keep their value; active ones apply their component
-    to the delayed view dictated by the schedule.  The run stops once the
-    state has been quiet for ``staleness_bound + fairness_window`` ticks,
-    after which no stale value can revive a change; ``converged_at`` is the
-    last tick a change occurred.
+    to the delayed view dictated by the schedule.  Each tick is checked for
+    admissibility before it is used.  The run stops once the state has
+    been quiet for ``staleness_bound + fairness_window`` ticks, after which
+    no stale value can revive a change; ``converged_at`` is the last tick a
+    change occurred.
     """
     start = tuple(start)
     op.check_state(start)
@@ -277,35 +316,71 @@ def run_async(op: DecomposedOperator, start: tuple, schedule: Schedule) -> Traje
         raise PreconditionError(
             f"schedule has {schedule.processors} processors, "
             f"operator has {op.processors}")
-    report = check_admissible_prefix(schedule)
-    if not report.ok:
-        raise PreconditionError(
-            f"schedule is not admissible: {report.violation}")
 
-    quiet_needed = schedule.staleness_bound + schedule.fairness_window
+    staleness, window = schedule.staleness_bound, schedule.fairness_window
+    quiet_needed = staleness + window
     k = op.processors
     states = [start]
+    activations = []
+    last_active = [0] * k
     last_change = 0
-    converged = False
     for t in range(1, schedule.horizon + 1):
+        active, rows = schedule.tick(t)
+        violation = _tick_violation(t, active, rows, last_active,
+                                    staleness, window)
+        if violation is not None:
+            raise PreconditionError(
+                f"schedule is not admissible: {violation}")
+        activations.append(active)
         prev = states[-1]
-        row = schedule.delays[t - 1]
         nxt = list(prev)
-        for i in sorted(schedule.activations[t - 1]):
-            view = tuple(states[row[i][j]][j] for j in range(k))
+        for i in active:
+            row = rows[i]
+            view = tuple(states[row[j]][j] for j in range(k))
             nxt[i] = op.component(i, view)
         nxt = tuple(nxt)
         states.append(nxt)
         if nxt != prev:
             last_change = t
         elif t - last_change >= quiet_needed:
-            converged = True
             break
-    else:
-        converged = schedule.horizon - last_change >= quiet_needed
-    if converged:
-        return Trajectory(tuple(states), last_change, "converged")
-    return Trajectory(tuple(states), None, "horizon-exhausted")
+    if len(activations) - last_change >= quiet_needed:
+        return Trajectory(tuple(states), last_change, "converged",
+                          activations=tuple(activations))
+    return Trajectory(tuple(states), None, "horizon-exhausted",
+                      activations=tuple(activations))
+
+
+@dataclass(frozen=True)
+class CampaignRun:
+    """One run of a campaign: its schedule seed, its start, and its
+    trajectory, which carries the activation sets of the ticks it used."""
+
+    seed: int
+    start: tuple
+    trajectory: Trajectory
+
+
+def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
+             horizon: int, staleness: int, window: int,
+             activation_prob: float) -> list[CampaignRun]:
+    """Run every start under each of ``schedules`` sampled schedules.
+
+    Schedule ``s`` is drawn from seed ``seed + s`` and shared by all
+    starts.  Runs are listed schedule by schedule, starts in the given
+    order.
+    """
+    starts = [tuple(start) for start in starts]
+    runs = []
+    for s in range(schedules):
+        schedule = sample_schedule(op.processors, horizon, seed + s,
+                                   activation_prob=activation_prob,
+                                   max_staleness=staleness,
+                                   fairness_window=window)
+        for start in starts:
+            runs.append(CampaignRun(seed + s, start,
+                                    run_async(op, start, schedule)))
+    return runs
 
 
 def load_schedule(source) -> Schedule:
@@ -314,13 +389,10 @@ def load_schedule(source) -> Schedule:
     Fields: ``horizon``, ``activations`` (array per tick of processor
     indices), ``delays`` (sparse triples ``[t, i, j, t']``; absent entries
     default to ``t - 1``).  The staleness bound and fairness window are
-    inferred from the data.
+    inferred from the data.  A schedule that is not admissible is
+    rejected as a whole, before any run reads it.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _load_json(source)
     horizon = int(doc["horizon"])
     raw_acts = doc["activations"]
     if len(raw_acts) != horizon:
@@ -339,23 +411,23 @@ def load_schedule(source) -> Schedule:
         delay_rows[t - 1][i][j] = src
     delays = tuple(tuple(tuple(r) for r in row) for row in delay_rows)
 
-    staleness = 1
-    for t in range(1, horizon + 1):
-        for i in range(k):
-            for j in range(k):
-                staleness = max(staleness, t - delay_rows[t - 1][i][j])
+    staleness = max([1] + [t - b for t, row in enumerate(delays, 1)
+                           for r in row for b in r])
     last = [0] * k
     window = 1
-    for t in range(1, horizon + 1):
+    for t, active in enumerate(activations, 1):
         for i in range(k):
-            if i in activations[t - 1]:
+            if i in active:
                 window = max(window, t - last[i])
                 last[i] = t
-    for i in range(k):
-        window = max(window, horizon - last[i])
-    return Schedule(k, horizon, activations, delays,
-                    staleness_bound=staleness,
-                    fairness_window=max(1, window))
+    window = max([window] + [horizon - t for t in last])
+    schedule = Schedule(k, horizon, activations, delays,
+                        staleness_bound=staleness, fairness_window=window)
+    report = check_admissible_prefix(schedule)
+    if not report.ok:
+        raise PreconditionError(
+            f"schedule is not admissible: {report.violation}")
+    return schedule
 
 
 def load_operator(source):
@@ -364,11 +436,7 @@ def load_operator(source):
 
     Returns ``(operator, start_or_None)``.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _load_json(source)
     domains = [tuple(_scalar(v) for v in dom) for dom in doc["domains"]]
     table = {}
     for pair in doc["map"]:

@@ -41,10 +41,6 @@ class Clause:
     head: str
     body: tuple[Literal, ...]
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
 
 @dataclass(frozen=True)
 class GroundProgram:
@@ -53,17 +49,6 @@ class GroundProgram:
     atoms: tuple[str, ...]
     clauses: tuple[Clause, ...]
     declared_strata: tuple[tuple[str, int], ...] | None = None
-
-    @cached_property
-    def atom_set(self) -> frozenset:
-        return frozenset(self.atoms)
-
-    @cached_property
-    def clauses_by_head(self) -> dict:
-        grouped: dict = {a: [] for a in self.atoms}
-        for clause in self.clauses:
-            grouped[clause.head].append(clause)
-        return {a: tuple(cs) for a, cs in grouped.items()}
 
 
 def program_from_clauses(clauses, extra_atoms=(),
@@ -420,4 +405,4 @@ def decompose_program(program: GroundProgram) -> DecomposedOperator:
             program,
             immediate_consequence(program, tuple_to_interp(program, bits)))
 
-    return DecomposedOperator.from_global(domains, global_step)
+    return DecomposedOperator(domains, global_step)

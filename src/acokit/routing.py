@@ -14,7 +14,6 @@ at the destination is the one-node tuple ``(dest,)``.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -25,9 +24,9 @@ from .errors import (
     PreferenceCycleError,
     SizeLimitError,
 )
-from .iteration import DecomposedOperator, run_async, run_sync, sample_schedule
+from .iteration import DecomposedOperator, campaign, run_sync
 from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
-from .util import canonical_key, sorted_canonical
+from .util import _load_json, canonical_key, sorted_canonical
 
 PER_NODE = "per-node"
 PER_NEXTHOP = "per-source-destination-nexthop"
@@ -200,9 +199,6 @@ class SppInstance:
     def empty_path(self) -> Path:
         return (self.dest,)
 
-    def empty_state(self) -> frozenset:
-        return frozenset()
-
 
 def _simple_paths_to(nodes, arcs, dest) -> tuple[Path, ...]:
     adjacency: dict = {node: [] for node in nodes}
@@ -303,11 +299,7 @@ def load_instance(source) -> SppInstance:
     """Load an instance file (JSON): ``nodes``, ``dest``, ``arcs``,
     optional ``permitted`` (node to path arrays), ``preference`` of kind
     ``hop-count`` or ``explicit`` with weak pairs."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _load_json(source)
     try:
         nodes = [str(n) for n in doc["nodes"]]
         dest = str(doc["dest"])
@@ -477,11 +469,12 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     masks = np.arange(total, dtype=np.int32)
     dist = dmax[np.bitwise_xor.outer(masks, masks)]
     dist_sig = dmax[np.bitwise_xor.outer(sig, sig)]
-    bad = np.argwhere((dist_sig >= dist) & (dist > 0))
+    bad = (dist_sig >= dist) & (dist > 0)
+    bad &= masks[:, None] < masks[None, :]
     pairs = total * (total - 1) // 2
-    if bad.size:
-        upper = [(int(a), int(b)) for a, b in bad if a < b]
-        a, b = min(upper) if upper else (int(bad[0][0]), int(bad[0][1]))
+    # row-major argmax: the lexicographically smallest violating (a, b), a < b
+    a, b = divmod(int(np.argmax(bad)), total)
+    if bad[a, b]:
         return ContractionCheck(False, (to_state(a), to_state(b)), pairs)
     return ContractionCheck(True, None, pairs)
 
@@ -552,7 +545,7 @@ def decompose(instance: SppInstance, granularity: str) -> DecomposedOperator:
         out = sigma_step(instance, components_to_state(comps))
         return tuple(out & members for members in member_sets)
 
-    return DecomposedOperator.from_global(domains, global_step)
+    return DecomposedOperator(domains, global_step)
 
 
 def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
@@ -586,6 +579,10 @@ class AsyncRun:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """How a solve ended.  ``trajectory`` is the synchronous run or the
+    first asynchronous one; ``finals`` lists the distinct final states of
+    the asynchronous runs."""
+
     mode: str
     granularity: str
     status: str
@@ -594,6 +591,7 @@ class SolveResult:
     trajectory: object = None
     cycle: tuple = ()
     runs: tuple[AsyncRun, ...] = ()
+    finals: tuple = ()
 
 
 def solve(instance: SppInstance, mode: str = "sync", *,
@@ -611,7 +609,8 @@ def solve(instance: SppInstance, mode: str = "sync", *,
 
     Instances that are not strictly inflationary are refused unless
     ``force`` is set; forced runs may oscillate, which is reported as a
-    cycle (sync) or horizon exhaustion (async).
+    cycle (sync) or horizon exhaustion (async).  An async campaign whose
+    runs all converge, but not to one state, is ``divergent``.
     """
     report = check_strictly_inflationary(instance)
     if not report.ok and not force:
@@ -648,23 +647,21 @@ def solve(instance: SppInstance, mode: str = "sync", *,
 
     if mode != "async":
         raise PreconditionError(f"unknown mode {mode!r}")
-    runs = []
-    finals = set()
-    for s in range(schedules):
-        schedule = sample_schedule(op.processors, horizon, seed + s,
-                                   activation_prob=activation_prob,
-                                   max_staleness=staleness,
-                                   fairness_window=window)
-        traj = run_async(op, start_comps, schedule)
-        final = components_to_state(traj.final)
-        runs.append(AsyncRun(seed + s, traj.status, traj.converged_at, final))
-        finals.add((traj.status, final))
-    all_converged = all(r.status == "converged" for r in runs)
-    distinct_finals = {f for _, f in finals}
-    if all_converged and len(distinct_finals) == 1:
-        fixed = next(iter(distinct_finals))
+    records = campaign(op, [start_comps], schedules=schedules, seed=seed,
+                       horizon=horizon, staleness=staleness, window=window,
+                       activation_prob=activation_prob)
+    runs = tuple(
+        AsyncRun(r.seed, r.trajectory.status, r.trajectory.converged_at,
+                 components_to_state(r.trajectory.final)) for r in records)
+    finals = tuple(sorted_canonical({r.final for r in runs}))
+    fixed = stable = None
+    if not finals or any(r.status != "converged" for r in runs):
+        status = "horizon-exhausted"
+    elif len(finals) > 1:
+        status = "divergent"
+    else:
+        status, fixed = "converged", finals[0]
         stable = sigma_step(instance, fixed) == fixed
-        return SolveResult(mode, granularity, "converged", fixed, stable,
-                           runs=tuple(runs))
-    return SolveResult(mode, granularity, "horizon-exhausted", None, None,
-                       runs=tuple(runs))
+    first = records[0].trajectory if records else None
+    return SolveResult(mode, granularity, status, fixed, stable,
+                       trajectory=first, runs=runs, finals=finals)

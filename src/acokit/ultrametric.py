@@ -9,7 +9,6 @@ anywhere in the checks.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
-from .util import canonical_key
+from .util import _load_json, canonical_key
 
 NOT_CONTRACTION = "not-contraction"
 CONTRACTION = "contraction"
@@ -441,16 +440,6 @@ class ProductSpace:
         return self._matrix
 
 
-def product_distance(product: ProductSpace, m, n):
-    """Distance between two vectors of a product space."""
-    for vec in (m, n):
-        if len(vec) != product.dimension:
-            raise MalformedSpaceError(
-                f"vector {vec!r} has {len(vec)} coordinates, "
-                f"dimension is {product.dimension}")
-    return product.distance(tuple(m), tuple(n))
-
-
 def check_ball_is_box(product: ProductSpace, ball: Ball) -> bool:
     """A product-space ball must equal the product of component balls."""
     members = ball_members(ball)
@@ -538,11 +527,7 @@ def load_space(source) -> FiniteUltrametricSpace:
     ``"0"``), ``dist`` (triples ``[m, n, label]``).  A missing ``(m, n)``
     entry defaults from ``(n, m)``; a missing diagonal defaults to ``"0"``.
     """
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    else:
-        doc = source
+    doc = _load_json(source)
     try:
         elements = [str(e) for e in doc["elements"]]
         scale_labels = [str(v) for v in doc["scale"]]

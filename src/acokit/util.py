@@ -1,4 +1,5 @@
-"""Small shared helpers: canonical ordering and value rendering.
+"""Small shared helpers: JSON loading, canonical ordering and value
+rendering.
 
 Everything that leaves the package (summaries, traces, witnesses) must not
 depend on hash-randomized set iteration order, so any set-to-sequence
@@ -7,7 +8,17 @@ conversion goes through :func:`canonical_key`.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
+
+
+def _load_json(source):
+    """The JSON document at a path, or ``source`` itself when it is
+    already a parsed document."""
+    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    return source
 
 
 def canonical_key(value):

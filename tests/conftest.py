@@ -16,6 +16,11 @@ settings.register_profile(
 settings.load_profile("suite")
 
 CORPUS = os.path.join(os.path.dirname(__file__), os.pardir, "corpus")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+
+# CLI subprocesses import acokit from this checkout as well
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
 def corpus_path(*parts) -> str:

@@ -16,7 +16,7 @@ import pytest
 from acokit import aco, logic, routing
 from acokit.aco import box_members
 from acokit.errors import PreferenceCycleError
-from acokit.iteration import DecomposedOperator, run_async, sample_schedule
+from acokit.iteration import DecomposedOperator, campaign
 from acokit.ultrametric import (
     Ball,
     ProductSpace,
@@ -164,11 +164,10 @@ def test_criterion_5_async_convergence_campaign():
             op = routing.decompose(inst, granularity)
             start = routing.state_to_components(inst, granularity,
                                                 frozenset())
-            for seed in range(100):
-                schedule = sample_schedule(op.processors, 200, seed,
-                                           max_staleness=5,
-                                           fairness_window=8)
-                traj = run_async(op, start, schedule)
+            for run in campaign(op, [start], schedules=100, seed=0,
+                                horizon=200, staleness=5, window=8,
+                                activation_prob=0.5):
+                traj = run.trajectory
                 total += 1
                 if traj.status == "converged" and \
                         routing.components_to_state(traj.final) == sync_fp:
@@ -230,12 +229,13 @@ def test_criterion_8_per_atom_async_logic():
         target = logic.interp_to_tuple(program, model)
         op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
-        for seed in range(100):
-            schedule = sample_schedule(op.processors, 200, seed,
-                                       max_staleness=5, fairness_window=8)
-            traj = run_async(op, start, schedule)
-            assert traj.status == "converged", (name, seed)
-            assert traj.final == target, (name, seed)
+        runs = campaign(op, [start], schedules=100, seed=0, horizon=200,
+                        staleness=5, window=8, activation_prob=0.5)
+        assert len(runs) == 100
+        for run in runs:
+            traj = run.trajectory
+            assert traj.status == "converged", (name, run.seed)
+            assert traj.final == target, (name, run.seed)
     _report(8, f"100/100 per-atom async runs on {len(qualifying)} "
                f"qualifying programs", time.time() - t0)
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from acokit import routing
+from acokit import iteration, routing
 from acokit.aco import (
     BoxSequence,
     boxes_from_ultrametric,
@@ -15,8 +15,13 @@ from acokit.aco import (
     ultrametric_from_boxes,
     verify_box_sequence,
 )
-from acokit.errors import MalformedBoxError, PreconditionError, SizeLimitError
-from acokit.iteration import DecomposedOperator
+from acokit.errors import (
+    MalformedBoxError,
+    PreconditionError,
+    SemanticsError,
+    SizeLimitError,
+)
+from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
     Ball,
     ball_members,
@@ -94,7 +99,7 @@ def test_search_refuses_swap_and_identity():
 
 
 def test_search_size_limit():
-    wide = DecomposedOperator.from_global(
+    wide = DecomposedOperator(
         (tuple(range(7)),) * 5, lambda s: s)
     with pytest.raises(SizeLimitError):
         search_box_sequence(wide, max_boxes=100)
@@ -228,6 +233,30 @@ def test_sampling_necessity_every_start_hundred_seeds(single_arc):
         assert cert.certified
         assert cert.sampling["runs"] == 100 * op.size()
         assert cert.sampling["converged"] == cert.sampling["runs"]
+
+
+def test_certify_counts_runs_that_hit_the_horizon():
+    # the quiet window (staleness 5 + fairness 8) cannot fit in 3 ticks
+    cert = certify_aco(constant_op(), schedules=4, horizon=3)
+    assert cert.certified
+    s = cert.sampling
+    assert (s["runs"], s["converged"], s["horizon_exhausted"]) == (16, 0, 16)
+
+
+def test_certify_records_activation_prob():
+    cert = certify_aco(constant_op(), schedules=3, horizon=30,
+                       activation_prob=1.0, staleness=1, window=1)
+    assert cert.sampling["activation_prob"] == 1.0
+    assert cert.sampling["converged"] == cert.sampling["runs"] == 12
+
+
+def test_certify_raises_when_a_run_converges_elsewhere(monkeypatch):
+    def wrong_final(op, start, schedule):
+        return Trajectory((tuple(start), (1, 1)), 1, "converged")
+
+    monkeypatch.setattr(iteration, "run_async", wrong_final)
+    with pytest.raises(SemanticsError):
+        certify_aco(constant_op(), schedules=2, horizon=16)
 
 
 def test_certificate_json_shape():

@@ -161,6 +161,41 @@ def test_aco_certify_exit_codes(tmp_path, capsys):
     assert "fixed points: (0),(1)" in out
 
 
+def test_aco_certify_passes_activation_prob(tmp_path, capsys):
+    cert = tmp_path / "const.json"
+    cert.write_text(json.dumps({
+        "domains": [[0, 1]],
+        "map": [[[0], [0]], [[1], [0]]]}), encoding="utf-8")
+    flags = ("--activation-prob", "1.0", "--fairness-window", "1",
+             "--max-staleness", "1")
+    code, _, _ = run_cli(capsys, "run", "async", str(cert), *flags)
+    assert code == EXIT_OK
+    out_json = tmp_path / "cert.json"
+    code, out, _ = run_cli(capsys, "aco", "certify", str(cert), *flags,
+                           "--schedules", "3", "--json", str(out_json))
+    assert code == EXIT_OK and "verdict: certified" in out
+    assert json.loads(out_json.read_text())["sampling"]["activation_prob"] \
+        == 1.0
+
+
+def test_routing_solve_divergent_campaign(tmp_path, capsys):
+    summary = tmp_path / "repaired.json"
+    code, out, _ = run_cli(capsys, "routing", "solve",
+                           corpus_path("disagree_repaired.json"),
+                           "--mode", "async", "--force", "--schedules", "20",
+                           "--json", str(summary))
+    assert code == EXIT_FAIL
+    assert "status: divergent" in out
+    assert "converged: 20/20" in out
+    doc = json.loads(summary.read_text())
+    assert doc["status"] == "divergent"
+    assert all(r["status"] == "converged" for r in doc["runs"])
+    finals = {frozenset(tuple(p) for p in r["final"]) for r in doc["runs"]}
+    assert len(finals) >= 2
+    assert {frozenset(tuple(p) for p in f) for f in doc["finals"]} == finals
+    assert f"distinct finals: {len(finals)}" in out
+
+
 GOLDEN = [
     (("routing", "solve", corpus_path("ring3.json")), EXIT_OK,
      "file: {path}\nmode: sync\ngranularity: per-node\n"

@@ -6,6 +6,7 @@ from acokit.errors import PreconditionError, ScheduleRejectedError
 from acokit.iteration import (
     DecomposedOperator,
     Schedule,
+    campaign,
     check_admissible_prefix,
     load_operator,
     load_schedule,
@@ -31,7 +32,7 @@ def swap_op():
 
 def identity_op(k=2):
     dom = ((0, 1),) * k
-    return DecomposedOperator.from_global(dom, lambda s: s)
+    return DecomposedOperator(dom, lambda s: s)
 
 
 def test_from_table_validates_totality():
@@ -50,19 +51,34 @@ def test_synchronous_schedule_shape():
     assert check_admissible_prefix(sched2).ok
 
 
+def ticks(schedule, upto=None):
+    upto = schedule.horizon if upto is None else upto
+    return [schedule.tick(t) for t in range(1, upto + 1)]
+
+
 def test_sample_schedule_deterministic_and_admissible():
     a = sample_schedule(2, 50, 7, max_staleness=5, fairness_window=8)
     b = sample_schedule(2, 50, 7, max_staleness=5, fairness_window=8)
-    assert a == b
+    b.tick(50)  # drawing the last tick first changes nothing
+    assert ticks(a) == ticks(b)
     assert check_admissible_prefix(a).ok
+    # the horizon caps the ticks a run may read, not what they are
+    longer = sample_schedule(2, 200, 7, max_staleness=5, fairness_window=8)
+    assert ticks(longer, 50) == ticks(a)
 
 
 def test_sample_schedule_degenerate_parameters_are_synchronous():
     sampled = sample_schedule(3, 10, 123, activation_prob=1.0,
                               max_staleness=1, fairness_window=1)
     reference = make_synchronous_schedule(3, 10)
-    assert sampled.activations == reference.activations
-    assert sampled.delays == reference.delays
+    assert ticks(sampled) == ticks(reference)
+
+
+def test_sampled_tick_draws_rows_for_active_processors_only():
+    sched = sample_schedule(4, 30, 5)
+    for active, rows in ticks(sched):
+        assert [i for i, row in enumerate(rows) if row is not None] == \
+            sorted(active)
 
 
 @given(st.integers(min_value=0, max_value=10_000),
@@ -194,7 +210,7 @@ def test_run_async_requires_admissible_schedule():
 
 def test_frozen_processor_keeps_value():
     # processor 1 never activates after tick 1; its value must stay put
-    op = DecomposedOperator.from_global(
+    op = DecomposedOperator(
         ((0, 1), (0, 1)), lambda s: (1, 1 - s[1]))
     acts = (frozenset({0, 1}),) + tuple(frozenset({0}) for _ in range(9))
     delays = tuple(
@@ -205,6 +221,42 @@ def test_frozen_processor_keeps_value():
     traj = run_async(op, (0, 0), sched)
     values = traj.history(1)
     assert len(set(values[1:])) == 1
+
+
+def test_run_draws_only_the_ticks_it_uses(ring3):
+    op = routing.decompose(ring3, routing.PER_NODE)
+    start = routing.state_to_components(ring3, routing.PER_NODE, frozenset())
+    sched = sample_schedule(op.processors, 200, 7)
+    traj = run_async(op, start, sched)
+    assert traj.status == "converged"
+    assert sched.ticks_drawn == len(traj.states) - 1 < sched.horizon
+
+
+def test_shared_schedule_ticks_do_not_depend_on_run_order(ring3):
+    op = routing.decompose(ring3, routing.PER_PATH)
+    empty = routing.state_to_components(ring3, routing.PER_PATH, frozenset())
+    fixed = run_sync(op, empty, 30).final
+    first = sample_schedule(op.processors, 200, 3)
+    second = sample_schedule(op.processors, 200, 3)
+    short_a, long_a = run_async(op, fixed, first), run_async(op, empty, first)
+    long_b, short_b = run_async(op, empty, second), run_async(op, fixed, second)
+    assert len(short_a.states) < len(long_a.states)
+    assert (short_a, long_a) == (short_b, long_b)
+    assert first.ticks_drawn == second.ticks_drawn
+    assert ticks(first, first.ticks_drawn) == ticks(second, second.ticks_drawn)
+
+
+def test_campaign_maps_seed_plus_s_to_schedule_s(ring3):
+    op = routing.decompose(ring3, routing.PER_NODE)
+    start = routing.state_to_components(ring3, routing.PER_NODE, frozenset())
+    runs = campaign(op, [start], schedules=3, seed=40, horizon=200,
+                    staleness=5, window=8, activation_prob=0.5)
+    assert [r.seed for r in runs] == [40, 41, 42]
+    for r in runs:
+        sched = sample_schedule(op.processors, 200, r.seed)
+        assert r.trajectory == run_async(op, start, sched)
+        assert list(r.trajectory.activations) == \
+            [a for a, _ in ticks(sched, len(r.trajectory.states) - 1)]
 
 
 def test_run_async_determinism(ring3):
@@ -222,6 +274,28 @@ def test_horizon_exhausted_when_quiet_window_missing():
     traj = run_async(op, (1, 1), sched)
     assert traj.status == "horizon-exhausted"
     assert traj.converged_at is None
+
+
+def test_checker_reads_rows_of_active_processors_only():
+    sched = make_synchronous_schedule(2, 4)
+    delays = [list(list(r) for r in row) for row in sched.delays]
+    delays[2][1][0] = 3  # not in the past, but processor 1 is idle at 3
+    acts = list(sched.activations)
+    acts[2] = frozenset({0})
+    delays = tuple(tuple(tuple(r) for r in row) for row in delays)
+    idle = _tweak(sched, activations=tuple(acts), delays=delays,
+                  fairness_window=2)
+    assert check_admissible_prefix(idle).ok
+    active = _tweak(sched, delays=delays)
+    assert check_admissible_prefix(active).violation == \
+        ("causality", 3, 1, 0, 3)
+
+
+def test_load_schedule_rejects_whole_schedule_before_any_run():
+    doc = {"horizon": 40, "processors": 1,
+           "activations": [[0]] * 40, "delays": [[39, 0, 0, 39]]}
+    with pytest.raises(PreconditionError):
+        load_schedule(doc)
 
 
 def test_load_schedule_defaults_and_roundtrip(tmp_path):

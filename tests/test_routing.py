@@ -174,6 +174,24 @@ def test_strict_contraction_counterexample(disagree_repaired):
     assert d_after >= d_before > 0
 
 
+def test_strict_contraction_witness_is_smallest_violating_pair(
+        disagree_repaired):
+    inst = disagree_repaired
+    universe = inst.all_permitted
+    states = [frozenset(p for idx, p in enumerate(universe) if mask >> idx & 1)
+              for mask in range(1 << len(universe))]
+    expected = None
+    for a, b in itertools.combinations(range(len(states)), 2):
+        m, n = states[a], states[b]
+        before = state_distance(inst, m, n)
+        after = state_distance(inst, sigma_step(inst, m), sigma_step(inst, n))
+        if after >= before > 0:
+            expected = (m, n)
+            break
+    assert expected is not None
+    assert verify_strict_contraction(inst).witness == expected
+
+
 def test_strict_contraction_size_limit():
     nodes = ["d"] + [str(i) for i in range(1, 6)]
     arcs = []

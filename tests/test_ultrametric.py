@@ -21,7 +21,6 @@ from acokit.ultrametric import (
     height_distance,
     height_space,
     load_space,
-    product_distance,
     string_distance,
     string_space,
     CONTRACTION,
@@ -195,11 +194,11 @@ def test_product_distance_examples():
     right = height_space(("b", "b'"), {"b": 3, "b'": 2}, scale)
     product = ProductSpace((left, right))
     assert product.dimension == 2
-    assert product_distance(product, ("a", "b"), ("a", "b")) == 0
-    assert product_distance(product, ("a", "b"), ("a'", "b")) == 1
-    assert product_distance(product, ("a", "b"), ("a'", "b'")) == 3
+    assert product.distance(("a", "b"), ("a", "b")) == 0
+    assert product.distance(("a", "b"), ("a'", "b")) == 1
+    assert product.distance(("a", "b"), ("a'", "b'")) == 3
     with pytest.raises(MalformedSpaceError):
-        product_distance(product, ("a",), ("a", "b"))
+        product.distance(("a",), ("a", "b"))
     assert check_axioms(product).ok
     assert check_isosceles(product).ok
 
