@@ -20,7 +20,8 @@ from .errors import (
     SemanticsError,
     SizeLimitError,
 )
-from .iteration import DecomposedOperator, campaign
+from .iteration import (DecomposedOperator, campaign, campaign_stats,
+                        check_schedules)
 from .ultrametric import (
     FiniteUltrametricSpace,
     ProductSpace,
@@ -435,6 +436,7 @@ class AcoCertificate:
     box_sequence: BoxSequence | None = None
     refutation: dict | None = None
     sampling: dict | None = None
+    stats: dict | None = None  # campaign_stats of the sampled runs
 
     @property
     def certified(self) -> bool:
@@ -448,6 +450,8 @@ class AcoCertificate:
             doc["refutation"] = jsonable(self.refutation)
         if self.sampling is not None:
             doc["sampling"] = jsonable(self.sampling)
+        if self.stats is not None:
+            doc["stats"] = self.stats
         return doc
 
 
@@ -467,8 +471,10 @@ def certify_aco(op: DecomposedOperator, *,
     start state, and the observed convergence ticks are recorded.  A run
     that hits the horizon is counted; one that converges anywhere but the
     chain's fixed point contradicts the chain and raises
-    :class:`SemanticsError`.
+    :class:`SemanticsError`.  Fewer than one schedule is rejected before
+    any other work.
     """
+    check_schedules(schedules)
     fixed_points = [m for m in op.iter_states() if op.apply(m) == m]
     seq = search_box_sequence(op, max_boxes=max_boxes)
     if seq is None:
@@ -507,7 +513,8 @@ def certify_aco(op: DecomposedOperator, *,
         "max_converged_tick": max(
             (r.trajectory.converged_at for r in converged), default=0),
     }
-    return AcoCertificate("certified", box_sequence=seq, sampling=sampling)
+    return AcoCertificate("certified", box_sequence=seq, sampling=sampling,
+                          stats=campaign_stats(op, runs))
 
 
 @dataclass(frozen=True)

@@ -63,8 +63,7 @@ def emit_trace(path, trajectory, distances=None, value_format=format_value):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "processor", "activated", "value",
                          "dist_to_fixpoint"])
-        states = trajectory.states if trajectory is not None else ()
-        for t, state in enumerate(states):
+        for t, state in enumerate(trajectory.states):
             if t == 0:
                 active = frozenset()
             elif trajectory.activations is not None:
@@ -76,14 +75,11 @@ def emit_trace(path, trajectory, distances=None, value_format=format_value):
                 writer.writerow(
                     [t, i, "yes" if i in active else "no",
                      value_format(value), dist])
-        if trajectory is None:
-            writer.writerow(["summary", "", "", "converged_at=none;status=empty", ""])
-        else:
-            conv = ("none" if trajectory.converged_at is None
-                    else str(trajectory.converged_at))
-            writer.writerow(
-                ["summary", "", "",
-                 f"converged_at={conv};status={trajectory.status}", ""])
+        conv = ("none" if trajectory.converged_at is None
+                else str(trajectory.converged_at))
+        writer.writerow(
+            ["summary", "", "",
+             f"converged_at={conv};status={trajectory.status}", ""])
 
 
 def _campaign_args(config: RunConfig) -> dict:
@@ -260,6 +256,7 @@ def _cmd_routing_solve(config: RunConfig) -> int:
             {"seed": r.seed, "status": r.status,
              "converged_at": r.converged_at,
              "final": jsonable(r.final)} for r in result.runs]
+        payload["stats"] = result.stats
     if config.trace:
         # the synchronous run, or the first run of the async campaign
         emit_trace(config.trace, result.trajectory,
@@ -272,6 +269,8 @@ def _cmd_routing_solve(config: RunConfig) -> int:
 
 
 def _cmd_logic_solve(config: RunConfig) -> int:
+    if config.mode == "async":
+        iteration.check_schedules(config.schedules)
     program = logic.load_program(config.instance)
     strat_result = logic.find_stratification(program)
     print(f"file: {config.instance}")
@@ -317,6 +316,7 @@ def _cmd_logic_solve(config: RunConfig) -> int:
             print(f"max convergence tick: {max(ticks)}")
         payload["async_converged"] = converged
         payload["async_schedules"] = config.schedules
+        payload["stats"] = iteration.campaign_stats(op, runs)
         ok = converged == config.schedules
     if config.trace:
         traj_states = tuple(

@@ -8,13 +8,17 @@ every window of the fairness length.
 
 Runs read a schedule tick by tick through ``schedule.tick(t)``: a
 :class:`Schedule` stores every tick, a :class:`SampledSchedule` draws each
-tick the first time a run reads it.  :func:`campaign` is the one place
-that maps a seed to a sampled schedule and runs starts under it.
+tick the first time a run reads it.  Either way the schedule checks a tick
+for admissibility the first time it is read, before any run uses it, so
+the runs that share a schedule check each tick once between them.
+:func:`campaign` is the one place that maps a seed to a sampled schedule
+and runs starts under it.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import random
 from dataclasses import dataclass
@@ -22,12 +26,20 @@ from dataclasses import dataclass
 from .errors import PreconditionError, ScheduleRejectedError
 from .util import _load_json
 
+log = logging.getLogger("acokit")
+
 
 class DecomposedOperator:
     """Operator on a finite product domain, split per processor.
 
     Construct from a callable returning the full next state, or with
     :meth:`from_table` from an explicit state-to-state mapping.
+
+    The callable must be pure and deterministic: equal states give equal
+    images and nothing else is read.  :meth:`apply` relies on it: it
+    calls the callable once per distinct state and keeps the image, one
+    entry per distinct state read, for as long as the operator lives.
+    ``evaluations`` counts the calls made to the callable.
     """
 
     def __init__(self, domains, global_fn):
@@ -39,6 +51,8 @@ class DecomposedOperator:
                 raise PreconditionError("domain elements must be distinct")
         self._domain_sets = tuple(frozenset(d) for d in self.domains)
         self._global = global_fn
+        self._images: dict[tuple, tuple] = {}
+        self.evaluations = 0
 
     @classmethod
     def from_table(cls, domains, table):
@@ -77,10 +91,16 @@ class DecomposedOperator:
 
     def apply(self, state: tuple) -> tuple:
         try:
-            out = self._global(state)
+            return self._images[state]
+        except KeyError:
+            pass
+        self.evaluations += 1
+        try:
+            out = tuple(self._global(state))
         except KeyError:
             raise PreconditionError(f"state {state!r} outside domain") from None
-        return tuple(out)
+        self._images[state] = out
+        return out
 
     def component(self, i: int, state: tuple):
         return self.apply(state)[i]
@@ -94,7 +114,8 @@ class Schedule:
     ``delays[t-1][i][j]`` is the time whose value of processor ``j`` is
     read by ``i`` when it activates at ``t``.  ``staleness_bound`` and
     ``fairness_window`` are the bounds this schedule claims to satisfy;
-    :func:`check_admissible_prefix` verifies them.
+    :meth:`tick` checks them tick by tick and
+    :func:`check_admissible_prefix` over the whole horizon.
     """
 
     processors: int
@@ -120,11 +141,15 @@ class Schedule:
         for row in self.delays:
             if len(row) != k or any(len(r) != k for r in row):
                 raise ScheduleRejectedError("delay table must be k x k per tick")
+        object.__setattr__(self, "_checked", _CheckedTicks(
+            k, self.staleness_bound, self.fairness_window,
+            zip(self.activations, self.delays)))
 
     def tick(self, t: int) -> tuple:
         """``(active set, delay rows)`` of tick ``t``; row ``i`` is read
-        only when ``i`` is active."""
-        return self.activations[t - 1], self.delays[t - 1]
+        only when ``i`` is active.  Raises :class:`PreconditionError` when
+        tick ``t`` or an earlier one is not admissible."""
+        return self._checked.tick(t)
 
 
 def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
@@ -141,28 +166,51 @@ def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
                     staleness_bound=1, fairness_window=1)
 
 
-class SampledSchedule:
-    """A schedule whose ticks are drawn from ``source`` on first read and
-    then kept, so every run that shares it sees the same ticks."""
+class _CheckedTicks:
+    """Ticks pulled in order from ``source`` (ticks 1, 2, ...), each
+    checked with :func:`_tick_violation` when it is first read and kept
+    once it passes.  A tick that fails is never kept: it and every later
+    tick raise :class:`PreconditionError` on every read."""
+
+    def __init__(self, processors, staleness_bound, fairness_window, source):
+        self.passed: list[tuple] = []
+        self._source = source
+        self._bounds = (staleness_bound, fairness_window)
+        self._last_active = [0] * processors
+        self._violation = None
+
+    def tick(self, t: int) -> tuple:
+        """``(active set, delay rows)`` of tick ``t``."""
+        passed = self.passed
+        while len(passed) < t:
+            if self._violation is None:
+                pulled = next(self._source)
+                self._violation = _tick_violation(
+                    len(passed) + 1, *pulled, self._last_active, *self._bounds)
+            if self._violation is not None:
+                raise PreconditionError(
+                    f"schedule is not admissible: {self._violation}",
+                    witness=self._violation)
+            passed.append(pulled)
+        return passed[t - 1]
+
+
+class SampledSchedule(_CheckedTicks):
+    """A schedule whose ticks are drawn from ``source`` on first read,
+    checked, and then kept, so every run that shares it sees the same
+    ticks."""
 
     def __init__(self, processors, horizon, staleness_bound, fairness_window,
                  source):
+        super().__init__(processors, staleness_bound, fairness_window, source)
         self.processors = processors
         self.horizon = horizon
         self.staleness_bound = staleness_bound
         self.fairness_window = fairness_window
-        self._source = source  # yields ticks 1, 2, ... in order
-        self._ticks: list[tuple] = []
 
     @property
     def ticks_drawn(self) -> int:
-        return len(self._ticks)
-
-    def tick(self, t: int) -> tuple:
-        """``(active set, delay rows)`` of tick ``t``."""
-        while len(self._ticks) < t:
-            self._ticks.append(next(self._source))
-        return self._ticks[t - 1]
+        return len(self.passed)
 
 
 def sample_schedule(k: int, horizon: int, seed: int, *,
@@ -241,17 +289,15 @@ def check_admissible_prefix(schedule) -> AdmissibilityReport:
     """Verify causality, bounded staleness, and windowed fairness over the
     whole horizon.
 
-    Returns the first violation as ``(kind, details...)`` with kinds
-    ``causality``, ``staleness``, and ``fairness``.
+    Reads every tick, which makes the schedule check each one it has not
+    checked yet.  Returns the first violation as ``(kind, details...)``
+    with kinds ``causality``, ``staleness``, and ``fairness``.
     """
-    last_active = [0] * schedule.processors
-    for t in range(1, schedule.horizon + 1):
-        active, rows = schedule.tick(t)
-        violation = _tick_violation(t, active, rows, last_active,
-                                    schedule.staleness_bound,
-                                    schedule.fairness_window)
-        if violation is not None:
-            return AdmissibilityReport(False, violation)
+    try:
+        for t in range(1, schedule.horizon + 1):
+            schedule.tick(t)
+    except PreconditionError as exc:
+        return AdmissibilityReport(False, exc.witness)
     return AdmissibilityReport(True)
 
 
@@ -304,11 +350,12 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     """Run the asynchronous recurrence under a schedule.
 
     Inactive processors keep their value; active ones apply their component
-    to the delayed view dictated by the schedule.  Each tick is checked for
-    admissibility before it is used.  The run stops once the state has
-    been quiet for ``staleness_bound + fairness_window`` ticks, after which
-    no stale value can revive a change; ``converged_at`` is the last tick a
-    change occurred.
+    to the delayed view dictated by the schedule.  The schedule checks each
+    tick for admissibility the first time any run reads it, and raises
+    :class:`PreconditionError` for a tick that fails.  The run stops once
+    the state has been quiet for ``staleness_bound + fairness_window``
+    ticks, after which no stale value can revive a change;
+    ``converged_at`` is the last tick a change occurred.
     """
     start = tuple(start)
     op.check_state(start)
@@ -317,26 +364,18 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
             f"schedule has {schedule.processors} processors, "
             f"operator has {op.processors}")
 
-    staleness, window = schedule.staleness_bound, schedule.fairness_window
-    quiet_needed = staleness + window
-    k = op.processors
+    quiet_needed = schedule.staleness_bound + schedule.fairness_window
     states = [start]
     activations = []
-    last_active = [0] * k
     last_change = 0
     for t in range(1, schedule.horizon + 1):
         active, rows = schedule.tick(t)
-        violation = _tick_violation(t, active, rows, last_active,
-                                    staleness, window)
-        if violation is not None:
-            raise PreconditionError(
-                f"schedule is not admissible: {violation}")
         activations.append(active)
         prev = states[-1]
         nxt = list(prev)
         for i in active:
-            row = rows[i]
-            view = tuple(states[row[j]][j] for j in range(k))
+            # component j as processor i reads it: its value at tick b
+            view = tuple([states[b][j] for j, b in enumerate(rows[i])])
             nxt[i] = op.component(i, view)
         nxt = tuple(nxt)
         states.append(nxt)
@@ -368,8 +407,9 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
 
     Schedule ``s`` is drawn from seed ``seed + s`` and shared by all
     starts.  Runs are listed schedule by schedule, starts in the given
-    order.
+    order.  The campaign's :func:`campaign_stats` are logged at INFO.
     """
+    check_schedules(schedules)
     starts = [tuple(start) for start in starts]
     runs = []
     for s in range(schedules):
@@ -380,7 +420,37 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
         for start in starts:
             runs.append(CampaignRun(seed + s, start,
                                     run_async(op, start, schedule)))
+    log.info("campaign: %s", " ".join(
+        f"{name}={value}" for name, value in campaign_stats(op, runs).items()))
     return runs
+
+
+def check_schedules(schedules: int) -> None:
+    """A campaign needs at least one schedule."""
+    if schedules < 1:
+        raise ScheduleRejectedError(
+            f"schedules must be at least 1, got {schedules}")
+
+
+def campaign_stats(op: DecomposedOperator, runs) -> dict:
+    """The deterministic counters of a campaign's runs.
+
+    ``ticks_used`` sums the ticks each run read.  A sampled schedule draws
+    exactly the ticks its longest run reads, so ``ticks_drawn`` sums the
+    longest run of each schedule.  ``operator_evaluations`` is
+    ``op.evaluations``: the calls the operator has made to its callable so
+    far (its memo misses), the campaign's included.
+    """
+    longest: dict[int, int] = {}
+    for r in runs:
+        used = len(r.trajectory.states) - 1
+        longest[r.seed] = max(longest.get(r.seed, 0), used)
+    return {
+        "runs": len(runs),
+        "ticks_used": sum(len(r.trajectory.states) - 1 for r in runs),
+        "ticks_drawn": sum(longest.values()),
+        "operator_evaluations": op.evaluations,
+    }
 
 
 def load_schedule(source) -> Schedule:

@@ -24,7 +24,8 @@ from .errors import (
     PreferenceCycleError,
     SizeLimitError,
 )
-from .iteration import DecomposedOperator, campaign, run_sync
+from .iteration import (DecomposedOperator, campaign, campaign_stats,
+                        check_schedules, run_sync)
 from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
 from .util import _load_json, canonical_key, sorted_canonical
 
@@ -581,7 +582,8 @@ class AsyncRun:
 class SolveResult:
     """How a solve ended.  ``trajectory`` is the synchronous run or the
     first asynchronous one; ``finals`` lists the distinct final states of
-    the asynchronous runs."""
+    the asynchronous runs and ``stats`` their
+    :func:`~acokit.iteration.campaign_stats`."""
 
     mode: str
     granularity: str
@@ -592,6 +594,7 @@ class SolveResult:
     cycle: tuple = ()
     runs: tuple[AsyncRun, ...] = ()
     finals: tuple = ()
+    stats: dict | None = None
 
 
 def solve(instance: SppInstance, mode: str = "sync", *,
@@ -610,8 +613,11 @@ def solve(instance: SppInstance, mode: str = "sync", *,
     Instances that are not strictly inflationary are refused unless
     ``force`` is set; forced runs may oscillate, which is reported as a
     cycle (sync) or horizon exhaustion (async).  An async campaign whose
-    runs all converge, but not to one state, is ``divergent``.
+    runs all converge, but not to one state, is ``divergent``.  An async
+    campaign of fewer than one schedule is rejected before any other work.
     """
+    if mode == "async":
+        check_schedules(schedules)
     report = check_strictly_inflationary(instance)
     if not report.ok and not force:
         arc, p = report.witness
@@ -655,13 +661,13 @@ def solve(instance: SppInstance, mode: str = "sync", *,
                  components_to_state(r.trajectory.final)) for r in records)
     finals = tuple(sorted_canonical({r.final for r in runs}))
     fixed = stable = None
-    if not finals or any(r.status != "converged" for r in runs):
+    if any(r.status != "converged" for r in runs):
         status = "horizon-exhausted"
     elif len(finals) > 1:
         status = "divergent"
     else:
         status, fixed = "converged", finals[0]
         stable = sigma_step(instance, fixed) == fixed
-    first = records[0].trajectory if records else None
     return SolveResult(mode, granularity, status, fixed, stable,
-                       trajectory=first, runs=runs, finals=finals)
+                       trajectory=records[0].trajectory, runs=runs,
+                       finals=finals, stats=campaign_stats(op, records))

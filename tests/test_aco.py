@@ -18,6 +18,7 @@ from acokit.aco import (
 from acokit.errors import (
     MalformedBoxError,
     PreconditionError,
+    ScheduleRejectedError,
     SemanticsError,
     SizeLimitError,
 )
@@ -265,3 +266,20 @@ def test_certificate_json_shape():
     assert doc["verdict"] == "certified"
     assert doc["certificate"]["fixed_point"] == [0, 0]
     assert doc["sampling"]["converged"] == doc["sampling"]["runs"]
+
+
+@pytest.mark.parametrize("schedules", [0, -1])
+def test_certify_rejects_fewer_than_one_schedule(schedules):
+    op = constant_op()
+    with pytest.raises(ScheduleRejectedError):
+        certify_aco(op, schedules=schedules)
+    assert op.evaluations == 0  # rejected before any search
+
+
+def test_certify_stats_count_the_sampled_runs():
+    op = constant_op()
+    cert = certify_aco(op, schedules=3, horizon=30)
+    stats = cert.to_json_dict()["stats"]
+    assert stats["runs"] == cert.sampling["runs"] == 12
+    # every state was evaluated once, by the fixed-point census
+    assert stats["operator_evaluations"] == op.evaluations == 4

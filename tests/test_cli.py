@@ -276,3 +276,62 @@ def test_cross_process_determinism(tmp_path, hash_seed):
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONHASHSEED="7"), check=True)
     assert result.stdout == expected.stdout
+
+
+def _const_operator(tmp_path):
+    path = tmp_path / "const.json"
+    path.write_text(json.dumps({
+        "domains": [[0, 1], [0, 1]],
+        "map": [[[0, 0], [0, 0]], [[0, 1], [0, 0]],
+                [[1, 0], [0, 0]], [[1, 1], [0, 0]]]}), encoding="utf-8")
+    return str(path)
+
+
+CAMPAIGN_COMMANDS = {
+    "routing-solve": lambda tmp: ("routing", "solve", corpus_path("ring3.json"),
+                                  "--mode", "async"),
+    "logic-solve": lambda tmp: ("logic", "solve",
+                                corpus_path("logic", "diamond.pl"),
+                                "--mode", "async"),
+    "aco-certify": lambda tmp: ("aco", "certify", _const_operator(tmp)),
+}
+
+
+@pytest.mark.parametrize("schedules", ["0", "-1"])
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
+def test_campaign_commands_reject_fewer_than_one_schedule(
+        tmp_path, capsys, command, schedules):
+    argv = CAMPAIGN_COMMANDS[command](tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--schedules", schedules)
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert f"schedules must be at least 1, got {schedules}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("routing", "solve", corpus_path("ring3.json")),
+    ("logic", "solve", corpus_path("logic", "diamond.pl")),
+])
+def test_sync_modes_ignore_the_schedule_count(capsys, argv):
+    code, _, _ = run_cli(capsys, *argv, "--mode", "sync", "--schedules", "0")
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
+def test_campaign_stats_in_json_are_byte_identical(tmp_path, capsys, command):
+    argv = CAMPAIGN_COMMANDS[command](tmp_path)
+    outputs = []
+    for tag in ("a", "b"):
+        summary = tmp_path / f"{tag}.json"
+        code, out, _ = run_cli(capsys, *argv, "--schedules", "4",
+                               "--seed", "6", "--json", str(summary))
+        assert code == EXIT_OK
+        assert "ticks_drawn" not in out and "evaluations" not in out
+        outputs.append(summary.read_bytes())
+    assert outputs[0] == outputs[1]
+    stats = json.loads(outputs[0])["stats"]
+    assert sorted(stats) == ["operator_evaluations", "runs", "ticks_drawn",
+                             "ticks_used"]
+    assert stats["runs"] == (16 if command == "aco-certify" else 4)
+    assert stats["ticks_used"] >= stats["ticks_drawn"] > 0
+    assert stats["operator_evaluations"] > 0

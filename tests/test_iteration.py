@@ -1,12 +1,16 @@
+import logging
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acokit import iteration
 from acokit.errors import PreconditionError, ScheduleRejectedError
 from acokit.iteration import (
     DecomposedOperator,
     Schedule,
     campaign,
+    campaign_stats,
     check_admissible_prefix,
     load_operator,
     load_schedule,
@@ -324,3 +328,103 @@ def test_load_operator_roundtrip(tmp_path):
     traj = run_sync(op, start, 5)
     assert traj.status == "converged"
     assert traj.final == ("y",)
+
+
+def test_apply_calls_the_callable_once_per_distinct_state():
+    calls = []
+
+    def step(state):
+        calls.append(state)
+        return (state[1], 1)
+
+    op = DecomposedOperator(((0, 1), (0, 1)), step)
+    for state in [(0, 0), (0, 1), (0, 0), (1, 1), (0, 1), (0, 0)]:
+        assert op.apply(state) == (state[1], 1)
+    assert op.component(0, (1, 1)) == 1
+    assert calls == [(0, 0), (0, 1), (1, 1)]
+    assert op.evaluations == 3
+
+
+def test_apply_raises_for_an_out_of_domain_state_on_every_call():
+    op = constant_op()
+    for _ in range(3):
+        with pytest.raises(PreconditionError):
+            op.apply((2, 0))
+    assert op.evaluations == 3
+    assert op.apply((1, 1)) == (0, 0)
+
+
+def test_campaign_runs_equal_runs_with_fresh_operators(ring3):
+    op = routing.decompose(ring3, routing.PER_PATH)
+    empty = routing.state_to_components(ring3, routing.PER_PATH, frozenset())
+    fixed = run_sync(op, empty, 30).final
+    runs = campaign(op, [empty, fixed], schedules=6, seed=70, horizon=200,
+                    staleness=5, window=8, activation_prob=0.5)
+    for r in runs:
+        fresh = routing.decompose(ring3, routing.PER_PATH)
+        sched = sample_schedule(fresh.processors, 200, r.seed)
+        assert r.trajectory == run_async(fresh, r.start, sched)
+    # the shared operator evaluated each distinct state once
+    assert op.evaluations < sum(len(r.trajectory.states) for r in runs)
+
+
+def test_shared_schedule_checks_each_tick_once(monkeypatch):
+    checked = []
+    real = iteration._tick_violation
+
+    def counting(t, *args):
+        checked.append(t)
+        return real(t, *args)
+
+    monkeypatch.setattr(iteration, "_tick_violation", counting)
+    op = swap_op()
+    sched = sample_schedule(2, 200, 12)
+    trajectories = [run_async(op, start, sched) for start in op.iter_states()]
+    used = [len(traj.states) - 1 for traj in trajectories]
+    assert sum(used) > sched.ticks_drawn == max(used)
+    assert checked == list(range(1, sched.ticks_drawn + 1))
+
+
+def test_dense_schedule_with_a_bad_tick_raises_on_every_run():
+    sched = make_synchronous_schedule(2, 6)
+    delays = [list(list(r) for r in row) for row in sched.delays]
+    delays[3][1][0] = 4  # tick 4 reads from its own tick
+    # a staleness bound of 5 keeps the run going past tick 4
+    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
+                                     for row in delays), staleness_bound=5)
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match="causality"):
+            run_async(identity_op(), (0, 1), bad)
+    assert bad.tick(3) == sched.tick(3)
+    assert check_admissible_prefix(bad).violation == ("causality", 4, 1, 0, 4)
+
+
+@pytest.mark.parametrize("schedules", [0, -1])
+def test_campaign_rejects_fewer_than_one_schedule(schedules):
+    with pytest.raises(ScheduleRejectedError):
+        campaign(constant_op(), [(0, 0)], schedules=schedules, seed=0,
+                 horizon=50, staleness=5, window=8, activation_prob=0.5)
+
+
+def test_campaign_stats_count_ticks_and_evaluations(ring3, caplog):
+    op = routing.decompose(ring3, routing.PER_NODE)
+    empty = routing.state_to_components(ring3, routing.PER_NODE, frozenset())
+    fixed = run_sync(op, empty, 30).final
+    with caplog.at_level(logging.INFO, logger="acokit"):
+        runs = campaign(op, [empty, fixed], schedules=4, seed=8, horizon=200,
+                        staleness=5, window=8, activation_prob=0.5)
+    stats = campaign_stats(op, runs)
+    drawn = 0
+    for seed in range(8, 12):
+        sched = sample_schedule(op.processors, 200, seed)
+        for start in (empty, fixed):
+            run_async(op, start, sched)
+        drawn += sched.ticks_drawn
+    assert stats == {
+        "runs": 8,
+        "ticks_used": sum(len(r.trajectory.states) - 1 for r in runs),
+        "ticks_drawn": drawn,
+        "operator_evaluations": op.evaluations,
+    }
+    assert caplog.messages == [
+        "campaign: " + " ".join(f"{k}={v}" for k, v in stats.items())]

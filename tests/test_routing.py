@@ -8,6 +8,7 @@ from acokit import routing
 from acokit.errors import (
     PreconditionError,
     PreferenceCycleError,
+    ScheduleRejectedError,
     SizeLimitError,
 )
 from acokit.iteration import run_async, sample_schedule
@@ -341,3 +342,12 @@ def test_hop_count_instances_always_strictly_inflationary(inst):
     assert check_strictly_inflationary(inst).ok
     if len(inst.all_permitted) <= 8:
         assert verify_strict_contraction(inst).ok
+
+
+def test_solve_async_rejects_fewer_than_one_schedule(disagree_repaired):
+    # rejected before the inflationary check, which this instance fails
+    for schedules in (0, -1):
+        with pytest.raises(ScheduleRejectedError):
+            solve(disagree_repaired, "async", schedules=schedules)
+    assert solve(disagree_repaired, "sync", schedules=0,
+                 force=True).status == "cycle"
