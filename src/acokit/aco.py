@@ -50,10 +50,7 @@ def box_members(box: Box):
 
 
 def box_size(box: Box) -> int:
-    total = 1
-    for comp in box:
-        total *= len(comp)
-    return total
+    return math.prod(len(comp) for comp in box)
 
 
 def box_contains(box: Box, state: tuple) -> bool:
@@ -424,7 +421,7 @@ def search_ultrametric(op: DecomposedOperator, *,
         witness = ProductSpace(comps)
         confirmation = classify_contraction(witness, op.apply)
         if not confirmation.qualifies():
-            raise AssertionError(
+            raise SemanticsError(
                 "inline height check disagrees with classify_contraction")
         return witness
     return None

@@ -319,12 +319,9 @@ def _cmd_logic_solve(config: RunConfig) -> int:
         payload["stats"] = iteration.campaign_stats(op, runs)
         ok = converged == config.schedules
     if config.trace:
-        traj_states = tuple(
-            logic.interp_to_tuple(program, i) for i in result.trajectory)
-        sync_traj = iteration.Trajectory(
-            traj_states,
-            result.steps - 1 if result.status == "converged" else None,
-            result.status)
+        sync_traj = iteration.Trajectory(tuple(  # a converged iteration
+            logic.interp_to_tuple(program, i) for i in result.trajectory),
+            result.steps - 1, result.status)
         distances = [
             str(logic.interpretation_distance(strat, i, result.model))
             for i in result.trajectory]
@@ -398,14 +395,18 @@ def dispatch(config: RunConfig) -> int:
         return EXIT_BAD_INPUT
 
 
-def _add_campaign_flags(parser: argparse.ArgumentParser):
+def _add_sampling_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--schedules", type=int, default=100,
-                        help="number of sampled schedules in a campaign")
     parser.add_argument("--horizon", type=int, default=200)
     parser.add_argument("--max-staleness", type=int, default=5, dest="staleness")
     parser.add_argument("--fairness-window", type=int, default=8, dest="window")
     parser.add_argument("--activation-prob", type=float, default=0.5)
+
+
+def _add_campaign_flags(parser: argparse.ArgumentParser):
+    _add_sampling_flags(parser)
+    parser.add_argument("--schedules", type=int, default=100,
+                        help="number of sampled schedules in a campaign")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,14 +458,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="iterate an operator file")
     run_sub = run_p.add_subparsers(dest="action", required=True)
-    for mode in ("sync", "async"):
-        p = run_sub.add_parser(mode)
+    sync_p = run_sub.add_parser("sync")
+    sync_p.add_argument("--max-steps", type=int, default=None)
+    async_p = run_sub.add_parser("async")
+    async_p.add_argument("--schedule", dest="schedule_file",
+                         help="schedule file instead of sampling")
+    _add_sampling_flags(async_p)
+    for p in (sync_p, async_p):
         p.add_argument("instance")
-        p.add_argument("--max-steps", type=int, default=None)
-        p.add_argument("--schedule", dest="schedule_file",
-                       help="schedule file instead of sampling")
         p.add_argument("--trace", help="write a CSV trace here")
-        _add_campaign_flags(p)
 
     return parser
 

@@ -49,7 +49,8 @@ class DecomposedOperator:
         for dom in self.domains:
             if len(set(dom)) != len(dom):
                 raise PreconditionError("domain elements must be distinct")
-        self._domain_sets = tuple(frozenset(d) for d in self.domains)
+        self._domain_sets = tuple(  # typed: see _check
+            frozenset((type(v), v) for v in d) for d in self.domains)
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
         self.evaluations = 0
@@ -61,7 +62,8 @@ class DecomposedOperator:
         if missing:
             raise PreconditionError(f"table misses state {missing[0]!r}")
         for state in op.iter_states():
-            op._check_output(table[state])
+            op._check(table[state], "operator produced a bad state {!r}",
+                      "operator produced {!r} outside its component domain")
         return op
 
     @property
@@ -74,20 +76,18 @@ class DecomposedOperator:
     def iter_states(self):
         return itertools.product(*self.domains)
 
-    def _check_output(self, out):
-        if not isinstance(out, tuple) or len(out) != self.processors:
-            raise PreconditionError(f"operator produced a bad state {out!r}")
-        for value, dom in zip(out, self._domain_sets):
-            if value not in dom:
-                raise PreconditionError(
-                    f"operator produced {value!r} outside its component domain")
+    def _check(self, state, wrong_shape: str, outside: str):
+        """Raise unless every value is an element of its domain and of that
+        element's type (``True`` does not pass for ``1``)."""
+        if not isinstance(state, tuple) or len(state) != self.processors:
+            raise PreconditionError(wrong_shape.format(state))
+        for value, dom in zip(state, self._domain_sets):
+            if (type(value), value) not in dom:
+                raise PreconditionError(outside.format(value))
 
     def check_state(self, state):
-        if not isinstance(state, tuple) or len(state) != self.processors:
-            raise PreconditionError(f"state {state!r} has the wrong shape")
-        for value, dom in zip(state, self._domain_sets):
-            if value not in dom:
-                raise PreconditionError(f"{value!r} not in component domain")
+        self._check(state, "state {!r} has the wrong shape",
+                    "{!r} not in component domain")
 
     def apply(self, state: tuple) -> tuple:
         try:

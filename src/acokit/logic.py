@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-import networkx as nx
-
 from .errors import PreconditionError, SemanticsError, SizeLimitError
 from .iteration import DecomposedOperator
 from .ultrametric import (
@@ -169,6 +167,15 @@ def find_stratification(program: GroundProgram) -> StratificationResult:
     Positive body atoms may share the head's stratum; negated ones must sit
     strictly below.  When the program declares strata they are validated
     and used as-is.
+
+    Otherwise one iterative Tarjan pass over head -> body-atom dependencies
+    emits each strongly connected component (SCC) after every SCC it
+    depends on, and sets its stratum then: the largest level of a body atom
+    outside it, plus one where that literal is negated.  A negated literal
+    inside its head's SCC refutes stratification.  The witness goes through
+    the first such literal (body atoms in atom order, then heads in the
+    order the clauses first use that atom): a shortest walk from the head
+    to the body atom along body -> head edges, closed with the head.
     """
     if program.declared_strata is not None:
         levels = dict(program.declared_strata)
@@ -184,50 +191,61 @@ def find_stratification(program: GroundProgram) -> StratificationResult:
         return StratificationResult(
             Stratification(tuple(sorted(levels.items()))))
 
-    graph = nx.DiGraph()
-    graph.add_nodes_from(program.atoms)
+    body_of = {atom: [] for atom in program.atoms}
+    for clause in program.clauses:
+        body_of[clause.head].extend(clause.body)
+    index, low, pending, level = {}, {}, {}, {}  # level: once emitted
+    stack, negative_inside = [], set()  # (body atom, head) pairs
+    for root in program.atoms:
+        work = [] if root in index else [root]
+        while work:
+            atom = work[-1]
+            if atom not in index:
+                index[atom] = low[atom] = len(index)
+                stack.append(atom)
+                pending[atom] = iter(body_of[atom])
+            for lit in pending[atom]:
+                if lit.atom not in index:
+                    work.append(lit.atom)
+                    break
+            else:  # every dependency of atom is done
+                work.pop()
+                for lit in body_of[atom]:
+                    if lit.atom not in level:  # still on the stack
+                        low[atom] = min(low[atom], low[lit.atom])
+                if low[atom] < index[atom]:
+                    continue
+                members = [stack.pop()]
+                while members[-1] != atom:
+                    members.append(stack.pop())
+                stratum = 0
+                for m in members:
+                    for lit in body_of[m]:
+                        if lit.atom in level:  # in an SCC emitted earlier
+                            stratum = max(stratum,
+                                          level[lit.atom] + (not lit.positive))
+                        elif not lit.positive:
+                            negative_inside.add((lit.atom, m))
+                level.update(dict.fromkeys(members, stratum))
+
+    if not negative_inside:
+        return StratificationResult(
+            Stratification(tuple(sorted(level.items()))))
+    first_use: dict = {}  # (body atom, head) -> rank of its first clause
     for clause in program.clauses:
         for lit in clause.body:
-            if graph.has_edge(lit.atom, clause.head):
-                if not lit.positive:
-                    graph[lit.atom][clause.head]["negative"] = True
-            else:
-                graph.add_edge(lit.atom, clause.head,
-                               negative=not lit.positive)
-
-    component_of = {}
-    members: list[tuple[str, ...]] = []
-    for scc in nx.strongly_connected_components(graph):
-        idx = len(members)
-        members.append(tuple(sorted(scc)))
-        for atom in scc:
-            component_of[atom] = idx
-
-    for b, h, data in graph.edges(data=True):
-        if data["negative"] and component_of[b] == component_of[h]:
-            sub = graph.subgraph(members[component_of[b]])
-            back = nx.shortest_path(sub, h, b)
-            return StratificationResult(None, tuple(back) + (h,))
-
-    condensed = nx.DiGraph()
-    condensed.add_nodes_from(range(len(members)))
-    bump: dict = {}
-    for b, h, data in graph.edges(data=True):
-        cb, ch = component_of[b], component_of[h]
-        if cb == ch:
-            continue
-        condensed.add_edge(cb, ch)
-        bump[(cb, ch)] = bump.get((cb, ch), False) or data["negative"]
-
-    level = {c: 0 for c in condensed.nodes}
-    for c in nx.topological_sort(condensed):
-        for pred in condensed.predecessors(c):
-            need = level[pred] + (1 if bump[(pred, c)] else 0)
-            level[c] = max(level[c], need)
-
-    atom_levels = tuple(sorted(
-        (atom, level[component_of[atom]]) for atom in program.atoms))
-    return StratificationResult(Stratification(atom_levels))
+            first_use.setdefault((lit.atom, clause.head), len(first_use))
+    body, head = min(negative_inside, key=lambda e: (e[0], first_use[e]))
+    previous, queue = {body: None}, [body]
+    for atom in queue:  # breadth first: the loop reads what it appends
+        for lit in body_of[atom]:
+            if lit.atom not in previous:
+                previous[lit.atom] = atom
+                queue.append(lit.atom)
+    walk = [head]
+    while walk[-1] != body:
+        walk.append(previous[walk[-1]])
+    return StratificationResult(None, (*walk, head))
 
 
 def immediate_consequence(program: GroundProgram, interp) -> frozenset:
@@ -248,22 +266,14 @@ def immediate_consequence(program: GroundProgram, interp) -> frozenset:
     return frozenset(out)
 
 
-def interpretation_distance(strat: Stratification, left, right, *,
-                            literal: bool = False):
-    """Distance between interpretations from the shallowest disagreement.
-
-    Default: ``2**-s`` where ``s`` is the least stratum in the symmetric
-    difference, so agreement on deeper strata means closer; with
-    ``literal=True`` returns ``s`` itself (kept for experimentation, under
-    it deeper agreement means *farther*).
-    """
-    left = frozenset(left)
-    right = frozenset(right)
-    delta = left ^ right
+def interpretation_distance(strat: Stratification, left, right) -> Fraction:
+    """Distance between interpretations from the shallowest disagreement:
+    ``2**-s`` where ``s`` is the least stratum in the symmetric difference,
+    so agreement on deeper strata means closer."""
+    delta = frozenset(left) ^ frozenset(right)
     if not delta:
-        return 0 if literal else Fraction(0)
-    s = min(strat.of(a) for a in delta)
-    return s if literal else Fraction(1, 2 ** s)
+        return Fraction(0)
+    return Fraction(1, 2 ** min(strat.of(a) for a in delta))
 
 
 def interpretation_scale(strat: Stratification) -> RadiusScale:
@@ -312,13 +322,8 @@ def perfect_model_by_strata(program: GroundProgram,
             for clause in level_clauses:
                 if clause.head in model:
                     continue
-                ok = True
-                for lit in clause.body:
-                    holds = lit.atom in model
-                    if holds != lit.positive:
-                        ok = False
-                        break
-                if ok:
+                if all((lit.atom in model) == lit.positive
+                       for lit in clause.body):
                     model.add(clause.head)
                     changed = True
     return frozenset(model)
@@ -336,6 +341,15 @@ class PerfectModelResult:
         return len(self.trajectory) - 1
 
 
+def _require_stratification(program: GroundProgram) -> Stratification:
+    result = find_stratification(program)
+    if not result.ok:
+        raise PreconditionError(
+            f"program is not locally stratified; negative cycle "
+            f"{' -> '.join(result.witness)}", witness=result.witness)
+    return result.stratification
+
+
 def compute_perfect_model(program: GroundProgram) -> PerfectModelResult:
     """Iterate the consequence operator from the empty interpretation.
 
@@ -343,13 +357,7 @@ def compute_perfect_model(program: GroundProgram) -> PerfectModelResult:
     oracle; disagreement raises :class:`SemanticsError` since it means a
     bug, not bad input.
     """
-    result = find_stratification(program)
-    if not result.ok:
-        raise PreconditionError(
-            f"program is not locally stratified; negative cycle "
-            f"{' -> '.join(result.witness)}", witness=result.witness)
-    strat = result.stratification
-
+    strat = _require_stratification(program)
     current = frozenset()
     trajectory = [current]
     seen = {current: 0}
@@ -380,18 +388,8 @@ def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
         raise SizeLimitError(
             f"{len(program.atoms)} atoms; classification enumerates "
             f"2**n interpretations and is capped at {_CLASSIFY_MAX_ATOMS}")
-    result = find_stratification(program)
-    if not result.ok:
-        raise PreconditionError(
-            "program is not locally stratified", witness=result.witness)
-    space = interpretation_space(program, result.stratification)
-
-    def step(bits):
-        return interp_to_tuple(
-            program,
-            immediate_consequence(program, tuple_to_interp(program, bits)))
-
-    return classify_contraction(space, step)
+    space = interpretation_space(program, _require_stratification(program))
+    return classify_contraction(space, _consequence_on_bits(program))
 
 
 def decompose_program(program: GroundProgram) -> DecomposedOperator:
@@ -399,10 +397,13 @@ def decompose_program(program: GroundProgram) -> DecomposedOperator:
     if not program.atoms:
         raise PreconditionError("program has an empty atom base")
     domains = tuple((False, True) for _ in program.atoms)
+    return DecomposedOperator(domains, _consequence_on_bits(program))
 
-    def global_step(bits):
+
+def _consequence_on_bits(program: GroundProgram):
+    """The consequence operator on tuples of per-atom truth values."""
+    def step(bits):
         return interp_to_tuple(
             program,
             immediate_consequence(program, tuple_to_interp(program, bits)))
-
-    return DecomposedOperator(domains, global_step)
+    return step

@@ -28,11 +28,7 @@ def canonical_key(value):
     Values of different kinds sort by kind rank, so heterogeneous
     collections still order deterministically.
     """
-    if isinstance(value, bool):
-        return (0, Fraction(int(value)))
-    if isinstance(value, (int, Fraction)):
-        return (0, Fraction(value))
-    if isinstance(value, float):
+    if isinstance(value, (int, float, Fraction)):  # bool included
         return (0, Fraction(value))
     if isinstance(value, str):
         return (1, value)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from acokit import iteration, routing
+from acokit import aco, iteration, routing
 from acokit.aco import (
     BoxSequence,
     boxes_from_ultrametric,
@@ -24,7 +24,9 @@ from acokit.errors import (
 )
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
+    NOT_CONTRACTION,
     Ball,
+    ContractionReport,
     ball_members,
     check_axioms,
     classify_contraction,
@@ -258,6 +260,15 @@ def test_certify_raises_when_a_run_converges_elsewhere(monkeypatch):
     monkeypatch.setattr(iteration, "run_async", wrong_final)
     with pytest.raises(SemanticsError):
         certify_aco(constant_op(), schedules=2, horizon=16)
+
+
+def test_search_ultrametric_raises_when_the_classifier_disagrees(monkeypatch):
+    assert search_ultrametric(constant_op()) is not None
+    monkeypatch.setattr(aco, "classify_contraction",
+                        lambda space, sigma: ContractionReport(
+                            NOT_CONTRACTION, None))
+    with pytest.raises(SemanticsError, match="disagrees"):
+        search_ultrametric(constant_op())
 
 
 def test_certificate_json_shape():

@@ -335,3 +335,68 @@ def test_campaign_stats_in_json_are_byte_identical(tmp_path, capsys, command):
     assert stats["runs"] == (16 if command == "aco-certify" else 4)
     assert stats["ticks_used"] >= stats["ticks_drawn"] > 0
     assert stats["operator_evaluations"] > 0
+
+
+def _operator_file(tmp_path, **fields):
+    """The constant-(0, 0) operator over [[0, 1], [0, 1]], with overrides."""
+    doc = {"domains": [[0, 1], [0, 1]],
+           "map": [[[a, b], [0, 0]] for a in (0, 1) for b in (0, 1)],
+           **fields}
+    path = tmp_path / "op.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("start", [[2, 1], [True, 1]])
+def test_run_rejects_a_start_outside_the_domain(tmp_path, capsys, start):
+    trace = tmp_path / "trace.csv"
+    code, out, err = run_cli(capsys, "run", "sync",
+                             _operator_file(tmp_path, start=start),
+                             "--trace", str(trace))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert f"error: {start[0]!r} not in component domain" in err
+    assert not trace.exists()
+
+
+def test_run_rejects_a_map_image_outside_the_domain(tmp_path, capsys):
+    image = [[[a, b], [True, 0]] for a in (0, 1) for b in (0, 1)]
+    code, out, err = run_cli(capsys, "run", "sync",
+                             _operator_file(tmp_path, map=image))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert "operator produced True outside its component domain" in err
+
+
+@pytest.mark.parametrize("mode, flag", [
+    ("sync", "--schedule"), ("sync", "--seed"), ("sync", "--schedules"),
+    ("sync", "--horizon"), ("sync", "--max-staleness"),
+    ("sync", "--fairness-window"), ("sync", "--activation-prob"),
+    ("async", "--schedules"), ("async", "--max-steps"),
+])
+def test_run_rejects_flags_it_does_not_read(tmp_path, capsys, mode, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", mode, _operator_file(tmp_path), flag, "1"])
+    assert exc.value.code == EXIT_BAD_INPUT
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_run_sync_reads_max_steps(tmp_path, capsys):
+    op_file = _operator_file(tmp_path, start=[1, 1])
+    code, out, _ = run_cli(capsys, "run", "sync", op_file, "--max-steps", "1")
+    assert code == EXIT_FAIL and "status: horizon-exhausted" in out
+    code, out, _ = run_cli(capsys, "run", "sync", op_file, "--max-steps", "2")
+    assert code == EXIT_OK and "status: converged" in out
+
+
+def test_cli_import_needs_no_package_but_numpy():
+    check = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import acokit.cli\n"
+             "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+             "print(sorted(added - set(sys.stdlib_module_names)"
+             " - {'acokit', 'numpy'}))\n")
+    proc = subprocess.run([sys.executable, "-c", check],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

@@ -46,6 +46,15 @@ def test_from_table_validates_totality():
         DecomposedOperator.from_table(((0, 1),), {(0,): (2,), (1,): (0,)})
 
 
+def test_domain_checks_compare_types():
+    op = constant_op()
+    op.check_state((1, 1))
+    with pytest.raises(PreconditionError, match="True not in component"):
+        op.check_state((True, 1))
+    with pytest.raises(PreconditionError, match="produced 0.0 outside"):
+        DecomposedOperator.from_table(((0, 1),), {(0,): (0.0,), (1,): (0,)})
+
+
 def test_synchronous_schedule_shape():
     sched = make_synchronous_schedule(1, 3)
     assert sched.activations == (frozenset({0}),) * 3

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit.errors import PreconditionError, SizeLimitError
@@ -80,6 +80,13 @@ def test_stratification_rejects_negative_cycle():
     assert set(result.witness) == {"p", "q"}
 
 
+def test_stratification_witness_takes_the_shortest_way_back():
+    # b depends on h through p (one step) and through q and r (two)
+    result = find_stratification(parse_program(
+        "h :- not b.\nb :- p.\nb :- q.\np :- h.\nq :- r.\nr :- h."))
+    assert result.witness == ("h", "p", "b", "h")
+
+
 def test_immediate_consequence_examples():
     facts = parse_program("a.\nb.")
     assert immediate_consequence(facts, frozenset()) == {"a", "b"}
@@ -93,8 +100,6 @@ def test_interpretation_distance_examples():
     assert interpretation_distance(strat, {"q"}, {"q"}) == 0
     assert interpretation_distance(strat, {"q"}, {"q", "p"}) == Fraction(1, 2)
     assert interpretation_distance(strat, set(), {"q"}) == 1
-    # documented experimental flag: the raw minimum stratum
-    assert interpretation_distance(strat, {"q"}, {"q", "p"}, literal=True) == 1
 
 
 def test_interpretation_space_matches_distance():
@@ -241,3 +246,79 @@ def test_random_stratified_programs_agree_with_oracle(program):
     result = compute_perfect_model(program)  # cross-checks internally
     assert result.status == "converged"
     assert immediate_consequence(program, result.model) == result.model
+
+
+@st.composite
+def arbitrary_programs(draw):
+    """Random programs over a few atoms, with positive and negative
+    dependency cycles allowed (self-loops included)."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    atoms = [f"a{i}" for i in range(n)]
+    atom = st.sampled_from(atoms)
+    literal = st.builds(Literal, atom, st.booleans())
+    clause = st.builds(Clause, atom, st.lists(literal, max_size=3).map(tuple))
+    clauses = draw(st.lists(clause, max_size=2 * n))
+    return program_from_clauses(clauses, extra_atoms=atoms)
+
+
+def relaxed_levels(program):
+    """Least fixpoint of ``level[h] >= level[b] + negated`` over all
+    literals, or None once a level exceeds the atom count (it diverges)."""
+    level = dict.fromkeys(program.atoms, 0)
+    changed = True
+    while changed:
+        changed = False
+        for clause in program.clauses:
+            for lit in clause.body:
+                need = level[lit.atom] + (0 if lit.positive else 1)
+                if need > level[clause.head]:
+                    if need > len(program.atoms):
+                        return None
+                    level[clause.head] = need
+                    changed = True
+    return level
+
+
+def edge_signs(program):
+    """Body -> head edges, each with whether some literal on it is negated."""
+    signs = {}
+    for clause in program.clauses:
+        for lit in clause.body:
+            edge = (lit.atom, clause.head)
+            signs[edge] = signs.get(edge, False) or not lit.positive
+    return signs
+
+
+def shortest_cycle_through(signs, body, head):
+    """Edges on a shortest closed walk that takes the edge body -> head:
+    one more than the distance from head back to body."""
+    dist, frontier = {head: 0}, [head]
+    while frontier and body not in dist:
+        reached = []
+        for atom in frontier:
+            for b, h in signs:
+                if b == atom and h not in dist:
+                    dist[h] = dist[atom] + 1
+                    reached.append(h)
+        frontier = reached
+    return dist[body] + 1
+
+
+@settings(max_examples=300)
+@given(arbitrary_programs())
+def test_stratification_of_arbitrary_programs_matches_relaxation(program):
+    result = find_stratification(program)
+    expected = relaxed_levels(program)
+    if result.ok:
+        assert dict(result.stratification.levels) == expected
+        return
+    assert expected is None
+    walk = result.witness
+    assert len(walk) >= 2 and walk[0] == walk[-1]
+    signs = edge_signs(program)
+    steps = list(zip(walk, walk[1:]))
+    assert all(step in signs for step in steps)
+    negated = [step for step in steps if signs[step]]
+    assert negated
+    assert any(len(steps) == shortest_cycle_through(signs, *step)
+               for step in negated)
