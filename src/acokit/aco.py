@@ -28,7 +28,7 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
-from .util import canonical_key, jsonable, sorted_canonical
+from .util import jsonable, sorted_canonical
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -238,74 +238,54 @@ def ultrametric_from_boxes(seq: BoxSequence) -> FiniteUltrametricSpace:
     return FiniteUltrametricSpace(elements, scale, dist)
 
 
-def _all_boxes(op: DecomposedOperator, max_boxes: int) -> list[Box]:
-    total = math.prod(2 ** len(dom) - 1 for dom in op.domains)
-    if total > max_boxes:
-        raise SizeLimitError(
-            f"{total} candidate boxes exceed the search cap {max_boxes}")
-    per_component = []
-    for dom in op.domains:
-        ordered = tuple(sorted_canonical(dom))
-        subsets = []
-        for size in range(1, len(ordered) + 1):
-            for comb in itertools.combinations(ordered, size):
-                subsets.append(tuple(comb))
-        per_component.append(subsets)
-    boxes = [tuple(combo) for combo in itertools.product(*per_component)]
-    boxes.sort(key=lambda b: (box_size(b), canonical_key(b)))
-    return boxes
+def _image_hulls(op: DecomposedOperator) -> list[Box]:
+    """``H_0`` the whole domain and ``H_{n+1}`` the hull of ``F(H_n)`` (the
+    smallest box containing it), up to the first ``H_m`` with
+    ``H_{m+1} == H_m``.
 
-
-def search_box_sequence(op: DecomposedOperator, *,
-                        max_boxes: int = 4096) -> BoxSequence | None:
-    """Exhaustive search for a certificate chain of strictly nested boxes.
-
-    Explores, depth-first with memoized dead ends, every chain that starts
-    at the whole domain and steps to a strict sub-box containing the image
-    of the current box, until a singleton fixed point is reached.  ``None``
-    means no chain exists at all.
+    ``B -> hull(F(B))`` is monotone, so ``H_1 <= H_0`` gives
+    ``H_{n+1} <= H_n`` for every ``n``.  Each step before the last drops at
+    least one value, so there are at most ``sum(|D_i|) - k + 1`` boxes.
     """
-    boxes = _all_boxes(op, max_boxes)
-    sigma = {state: op.apply(state) for state in op.iter_states()}
-    box_sets = {box: tuple(frozenset(c) for c in box) for box in boxes}
+    hulls = [_normalize_box(op.domains)]
+    while True:
+        images = [set() for _ in op.domains]
+        for m in box_members(hulls[-1]):
+            for comp, v in zip(images, op.apply(m)):
+                comp.add(v)
+        nxt = _normalize_box(images)
+        if nxt == hulls[-1]:
+            return hulls
+        if not box_subset(nxt, hulls[-1]):
+            raise PreconditionError(
+                "operator maps its domain outside itself", witness=nxt)
+        hulls.append(nxt)
 
-    def image_box(box: Box) -> tuple[frozenset, ...]:
-        images = [set() for _ in range(op.processors)]
-        for m in box_members(box):
-            out = sigma[m]
-            for i, v in enumerate(out):
-                images[i].add(v)
-        return tuple(frozenset(s) for s in images)
 
-    full = tuple(tuple(dom) for dom in op.domains)
-    dead: set[Box] = set()
-
-    def descend(box: Box) -> list[Box] | None:
-        if box_size(box) == 1:
-            sole = next(box_members(box))
-            return [box] if sigma[sole] == sole else None
-        if box in dead:
-            return None
-        img = image_box(box)
-        own = box_sets[box]
-        for cand in boxes:
-            if box_size(cand) >= box_size(box):
-                break
-            csets = box_sets[cand]
-            if all(a <= b for a, b in zip(csets, own)) and \
-                    all(a <= b for a, b in zip(img, csets)):
-                chain = descend(cand)
-                if chain is not None:
-                    chain.append(box)
-                    return chain
-        dead.add(box)
+def _chain_from_hulls(hulls: list[Box]) -> BoxSequence | None:
+    inner = hulls[-1]
+    if box_size(inner) != 1:
         return None
+    return BoxSequence(tuple(reversed(hulls)), next(box_members(inner)))
 
-    chain = descend(_normalize_box(full))
-    if chain is None:
-        return None
-    fixed = next(box_members(chain[0]))
-    return BoxSequence(tuple(chain), fixed)
+
+def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
+    """Exact search for a certificate chain of strictly nested boxes.
+
+    Iterates the image hull from the whole domain (:func:`_image_hulls`).
+    A chain exists exactly when the hulls stop at a singleton, and then the
+    hulls read innermost first are the chain; ``None`` means no chain
+    exists at all.  This is the exhaustive search, not an approximation:
+    any chain ``C_k > ... > C_0`` starts at the whole domain and has
+    ``hull(F(C_j)) <= C_{j-1}``, because ``C_{j-1}`` is a box, so
+    monotonicity and induction give ``H_n <= C_{k-n}``.  The hulls thus
+    shrink at least as fast as every chain, and ``H_k <= C_0`` is a
+    singleton.  Hulls that stop at a box with more than one member
+    therefore rule out every chain; hulls that stop at a singleton
+    ``{x}`` have ``F(x) == x``.  Among all chains this one is the
+    innermost at every depth.
+    """
+    return _chain_from_hulls(_image_hulls(op))
 
 
 def search_ultrametric(op: DecomposedOperator, *,
@@ -458,12 +438,14 @@ def certify_aco(op: DecomposedOperator, *,
                 staleness: int = 5,
                 window: int = 8,
                 seed: int = 0,
-                activation_prob: float = 0.5,
-                max_boxes: int = 4096) -> AcoCertificate:
+                activation_prob: float = 0.5) -> AcoCertificate:
     """Certify or refute an operator by exact box-sequence search.
 
-    Refutation always comes from the exhausted search (plus the fixed-point
-    census), never from schedule sampling.  A certified operator is
+    Refutation always comes from the exact search (plus the fixed-point
+    census), never from schedule sampling.  It names ``stalled_box``, the
+    box ``B`` with more than one member and ``hull(F(B)) == B`` where the
+    image hulls stopped, which no chain can pass, and ``boxes_examined``,
+    the number of hulls visited.  A certified operator is
     additionally exercised under seeded admissible schedules from every
     start state, and the observed convergence ticks are recorded.  A run
     that hits the horizon is counted; one that converges anywhere but the
@@ -473,9 +455,9 @@ def certify_aco(op: DecomposedOperator, *,
     """
     check_schedules(schedules)
     fixed_points = [m for m in op.iter_states() if op.apply(m) == m]
-    seq = search_box_sequence(op, max_boxes=max_boxes)
+    hulls = _image_hulls(op)
+    seq = _chain_from_hulls(hulls)
     if seq is None:
-        total = math.prod(2 ** len(dom) - 1 for dom in op.domains)
         if len(fixed_points) != 1:
             reason = (f"{len(fixed_points)} fixed points; a certificate "
                       "requires exactly one")
@@ -484,7 +466,8 @@ def certify_aco(op: DecomposedOperator, *,
         return AcoCertificate("refuted", refutation={
             "reason": reason,
             "fixed_points": tuple(fixed_points),
-            "boxes_examined": total,
+            "boxes_examined": len(hulls),
+            "stalled_box": hulls[-1],
         })
 
     runs = campaign(op, op.iter_states(), schedules=schedules, seed=seed,

@@ -125,6 +125,11 @@ def _cmd_space_check(config: RunConfig) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+def _render_box(box) -> str:
+    return " x ".join(
+        "{" + ",".join(format_value(v) for v in comp) + "}" for comp in box)
+
+
 def _cmd_aco_certify(config: RunConfig) -> int:
     op, _ = iteration.load_operator(config.instance)
     cert = aco.certify_aco(op, **_campaign_args(config))
@@ -135,10 +140,7 @@ def _cmd_aco_certify(config: RunConfig) -> int:
         print(f"fixed point: {format_value(seq.fixed_point)}")
         print(f"boxes: {len(seq.boxes)}")
         for r, box in enumerate(seq.boxes):
-            rendered = " x ".join(
-                "{" + ",".join(format_value(v) for v in comp) + "}"
-                for comp in box)
-            print(f"  box {r}: {rendered}")
+            print(f"  box {r}: {_render_box(box)}")
         s = cert.sampling
         print(f"sampling: runs={s['runs']} converged={s['converged']} "
               f"horizon_exhausted={s['horizon_exhausted']} "
@@ -148,6 +150,7 @@ def _cmd_aco_certify(config: RunConfig) -> int:
         fps = cert.refutation["fixed_points"]
         rendered = ",".join(format_value(m) for m in fps) if fps else "none"
         print(f"fixed points: {rendered}")
+        print(f"stalled at: {_render_box(cert.refutation['stalled_box'])}")
     if config.json_out:
         _write_json(config.json_out, cert.to_json_dict())
     return EXIT_OK if cert.certified else EXIT_FAIL

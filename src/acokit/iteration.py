@@ -58,12 +58,14 @@ class DecomposedOperator:
     @classmethod
     def from_table(cls, domains, table):
         op = cls(domains, lambda state: table[state])
-        missing = [s for s in op.iter_states() if s not in table]
-        if missing:
-            raise PreconditionError(f"table misses state {missing[0]!r}")
-        for state in op.iter_states():
-            op._check(table[state], "operator produced a bad state {!r}",
+        for state, image in table.items():
+            op._check(state, "table input {!r} has the wrong shape",
+                      "table input holds {!r} outside its component domain")
+            op._check(image, "operator produced a bad state {!r}",
                       "operator produced {!r} outside its component domain")
+        if len(table) != op.size():
+            missing = next(s for s in op.iter_states() if s not in table)
+            raise PreconditionError(f"table misses state {missing!r}")
         return op
 
     @property
@@ -513,8 +515,9 @@ def load_operator(source):
         if len(pair) != 2:
             raise PreconditionError(f"map entry {pair!r} is not a pair")
         state = tuple(_scalar(v) for v in pair[0])
-        image = tuple(_scalar(v) for v in pair[1])
-        table[state] = image
+        if state in table:
+            raise PreconditionError(f"map lists state {state!r} twice")
+        table[state] = tuple(_scalar(v) for v in pair[1])
     op = DecomposedOperator.from_table(domains, table)
     start = None
     if "start" in doc:

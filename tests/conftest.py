@@ -23,6 +23,18 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
     filter(None, (SRC, os.environ.get("PYTHONPATH"))))
 
 
+# map inputs of the constant-(0, 0) operator over [[0, 1], [0, 1]]: one
+# of the wrong type, one outside the domain, one listed twice
+BAD_MAP_INPUTS = [
+    ([[0, 0], [0, 1], [True, 0], [1, 1]],
+     "table input holds True outside its component domain"),
+    ([[0, 0], [0, 1], [1, 0], [1, 1], [5, 5]],
+     "table input holds 5 outside its component domain"),
+    ([[0, 0], [0, 1], [1, 0], [1, 1], [1, 0]],
+     "map lists state (1, 0) twice"),
+]
+
+
 def corpus_path(*parts) -> str:
     return os.path.abspath(os.path.join(CORPUS, *parts))
 

@@ -2,12 +2,16 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from acokit import aco, iteration, routing
 from acokit.aco import (
     BoxSequence,
     boxes_from_ultrametric,
+    box_contains,
     box_members,
+    box_size,
     certify_aco,
     equivalence_census,
     search_box_sequence,
@@ -20,7 +24,6 @@ from acokit.errors import (
     PreconditionError,
     ScheduleRejectedError,
     SemanticsError,
-    SizeLimitError,
 )
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
@@ -101,11 +104,83 @@ def test_search_refuses_swap_and_identity():
     assert search_box_sequence(identity_op()) is None
 
 
-def test_search_size_limit():
+def test_search_refutes_wide_identity_without_a_cap():
+    # 7^5 states and (2^7 - 1)^5 candidate boxes: the hulls stop at once
     wide = DecomposedOperator(
         (tuple(range(7)),) * 5, lambda s: s)
-    with pytest.raises(SizeLimitError):
-        search_box_sequence(wide, max_boxes=100)
+    assert search_box_sequence(wide) is None
+    cert = certify_aco(wide)
+    assert cert.refutation["boxes_examined"] == 1
+    assert cert.refutation["stalled_box"] == (tuple(range(7)),) * 5
+
+
+def test_search_rejects_images_outside_the_domain():
+    leaky = DecomposedOperator(DOM22, lambda s: (s[0], 2))
+    with pytest.raises(PreconditionError, match="outside itself"):
+        search_box_sequence(leaky)
+
+
+def test_box_census_3x2():
+    # every self-map of the 3x2 domain, never sampled down
+    domains = ((0, 1, 2), (0, 1))
+    states = list(itertools.product(*domains))
+    total = certified = 0
+    for images in itertools.product(states, repeat=len(states)):
+        op = DecomposedOperator.from_table(domains, dict(zip(states, images)))
+        seq = search_box_sequence(op)
+        total += 1
+        if seq is not None:
+            certified += 1
+            assert verify_box_sequence(op, seq).ok
+    assert (total, certified) == (46_656, 1_548)
+
+
+SHAPES = (((0, 1),) * 3, ((0, 1, 2),) * 2, ((0, 1, 2, 3), (0, 1)))
+
+
+@given(st.data())
+def test_search_on_random_operators(data):
+    domains = data.draw(st.sampled_from(SHAPES))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        # a random chain of boxes, outermost first, and a map sending each
+        # state into the box next inside the innermost one holding it
+        chain = [domains]
+        while box_size(chain[-1]) > 1:
+            box = chain[-1]
+            i = data.draw(st.sampled_from(
+                [i for i, comp in enumerate(box) if len(comp) > 1]))
+            keep = data.draw(st.lists(st.sampled_from(box[i]), min_size=1,
+                                      max_size=len(box[i]) - 1, unique=True))
+            chain.append(box[:i] + (tuple(sorted(keep)),) + box[i + 1:])
+        table = {}
+        for s in states:
+            depth = max(d for d, box in enumerate(chain)
+                        if box_contains(box, s))
+            target = chain[min(depth + 1, len(chain) - 1)]
+            table[s] = tuple(data.draw(st.sampled_from(comp))
+                             for comp in target)
+        fixed = next(box_members(chain[-1]))
+    else:
+        table = {s: data.draw(st.sampled_from(states)) for s in states}
+        fixed = None
+    op = DecomposedOperator.from_table(domains, table)
+    seq = search_box_sequence(op)
+    if fixed is not None:
+        assert seq is not None and seq.fixed_point == fixed
+    if seq is not None:
+        assert verify_box_sequence(op, seq).ok
+        return
+    refutation = certify_aco(op, schedules=1).refutation
+    stalled = refutation["stalled_box"]
+    assert box_size(stalled) > 1
+    images = [set() for _ in stalled]
+    for m in box_members(stalled):
+        for comp, v in zip(images, op.apply(m)):
+            comp.add(v)
+    assert images == [set(comp) for comp in stalled]
+    assert 1 <= refutation["boxes_examined"] <= \
+        sum(map(len, domains)) - len(domains) + 1
 
 
 def test_search_ultrametric_examples():
@@ -215,7 +290,7 @@ def test_certify_refutes_identity():
 
 def test_certify_refutes_oscillator(disagree_repaired):
     op = routing.decompose(disagree_repaired, routing.PER_NODE)
-    cert = certify_aco(op, schedules=2, horizon=16, max_boxes=12000)
+    cert = certify_aco(op, schedules=2, horizon=16)
     assert not cert.certified
 
 

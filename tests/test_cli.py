@@ -8,7 +8,7 @@ import pytest
 from acokit.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, emit_trace, main
 from acokit.iteration import Trajectory
 
-from conftest import corpus_path
+from conftest import BAD_MAP_INPUTS, corpus_path
 
 
 def run_cli(capsys, *argv):
@@ -159,6 +159,7 @@ def test_aco_certify_exit_codes(tmp_path, capsys):
                            "--schedules", "3", "--horizon", "30")
     assert code == EXIT_FAIL and "verdict: refuted" in out
     assert "fixed points: (0),(1)" in out
+    assert "stalled at: {0,1}\n" in out
 
 
 def test_aco_certify_passes_activation_prob(tmp_path, capsys):
@@ -366,6 +367,19 @@ def test_run_rejects_a_map_image_outside_the_domain(tmp_path, capsys):
     assert code == EXIT_FAIL
     assert out == ""
     assert "operator produced True outside its component domain" in err
+
+
+@pytest.mark.parametrize("inputs, message", BAD_MAP_INPUTS)
+def test_run_rejects_bad_map_inputs(tmp_path, capsys, inputs, message):
+    trace = tmp_path / "trace.csv"
+    entries = [[state, [0, 0]] for state in inputs]
+    code, out, err = run_cli(capsys, "run", "sync",
+                             _operator_file(tmp_path, map=entries),
+                             "--trace", str(trace))
+    assert code == EXIT_FAIL
+    assert out == ""
+    assert f"error: {message}" in err
+    assert not trace.exists()
 
 
 @pytest.mark.parametrize("mode, flag", [

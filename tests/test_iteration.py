@@ -21,6 +21,8 @@ from acokit.iteration import (
 )
 from acokit import routing
 
+from conftest import BAD_MAP_INPUTS
+
 
 def constant_op():
     dom = ((0, 1), (0, 1))
@@ -53,6 +55,27 @@ def test_domain_checks_compare_types():
         op.check_state((True, 1))
     with pytest.raises(PreconditionError, match="produced 0.0 outside"):
         DecomposedOperator.from_table(((0, 1),), {(0,): (0.0,), (1,): (0,)})
+
+
+def test_from_table_checks_every_input_state():
+    dom = ((0, 1), (0, 1))
+    table = {s: (0, 0) for s in [(0, 0), (0, 1), (1, 1)]}
+    with pytest.raises(PreconditionError, match="input holds True outside"):
+        DecomposedOperator.from_table(dom, {**table, (True, 0): (0, 0)})
+    extra = {**table, (1, 0): (0, 0), (5, 5): (0, 0)}
+    with pytest.raises(PreconditionError, match="input holds 5 outside"):
+        DecomposedOperator.from_table(dom, extra)
+    with pytest.raises(PreconditionError, match="wrong shape"):
+        DecomposedOperator.from_table(dom, {**table, (1,): (0, 0)})
+
+
+@pytest.mark.parametrize("inputs, message", BAD_MAP_INPUTS)
+def test_load_operator_checks_map_inputs(inputs, message):
+    doc = {"domains": [[0, 1], [0, 1]],
+           "map": [[state, [0, 0]] for state in inputs]}
+    with pytest.raises(PreconditionError) as exc:
+        load_operator(doc)
+    assert str(exc.value) == message
 
 
 def test_synchronous_schedule_shape():
