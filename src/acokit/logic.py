@@ -381,8 +381,9 @@ def compute_perfect_model(program: GroundProgram) -> PerfectModelResult:
 def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
     """Classify the consequence operator on the interpretation space.
 
-    The verdict is whatever the exhaustive pair check finds; nothing is
-    assumed about it.  Requires a stratification and a desk-scale base.
+    The verdict is whatever the exhaustive check over all pairs finds;
+    nothing is assumed about it.  Requires a stratification and a
+    desk-scale base.
     """
     if len(program.atoms) > _CLASSIFY_MAX_ATOMS:
         raise SizeLimitError(

@@ -14,6 +14,7 @@ at the destination is the one-node tuple ``(dest,)``.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -26,8 +27,11 @@ from .errors import (
 )
 from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules, run_sync)
-from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
+from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
+                         _min_split)
 from .util import _load_json, canonical_key, sorted_canonical
+
+log = logging.getLogger("acokit")
 
 PER_NODE = "per-node"
 PER_NEXTHOP = "per-source-destination-nexthop"
@@ -428,6 +432,9 @@ def state_distance(instance: SppInstance, m, n) -> int:
 
 @dataclass(frozen=True)
 class ContractionCheck:
+    """``pairs_checked`` counts the pairs of distinct states the check
+    covers; they are decided height by height, never listed one by one."""
+
     ok: bool
     witness: tuple | None = None  # (state, state) pair not contracted strictly
     pairs_checked: int = 0
@@ -435,7 +442,14 @@ class ContractionCheck:
 
 def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     """Exhaustively check that one selection round strictly shrinks the
-    distance between every pair of distinct states."""
+    distance between every pair of distinct states.
+
+    States are bit masks over the permitted paths.  Two states lie within
+    height ``h`` when they agree on every path above ``h``, so at each
+    path height ``h`` the states that agree above it must have images that
+    agree at and above it.  The witness is the smallest violating pair of
+    masks ``a < b``.
+    """
     universe = instance.all_permitted
     p_count = len(universe)
     if p_count > _STRICT_CONTRACTION_MAX_PATHS:
@@ -443,41 +457,31 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
             f"{p_count} permitted paths; exhaustive pair check capped at "
             f"{_STRICT_CONTRACTION_MAX_PATHS}")
     heights = path_height(instance)
-    hvec = [heights.of(p) for p in universe]
+    hvec = np.array([heights.of(p) for p in universe])
+    bits = 1 << np.arange(p_count, dtype=np.int64)
     total = 1 << p_count
 
-    dmax = np.zeros(total, dtype=np.int16)
-    for mask in range(1, total):
-        low = mask & -mask
-        rest = mask ^ low
-        dmax[mask] = max(dmax[rest], hvec[low.bit_length() - 1])
-
-    def to_mask(state):
-        mask = 0
-        for idx, p in enumerate(universe):
-            if p in state:
-                mask |= 1 << idx
-        return mask
+    bit_of = {p: 1 << idx for idx, p in enumerate(universe)}
 
     def to_state(mask):
         return frozenset(
             universe[idx] for idx in range(p_count) if mask >> idx & 1)
 
-    sig = np.empty(total, dtype=np.int32)
-    for mask in range(total):
-        sig[mask] = to_mask(sigma_step(instance, to_state(mask)))
+    sig = np.array([sum(bit_of[p] for p in sigma_step(instance, to_state(mask)))
+                    for mask in range(total)], dtype=np.int64)
 
-    masks = np.arange(total, dtype=np.int32)
-    dist = dmax[np.bitwise_xor.outer(masks, masks)]
-    dist_sig = dmax[np.bitwise_xor.outer(sig, sig)]
-    bad = (dist_sig >= dist) & (dist > 0)
-    bad &= masks[:, None] < masks[None, :]
+    masks = np.arange(total, dtype=np.int64)
+    levels = sorted(set(hvec.tolist()))
+    pair = _min_split(
+        (masks & bits[hvec > h].sum() for h in levels),
+        (sig & bits[hvec >= h].sum() for h in levels))
+    log.debug("verify_strict_contraction: states=%d radii=%d evaluations=%d "
+              "verdict=%s", total, len(levels), total,
+              "certified" if pair is None else "refuted")
     pairs = total * (total - 1) // 2
-    # row-major argmax: the lexicographically smallest violating (a, b), a < b
-    a, b = divmod(int(np.argmax(bad)), total)
-    if bad[a, b]:
-        return ContractionCheck(False, (to_state(a), to_state(b)), pairs)
-    return ContractionCheck(True, None, pairs)
+    if pair is None:
+        return ContractionCheck(True, None, pairs)
+    return ContractionCheck(False, (to_state(pair[0]), to_state(pair[1])), pairs)
 
 
 def _groups(instance: SppInstance, granularity: str):

@@ -9,6 +9,7 @@ anywhere in the checks.
 from __future__ import annotations
 
 import itertools
+import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -17,6 +18,8 @@ import numpy as np
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
 from .util import _load_json, canonical_key
+
+log = logging.getLogger("acokit")
 
 NOT_CONTRACTION = "not-contraction"
 CONTRACTION = "contraction"
@@ -146,6 +149,57 @@ class FiniteUltrametricSpace:
     def index_matrix(self) -> np.ndarray:
         """Distance table as a matrix of scale indices (read-only use)."""
         return self._mat
+
+    def ball_labels(self) -> np.ndarray:
+        """Ball label of every element at every radius (read-only use).
+
+        Row ``r`` holds, for each element, the index of the smallest
+        element within distance ``r`` of it, so two elements share a
+        label exactly when they lie within ``r`` of each other.  Raises
+        :class:`MalformedSpaceError` with a witness when "within ``r``"
+        is not an equivalence relation for some ``r``, i.e. when the
+        table is not an ultrametric up to zero distances.
+        """
+        return self._ball_labels
+
+    @cached_property
+    def _ball_labels(self) -> np.ndarray:
+        D = self._mat
+        els, values = self.elements, self.scale.values
+        nonzero = np.flatnonzero(np.diagonal(D) != 0)
+        if nonzero.size:
+            e = nonzero[0]
+            raise MalformedSpaceError(
+                f"not an ultrametric: d({els[e]!r}, {els[e]!r}) = "
+                f"{values[D[e, e]]!r} is not zero")
+        asymmetric = np.argwhere(D != D.T)
+        if asymmetric.size:
+            a, b = asymmetric[0]
+            raise MalformedSpaceError(
+                f"not an ultrametric: d({els[a]!r}, {els[b]!r}) = "
+                f"{values[D[a, b]]!r} but d({els[b]!r}, {els[a]!r}) = "
+                f"{values[D[b, a]]!r}")
+        labels = np.empty((len(values), len(els)), dtype=np.int64)
+        for r, row in enumerate(labels):
+            within = D <= r
+            row[:] = within.argmax(axis=1)
+            bad = np.argwhere(within != (row[:, None] == row[None, :]))
+            if bad.size:
+                a, c = bad[0]
+                # a witness triple (x, y, z) with d(x, y) and d(y, z)
+                # within r but d(x, z) not
+                if not within[a, c]:
+                    x, y, z = a, row[a], c
+                elif not within[c, row[a]]:
+                    x, y, z = c, a, row[a]
+                else:
+                    x, y, z = a, c, row[c]
+                raise MalformedSpaceError(
+                    f"not an ultrametric: d({els[x]!r}, {els[z]!r}) = "
+                    f"{values[D[x, z]]!r} exceeds d({els[x]!r}, {els[y]!r}) "
+                    f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
+                    f"= {values[D[y, z]]!r}")
+        return labels
 
 
 @dataclass(frozen=True)
@@ -439,6 +493,20 @@ class ProductSpace:
     def index_matrix(self) -> np.ndarray:
         return self._matrix
 
+    def ball_labels(self) -> np.ndarray:
+        """Ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
+
+        A product ball is the box of its component balls, so the label
+        combines the component labels in mixed radix, in element order:
+        the index of the box's smallest element.  Each component checks
+        its own table.
+        """
+        labels = np.zeros((len(self.scale), 1), dtype=np.int64)
+        for comp, size in zip(self.components, self._sizes):
+            labels = (labels[:, :, None] * size
+                      + comp.ball_labels()[:, None, :]).reshape(len(labels), -1)
+        return labels
+
 
 def check_ball_is_box(product: ProductSpace, ball: Ball) -> bool:
     """A product-space ball must equal the product of component balls."""
@@ -463,12 +531,26 @@ class ContractionReport:
         return self.classification in (STRICT_ON_ORBITS, STRICT_CONTRACTION)
 
 
-def _first_pair(pairs: np.ndarray) -> tuple[int, int]:
-    upper = [(int(a), int(b)) for a, b in pairs if a < b]
-    if upper:
-        return min(upper)
-    a, b = pairs[0]
-    return int(a), int(b)
+def _first_split(before: np.ndarray, after: np.ndarray):
+    """Smallest pair ``i < j`` with equal ``before`` and unequal ``after``.
+
+    ``before[x]`` must be the smallest index of x's class, as ball labels
+    are; then the pair's ``i`` is the smallest class member whose class
+    has more than one ``after`` value, and ``j`` the first member of that
+    class whose ``after`` differs from that of ``i``.  ``None`` when every
+    class maps into one ``after`` value.
+    """
+    split = np.flatnonzero(after != after[before])
+    if not split.size:
+        return None
+    owners = before[split]
+    i = owners.min()
+    return int(i), int(split[owners == i][0])
+
+
+def _min_split(befores, afters):
+    """Smallest :func:`_first_split` pair over paired label rows."""
+    return min(filter(None, map(_first_split, befores, afters)), default=None)
 
 
 def _sigma_array(space, sigma) -> np.ndarray:
@@ -491,32 +573,39 @@ def classify_contraction(space, sigma) -> ContractionReport:
     ``sigma`` may be a callable or a mapping over the space's elements.
     Checks, in order: contraction on all pairs, strictness on orbits, and
     strictness on all distinct pairs; returns the strongest class that
-    holds plus a witness against the next one.
+    holds plus a witness against the next one.  A pair witness is the
+    smallest violating index pair ``i < j`` in element order.
+
+    Each check runs ball by ball on :meth:`ball_labels` ``L``, so memory
+    grows with states times radii, never with pairs of states: a map
+    contracts when equal ``L[r]`` always gives images with equal ``L[r]``,
+    contracts strictly when equal ``L[r]`` gives images with equal
+    ``L[r - 1]`` for every ``r >= 1``, and the distance of two states is
+    the first ``r`` at which their labels agree.  A table that is not an
+    ultrametric raises :class:`MalformedSpaceError`.
     """
     els = space.elements
-    n = len(els)
     sig = _sigma_array(space, sigma)
-    if n == 1:
-        return ContractionReport(STRICT_CONTRACTION, None)
-    D = space.index_matrix()
-    DS = D[sig][:, sig]
+    labels = space.ball_labels()
+    report = _classify(els, sig, labels, labels[:, sig])
+    log.debug("classify_contraction: states=%d radii=%d evaluations=%d "
+              "verdict=%s", len(els), len(labels), len(els),
+              report.classification)
+    return report
 
-    worse = np.argwhere(DS > D)
-    if worse.size:
-        i, j = _first_pair(worse)
-        return ContractionReport(NOT_CONTRACTION, (els[i], els[j]))
 
-    idx = np.arange(n)
-    fixed = sig == idx
-    orbit_ok = fixed | (D[sig, sig[sig]] < D[idx, sig])
-    if not orbit_ok.all():
-        m = int(np.flatnonzero(~orbit_ok)[0])
-        return ContractionReport(CONTRACTION, (els[m],))
-
-    lax = np.argwhere((DS >= D) & (D > 0))
-    if lax.size:
-        i, j = _first_pair(lax)
-        return ContractionReport(STRICT_ON_ORBITS, (els[i], els[j]))
+def _classify(els, sig, labels, images) -> ContractionReport:
+    pair = _min_split(labels, images)
+    if pair is not None:
+        return ContractionReport(NOT_CONTRACTION, (els[pair[0]], els[pair[1]]))
+    step = (labels == images).argmax(axis=0)
+    next_step = (images == images[:, sig]).argmax(axis=0)
+    orbit_bad = (sig != np.arange(len(els))) & (next_step >= step)
+    if orbit_bad.any():
+        return ContractionReport(CONTRACTION, (els[int(orbit_bad.argmax())],))
+    pair = _min_split(labels[1:], images[:-1])
+    if pair is not None:
+        return ContractionReport(STRICT_ON_ORBITS, (els[pair[0]], els[pair[1]]))
     return ContractionReport(STRICT_CONTRACTION, None)
 
 

@@ -414,3 +414,19 @@ def test_cli_import_needs_no_package_but_numpy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_contraction_checks_leave_numpy_ma_unimported():
+    # numpy.ma costs tens of milliseconds to import on first use (a plain
+    # np.unique reaches for it), so the checks must not pull it in
+    check = ("import sys\n"
+             "from acokit import logic, routing\n"
+             "program = logic.parse_program('r.\\nq :- not r.\\np :- not q.')\n"
+             "logic.classify_tp_contraction(program)\n"
+             f"routing.verify_strict_contraction(routing.load_instance("
+             f"{corpus_path('ring3.json')!r}))\n"
+             "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", check],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,7 +1,8 @@
 import itertools
+import logging
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit import routing
@@ -31,6 +32,7 @@ from acokit.routing import (
     verify_strict_contraction,
 )
 from acokit.ultrametric import check_axioms, check_isosceles
+from pair_oracles import strict_contraction_by_pairs
 
 EPS = ("d",)
 P1D = ("1", "d")
@@ -177,20 +179,59 @@ def test_strict_contraction_counterexample(disagree_repaired):
 
 def test_strict_contraction_witness_is_smallest_violating_pair(
         disagree_repaired):
-    inst = disagree_repaired
-    universe = inst.all_permitted
-    states = [frozenset(p for idx, p in enumerate(universe) if mask >> idx & 1)
-              for mask in range(1 << len(universe))]
-    expected = None
-    for a, b in itertools.combinations(range(len(states)), 2):
-        m, n = states[a], states[b]
-        before = state_distance(inst, m, n)
-        after = state_distance(inst, sigma_step(inst, m), sigma_step(inst, n))
-        if after >= before > 0:
-            expected = (m, n)
-            break
-    assert expected is not None
-    assert verify_strict_contraction(inst).witness == expected
+    ok, expected, pairs = strict_contraction_by_pairs(disagree_repaired)
+    assert not ok
+    report = verify_strict_contraction(disagree_repaired)
+    assert (report.witness, report.pairs_checked) == (expected, pairs)
+
+
+def _ring(n):
+    """Bidirectional ring through ``d`` and ``n - 1`` other nodes."""
+    cycle = ["d"] + [str(i) for i in range(1, n)]
+    arcs = set()
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        arcs |= {(a, b), (b, a)}
+    return cycle, sorted(arcs)
+
+
+def _gated_ring(n):
+    """Ring of ``n`` nodes of which only the first has an arc to ``d``."""
+    cycle = [str(i) for i in range(1, n + 1)]
+    arcs = {(cycle[0], "d")}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if a != b:
+            arcs |= {(a, b), (b, a)}
+    return ["d"] + cycle, sorted(arcs)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(_ring, n) for n in (2, 3, 4)]
+                       + [(_gated_ring, n) for n in (1, 2, 3, 4)]),
+       st.sampled_from(["hop-count", "longest-first", "all-tied"]))
+def test_strict_contraction_matches_pair_oracle(shape, preference):
+    build, n = shape
+    nodes, arcs = build(n)
+    paths = enumerate_paths(make_instance(nodes, "d", arcs))
+    # all-tied paths share one height, so the round contracts strictly
+    # only if it maps every state to one image, and weakly whatever it is
+    pairs = {"hop-count": "hop-count",
+             "longest-first": [(p, q) for p in paths for q in paths
+                               if len(p) > len(q)],
+             "all-tied": [(p, q) for p in paths for q in paths]}
+    inst = make_instance(nodes, "d", arcs, preference=pairs[preference])
+    assert len(inst.all_permitted) <= 8
+    report = verify_strict_contraction(inst)
+    assert (report.ok, report.witness, report.pairs_checked) == \
+        strict_contraction_by_pairs(inst)
+
+
+def test_strict_contraction_logs_counters(ring3, caplog):
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        verify_strict_contraction(ring3)
+    # 5 permitted paths at heights 2, 4 and 5
+    assert caplog.messages == [
+        "verify_strict_contraction: states=32 radii=3 evaluations=32 "
+        "verdict=certified"]
 
 
 def test_strict_contraction_size_limit():

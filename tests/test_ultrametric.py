@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from acokit.ultrametric import (
     STRICT_CONTRACTION,
     STRICT_ON_ORBITS,
 )
+from pair_oracles import classify_by_pairs
 
 
 def brute_force_axioms(elements, dist):
@@ -79,19 +81,23 @@ def test_zero_distance_between_distinct_points_violates_identity():
                for v in report.violations)
 
 
-def test_ordinary_triangle_is_not_ultra():
-    # 1, 1, 2 satisfies the ordinary triangle inequality but 2 > max(1, 1)
+def _ordinary_triangle(d_bc=1):
     table = {}
     for x in "abc":
         table[(x, x)] = 0
-    for x, y, d in [("a", "b", 1), ("b", "c", 1), ("a", "c", 2)]:
+    for x, y, d in [("a", "b", 1), ("b", "c", d_bc), ("a", "c", 2)]:
         table[(x, y)] = d
         table[(y, x)] = d
-    report = check_axioms(space_from_table(table, (0, 1, 2)))
+    return space_from_table(table, (0, 1, 2))
+
+
+def test_ordinary_triangle_is_not_ultra():
+    # 1, 1, 2 satisfies the ordinary triangle inequality but 2 > max(1, 1)
+    report = check_axioms(_ordinary_triangle())
     assert not report.ok
     triangles = [v for v in report.violations if v.axiom == "strong-triangle"]
     assert triangles and set(triangles[0].witness) == {"a", "b", "c"}
-    assert not check_isosceles(space_from_table(table, (0, 1, 2))).ok
+    assert not check_isosceles(_ordinary_triangle()).ok
 
 
 def test_asymmetric_table_detected():
@@ -257,6 +263,87 @@ def test_classify_expansion_is_not_contraction():
     report = classify_contraction(space, sigma)
     assert report.classification == NOT_CONTRACTION
     assert report.witness == ("a", "b")
+
+
+def test_classify_rejects_non_ultrametric_tables():
+    # "within 1" relates a to b and b to c but not a to c
+    triangle = _ordinary_triangle()
+    message = r"d\('c', 'a'\) = 2 exceeds d\('c', 'b'\) = 1 and d\('b', 'a'\) = 1"
+    with pytest.raises(MalformedSpaceError, match=message):
+        classify_contraction(triangle, lambda m: m)
+    fine = height_space(("x", "y"), {"x": 1, "y": 2}, triangle.scale)
+    assert classify_contraction(fine, lambda m: "x").qualifies()
+    with pytest.raises(MalformedSpaceError, match=message):
+        classify_contraction(ProductSpace((fine, triangle)), lambda m: m)
+    asymmetric = space_from_table(
+        {("a", "a"): 0, ("b", "b"): 0, ("a", "b"): 1, ("b", "a"): 2},
+        (0, 1, 2))
+    with pytest.raises(MalformedSpaceError,
+                       match=r"d\('a', 'b'\) = 1 but d\('b', 'a'\) = 2"):
+        classify_contraction(asymmetric, lambda m: m)
+    loop = space_from_table({("a", "a"): 1}, (0, 1))
+    with pytest.raises(MalformedSpaceError, match="is not zero"):
+        classify_contraction(loop, lambda m: m)
+    # with d(b, c) = 2 the table is an ultrametric and gets a class
+    assert classify_contraction(_ordinary_triangle(d_bc=2), lambda m: m) \
+        .classification == STRICT_ON_ORBITS
+
+
+def _random_classify_case(rng):
+    """A product height space, a flat height space or a string space, and
+    a self-map on it that is constant, nearly constant or arbitrary."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        top = rng.randint(1, 5)
+        scale = RadiusScale(tuple(range(top + 1)))
+        heights = [{f"c{i}v{j}": rng.randint(1, top)
+                    for j in range(rng.randint(1, 3))}
+                   for i in range(rng.randint(1, 3))]
+        space = ProductSpace(tuple(height_space(tuple(h), h, scale)
+                                   for h in heights))
+    elif kind == 1:
+        space = height_space(tuple(range(rng.randint(1, 6))),
+                             {k: rng.randint(1, 5) for k in range(6)})
+    else:
+        space = string_space(sorted({
+            "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 7))}))
+    els = space.elements
+    target = rng.choice(els)
+    keep = rng.choice((0.0, 0.6, 0.9, 1.0))
+    sigma = {e: target if rng.random() < keep else rng.choice(els)
+             for e in els}
+    return space, sigma
+
+
+@given(st.randoms(use_true_random=False))
+def test_classify_matches_pair_oracle(rng):
+    space, sigma = _random_classify_case(rng)
+    report = classify_contraction(space, sigma)
+    assert (report.classification, report.witness) == \
+        classify_by_pairs(space, sigma)
+
+
+def test_pair_oracle_cases_reach_every_class():
+    rng = random.Random(20261018)
+    seen = set()
+    for _ in range(300):
+        space, sigma = _random_classify_case(rng)
+        report = classify_contraction(space, sigma)
+        assert (report.classification, report.witness) == \
+            classify_by_pairs(space, sigma)
+        seen.add(report.classification)
+    assert seen == {NOT_CONTRACTION, CONTRACTION, STRICT_ON_ORBITS,
+                    STRICT_CONTRACTION}
+
+
+def test_classify_logs_counters(caplog):
+    space = height_space(("a", "b", "c"), {"a": 1, "b": 2, "c": 2})
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        classify_contraction(space, lambda m: "a")
+    assert caplog.messages == [
+        "classify_contraction: states=3 radii=3 evaluations=3 "
+        "verdict=strict-contraction"]
 
 
 def test_string_space_samples_pass_axioms():
