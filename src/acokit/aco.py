@@ -14,6 +14,8 @@ import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (
     MalformedBoxError,
     PreconditionError,
@@ -31,6 +33,9 @@ from .ultrametric import (
 from .util import jsonable, sorted_canonical
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
+
+# most height assignments search_ultrametric will enumerate
+MAX_ASSIGNMENTS = 2_000_000
 
 
 def _normalize_box(box) -> Box:
@@ -143,16 +148,6 @@ def verify_box_sequence(op: DecomposedOperator, seq: BoxSequence) -> BoxCheck:
     return BoxCheck(True)
 
 
-def _find_fixed_point(op: DecomposedOperator, start: tuple) -> tuple | None:
-    state = start
-    for _ in range(op.size() + 1):
-        nxt = op.apply(state)
-        if nxt == state:
-            return state
-        state = nxt
-    return None
-
-
 def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
     """Read off the certificate boxes as the balls around the fixed point.
 
@@ -180,9 +175,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
             f"operator has {len(fixed_points)} fixed points; the ball "
             "construction needs exactly one",
             witness=tuple(fixed_points))
-    fixed = _find_fixed_point(op, space.elements[0])
-    if fixed is None:
-        raise PreconditionError("iteration failed to reach a fixed point")
+    fixed = fixed_points[0]
 
     boxes = []
     seen = set()
@@ -288,17 +281,38 @@ def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     return _chain_from_hulls(_image_hulls(op))
 
 
-def search_ultrametric(op: DecomposedOperator, *,
-                       max_height: int | None = None,
-                       max_assignments: int = 2_000_000) -> ProductSpace | None:
+def _canonical_heights(sizes: tuple, top: int) -> np.ndarray:
+    """Every order-canonical height assignment, one row each, in
+    ``itertools.product`` order over ``0 .. top`` per position (the values
+    of each component in turn).
+
+    A row has at most one zero per component, else two points would sit at
+    distance zero, and its nonzero labels are exactly ``1 .. count``.  The
+    conditions read only the order of heights, and relabeling by rank
+    lowers every entry, so the first qualifying row of the whole grid is
+    canonical anyway; dropping the others only saves work.
+    """
+    grid = np.indices((top + 1,) * sum(sizes), dtype=np.uint8)
+    grid = grid.reshape(sum(sizes), -1).T
+    keep = np.ones(len(grid), dtype=bool)
+    for part in np.split(grid, np.cumsum(sizes)[:-1], axis=1):
+        keep &= (part == 0).sum(axis=1) <= 1
+    used = [(grid == v).any(axis=1) for v in range(1, top + 1)]
+    for lower, higher in zip(used, used[1:]):
+        keep &= lower | ~higher
+    return grid[keep]
+
+
+def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     """Search product ultrametrics built from per-component heights.
 
-    Height assignments range over ``0 .. max_height`` per element (at most
-    one zero per component, else two points would sit at distance zero) and
-    only order-canonical assignments are tried, since the classification
-    depends only on the relative order of labels.  Returns the first
-    product space making the operator a contraction that is strict on
-    orbits around a unique fixed point, or ``None``.
+    Each component value gets a height in ``0 .. max(1, n - 1)`` for
+    ``n`` states, and every order-canonical assignment
+    (:func:`_canonical_heights`) is checked at once.  Returns the first
+    product space, in ``itertools.product`` order of assignments, making
+    the operator a contraction that is strict on orbits around a unique
+    fixed point, or ``None``.  More than :data:`MAX_ASSIGNMENTS`
+    assignments raise :class:`SizeLimitError` before any is built.
 
     The unique-fixed-point requirement is independent of any metric:
     strictness on orbits is vacuous at fixed points, so a map fixing two
@@ -306,105 +320,53 @@ def search_ultrametric(op: DecomposedOperator, *,
     asynchronous runs can settle on either point.  Without this condition
     the two search verdicts could not agree.
     """
-    if max_height is None:
-        max_height = max(1, op.size() - 1)
-    fixed_count = sum(1 for m in op.iter_states() if op.apply(m) == m)
-    if fixed_count != 1:
+    states = list(op.iter_states())
+    index = {m: p for p, m in enumerate(states)}
+    sigma = np.array([index[op.apply(m)] for m in states])
+    ids = np.arange(len(states))
+    if np.count_nonzero(sigma == ids) != 1:
         return None
-    positions = [(i, e) for i, dom in enumerate(op.domains) for e in dom]
-    total = (max_height + 1) ** len(positions)
-    if total > max_assignments:
-        raise SizeLimitError(
-            f"{total} height assignments exceed the search cap {max_assignments}")
+    sizes = tuple(len(dom) for dom in op.domains)
+    top = max(1, len(states) - 1)
+    total = (top + 1) ** sum(sizes)
+    if total > MAX_ASSIGNMENTS:
+        raise SizeLimitError(f"{total} height assignments exceed the "
+                             f"search cap {MAX_ASSIGNMENTS}")
 
-    elements = list(op.iter_states())
-    coord = {}
-    for i, dom in enumerate(op.domains):
-        for pos, e in enumerate(dom):
-            coord[(i, e)] = pos
-    indexed = [tuple(coord[(i, e)] for i, e in enumerate(m)) for m in elements]
-    element_pos = {m: p for p, m in enumerate(elements)}
-    sigma = [element_pos[op.apply(m)] for m in elements]
+    heights = _canonical_heights(sizes, top)
+    # column of each state's coordinate in an assignment row
+    starts = np.cumsum((0,) + sizes[:-1])
+    cols = np.array(list(itertools.product(
+        *(range(s, s + n) for s, n in zip(starts, sizes)))))
+    state_heights = heights[:, cols]
 
-    pairs = []
-    for a, b in itertools.combinations(range(len(elements)), 2):
-        diffs = tuple(
-            (i, indexed[a][i], indexed[b][i])
-            for i in range(op.processors)
-            if indexed[a][i] != indexed[b][i])
-        pairs.append((a, b, diffs))
+    def dist(a, b):
+        differ = cols[a] != cols[b]
+        top_of = np.maximum(state_heights[:, a], state_heights[:, b])
+        return (top_of * differ).max(axis=2)
 
-    comp_sizes = [len(dom) for dom in op.domains]
-    offsets = []
-    off = 0
-    for size in comp_sizes:
-        offsets.append(off)
-        off += size
+    a, b = np.triu_indices(len(states), 1)
+    ok = (dist(sigma[a], sigma[b]) <= dist(a, b)).all(axis=1)
+    moved = ids[sigma != ids]
+    ok &= (dist(sigma[moved], sigma[sigma[moved]])
+           < dist(moved, sigma[moved])).all(axis=1)
+    if not ok.any():
+        return None
 
-    def dist(h, a, b):
-        if a == b:
-            return 0
-        best = 0
-        for i in range(op.processors):
-            pa, pb = indexed[a][i], indexed[b][i]
-            if pa != pb:
-                v = h[offsets[i] + pa]
-                w = h[offsets[i] + pb]
-                if v < w:
-                    v = w
-                if v > best:
-                    best = v
-        return best
-
-    for h in itertools.product(range(max_height + 1), repeat=len(positions)):
-        used = sorted({v for v in h if v})
-        if used != list(range(1, len(used) + 1)):
-            continue
-        valid = True
-        for i, size in enumerate(comp_sizes):
-            zeros = sum(1 for p in range(size) if h[offsets[i] + p] == 0)
-            if zeros > 1:
-                valid = False
-                break
-        if not valid:
-            continue
-
-        ok = True
-        for a, b, diffs in pairs:
-            d_ab = 0
-            for i, pa, pb in diffs:
-                v = max(h[offsets[i] + pa], h[offsets[i] + pb])
-                if v > d_ab:
-                    d_ab = v
-            if dist(h, sigma[a], sigma[b]) > d_ab:
-                ok = False
-                break
-        if not ok:
-            continue
-        for m in range(len(elements)):
-            s = sigma[m]
-            if s == m:
-                continue
-            if not dist(h, s, sigma[s]) < dist(h, m, s):
-                ok = False
-                break
-        if not ok:
-            continue
-
-        scale = RadiusScale(tuple(range(max(used, default=0) + 1)))
-        comps = []
-        for i, dom in enumerate(op.domains):
-            table = {e: h[offsets[i] + coord[(i, e)]] for e in dom}
-            comps.append(FiniteUltrametricSpace(
-                dom, scale,
-                lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))
-        witness = ProductSpace(comps)
-        confirmation = classify_contraction(witness, op.apply)
-        if not confirmation.qualifies():
-            raise SemanticsError(
-                "inline height check disagrees with classify_contraction")
-        return witness
-    return None
+    h = heights[ok.argmax()].tolist()
+    scale = RadiusScale(tuple(range(max(h) + 1)))
+    comps = []
+    for dom, start in zip(op.domains, starts):
+        table = dict(zip(dom, h[start:start + len(dom)]))
+        comps.append(FiniteUltrametricSpace(
+            dom, scale,
+            lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))
+    witness = ProductSpace(comps)
+    confirmation = classify_contraction(witness, op.apply)
+    if not confirmation.qualifies():
+        raise SemanticsError(
+            "inline height check disagrees with classify_contraction")
+    return witness
 
 
 @dataclass(frozen=True)

@@ -450,17 +450,17 @@ class ProductSpace:
         return tuple(itertools.product(*(c.elements for c in self.components)))
 
     @cached_property
-    def _element_set(self) -> frozenset:
-        return frozenset(self.elements)
+    def _index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
 
     def __contains__(self, element):
-        return element in self._element_set
+        return element in self._index
 
     def index_of(self, element) -> int:
-        idx = 0
-        for comp, size, coord in zip(self.components, self._sizes, element):
-            idx = idx * size + comp.index_of(coord)
-        return idx
+        try:
+            return self._index[element]
+        except (KeyError, TypeError):
+            raise MalformedSpaceError(f"unknown element {element!r}") from None
 
     def _check_vector(self, m):
         if not isinstance(m, tuple) or len(m) != self.dimension:

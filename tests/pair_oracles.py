@@ -2,9 +2,11 @@
 
 They loop over every pair of states and compare distances as the
 definitions read; the library decides the same questions from ball
-labels without listing pairs.
+labels without listing pairs, and searches height assignments all at
+once.
 """
 
+import functools
 import itertools
 
 from acokit import routing
@@ -49,3 +51,50 @@ def strict_contraction_by_pairs(instance):
             if after >= before > 0:
                 witness = (states[a], states[b])
     return witness is None, witness, pairs
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_heights(sizes, top):
+    """Assignments with at most one zero per component whose nonzero
+    labels are exactly ``1 .. count``, in ``itertools.product`` order."""
+    bounds = list(itertools.accumulate(sizes, initial=0))
+    rows = []
+    for row in itertools.product(range(top + 1), repeat=sum(sizes)):
+        labels = sorted(set(row) - {0})
+        if labels == list(range(1, len(labels) + 1)) and all(
+                row[lo:hi].count(0) <= 1 for lo, hi in zip(bounds, bounds[1:])):
+            rows.append(row)
+    return rows
+
+
+def search_ultrametric_by_pairs(op):
+    """(scale values, per-component {value: height}) as
+    :func:`search_ultrametric` must find them, or ``None``.
+
+    Tries order-canonical height assignments over ``0 .. states - 1`` in
+    ``itertools.product`` order and takes the first under which the map
+    contracts every pair and is strict on every orbit step, provided the
+    map has exactly one fixed point.
+    """
+    states = list(op.iter_states())
+    f = {m: op.apply(m) for m in states}
+    if sum(f[m] == m for m in states) != 1:
+        return None
+    values = [(i, v) for i, dom in enumerate(op.domains) for v in dom]
+    sizes = tuple(len(dom) for dom in op.domains)
+    for row in _canonical_heights(sizes, max(1, len(states) - 1)):
+        h = dict(zip(values, row))
+
+        def d(m, n):
+            return max((max(h[i, u], h[i, v])
+                        for i, (u, v) in enumerate(zip(m, n)) if u != v),
+                       default=0)
+
+        if all(d(f[m], f[n]) <= d(m, n)
+               for m, n in itertools.combinations(states, 2)) and \
+                all(d(f[m], f[f[m]]) < d(m, f[m])
+                    for m in states if f[m] != m):
+            return (tuple(range(max(row) + 1)),
+                    tuple({v: h[i, v] for v in dom}
+                          for i, dom in enumerate(op.domains)))
+    return None

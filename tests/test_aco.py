@@ -24,6 +24,7 @@ from acokit.errors import (
     PreconditionError,
     ScheduleRejectedError,
     SemanticsError,
+    SizeLimitError,
 )
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
@@ -34,6 +35,7 @@ from acokit.ultrametric import (
     check_axioms,
     classify_contraction,
 )
+from pair_oracles import search_ultrametric_by_pairs
 
 DOM22 = ((0, 1), (0, 1))
 STATES22 = list(itertools.product((0, 1), (0, 1)))
@@ -138,29 +140,34 @@ def test_box_census_3x2():
 SHAPES = (((0, 1),) * 3, ((0, 1, 2),) * 2, ((0, 1, 2, 3), (0, 1)))
 
 
+def chain_table(domains, choice, subset):
+    """A random chain of boxes, outermost first, and a map sending each
+    state into the box next inside the innermost one holding it; returns
+    the map and the chain's fixed point.  ``choice(xs)`` picks one of
+    ``xs`` and ``subset(xs)`` a nonempty proper subset."""
+    chain = [domains]
+    while box_size(chain[-1]) > 1:
+        box = chain[-1]
+        i = choice([i for i, comp in enumerate(box) if len(comp) > 1])
+        keep = tuple(sorted(subset(box[i])))
+        chain.append(box[:i] + (keep,) + box[i + 1:])
+    table = {}
+    for s in itertools.product(*domains):
+        depth = max(d for d, box in enumerate(chain) if box_contains(box, s))
+        target = chain[min(depth + 1, len(chain) - 1)]
+        table[s] = tuple(choice(comp) for comp in target)
+    return table, next(box_members(chain[-1]))
+
+
 @given(st.data())
 def test_search_on_random_operators(data):
     domains = data.draw(st.sampled_from(SHAPES))
     states = list(itertools.product(*domains))
     if data.draw(st.booleans()):
-        # a random chain of boxes, outermost first, and a map sending each
-        # state into the box next inside the innermost one holding it
-        chain = [domains]
-        while box_size(chain[-1]) > 1:
-            box = chain[-1]
-            i = data.draw(st.sampled_from(
-                [i for i, comp in enumerate(box) if len(comp) > 1]))
-            keep = data.draw(st.lists(st.sampled_from(box[i]), min_size=1,
-                                      max_size=len(box[i]) - 1, unique=True))
-            chain.append(box[:i] + (tuple(sorted(keep)),) + box[i + 1:])
-        table = {}
-        for s in states:
-            depth = max(d for d, box in enumerate(chain)
-                        if box_contains(box, s))
-            target = chain[min(depth + 1, len(chain) - 1)]
-            table[s] = tuple(data.draw(st.sampled_from(comp))
-                             for comp in target)
-        fixed = next(box_members(chain[-1]))
+        table, fixed = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
     else:
         table = {s: data.draw(st.sampled_from(states)) for s in states}
         fixed = None
@@ -190,6 +197,71 @@ def test_search_ultrametric_examples():
     assert search_ultrametric(swap_op()) is None
     # multiple fixed points disqualify regardless of metric
     assert search_ultrametric(identity_op()) is None
+
+
+def heights_found(op):
+    """search_ultrametric's answer in the shape of
+    search_ultrametric_by_pairs: scale values and per-component
+    distance tables, here read off the component spaces."""
+    space = search_ultrametric(op)
+    if space is None:
+        return None
+    return space.scale.values, tuple(
+        comp.index_matrix().tolist() for comp in space.components)
+
+
+def heights_expected(op):
+    found = search_ultrametric_by_pairs(op)
+    if found is None:
+        return None
+    scale, tables = found
+    return scale, tuple(
+        [[0 if m == n else max(t[m], t[n]) for n in t] for m in t]
+        for t in tables)
+
+
+def test_search_ultrametric_matches_reference_on_every_2x2_operator():
+    found = 0
+    for images in itertools.product(STATES22, repeat=4):
+        op = op_from_map(dict(zip(STATES22, images)))
+        expected = heights_expected(op)
+        assert heights_found(op) == expected
+        found += expected is not None
+    assert found == 28
+
+
+def test_search_ultrametric_matches_reference_on_seeded_samples():
+    rng = random.Random(20261018)
+    found = 0
+    for domains, count in ((((0, 1, 2), (0, 1)), 40), (((0, 1),) * 3, 12)):
+        states = list(itertools.product(*domains))
+        for k in range(count):
+            if k % 2:
+                table, _ = chain_table(
+                    domains, rng.choice,
+                    lambda xs: rng.sample(xs, rng.randint(1, len(xs) - 1)))
+            else:
+                table = {s: rng.choice(states) for s in states}
+            op = DecomposedOperator.from_table(domains, table)
+            expected = heights_expected(op)
+            assert heights_found(op) == expected
+            found += expected is not None
+    # both verdicts occur, so the sample is not all refutations
+    assert 0 < found < 52
+
+
+def test_search_ultrametric_cap_is_checked_before_the_search(monkeypatch):
+    domains = ((0, 1, 2, 3, 4), (0, 1))
+    op = DecomposedOperator.from_table(
+        domains, {s: (0, 0) for s in itertools.product(*domains)})
+
+    def build(*args):
+        raise AssertionError("height assignments built past the cap")
+
+    monkeypatch.setattr(aco, "_canonical_heights", build)
+    # 10 states, heights 0 .. 9 on 7 values: 10**7 assignments
+    with pytest.raises(SizeLimitError, match="10000000 height assignments"):
+        search_ultrametric(op)
 
 
 def test_boxes_from_ultrametric_requires_qualifying_map(ring3):

@@ -216,6 +216,19 @@ def test_product_scale_must_match():
         ProductSpace((a, b))
 
 
+@pytest.mark.parametrize("wrong", [("a",), ("a", "b", "b")])
+def test_product_rejects_vectors_of_the_wrong_length(wrong):
+    scale = RadiusScale((0, 1, 2))
+    product = ProductSpace((height_space(("a", "a'"), {"a": 1, "a'": 2}, scale),
+                            height_space(("b", "b'"), {"b": 1, "b'": 2}, scale)))
+    assert product.index_of(("a'", "b")) == 2
+    assert wrong not in product
+    with pytest.raises(MalformedSpaceError, match="unknown element"):
+        product.index_of(wrong)
+    with pytest.raises(MalformedSpaceError, match="outside the space"):
+        classify_contraction(product, lambda m: wrong)
+
+
 def test_every_product_ball_is_box():
     rng = random.Random(20240803)
     for trial in range(10):
