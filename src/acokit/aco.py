@@ -11,6 +11,7 @@ against each other.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass
 
@@ -31,6 +32,8 @@ from .ultrametric import (
     classify_contraction,
 )
 from .util import jsonable, sorted_canonical
+
+log = logging.getLogger("acokit")
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -278,7 +281,11 @@ def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     ``{x}`` have ``F(x) == x``.  Among all chains this one is the
     innermost at every depth.
     """
-    return _chain_from_hulls(_image_hulls(op))
+    hulls = _image_hulls(op)
+    chain = _chain_from_hulls(hulls)
+    log.debug("search_box_sequence: boxes=%d verdict=%s", len(hulls),
+              "certified" if chain is not None else "refuted")
+    return chain
 
 
 def _canonical_heights(sizes: tuple, top: int) -> np.ndarray:
@@ -324,7 +331,10 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     index = {m: p for p, m in enumerate(states)}
     sigma = np.array([index[op.apply(m)] for m in states])
     ids = np.arange(len(states))
-    if np.count_nonzero(sigma == ids) != 1:
+    fixed = np.count_nonzero(sigma == ids)
+    if fixed != 1:
+        log.debug("search_ultrametric: fixed_points=%d "
+                  "gate=unique-fixed-point", fixed)
         return None
     sizes = tuple(len(dom) for dom in op.domains)
     top = max(1, len(states) - 1)
@@ -350,6 +360,8 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     moved = ids[sigma != ids]
     ok &= (dist(sigma[moved], sigma[sigma[moved]])
            < dist(moved, sigma[moved])).all(axis=1)
+    log.debug("search_ultrametric: assignments=%d verdict=%s", len(heights),
+              "found" if ok.any() else "none")
     if not ok.any():
         return None
 

@@ -75,12 +75,6 @@ class Preference:
     def equivalent(self, p: Path, q: Path) -> bool:
         return self.leq(p, q) and self.leq(q, p)
 
-    def min_set(self, candidates) -> frozenset:
-        """Minimal elements: nothing in the set is strictly preferred."""
-        items = list(candidates)
-        return frozenset(
-            a for a in items if not any(self.lt(b, a) for b in items))
-
     @classmethod
     def hop_count(cls, paths) -> "Preference":
         """Fewer arcs strictly preferred, equal arc counts equivalent."""
@@ -199,6 +193,25 @@ class SppInstance:
         for u, v in self.arcs:
             out[u].append(v)
         return {u: tuple(sorted_canonical(vs)) for u, vs in out.items()}
+
+    @cached_property
+    def path_bit(self) -> dict:
+        """Bit ``1 << k`` of ``all_permitted[k]``: states as bit masks."""
+        return {p: 1 << k for k, p in enumerate(self.all_permitted)}
+
+    @cached_property
+    def selection_rule(self) -> tuple:
+        """The selection round as ``(q, tail, better)`` masks, one triple
+        per non-empty permitted path q whose tail is permitted: ``better``
+        ORs the tails of the candidates at ``q[0]`` strictly preferred to
+        q.  A round keeps q exactly when its tail is held and no tail in
+        ``better`` is."""
+        bit, lt = self.path_bit, self.preference.lt
+        live = [[q for q in paths if q[1:] in bit]
+                for _, paths in self.permitted]
+        return tuple(
+            (bit[q], bit[q[1:]], sum(bit[r[1:]] for r in node if lt(r, q)))
+            for node in live for q in node)
 
     @property
     def empty_path(self) -> Path:
@@ -382,10 +395,6 @@ def path_height(instance: SppInstance) -> PathHeight:
     return PathHeight(table)
 
 
-def _node_view(state, node):
-    return [p for p in state if p[0] == node]
-
-
 def validate_state(instance: SppInstance, state) -> frozenset:
     state = frozenset(tuple(p) for p in state)
     for p in state:
@@ -401,21 +410,13 @@ def sigma_step(instance: SppInstance, state) -> frozenset:
     extensions of its neighbors' current paths; the destination keeps the
     empty path.  An empty candidate set yields the empty set."""
     state = validate_state(instance, state)
-    result = {instance.empty_path}
-    pref = instance.preference
-    for i in instance.nodes:
-        if i == instance.dest:
-            continue
-        candidates = []
-        for j in instance.arcs_from[i]:
-            for p in _node_view(state, j):
-                if i in p:
-                    continue
-                q = (i,) + p
-                if q in instance.permitted_map[i]:
-                    candidates.append(q)
-        result.update(pref.min_set(candidates))
-    return frozenset(result)
+    bit = instance.path_bit
+    mask = sum(bit[p] for p in state)
+    out = bit[instance.empty_path]
+    for q, tail, better in instance.selection_rule:
+        if mask & tail and not mask & better:
+            out |= q
+    return frozenset(p for p, b in bit.items() if out & b)
 
 
 def state_distance(instance: SppInstance, m, n) -> int:
@@ -461,16 +462,15 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     bits = 1 << np.arange(p_count, dtype=np.int64)
     total = 1 << p_count
 
-    bit_of = {p: 1 << idx for idx, p in enumerate(universe)}
-
     def to_state(mask):
         return frozenset(
             universe[idx] for idx in range(p_count) if mask >> idx & 1)
 
-    sig = np.array([sum(bit_of[p] for p in sigma_step(instance, to_state(mask)))
-                    for mask in range(total)], dtype=np.int64)
-
     masks = np.arange(total, dtype=np.int64)
+    sig = np.full(total, instance.path_bit[instance.empty_path],
+                  dtype=np.int64)
+    for q, tail, better in instance.selection_rule:
+        sig[((masks & tail) != 0) & ((masks & better) == 0)] |= q
     levels = sorted(set(hvec.tolist()))
     pair = _min_split(
         (masks & bits[hvec > h].sum() for h in levels),
@@ -499,11 +499,8 @@ def _groups(instance: SppInstance, granularity: str):
             (key, tuple(sorted_canonical(keyed[key])))
             for key in sorted_canonical(keyed))
     if granularity == PER_PATH:
-        groups = []
-        for p in instance.paths:
-            member = (p,) if p in set(instance.all_permitted) else ()
-            groups.append((p, member))
-        return tuple(groups)
+        return tuple((p, (p,) if p in instance.path_bit else ())
+                     for p in instance.paths)
     raise PreconditionError(f"unknown granularity {granularity!r}")
 
 

@@ -35,13 +35,36 @@ def classify_by_pairs(space, sigma):
     return STRICT_CONTRACTION, None
 
 
+def selection_round_by_definition(instance, state):
+    """The selection round as :func:`routing.sigma_step` must compute it:
+    each node collects the permitted one-arc extensions of its neighbors'
+    paths and keeps those no other candidate is strictly preferred to."""
+    state = routing.validate_state(instance, state)
+    pref = instance.preference
+    result = {instance.empty_path}
+    for i in instance.nodes:
+        if i == instance.dest:
+            continue
+        candidates = []
+        for j in instance.arcs_from[i]:
+            for p in state:
+                if p[0] != j or i in p:
+                    continue
+                q = (i,) + p
+                if q in instance.permitted_map[i]:
+                    candidates.append(q)
+        result.update(a for a in candidates
+                      if not any(pref.lt(b, a) for b in candidates))
+    return frozenset(result)
+
+
 def strict_contraction_by_pairs(instance):
     """(ok, witness, pairs_checked) as :func:`verify_strict_contraction`
     must report them; states in bit-mask order over the permitted paths."""
     universe = instance.all_permitted
     states = [frozenset(p for idx, p in enumerate(universe) if mask >> idx & 1)
               for mask in range(1 << len(universe))]
-    images = [routing.sigma_step(instance, s) for s in states]
+    images = [selection_round_by_definition(instance, s) for s in states]
     witness, pairs = None, 0
     for a, b in itertools.combinations(range(len(states)), 2):
         pairs += 1

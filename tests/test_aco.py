@@ -1,4 +1,5 @@
 import itertools
+import logging
 import random
 
 import pytest
@@ -106,6 +107,16 @@ def test_search_refuses_swap_and_identity():
     assert search_box_sequence(identity_op()) is None
 
 
+def test_search_box_sequence_logs_counters(caplog):
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        search_box_sequence(constant_op())
+        search_box_sequence(swap_op())
+    # the constant map's hulls: the whole domain, then {(0, 0)}
+    assert caplog.messages == [
+        "search_box_sequence: boxes=2 verdict=certified",
+        "search_box_sequence: boxes=1 verdict=refuted"]
+
+
 def test_search_refutes_wide_identity_without_a_cap():
     # 7^5 states and (2^7 - 1)^5 candidate boxes: the hulls stop at once
     wide = DecomposedOperator(
@@ -197,6 +208,23 @@ def test_search_ultrametric_examples():
     assert search_ultrametric(swap_op()) is None
     # multiple fixed points disqualify regardless of metric
     assert search_ultrametric(identity_op()) is None
+
+
+def test_search_ultrametric_logs_counters(caplog):
+    # one fixed point and a 2-cycle, which no metric makes strict on orbits
+    cycling = op_from_map({(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1),
+                           (1, 1): (0, 0)})
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        search_ultrametric(constant_op())
+        search_ultrametric(swap_op())
+        search_ultrametric(cycling)
+    # 115 canonical assignments of heights 0..3 to the four values of 2x2
+    assert caplog.messages == [
+        "search_ultrametric: assignments=115 verdict=found",
+        "classify_contraction: states=4 radii=2 evaluations=4 "
+        "verdict=strict-contraction",
+        "search_ultrametric: fixed_points=2 gate=unique-fixed-point",
+        "search_ultrametric: assignments=115 verdict=none"]
 
 
 def heights_found(op):

@@ -2,7 +2,7 @@ import itertools
 import logging
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from acokit import routing
@@ -32,7 +32,8 @@ from acokit.routing import (
     verify_strict_contraction,
 )
 from acokit.ultrametric import check_axioms, check_isosceles
-from pair_oracles import strict_contraction_by_pairs
+from pair_oracles import (selection_round_by_definition,
+                          strict_contraction_by_pairs)
 
 EPS = ("d",)
 P1D = ("1", "d")
@@ -132,6 +133,44 @@ def test_sigma_step_examples(ring3, multi2):
 def test_sigma_rejects_non_permitted_state(ring3):
     with pytest.raises(PreconditionError):
         sigma_step(ring3, frozenset({("9", "d")}))
+
+
+@st.composite
+def policy_instances(draw):
+    """1-4 nodes besides ``d`` and a random arc subset; half the time a
+    restricted ``permitted``, half the time explicit preference pairs,
+    ties included; at most 10 permitted paths."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    nodes = ["d"] + [str(i) for i in range(1, n + 1)]
+    arcs = [(u, v) for u in nodes[1:] for v in nodes
+            if u != v and draw(st.booleans())]
+    paths = enumerate_paths(make_instance(nodes, "d", arcs))
+    permitted = None
+    if draw(st.booleans()):
+        routes = [p for p in paths if len(p) > 1]
+        chosen = draw(st.lists(st.sampled_from(routes), max_size=9,
+                               unique=True)) if routes else []
+        permitted = {v: [p for p in chosen if p[0] == v] for v in nodes[1:]}
+    preference = "hop-count"
+    if draw(st.booleans()):
+        preference = draw(st.lists(
+            st.tuples(st.sampled_from(paths), st.sampled_from(paths)),
+            max_size=12))
+    try:
+        inst = make_instance(nodes, "d", arcs, permitted, preference)
+    except PreferenceCycleError:
+        assume(False)
+    assume(len(inst.all_permitted) <= 10)
+    return inst
+
+
+@given(policy_instances())
+def test_sigma_step_matches_definition_on_every_state(inst):
+    universe = inst.all_permitted
+    for size in range(len(universe) + 1):
+        for state in itertools.combinations(universe, size):
+            assert sigma_step(inst, state) == \
+                selection_round_by_definition(inst, state)
 
 
 def test_state_distance_examples(ring3):
