@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import PreconditionError, SemanticsError, SizeLimitError
 from .iteration import DecomposedOperator
 from .ultrametric import (
@@ -47,6 +49,18 @@ class GroundProgram:
     atoms: tuple[str, ...]
     clauses: tuple[Clause, ...]
     declared_strata: tuple[tuple[str, int], ...] | None = None
+
+    @cached_property
+    def consequence_rule(self) -> tuple:
+        """The consequence operator as ``(head, pos, neg)`` masks, one
+        triple per clause, with atom k as bit ``n - 1 - k``, so a mask is
+        the interpretation's index in :func:`interpretation_space`.  A
+        clause derives its head exactly when every atom in ``pos`` is held
+        and none in ``neg`` is; a fact has ``pos = neg = 0``."""
+        bit = {a: 1 << k for k, a in enumerate(reversed(self.atoms))}
+        return tuple((bit[c.head], *(
+            sum({bit[lit.atom] for lit in c.body if lit.positive == sign})
+            for sign in (True, False))) for c in self.clauses)
 
 
 def program_from_clauses(clauses, extra_atoms=(),
@@ -249,21 +263,10 @@ def find_stratification(program: GroundProgram) -> StratificationResult:
 
 
 def immediate_consequence(program: GroundProgram, interp) -> frozenset:
-    """Heads of clauses whose bodies the interpretation satisfies."""
-    interp = frozenset(interp)
-    out = set()
-    for clause in program.clauses:
-        if clause.head in out:
-            continue
-        ok = True
-        for lit in clause.body:
-            holds = lit.atom in interp
-            if holds != lit.positive:
-                ok = False
-                break
-        if ok:
-            out.add(clause.head)
-    return frozenset(out)
+    """Heads of clauses whose bodies the interpretation satisfies; atoms
+    outside the base are ignored."""
+    return tuple_to_interp(program, _consequence_on_bits(program)(
+        interp_to_tuple(program, interp)))
 
 
 def interpretation_distance(strat: Stratification, left, right) -> Fraction:
@@ -390,7 +393,7 @@ def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
             f"{len(program.atoms)} atoms; classification enumerates "
             f"2**n interpretations and is capped at {_CLASSIFY_MAX_ATOMS}")
     space = interpretation_space(program, _require_stratification(program))
-    return classify_contraction(space, _consequence_on_bits(program))
+    return classify_contraction(space, _consequence_images(program))
 
 
 def decompose_program(program: GroundProgram) -> DecomposedOperator:
@@ -401,10 +404,26 @@ def decompose_program(program: GroundProgram) -> DecomposedOperator:
     return DecomposedOperator(domains, _consequence_on_bits(program))
 
 
+def _consequence_images(program: GroundProgram) -> np.ndarray:
+    """The consequence operator's image of every interpretation, indexed
+    as in :func:`interpretation_space`, in one pass per clause."""
+    masks = np.arange(1 << len(program.atoms))
+    sig = np.zeros_like(masks)
+    for head, pos, neg in program.consequence_rule:
+        sig[((masks & pos) == pos) & ((masks & neg) == 0)] |= head
+    return sig
+
+
 def _consequence_on_bits(program: GroundProgram):
     """The consequence operator on tuples of per-atom truth values."""
+    rule, shifts = program.consequence_rule, range(len(program.atoms))[::-1]
+
     def step(bits):
-        return interp_to_tuple(
-            program,
-            immediate_consequence(program, tuple_to_interp(program, bits)))
+        mask = out = 0
+        for held in bits:
+            mask = mask << 1 | held
+        for head, pos, neg in rule:
+            if mask & pos == pos and not mask & neg:
+                out |= head
+        return tuple(out >> s & 1 == 1 for s in shifts)
     return step

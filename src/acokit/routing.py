@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -213,6 +213,13 @@ class SppInstance:
             (bit[q], bit[q[1:]], sum(bit[r[1:]] for r in node if lt(r, q)))
             for node in live for q in node)
 
+    @cached_property
+    def path_heights(self) -> PathHeight:
+        """See :func:`path_height`."""
+        leq = self.preference.leq
+        return PathHeight(tuple(
+            (p, sum(1 for q in self.paths if leq(p, q))) for p in self.paths))
+
     @property
     def empty_path(self) -> Path:
         return (self.dest,)
@@ -385,14 +392,9 @@ class PathHeight:
         return max(h for _, h in self.table)
 
 
-@lru_cache(maxsize=128)
 def path_height(instance: SppInstance) -> PathHeight:
     """The height of ``p`` counts the universe paths ``q`` with p <= q."""
-    pref = instance.preference
-    table = tuple(
-        (p, sum(1 for q in instance.paths if pref.leq(p, q)))
-        for p in instance.paths)
-    return PathHeight(table)
+    return instance.path_heights
 
 
 def validate_state(instance: SppInstance, state) -> frozenset:

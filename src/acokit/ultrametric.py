@@ -555,6 +555,13 @@ def _min_split(befores, afters):
 
 def _sigma_array(space, sigma) -> np.ndarray:
     els = space.elements
+    if isinstance(sigma, np.ndarray):
+        if sigma.shape != (len(els),) or sigma.dtype.kind not in "iu" \
+                or not 0 <= sigma.min() <= sigma.max() < len(els):
+            raise MalformedSpaceError(
+                f"image array must hold {len(els)} indices below {len(els)}, "
+                f"got shape {sigma.shape} and dtype {sigma.dtype}")
+        return sigma.astype(np.int64)
     fn = sigma if callable(sigma) else sigma.__getitem__
     out = np.empty(len(els), dtype=np.int64)
     for i, e in enumerate(els):
@@ -570,7 +577,8 @@ def _sigma_array(space, sigma) -> np.ndarray:
 def classify_contraction(space, sigma) -> ContractionReport:
     """Classify a self-map against the contraction taxonomy.
 
-    ``sigma`` may be a callable or a mapping over the space's elements.
+    ``sigma`` may be a callable or a mapping over the space's elements, or
+    a 1-D integer array of image indices in element order.
     Checks, in order: contraction on all pairs, strictness on orbits, and
     strictness on all distinct pairs; returns the strongest class that
     holds plus a witness against the next one.  A pair witness is the

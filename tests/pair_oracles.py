@@ -3,7 +3,8 @@
 They loop over every pair of states and compare distances as the
 definitions read; the library decides the same questions from ball
 labels without listing pairs, and searches height assignments all at
-once.
+once.  The operators they check against are evaluated as their
+definitions read too, not from the library's compiled bit-mask rules.
 """
 
 import functools
@@ -56,6 +57,26 @@ def selection_round_by_definition(instance, state):
         result.update(a for a in candidates
                       if not any(pref.lt(b, a) for b in candidates))
     return frozenset(result)
+
+
+def consequence_by_definition(program, interp):
+    """The consequence operator as :func:`logic.immediate_consequence`
+    must compute it: the heads of the clauses whose positive body atoms
+    are all held and whose negated ones are not."""
+    interp = frozenset(interp)
+    out = set()
+    for clause in program.clauses:
+        if clause.head in out:
+            continue
+        ok = True
+        for lit in clause.body:
+            holds = lit.atom in interp
+            if holds != lit.positive:
+                ok = False
+                break
+        if ok:
+            out.add(clause.head)
+    return frozenset(out)
 
 
 def strict_contraction_by_pairs(instance):

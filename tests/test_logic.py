@@ -22,8 +22,11 @@ from acokit.logic import (
     perfect_model_by_strata,
     program_from_clauses,
     tuple_to_interp,
+    _consequence_images,
 )
-from acokit.ultrametric import check_axioms, check_isosceles
+from acokit.ultrametric import (check_axioms, check_isosceles,
+                                classify_contraction)
+from pair_oracles import consequence_by_definition
 
 THREE = parse_program("q.\np :- not q.\nr :- p.")
 
@@ -249,10 +252,10 @@ def test_random_stratified_programs_agree_with_oracle(program):
 
 
 @st.composite
-def arbitrary_programs(draw):
+def arbitrary_programs(draw, max_atoms=6):
     """Random programs over a few atoms, with positive and negative
     dependency cycles allowed (self-loops included)."""
-    n = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=max_atoms))
     atoms = [f"a{i}" for i in range(n)]
     atom = st.sampled_from(atoms)
     literal = st.builds(Literal, atom, st.booleans())
@@ -322,3 +325,31 @@ def test_stratification_of_arbitrary_programs_matches_relaxation(program):
     assert negated
     assert any(len(steps) == shortest_cycle_through(signs, *step)
                for step in negated)
+
+
+@given(arbitrary_programs(max_atoms=8))
+def test_consequence_routes_match_the_definition(program):
+    images = _consequence_images(program)
+    apply = decompose_program(program).apply
+    space = itertools.product((False, True), repeat=len(program.atoms))
+    for index, bits in enumerate(space):
+        interp = tuple_to_interp(program, bits)
+        expected = consequence_by_definition(program, interp)
+        assert immediate_consequence(program, interp | {"outside"}) == expected
+        target = interp_to_tuple(program, expected)
+        assert apply(bits) == target
+        assert images[index] == int("".join("01"[b] for b in target), 2)
+
+
+@given(arbitrary_programs(max_atoms=8).filter(
+    lambda p: find_stratification(p).ok))
+def test_tp_classification_matches_the_callable_route(program):
+    space = interpretation_space(
+        program, find_stratification(program).stratification)
+
+    def step(bits):
+        return interp_to_tuple(program, consequence_by_definition(
+            program, tuple_to_interp(program, bits)))
+
+    assert classify_tp_contraction(program) == \
+        classify_contraction(space, step)

@@ -84,6 +84,17 @@ def test_height_monotone_under_strict_preference(ring3):
             assert h.of(p) > h.of(q)
 
 
+def test_state_distance_does_not_hash_the_instance(ring3, monkeypatch):
+    # the heights live on the instance; hashing it on every call would
+    # cost time that grows with the preference matrix, paths squared
+    def refuse(self):
+        raise AssertionError("the instance was hashed")
+
+    monkeypatch.setattr(routing.SppInstance, "__hash__", refuse)
+    assert state_distance(ring3, {EPS}, {EPS, P1D}) == 4
+    assert path_height(ring3) is path_height(ring3)
+
+
 def test_inflationary_ring3_and_single_arc(ring3, single_arc):
     assert check_strictly_inflationary(ring3).ok
     assert check_strictly_inflationary(single_arc).ok

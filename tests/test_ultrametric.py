@@ -3,6 +3,7 @@ import logging
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -335,6 +336,30 @@ def test_classify_matches_pair_oracle(rng):
     report = classify_contraction(space, sigma)
     assert (report.classification, report.witness) == \
         classify_by_pairs(space, sigma)
+
+
+@given(st.randoms(use_true_random=False))
+def test_classify_image_arrays_match_the_callable_route(rng):
+    space, sigma = _random_classify_case(rng)
+    els = space.elements
+    dtype = rng.choice((np.int64, np.int32, np.uint8))
+    images = np.array([els.index(sigma[e]) for e in els], dtype=dtype)
+    assert classify_contraction(space, images) == \
+        classify_contraction(space, sigma.__getitem__)
+
+
+@pytest.mark.parametrize("images", [
+    np.array([0, 1]),  # too short
+    np.array([[0, 1, 2]]),  # not 1-D
+    np.array([0.0, 1.0, 2.0]),  # not integers
+    np.array([False, True, True]),
+    np.array([0, -1, 2]),  # below the first index
+    np.array([0, 1, 3]),  # past the last
+], ids=["short", "2d", "float", "bool", "negative", "too-large"])
+def test_classify_rejects_malformed_image_arrays(images):
+    space = height_space(("a", "b", "c"), {"a": 1, "b": 2, "c": 2})
+    with pytest.raises(MalformedSpaceError, match="image array"):
+        classify_contraction(space, images)
 
 
 def test_pair_oracle_cases_reach_every_class():
