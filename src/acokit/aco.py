@@ -180,29 +180,25 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
             witness=tuple(fixed_points))
     fixed = fixed_points[0]
 
+    # the ball of radius r about the fixed point: the elements that share
+    # its row-r ball label; balls only grow with r, and the top one is the
+    # whole space
+    els = space.elements
+    at = space.index_of(fixed)
     boxes = []
-    seen = set()
-    whole = frozenset(space.elements)
-    for r in range(len(space.scale)):
-        members = frozenset(
-            e for e in space.elements
-            if space.distance_index(fixed, e) <= r)
-        if members in seen:
+    members = None
+    for r, row in enumerate(space.ball_labels()):
+        ball = frozenset(els[i] for i in np.flatnonzero(row == row[at]))
+        if ball == members:
             continue
-        seen.add(members)
-        comps = []
-        for i in range(len(op.domains)):
-            comps.append(tuple(sorted_canonical({m[i] for m in members})))
-        box = tuple(comps)
+        members = ball
+        box = tuple(tuple(sorted_canonical({m[i] for m in members}))
+                    for i in range(len(op.domains)))
         if box_size(box) != len(members):
             raise PreconditionError(
                 f"ball at radius {space.scale.values[r]!r} about the fixed "
                 "point is not a box; the space is not product-structured")
         boxes.append(box)
-        if members == whole:
-            break
-    if not boxes or frozenset(space.elements) not in seen:
-        raise PreconditionError("no ball reached the whole space")
     return BoxSequence(tuple(boxes), fixed)
 
 

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, fields
 
 from . import aco, iteration, logic, routing, ultrametric
 from .errors import PreconditionError, PreferenceCycleError
@@ -29,27 +28,6 @@ EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
 log = logging.getLogger("acokit")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a dispatch needs; built from parsed flags."""
-
-    command: tuple[str, ...]
-    instance: str | None = None
-    mode: str = "sync"
-    seed: int = 0
-    horizon: int = 200
-    staleness: int = 5
-    window: int = 8
-    activation_prob: float = 0.5
-    granularity: str = routing.PER_NODE
-    schedules: int = 100
-    max_steps: int | None = None
-    force: bool = False
-    trace: str | None = None
-    json_out: str | None = None
-    schedule_file: str | None = None
 
 
 def emit_trace(path, trajectory, distances=None, value_format=format_value):
@@ -82,11 +60,11 @@ def emit_trace(path, trajectory, distances=None, value_format=format_value):
              f"converged_at={conv};status={trajectory.status}", ""])
 
 
-def _campaign_args(config: RunConfig) -> dict:
+def _campaign_args(args: argparse.Namespace) -> dict:
     """The campaign flags, passed the same way to every campaign."""
-    return dict(schedules=config.schedules, seed=config.seed,
-                horizon=config.horizon, staleness=config.staleness,
-                window=config.window, activation_prob=config.activation_prob)
+    return dict(schedules=args.schedules, seed=args.seed,
+                horizon=args.horizon, staleness=args.staleness,
+                window=args.window, activation_prob=args.activation_prob)
 
 
 def _write_json(path, payload):
@@ -95,12 +73,12 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _cmd_space_check(config: RunConfig) -> int:
-    space = ultrametric.load_space(config.instance)
+def _cmd_space_check(args: argparse.Namespace) -> int:
+    space = ultrametric.load_space(args.instance)
     axioms = ultrametric.check_axioms(space)
     isosceles = ultrametric.check_isosceles(space)
     complete = ultrametric.check_spherical_completeness(space)
-    print(f"file: {config.instance}")
+    print(f"file: {args.instance}")
     print(f"elements: {len(space.elements)}")
     print(f"scale: {' < '.join(str(v) for v in space.scale.values)}")
     print(f"axioms: {'ok' if axioms.ok else 'FAIL'}")
@@ -111,9 +89,9 @@ def _cmd_space_check(config: RunConfig) -> int:
     print(f"spherically complete: {'ok' if complete.ok else 'FAIL'}")
     ok = axioms.ok and isosceles.ok and complete.ok
     print(f"result: {'PASS' if ok else 'FAIL'}")
-    if config.json_out:
-        _write_json(config.json_out, {
-            "file": config.instance,
+    if args.json_out:
+        _write_json(args.json_out, {
+            "file": args.instance,
             "elements": len(space.elements),
             "axioms_ok": axioms.ok,
             "isosceles_ok": isosceles.ok,
@@ -130,10 +108,10 @@ def _render_box(box) -> str:
         "{" + ",".join(format_value(v) for v in comp) + "}" for comp in box)
 
 
-def _cmd_aco_certify(config: RunConfig) -> int:
-    op, _ = iteration.load_operator(config.instance)
-    cert = aco.certify_aco(op, **_campaign_args(config))
-    print(f"file: {config.instance}")
+def _cmd_aco_certify(args: argparse.Namespace) -> int:
+    op, _ = iteration.load_operator(args.instance)
+    cert = aco.certify_aco(op, **_campaign_args(args))
+    print(f"file: {args.instance}")
     print(f"verdict: {cert.verdict}")
     if cert.certified:
         seq = cert.box_sequence
@@ -151,19 +129,19 @@ def _cmd_aco_certify(config: RunConfig) -> int:
         rendered = ",".join(format_value(m) for m in fps) if fps else "none"
         print(f"fixed points: {rendered}")
         print(f"stalled at: {_render_box(cert.refutation['stalled_box'])}")
-    if config.json_out:
-        _write_json(config.json_out, cert.to_json_dict())
+    if args.json_out:
+        _write_json(args.json_out, cert.to_json_dict())
     return EXIT_OK if cert.certified else EXIT_FAIL
 
 
-def _cmd_aco_census(config: RunConfig) -> int:
+def _cmd_aco_census(args: argparse.Namespace) -> int:
     census = aco.equivalence_census()
     print(f"operators: {census.total}")
     print(f"verdicts agree on {census.agreements}/{census.total} operators")
     print(f"certified: {census.aco_count}")
     print(f"result: {'PASS' if census.ok else 'FAIL'}")
-    if config.json_out:
-        _write_json(config.json_out, {
+    if args.json_out:
+        _write_json(args.json_out, {
             "operators": census.total,
             "agreements": census.agreements,
             "certified": census.aco_count,
@@ -172,16 +150,16 @@ def _cmd_aco_census(config: RunConfig) -> int:
     return EXIT_OK if census.ok else EXIT_FAIL
 
 
-def _cmd_routing_check(config: RunConfig) -> int:
+def _cmd_routing_check(args: argparse.Namespace) -> int:
     try:
-        instance = routing.load_instance(config.instance)
+        instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
-        print(f"file: {config.instance}")
+        print(f"file: {args.instance}")
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
         return EXIT_FAIL
     report = routing.check_strictly_inflationary(instance)
-    print(f"file: {config.instance}")
+    print(f"file: {args.instance}")
     print(f"paths: {len(instance.paths)}")
     print(f"strictly inflationary: {'yes' if report.ok else 'NO'}")
     if not report.ok:
@@ -206,25 +184,25 @@ def _routing_value(value) -> str:
     return format_value(value)
 
 
-def _cmd_routing_solve(config: RunConfig) -> int:
+def _cmd_routing_solve(args: argparse.Namespace) -> int:
     try:
-        instance = routing.load_instance(config.instance)
+        instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
         return EXIT_FAIL
     result = routing.solve(
-        instance, config.mode, granularity=config.granularity,
-        max_steps=config.max_steps, force=config.force,
-        **_campaign_args(config))
-    print(f"file: {config.instance}")
-    print(f"mode: {config.mode}")
-    print(f"granularity: {config.granularity}")
+        instance, args.mode, granularity=args.granularity,
+        max_steps=args.max_steps, force=args.force,
+        **_campaign_args(args))
+    print(f"file: {args.instance}")
+    print(f"mode: {args.mode}")
+    print(f"granularity: {args.granularity}")
     print(f"status: {result.status}")
     payload = {
-        "file": config.instance,
-        "mode": config.mode,
-        "granularity": config.granularity,
+        "file": args.instance,
+        "mode": args.mode,
+        "granularity": args.granularity,
         "status": result.status,
     }
     if result.status == "converged":
@@ -242,13 +220,13 @@ def _cmd_routing_solve(config: RunConfig) -> int:
         for state in result.finals:
             print(f"  final: {routing.format_state(state)}")
         payload["finals"] = jsonable(result.finals)
-    if config.mode == "sync":
+    if args.mode == "sync":
         conv = result.trajectory.converged_at
         print(f"converged_at: {'none' if conv is None else conv}")
         payload["converged_at"] = conv
-    if config.mode == "async":
+    if args.mode == "async":
         converged = sum(1 for r in result.runs if r.status == "converged")
-        print(f"schedules: {config.schedules}")
+        print(f"schedules: {args.schedules}")
         print(f"converged: {converged}/{len(result.runs)}")
         ticks = [r.converged_at for r in result.runs
                  if r.converged_at is not None]
@@ -260,23 +238,23 @@ def _cmd_routing_solve(config: RunConfig) -> int:
              "converged_at": r.converged_at,
              "final": jsonable(r.final)} for r in result.runs]
         payload["stats"] = result.stats
-    if config.trace:
+    if args.trace:
         # the synchronous run, or the first run of the async campaign
-        emit_trace(config.trace, result.trajectory,
+        emit_trace(args.trace, result.trajectory,
                    distances=_routing_distances(
                        instance, result.trajectory, result.fixed_point),
                    value_format=_routing_value)
-    if config.json_out:
-        _write_json(config.json_out, payload)
+    if args.json_out:
+        _write_json(args.json_out, payload)
     return EXIT_OK if result.status == "converged" else EXIT_FAIL
 
 
-def _cmd_logic_solve(config: RunConfig) -> int:
-    if config.mode == "async":
-        iteration.check_schedules(config.schedules)
-    program = logic.load_program(config.instance)
+def _cmd_logic_solve(args: argparse.Namespace) -> int:
+    if args.mode == "async":
+        iteration.check_schedules(args.schedules)
+    program = logic.load_program(args.instance)
     strat_result = logic.find_stratification(program)
-    print(f"file: {config.instance}")
+    print(f"file: {args.instance}")
     print(f"atoms: {len(program.atoms)}")
     if not strat_result.ok:
         print("stratification: REJECTED")
@@ -287,15 +265,15 @@ def _cmd_logic_solve(config: RunConfig) -> int:
         f"{a}={lvl}" for a, lvl in strat.levels))
     result = logic.compute_perfect_model(program)
     payload = {
-        "file": config.instance,
+        "file": args.instance,
         "atoms": list(program.atoms),
         "strata": {a: lvl for a, lvl in strat.levels},
         "status": result.status,
     }
     if result.status != "converged":
         print(f"status: {result.status}")
-        if config.json_out:
-            _write_json(config.json_out, payload)
+        if args.json_out:
+            _write_json(args.json_out, payload)
         return EXIT_FAIL
     print(f"model: {_fmt_interp(result.model)}")
     print(f"steps: {result.steps}")
@@ -304,33 +282,33 @@ def _cmd_logic_solve(config: RunConfig) -> int:
     payload["model"] = jsonable(result.model)
     payload["steps"] = result.steps
     ok = True
-    if config.mode == "async":
+    if args.mode == "async":
         op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
-        runs = iteration.campaign(op, [start], **_campaign_args(config))
+        runs = iteration.campaign(op, [start], **_campaign_args(args))
         ticks = [r.trajectory.converged_at for r in runs
                  if r.trajectory.status == "converged"
                  and r.trajectory.final == target]
         converged = len(ticks)
-        print(f"schedules: {config.schedules}")
-        print(f"converged to model: {converged}/{config.schedules}")
+        print(f"schedules: {args.schedules}")
+        print(f"converged to model: {converged}/{args.schedules}")
         if converged:
             print(f"max convergence tick: {max(ticks)}")
         payload["async_converged"] = converged
-        payload["async_schedules"] = config.schedules
+        payload["async_schedules"] = args.schedules
         payload["stats"] = iteration.campaign_stats(op, runs)
-        ok = converged == config.schedules
-    if config.trace:
+        ok = converged == args.schedules
+    if args.trace:
         sync_traj = iteration.Trajectory(tuple(  # a converged iteration
             logic.interp_to_tuple(program, i) for i in result.trajectory),
             result.steps - 1, result.status)
         distances = [
             str(logic.interpretation_distance(strat, i, result.model))
             for i in result.trajectory]
-        emit_trace(config.trace, sync_traj, distances=distances)
-    if config.json_out:
-        _write_json(config.json_out, payload)
+        emit_trace(args.trace, sync_traj, distances=distances)
+    if args.json_out:
+        _write_json(args.json_out, payload)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -338,26 +316,26 @@ def _fmt_interp(interp) -> str:
     return "{" + ",".join(sorted(interp)) + "}"
 
 
-def _cmd_run(config: RunConfig) -> int:
-    op, start = iteration.load_operator(config.instance)
+def _cmd_run(args: argparse.Namespace) -> int:
+    op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
-    print(f"file: {config.instance}")
+    print(f"file: {args.instance}")
     print(f"processors: {op.processors}")
-    print(f"mode: {config.mode}")
-    if config.mode == "sync":
-        steps = config.max_steps if config.max_steps is not None \
+    print(f"mode: {args.mode}")
+    if args.mode == "sync":
+        steps = args.max_steps if args.max_steps is not None \
             else op.size() + 1
         traj = iteration.run_sync(op, start, steps)
     else:
-        if config.schedule_file:
-            schedule = iteration.load_schedule(config.schedule_file)
+        if args.schedule_file:
+            schedule = iteration.load_schedule(args.schedule_file)
         else:
             schedule = iteration.sample_schedule(
-                op.processors, config.horizon, config.seed,
-                activation_prob=config.activation_prob,
-                max_staleness=config.staleness,
-                fairness_window=config.window)
+                op.processors, args.horizon, args.seed,
+                activation_prob=args.activation_prob,
+                max_staleness=args.staleness,
+                fairness_window=args.window)
         traj = iteration.run_async(op, start, schedule)
     print(f"status: {traj.status}")
     conv = traj.converged_at
@@ -365,37 +343,9 @@ def _cmd_run(config: RunConfig) -> int:
     print(f"final: {format_value(traj.final)}")
     if traj.status == "cycle":
         print(f"cycle: start={traj.cycle_start} length={traj.cycle_length}")
-    if config.trace:
-        emit_trace(config.trace, traj)
+    if args.trace:
+        emit_trace(args.trace, traj)
     return EXIT_OK if traj.status == "converged" else EXIT_FAIL
-
-
-def dispatch(config: RunConfig) -> int:
-    """Route a configuration to its command, mapping errors to exit codes."""
-    handlers = {
-        ("space", "check"): _cmd_space_check,
-        ("aco", "certify"): _cmd_aco_certify,
-        ("aco", "census"): _cmd_aco_census,
-        ("routing", "check"): _cmd_routing_check,
-        ("routing", "solve"): _cmd_routing_solve,
-        ("logic", "solve"): _cmd_logic_solve,
-        ("run", "sync"): _cmd_run,
-        ("run", "async"): _cmd_run,
-    }
-    handler = handlers.get(config.command)
-    if handler is None:
-        print(f"unknown command: {' '.join(config.command)}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        return handler(config)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
-    except (ValueError, OSError) as exc:
-        # malformed input (bad JSON included), size limits, rejected
-        # sampling parameters, unreadable files
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser):
@@ -416,29 +366,36 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="acokit",
         description="Certify and simulate asynchronously contracting operators")
+    # each leaf names its handler; the dests only name a missing command
+    # in argparse's usage error
     sub = parser.add_subparsers(dest="group", required=True)
 
     space = sub.add_parser("space", help="ultrametric space files")
     space_sub = space.add_subparsers(dest="action", required=True)
     p = space_sub.add_parser("check", help="verify the axioms of a space file")
+    p.set_defaults(handler=_cmd_space_check)
     p.add_argument("instance")
     p.add_argument("--json", dest="json_out")
 
     aco_p = sub.add_parser("aco", help="operator certification")
     aco_sub = aco_p.add_subparsers(dest="action", required=True)
     p = aco_sub.add_parser("certify", help="certify an operator file")
+    p.set_defaults(handler=_cmd_aco_certify)
     p.add_argument("instance")
     p.add_argument("--json", dest="json_out")
     _add_campaign_flags(p)
     p = aco_sub.add_parser("census",
                            help="cross-check both searches on all 2x2 operators")
+    p.set_defaults(handler=_cmd_aco_census)
     p.add_argument("--json", dest="json_out")
 
     routing_p = sub.add_parser("routing", help="path selection instances")
     routing_sub = routing_p.add_subparsers(dest="action", required=True)
     p = routing_sub.add_parser("check", help="validate an instance file")
+    p.set_defaults(handler=_cmd_routing_check)
     p.add_argument("instance")
     p = routing_sub.add_parser("solve", help="run an instance to stability")
+    p.set_defaults(handler=_cmd_routing_solve)
     p.add_argument("instance")
     p.add_argument("--mode", choices=("sync", "async"), default="sync")
     p.add_argument("--granularity", choices=routing.GRANULARITIES,
@@ -453,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     logic_p = sub.add_parser("logic", help="stratified logic programs")
     logic_sub = logic_p.add_subparsers(dest="action", required=True)
     p = logic_sub.add_parser("solve", help="compute the perfect model")
+    p.set_defaults(handler=_cmd_logic_solve)
     p.add_argument("instance")
     p.add_argument("--mode", choices=("sync", "async"), default="sync")
     p.add_argument("--trace", help="write a CSV trace here")
@@ -467,21 +425,12 @@ def build_parser() -> argparse.ArgumentParser:
     async_p.add_argument("--schedule", dest="schedule_file",
                          help="schedule file instead of sampling")
     _add_sampling_flags(async_p)
-    for p in (sync_p, async_p):
+    for mode, p in (("sync", sync_p), ("async", async_p)):
+        p.set_defaults(handler=_cmd_run, mode=mode)
         p.add_argument("instance")
         p.add_argument("--trace", help="write a CSV trace here")
 
     return parser
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    """Each parsed flag fills the field of the same name; ``run`` takes
-    its mode from the action."""
-    values = {f.name: getattr(args, f.name)
-              for f in fields(RunConfig) if hasattr(args, f.name)}
-    if args.group == "run":
-        values["mode"] = args.action
-    return RunConfig(command=(args.group, args.action), **values)
 
 
 def main(argv=None) -> int:
@@ -490,7 +439,16 @@ def main(argv=None) -> int:
                         stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    return dispatch(config_from_args(args))
+    try:
+        return args.handler(args)
+    except PreconditionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAIL
+    except (ValueError, OSError) as exc:
+        # malformed input (bad JSON included), size limits, rejected
+        # sampling parameters, unreadable files
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

@@ -465,22 +465,28 @@ def load_schedule(source) -> Schedule:
     rejected as a whole, before any run reads it.
     """
     doc = _load_json(source)
-    horizon = int(doc["horizon"])
-    raw_acts = doc["activations"]
-    if len(raw_acts) != horizon:
-        raise ScheduleRejectedError("activations must list one set per tick")
-    k = int(doc.get("processors", 0))
-    if not k:
-        k = max((max(a) + 1 for a in raw_acts if a), default=1)
-    activations = tuple(frozenset(int(i) for i in a) for a in raw_acts)
+    try:
+        horizon = int(doc["horizon"])
+        raw_acts = doc["activations"]
+        if len(raw_acts) != horizon:
+            raise ScheduleRejectedError(
+                "activations must list one set per tick")
+        k = int(doc.get("processors", 0))
+        if not k:
+            k = max((max(a) + 1 for a in raw_acts if a), default=1)
+        activations = tuple(frozenset(int(i) for i in a) for a in raw_acts)
 
-    delay_rows = [
-        [[t - 1] * k for _ in range(k)] for t in range(1, horizon + 1)]
-    for entry in doc.get("delays", []):
-        t, i, j, src = (int(x) for x in entry)
-        if not 1 <= t <= horizon or not 0 <= i < k or not 0 <= j < k:
-            raise ScheduleRejectedError(f"delay entry {entry!r} out of range")
-        delay_rows[t - 1][i][j] = src
+        delay_rows = [
+            [[t - 1] * k for _ in range(k)] for t in range(1, horizon + 1)]
+        for entry in doc.get("delays", []):
+            t, i, j, src = (int(x) for x in entry)
+            if not 1 <= t <= horizon or not 0 <= i < k or not 0 <= j < k:
+                raise ScheduleRejectedError(
+                    f"delay entry {entry!r} out of range")
+            delay_rows[t - 1][i][j] = src
+    except (KeyError, TypeError) as exc:
+        raise ScheduleRejectedError(
+            f"bad schedule description: {exc}") from None
     delays = tuple(tuple(tuple(r) for r in row) for row in delay_rows)
 
     staleness = max([1] + [t - b for t, row in enumerate(delays, 1)
@@ -509,20 +515,23 @@ def load_operator(source):
     Returns ``(operator, start_or_None)``.
     """
     doc = _load_json(source)
-    domains = [tuple(_scalar(v) for v in dom) for dom in doc["domains"]]
-    table = {}
-    for pair in doc["map"]:
-        if len(pair) != 2:
-            raise PreconditionError(f"map entry {pair!r} is not a pair")
-        state = tuple(_scalar(v) for v in pair[0])
-        if state in table:
-            raise PreconditionError(f"map lists state {state!r} twice")
-        table[state] = tuple(_scalar(v) for v in pair[1])
-    op = DecomposedOperator.from_table(domains, table)
-    start = None
-    if "start" in doc:
-        start = tuple(_scalar(v) for v in doc["start"])
-        op.check_state(start)
+    try:
+        domains = [tuple(_scalar(v) for v in dom) for dom in doc["domains"]]
+        table = {}
+        for pair in doc["map"]:
+            if len(pair) != 2:
+                raise PreconditionError(f"map entry {pair!r} is not a pair")
+            state = tuple(_scalar(v) for v in pair[0])
+            if state in table:
+                raise PreconditionError(f"map lists state {state!r} twice")
+            table[state] = tuple(_scalar(v) for v in pair[1])
+        op = DecomposedOperator.from_table(domains, table)
+        start = None
+        if "start" in doc:
+            start = tuple(_scalar(v) for v in doc["start"])
+            op.check_state(start)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"bad operator description: {exc}") from None
     return op, start
 
 

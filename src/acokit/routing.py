@@ -124,8 +124,8 @@ class Preference:
                 cycle = _derivation_path(n, declared, j, i)
                 witness = (paths[i],) + tuple(paths[x] for x in cycle)
                 raise PreferenceCycleError(
-                    "declared strict preference "
-                    f"{_fmt(paths[i])} < {_fmt(paths[j])} lies on a cycle",
+                    f"declared strict preference {format_path(paths[i])} < "
+                    f"{format_path(paths[j])} lies on a cycle",
                     cycle=witness)
 
         matrix = tuple(tuple(row) for row in closure)
@@ -156,9 +156,6 @@ def format_path(p: Path) -> str:
     if len(p) == 1:
         return "eps"
     return "(" + " ".join(str(v) for v in p) + ")"
-
-
-_fmt = format_path
 
 
 def format_state(state) -> str:
@@ -329,22 +326,20 @@ def load_instance(source) -> SppInstance:
         nodes = [str(n) for n in doc["nodes"]]
         dest = str(doc["dest"])
         arcs = [(str(u), str(v)) for u, v in doc["arcs"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PreconditionError(f"bad instance description: {exc}") from None
-    permitted = None
-    if "permitted" in doc:
-        permitted = {
-            str(node): [tuple(str(x) for x in p) for p in plist]
-            for node, plist in doc["permitted"].items()}
-    spec = doc.get("preference", {"kind": "hop-count"})
-    kind = spec.get("kind")
-    if kind == "hop-count":
-        preference = "hop-count"
-    elif kind == "explicit":
-        preference = [
-            (tuple(str(x) for x in p), tuple(str(x) for x in q))
-            for p, q in spec.get("pairs", [])]
-    else:
+        permitted = None
+        if "permitted" in doc:
+            permitted = {
+                str(node): [tuple(str(x) for x in p) for p in plist]
+                for node, plist in doc["permitted"].items()}
+        spec = doc.get("preference", {"kind": "hop-count"})
+        preference = kind = spec.get("kind")
+        if kind == "explicit":
+            preference = [
+                (tuple(str(x) for x in p), tuple(str(x) for x in q))
+                for p, q in spec.get("pairs", [])]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad instance description: {exc}") from None
+    if kind not in ("hop-count", "explicit"):
         raise PreconditionError(f"unknown preference kind {kind!r}")
     return make_instance(nodes, dest, arcs, permitted, preference)
 
@@ -386,10 +381,6 @@ class PathHeight:
 
     def of(self, p: Path) -> int:
         return self.mapping[p]
-
-    @property
-    def max_height(self) -> int:
-        return max(h for _, h in self.table)
 
 
 def path_height(instance: SppInstance) -> PathHeight:

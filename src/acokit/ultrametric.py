@@ -629,18 +629,19 @@ def load_space(source) -> FiniteUltrametricSpace:
         elements = [str(e) for e in doc["elements"]]
         scale_labels = [str(v) for v in doc["scale"]]
         triples = doc.get("dist", [])
+        if not scale_labels or scale_labels[0] != "0":
+            raise MalformedSpaceError('scale must start with the label "0"')
+        scale = RadiusScale(tuple(scale_labels))
+
+        table: dict[tuple, str] = {}
+        for entry in triples:
+            if len(entry) != 3:
+                raise MalformedSpaceError(
+                    f"dist entry {entry!r} is not a triple")
+            m, n, label = (str(x) for x in entry)
+            table[(m, n)] = label
     except (KeyError, TypeError) as exc:
         raise MalformedSpaceError(f"bad space description: {exc}") from None
-    if not scale_labels or scale_labels[0] != "0":
-        raise MalformedSpaceError('scale must start with the label "0"')
-    scale = RadiusScale(tuple(scale_labels))
-
-    table: dict[tuple, str] = {}
-    for entry in triples:
-        if len(entry) != 3:
-            raise MalformedSpaceError(f"dist entry {entry!r} is not a triple")
-        m, n, label = (str(x) for x in entry)
-        table[(m, n)] = label
     for m, n in itertools.product(elements, repeat=2):
         if (m, n) in table:
             continue

@@ -12,12 +12,15 @@ import json
 from fractions import Fraction
 
 
-def _load_json(source):
-    """The JSON document at a path, or ``source`` itself when it is
-    already a parsed document."""
+def _load_json(source) -> dict:
+    """The JSON object at a path, or ``source`` itself when it is already
+    a parsed document.  Any document but an object is malformed."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            source = json.load(fh)
+    if not isinstance(source, dict):
+        raise ValueError(
+            f"expected a JSON object, got {type(source).__name__}")
     return source
 
 

@@ -32,6 +32,8 @@ from acokit.ultrametric import (
     NOT_CONTRACTION,
     Ball,
     ContractionReport,
+    FiniteUltrametricSpace,
+    RadiusScale,
     ball_members,
     check_axioms,
     classify_contraction,
@@ -307,6 +309,21 @@ def test_boxes_from_ultrametric_requires_qualifying_map(ring3):
         if space.distance_index(fixed, e) <= r)
         for r in range(len(space.scale))}
     assert len(seq.boxes) == len(distinct)
+
+
+def test_boxes_from_ultrametric_rejects_a_ball_that_is_not_a_box():
+    # only (0, 0) and (1, 1) are at distance 1: the radius-1 ball about
+    # the fixed point (0, 0) is that diagonal pair, which no box equals
+    def dist(m, n):
+        if m == n:
+            return "0"
+        return "1" if {m, n} == {(0, 0), (1, 1)} else "2"
+
+    space = FiniteUltrametricSpace(STATES22, RadiusScale(("0", "1", "2")),
+                                   dist)
+    assert check_axioms(space).ok
+    with pytest.raises(PreconditionError, match="not a box"):
+        boxes_from_ultrametric(space, constant_op())
 
 
 def test_ultrametric_from_boxes_distances():

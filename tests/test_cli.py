@@ -348,6 +348,45 @@ def _operator_file(tmp_path, **fields):
     return str(path)
 
 
+_CONSTANT_MAP = [[[a, b], [0, 0]] for a in (0, 1) for b in (0, 1)]
+_RING3 = {"nodes": ["d", "1", "2"], "dest": "d",
+          "arcs": [["1", "d"], ["2", "d"], ["1", "2"], ["2", "1"]]}
+_MALFORMED_OPERATORS = {
+    "no-domains": {"map": _CONSTANT_MAP},
+    "int-domains": {"domains": 5, "map": _CONSTANT_MAP},
+    "int-start": {"domains": [[0, 1], [0, 1]], "map": _CONSTANT_MAP,
+                  "start": 7},
+    "top-level-list": [[0, 1], [0, 1]],
+}
+# argv with DOC for the malformed file and OP for a well-formed operator
+MALFORMED_FILES = [
+    pytest.param(argv, doc, id=f"{argv[1]}-{name}")
+    for name, doc in _MALFORMED_OPERATORS.items()
+    for argv in (("aco", "certify", "DOC"), ("run", "sync", "DOC"))
+] + [
+    pytest.param(("run", "async", "OP", "--schedule", "DOC"),
+                 {"activations": [[0], [1]]}, id="schedule-no-horizon"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "permitted": [["1", "d"]]}, id="list-permitted"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "preference": "hop-count"}, id="str-preference"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a"], "scale": ["0"], "dist": 5},
+                 id="int-dist"),
+]
+
+
+@pytest.mark.parametrize("argv, doc", MALFORMED_FILES)
+def test_malformed_files_exit_2_with_one_error_line(tmp_path, capsys, argv,
+                                                    doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    files = {"DOC": str(path), "OP": _operator_file(tmp_path)}
+    code, _, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == EXIT_BAD_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("start", [[2, 1], [True, 1]])
 def test_run_rejects_a_start_outside_the_domain(tmp_path, capsys, start):
     trace = tmp_path / "trace.csv"
