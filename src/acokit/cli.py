@@ -320,14 +320,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
-    print(f"file: {args.instance}")
-    print(f"processors: {op.processors}")
-    print(f"mode: {args.mode}")
-    if args.mode == "sync":
-        steps = args.max_steps if args.max_steps is not None \
-            else op.size() + 1
-        traj = iteration.run_sync(op, start, steps)
-    else:
+    # a rejected schedule or sampling flag must leave stdout empty
+    if args.mode == "async":
         if args.schedule_file:
             schedule = iteration.load_schedule(args.schedule_file)
         else:
@@ -336,6 +330,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 activation_prob=args.activation_prob,
                 max_staleness=args.staleness,
                 fairness_window=args.window)
+    print(f"file: {args.instance}")
+    print(f"processors: {op.processors}")
+    print(f"mode: {args.mode}")
+    if args.mode == "sync":
+        steps = args.max_steps if args.max_steps is not None \
+            else op.size() + 1
+        traj = iteration.run_sync(op, start, steps)
+    else:
         traj = iteration.run_async(op, start, schedule)
     print(f"status: {traj.status}")
     conv = traj.converged_at

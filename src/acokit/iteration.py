@@ -107,6 +107,11 @@ class DecomposedOperator:
     def component(self, i: int, state: tuple):
         return self.apply(state)[i]
 
+    def known_image(self, state: tuple) -> tuple | None:
+        """The image :meth:`apply` has already computed for ``state``, or
+        ``None``; never calls the callable."""
+        return self._images.get(state)
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -243,16 +248,20 @@ def sample_schedule(k: int, horizon: int, seed: int, *,
         raise ScheduleRejectedError("k and horizon must be at least 1")
 
     def draw(rng):
+        # rng.choices(range(lo, t), k=k) inlined: the same random() calls,
+        # each mapped to lo + floor(random() * n) as choices maps it
+        random, floor, ks = rng.random, math.floor, range(k)
         last_active = [0] * k
         for t in itertools.count(1):
-            active = [i for i in range(k)
-                      if rng.random() < activation_prob
+            active = [i for i in ks
+                      if random() < activation_prob
                       or t - last_active[i] >= fairness_window]
-            past = range(max(0, t - max_staleness), t)
+            lo = max(0, t - max_staleness)
+            n = float(t - lo)
             rows = [None] * k
             for i in active:
                 last_active[i] = t
-                rows[i] = tuple(rng.choices(past, k=k))
+                rows[i] = tuple([lo + floor(random() * n) for _ in ks])
             yield frozenset(active), tuple(rows)
 
     return SampledSchedule(k, horizon, max_staleness, fairness_window,
@@ -271,17 +280,22 @@ def _tick_violation(t, active, rows, last_active, staleness_bound,
 
     Checks causality and staleness of the rows the active processors read,
     and that no processor has been idle for more than the fairness window;
-    then records tick ``t``'s activations in ``last_active``.
+    then records tick ``t``'s activations in ``last_active``.  Each check
+    first tests the bounds of a whole row (or of ``last_active``) and scans
+    element by element, for the first violation, only when that fails.
     """
-    for i in sorted(active):
-        for j, b in enumerate(rows[i]):
-            if not 0 <= b <= t - 1:
-                return ("causality", t, i, j, b)
-            if t - b > staleness_bound:
-                return ("staleness", t, i, j, b)
-    for i, last in enumerate(last_active):
-        if t - last > fairness_window:
-            return ("fairness", (last + 1, last + fairness_window), i)
+    oldest = max(0, t - staleness_bound)
+    if any(min(rows[i]) < oldest or max(rows[i]) >= t for i in active):
+        for i in sorted(active):
+            for j, b in enumerate(rows[i]):
+                if not 0 <= b <= t - 1:
+                    return ("causality", t, i, j, b)
+                if t - b > staleness_bound:
+                    return ("staleness", t, i, j, b)
+    if t - min(last_active) > fairness_window:
+        for i, last in enumerate(last_active):
+            if t - last > fairness_window:
+                return ("fairness", (last + 1, last + fairness_window), i)
     for i in active:
         last_active[i] = t
     return None
@@ -358,6 +372,15 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     the state has been quiet for ``staleness_bound + fairness_window``
     ticks, after which no stale value can revive a change;
     ``converged_at`` is the last tick a change occurred.
+
+    The run settles at tick ``t`` when the states of ticks
+    ``max(0, t - staleness_bound) .. t - 1`` all equal the last state ``x``
+    and the operator already knows ``F(x) == x``.  An admissible tick reads
+    only those states, so every view is ``x`` and the new state is ``x``
+    again, at every later tick too.  From then on the run evaluates
+    nothing, but it still reads (draws and checks) every tick up to where
+    it would have stopped, so the trajectory and ``op.evaluations`` are
+    those of evaluating every view.
     """
     start = tuple(start)
     op.check_state(start)
@@ -366,19 +389,28 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
             f"schedule has {schedule.processors} processors, "
             f"operator has {op.processors}")
 
-    quiet_needed = schedule.staleness_bound + schedule.fairness_window
+    staleness = schedule.staleness_bound
+    quiet_needed = staleness + schedule.fairness_window
+    horizon = schedule.horizon
+    tick, apply, known_image = schedule.tick, op.apply, op.known_image
     states = [start]
     activations = []
     last_change = 0
-    for t in range(1, schedule.horizon + 1):
-        active, rows = schedule.tick(t)
-        activations.append(active)
+    for t in range(1, horizon + 1):
         prev = states[-1]
+        if (last_change == 0 or t - last_change >= staleness) \
+                and known_image(prev) == prev:
+            stop = min(horizon, last_change + quiet_needed)
+            activations.extend(tick(u)[0] for u in range(t, stop + 1))
+            states.extend([prev] * (stop + 1 - t))
+            break
+        active, rows = tick(t)
+        activations.append(active)
         nxt = list(prev)
         for i in active:
             # component j as processor i reads it: its value at tick b
             view = tuple([states[b][j] for j, b in enumerate(rows[i])])
-            nxt[i] = op.component(i, view)
+            nxt[i] = apply(view)[i]
         nxt = tuple(nxt)
         states.append(nxt)
         if nxt != prev:

@@ -1,10 +1,12 @@
 import glob
+import itertools
 import os
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 from acokit import logic, routing
+from acokit.aco import box_contains, box_members, box_size
 
 settings.register_profile(
     "suite",
@@ -33,6 +35,25 @@ BAD_MAP_INPUTS = [
     ([[0, 0], [0, 1], [1, 0], [1, 1], [1, 0]],
      "map lists state (1, 0) twice"),
 ]
+
+
+def chain_table(domains, choice, subset):
+    """A random chain of boxes, outermost first, and a map sending each
+    state into the box next inside the innermost one holding it; returns
+    the map and the chain's fixed point.  ``choice(xs)`` picks one of
+    ``xs`` and ``subset(xs)`` a nonempty proper subset."""
+    chain = [domains]
+    while box_size(chain[-1]) > 1:
+        box = chain[-1]
+        i = choice([i for i, comp in enumerate(box) if len(comp) > 1])
+        keep = tuple(sorted(subset(box[i])))
+        chain.append(box[:i] + (keep,) + box[i + 1:])
+    table = {}
+    for s in itertools.product(*domains):
+        depth = max(d for d, box in enumerate(chain) if box_contains(box, s))
+        target = chain[min(depth + 1, len(chain) - 1)]
+        table[s] = tuple(choice(comp) for comp in target)
+    return table, next(box_members(chain[-1]))
 
 
 def corpus_path(*parts) -> str:

@@ -5,12 +5,19 @@ definitions read; the library decides the same questions from ball
 labels without listing pairs, and searches height assignments all at
 once.  The operators they check against are evaluated as their
 definitions read too, not from the library's compiled bit-mask rules.
+
+The asynchronous oracles at the end do the same for runs and schedules:
+a run that evaluates every view, ticks drawn with ``random.choices`` and
+an admissibility check that scans every delay.
 """
 
 import functools
 import itertools
+import random
 
 from acokit import routing
+from acokit.errors import PreconditionError
+from acokit.iteration import Trajectory
 from acokit.ultrametric import (
     CONTRACTION,
     NOT_CONTRACTION,
@@ -141,4 +148,78 @@ def search_ultrametric_by_pairs(op):
             return (tuple(range(max(row) + 1)),
                     tuple({v: h[i, v] for v in dom}
                           for i, dom in enumerate(op.domains)))
+    return None
+
+
+def run_async_by_definition(op, start, schedule):
+    """The run :func:`iteration.run_async` must produce, evaluating the
+    view of every active processor at every tick it reads."""
+    start = tuple(start)
+    op.check_state(start)
+    if schedule.processors != op.processors:
+        raise PreconditionError(
+            f"schedule has {schedule.processors} processors, "
+            f"operator has {op.processors}")
+
+    quiet_needed = schedule.staleness_bound + schedule.fairness_window
+    states = [start]
+    activations = []
+    last_change = 0
+    for t in range(1, schedule.horizon + 1):
+        active, rows = schedule.tick(t)
+        activations.append(active)
+        prev = states[-1]
+        nxt = list(prev)
+        for i in active:
+            # component j as processor i reads it: its value at tick b
+            view = tuple([states[b][j] for j, b in enumerate(rows[i])])
+            nxt[i] = op.component(i, view)
+        nxt = tuple(nxt)
+        states.append(nxt)
+        if nxt != prev:
+            last_change = t
+        elif t - last_change >= quiet_needed:
+            break
+    if len(activations) - last_change >= quiet_needed:
+        return Trajectory(tuple(states), last_change, "converged",
+                          activations=tuple(activations))
+    return Trajectory(tuple(states), None, "horizon-exhausted",
+                      activations=tuple(activations))
+
+
+def sampled_ticks_by_choices(k, seed, ticks, activation_prob, max_staleness,
+                             fairness_window):
+    """Ticks ``1 .. ticks`` of :func:`iteration.sample_schedule`, each
+    delay row drawn with ``random.choices`` over the bounded past."""
+    rng = random.Random(seed)
+    last_active = [0] * k
+    out = []
+    for t in range(1, ticks + 1):
+        active = [i for i in range(k)
+                  if rng.random() < activation_prob
+                  or t - last_active[i] >= fairness_window]
+        past = range(max(0, t - max_staleness), t)
+        rows = [None] * k
+        for i in active:
+            last_active[i] = t
+            rows[i] = tuple(rng.choices(past, k=k))
+        out.append((frozenset(active), tuple(rows)))
+    return out
+
+
+def tick_violation_by_scan(t, active, rows, last_active, staleness_bound,
+                           fairness_window):
+    """:func:`iteration._tick_violation` as a scan of every delay and every
+    processor's last activation, updating ``last_active`` alike."""
+    for i in sorted(active):
+        for j, b in enumerate(rows[i]):
+            if not 0 <= b <= t - 1:
+                return ("causality", t, i, j, b)
+            if t - b > staleness_bound:
+                return ("staleness", t, i, j, b)
+    for i, last in enumerate(last_active):
+        if t - last > fairness_window:
+            return ("fairness", (last + 1, last + fairness_window), i)
+    for i in active:
+        last_active[i] = t
     return None

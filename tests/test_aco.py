@@ -10,7 +10,6 @@ from acokit import aco, iteration, routing
 from acokit.aco import (
     BoxSequence,
     boxes_from_ultrametric,
-    box_contains,
     box_members,
     box_size,
     certify_aco,
@@ -38,6 +37,7 @@ from acokit.ultrametric import (
     check_axioms,
     classify_contraction,
 )
+from conftest import chain_table
 from pair_oracles import search_ultrametric_by_pairs
 
 DOM22 = ((0, 1), (0, 1))
@@ -151,25 +151,6 @@ def test_box_census_3x2():
 
 
 SHAPES = (((0, 1),) * 3, ((0, 1, 2),) * 2, ((0, 1, 2, 3), (0, 1)))
-
-
-def chain_table(domains, choice, subset):
-    """A random chain of boxes, outermost first, and a map sending each
-    state into the box next inside the innermost one holding it; returns
-    the map and the chain's fixed point.  ``choice(xs)`` picks one of
-    ``xs`` and ``subset(xs)`` a nonempty proper subset."""
-    chain = [domains]
-    while box_size(chain[-1]) > 1:
-        box = chain[-1]
-        i = choice([i for i, comp in enumerate(box) if len(comp) > 1])
-        keep = tuple(sorted(subset(box[i])))
-        chain.append(box[:i] + (keep,) + box[i + 1:])
-    table = {}
-    for s in itertools.product(*domains):
-        depth = max(d for d, box in enumerate(chain) if box_contains(box, s))
-        target = chain[min(depth + 1, len(chain) - 1)]
-        table[s] = tuple(choice(comp) for comp in target)
-    return table, next(box_members(chain[-1]))
 
 
 @given(st.data())

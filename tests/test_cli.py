@@ -421,6 +421,31 @@ def test_run_rejects_bad_map_inputs(tmp_path, capsys, inputs, message):
     assert not trace.exists()
 
 
+@pytest.mark.parametrize("flags, doc, exit_code", [
+    (("--schedule", "DOC"), {"activations": [[0], [1]]}, EXIT_BAD_INPUT),
+    # tick 3 reads its own tick
+    (("--schedule", "DOC"), {"horizon": 4, "processors": 2,
+                             "activations": [[0, 1]] * 4,
+                             "delays": [[3, 0, 1, 3]]}, EXIT_FAIL),
+    (("--max-staleness", "0"), None, EXIT_BAD_INPUT),
+    (("--activation-prob", "0"), None, EXIT_BAD_INPUT),
+    (("--fairness-window", "1"), None, EXIT_BAD_INPUT),
+    (("--horizon", "0"), None, EXIT_BAD_INPUT),
+], ids=["malformed", "inadmissible", "staleness", "prob", "window", "horizon"])
+def test_run_async_rejects_a_schedule_before_printing(tmp_path, capsys, flags,
+                                                      doc, exit_code):
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    trace = tmp_path / "trace.csv"
+    argv = [str(path) if a == "DOC" else a for a in flags]
+    code, out, err = run_cli(capsys, "run", "async", _operator_file(tmp_path),
+                             *argv, "--trace", str(trace))
+    assert code == exit_code
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()
+
+
 @pytest.mark.parametrize("mode, flag", [
     ("sync", "--schedule"), ("sync", "--seed"), ("sync", "--schedules"),
     ("sync", "--horizon"), ("sync", "--max-staleness"),

@@ -1,7 +1,9 @@
+import itertools
 import logging
+import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit import iteration
@@ -21,7 +23,12 @@ from acokit.iteration import (
 )
 from acokit import routing
 
-from conftest import BAD_MAP_INPUTS
+from conftest import BAD_MAP_INPUTS, chain_table
+from pair_oracles import (
+    run_async_by_definition,
+    sampled_ticks_by_choices,
+    tick_violation_by_scan,
+)
 
 
 def constant_op():
@@ -124,6 +131,42 @@ def test_sampled_schedules_always_admissible(seed, k, staleness):
     sched = sample_schedule(k, 40, seed, max_staleness=staleness,
                             fairness_window=8)
     assert check_admissible_prefix(sched).ok
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("prob", [0.3, 0.5, 1.0])
+def test_sampled_ticks_equal_ticks_drawn_with_choices(k, seed, prob):
+    for staleness in (1, 3, 6):
+        for window in (4, 8):
+            sched = sample_schedule(k, 60, seed, activation_prob=prob,
+                                    max_staleness=staleness,
+                                    fairness_window=window)
+            assert ticks(sched) == sampled_ticks_by_choices(
+                k, seed, 60, prob, staleness, window)
+
+
+@given(st.data())
+def test_tick_check_reports_the_first_violation_of_the_scan(data):
+    k = data.draw(st.integers(1, 4))
+    t = data.draw(st.integers(1, 12))
+    staleness = data.draw(st.integers(1, 6))
+    window = data.draw(st.integers(1, 8))
+    active = data.draw(st.frozensets(st.integers(0, k - 1)))
+    # mostly admissible delays, some out of range either way
+    delay = st.one_of(st.integers(max(0, t - staleness), t - 1),
+                      st.integers(-2, t + 2))
+    rows = tuple(
+        tuple(data.draw(st.lists(delay, min_size=k, max_size=k)))
+        if i in active or data.draw(st.booleans()) else None
+        for i in range(k))
+    last_active = data.draw(st.lists(st.integers(max(0, t - 10), t - 1),
+                                     min_size=k, max_size=k))
+    fast, scanned = list(last_active), list(last_active)
+    assert iteration._tick_violation(t, active, rows, fast, staleness,
+                                     window) == \
+        tick_violation_by_scan(t, active, rows, scanned, staleness, window)
+    assert fast == scanned
 
 
 def test_sample_schedule_rejects_bad_parameters():
@@ -429,6 +472,108 @@ def test_dense_schedule_with_a_bad_tick_raises_on_every_run():
             run_async(identity_op(), (0, 1), bad)
     assert bad.tick(3) == sched.tick(3)
     assert check_admissible_prefix(bad).violation == ("causality", 4, 1, 0, 4)
+
+
+def test_settled_run_still_checks_every_tick():
+    op = constant_op()
+    op.apply((0, 0))  # the fixed point is known before any run
+    sched = make_synchronous_schedule(2, 12)
+    delays = [list(list(r) for r in row) for row in sched.delays]
+    delays[4][1][0] = 5  # tick 5 reads from its own tick
+    # staleness bound 5 and window 1: a quiet run stops at tick 6
+    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
+                                     for row in delays), staleness_bound=5)
+    for _ in range(3):
+        with pytest.raises(PreconditionError, match="causality"):
+            run_async(op, (0, 0), bad)
+    assert op.evaluations == 1
+
+
+def test_settled_run_evaluates_no_view(monkeypatch):
+    op = constant_op()
+    sched = sample_schedule(2, 200, 4)
+    first = run_async(op, (0, 0), sched)  # learns F(0, 0) = (0, 0)
+    calls = []
+    monkeypatch.setattr(op, "apply", lambda state: calls.append(state))
+    assert run_async(op, (0, 0), sched) == first
+    assert calls == []
+    assert len(first.states) == 1 + 5 + 8  # quiet for staleness + window
+
+
+def test_run_does_not_settle_while_an_older_state_is_readable():
+    # (0, 0) is a known fixed point, reached at tick 1; at tick 2 processor
+    # 0 still reads its start value and leaves it
+    table = {(0, 0): (0, 0), (1, 1): (0, 0), (1, 0): (1, 1), (0, 1): (1, 1)}
+    op = DecomposedOperator.from_table(((0, 1),) * 2, table)
+    ref = DecomposedOperator.from_table(((0, 1),) * 2, table)
+    op.apply((0, 0))
+    ref.apply((0, 0))
+    sched = make_synchronous_schedule(2, 10)
+    delays = [list(list(r) for r in row) for row in sched.delays]
+    delays[1][0][0] = 0
+    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
+                                     for row in delays), staleness_bound=2)
+    traj = run_async(op, (1, 1), bad)
+    assert traj.states[:3] == ((1, 1), (0, 0), (1, 0))
+    assert traj == run_async_by_definition(ref, (1, 1), bad)
+    assert op.evaluations == ref.evaluations
+
+
+RUN_SHAPES = (((0, 1),) * 2, ((0, 1, 2), (0, 1)), ((0, 1),) * 3)
+
+
+def _dense_copy(sched, horizon):
+    """A :class:`Schedule` storing ticks ``1 .. horizon`` of ``sched``,
+    idle rows filled with ``t - 1``."""
+    drawn = ticks(sched, horizon)
+    return Schedule(
+        sched.processors, horizon, tuple(a for a, _ in drawn),
+        tuple(tuple(row or (t - 1,) * sched.processors for row in rows)
+              for t, (_, rows) in enumerate(drawn, 1)),
+        sched.staleness_bound, sched.fairness_window)
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_run_async_equals_the_run_that_evaluates_every_view(data):
+    domains = data.draw(st.sampled_from(RUN_SHAPES))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, _ = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
+    else:
+        table = {s: data.draw(st.sampled_from(states)) for s in states}
+    prob = data.draw(st.sampled_from([0.3, 0.5, 1.0]))
+    staleness = data.draw(st.integers(1, 6))
+    window = data.draw(st.integers(math.ceil(1 / prob), 8))
+    horizon = data.draw(st.integers(1, 30))  # cuts off some runs
+    seed = data.draw(st.integers(0, 10_000))
+    kind = data.draw(st.sampled_from(["sampled", "dense", "synchronous"]))
+
+    def schedule():
+        if kind == "synchronous":
+            return make_synchronous_schedule(len(domains), horizon)
+        sched = sample_schedule(len(domains), horizon, seed,
+                                activation_prob=prob,
+                                max_staleness=staleness,
+                                fairness_window=window)
+        return sched if kind == "sampled" else _dense_copy(sched, horizon)
+
+    # runs share one operator and one schedule, as in a campaign, so later
+    # runs meet states whose image is already known
+    op = DecomposedOperator.from_table(domains, table)
+    ref = DecomposedOperator.from_table(domains, table)
+    for state in data.draw(st.lists(st.sampled_from(states), max_size=4)):
+        op.apply(state)  # images known before any run
+        ref.apply(state)
+    sched, ref_sched = schedule(), schedule()
+    for start in data.draw(st.lists(st.sampled_from(states), min_size=1,
+                                    max_size=8)):
+        assert run_async(op, start, sched) == \
+            run_async_by_definition(ref, start, ref_sched)
+        assert op.evaluations == ref.evaluations
 
 
 @pytest.mark.parametrize("schedules", [0, -1])
