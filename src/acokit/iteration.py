@@ -6,13 +6,14 @@ means: delays point strictly into the past (causality), no value older
 than the staleness bound is ever read, and every processor activates in
 every window of the fairness length.
 
-Runs read a schedule tick by tick through ``schedule.tick(t)``: a
-:class:`Schedule` stores every tick, a :class:`SampledSchedule` draws each
-tick the first time a run reads it.  Either way the schedule checks a tick
-for admissibility the first time it is read, before any run uses it, so
-the runs that share a schedule check each tick once between them.
-:func:`campaign` is the one place that maps a seed to a sampled schedule
-and runs starts under it.
+Runs read a schedule tick by tick through ``schedule.tick(t)``.  A
+:class:`Schedule` pulls each tick from an iterator the first time a run
+reads it: a sampled schedule draws it from a seeded generator, a
+synchronous one builds it, a loaded one reads it from the file's table.
+The schedule checks the tick for admissibility and shape before any run
+uses it and keeps it, so the runs that share a schedule see the same
+ticks and check each one once between them.  :func:`campaign` is the one
+place that maps a seed to a sampled schedule and runs starts under it.
 """
 
 from __future__ import annotations
@@ -37,9 +38,10 @@ class DecomposedOperator:
 
     The callable must be pure and deterministic: equal states give equal
     images and nothing else is read.  :meth:`apply` relies on it: it
-    calls the callable once per distinct state and keeps the image, one
-    entry per distinct state read, for as long as the operator lives.
-    ``evaluations`` counts the calls made to the callable.
+    calls the callable once per distinct state, checks that the image is a
+    state of the domain and keeps it, one entry per distinct state read,
+    for as long as the operator lives.  ``evaluations`` counts the calls
+    made to the callable.
     """
 
     def __init__(self, domains, global_fn):
@@ -101,6 +103,10 @@ class DecomposedOperator:
             out = tuple(self._global(state))
         except KeyError:
             raise PreconditionError(f"state {state!r} outside domain") from None
+        self._check(out, "operator maps its domain outside itself: "
+                    "image {!r} has the wrong shape",
+                    "operator maps its domain outside itself: "
+                    "image holds {!r}")
         self._images[state] = out
         return out
 
@@ -113,50 +119,63 @@ class DecomposedOperator:
         return self._images.get(state)
 
 
-@dataclass(frozen=True)
 class Schedule:
-    """Finite-horizon activation sets and delay maps, stored densely.
+    """Finite-horizon activation sets and delay maps, read tick by tick.
 
-    ``activations[t-1]`` is the processor set active at tick ``t``;
-    ``delays[t-1][i][j]`` is the time whose value of processor ``j`` is
-    read by ``i`` when it activates at ``t``.  ``staleness_bound`` and
-    ``fairness_window`` are the bounds this schedule claims to satisfy;
-    :meth:`tick` checks them tick by tick and
-    :func:`check_admissible_prefix` over the whole horizon.
+    Tick ``t`` is ``(active set, delay rows)``: ``rows[i][j]`` is the time
+    whose value of processor ``j`` is read by ``i`` when it activates at
+    ``t``, and row ``i`` is read only when ``i`` is active.  Ticks are
+    pulled in order from ``ticks`` (ticks 1, 2, ...) the first time any
+    run reads them, checked with :func:`_tick_violation` against the
+    ``staleness_bound`` and ``fairness_window`` the schedule claims, and
+    kept once they pass, so every run that shares a schedule sees the same
+    ticks and each tick is checked once.  A tick that fails is never kept:
+    it and every later tick raise on every read.
     """
 
-    processors: int
-    horizon: int
-    activations: tuple[frozenset, ...]
-    delays: tuple
-    staleness_bound: int
-    fairness_window: int
-
-    def __post_init__(self):
-        if self.processors < 1:
+    def __init__(self, processors: int, horizon: int, staleness_bound: int,
+                 fairness_window: int, ticks):
+        if processors < 1:
             raise ScheduleRejectedError("need at least one processor")
-        if self.horizon < 0:
+        if horizon < 0:
             raise ScheduleRejectedError("horizon must be non-negative")
-        if len(self.activations) != self.horizon or len(self.delays) != self.horizon:
-            raise ScheduleRejectedError("activations/delays must cover the horizon")
-        if self.staleness_bound < 1 or self.fairness_window < 1:
+        if staleness_bound < 1 or fairness_window < 1:
             raise ScheduleRejectedError("staleness bound and fairness window >= 1")
-        k = self.processors
-        for active in self.activations:
-            if not active <= frozenset(range(k)):
-                raise ScheduleRejectedError(f"activation set {set(active)} out of range")
-        for row in self.delays:
-            if len(row) != k or any(len(r) != k for r in row):
-                raise ScheduleRejectedError("delay table must be k x k per tick")
-        object.__setattr__(self, "_checked", _CheckedTicks(
-            k, self.staleness_bound, self.fairness_window,
-            zip(self.activations, self.delays)))
+        self.processors = processors
+        self.horizon = horizon
+        self.staleness_bound = staleness_bound
+        self.fairness_window = fairness_window
+        self._ticks = iter(ticks)
+        self._passed: list[tuple] = []
+        self._last_active = [0] * processors
+        self._pending = None  # the next tick, pulled but not yet passed
+
+    @property
+    def ticks_drawn(self) -> int:
+        return len(self._passed)
 
     def tick(self, t: int) -> tuple:
-        """``(active set, delay rows)`` of tick ``t``; row ``i`` is read
-        only when ``i`` is active.  Raises :class:`PreconditionError` when
-        tick ``t`` or an earlier one is not admissible."""
-        return self._checked.tick(t)
+        """``(active set, delay rows)`` of tick ``t``.  Raises
+        :class:`PreconditionError` when tick ``t`` or an earlier one is not
+        admissible, :class:`ScheduleRejectedError` when one is malformed or
+        the ticks end before it."""
+        passed = self._passed
+        while len(passed) < t:
+            if self._pending is None:
+                self._pending = next(self._ticks, None)
+                if self._pending is None:
+                    raise ScheduleRejectedError(
+                        "activations/delays must cover the horizon")
+            violation = _tick_violation(
+                len(passed) + 1, *self._pending, self._last_active,
+                self.staleness_bound, self.fairness_window)
+            if violation is not None:
+                raise PreconditionError(
+                    f"schedule is not admissible: {violation}",
+                    witness=violation)
+            passed.append(self._pending)
+            self._pending = None
+        return passed[t - 1]
 
 
 def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
@@ -165,65 +184,14 @@ def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
     if k < 1 or horizon < 1:
         raise ScheduleRejectedError("k and horizon must be at least 1")
     everyone = frozenset(range(k))
-    activations = tuple(everyone for _ in range(horizon))
-    delays = tuple(
-        tuple(tuple(t - 1 for _ in range(k)) for _ in range(k))
-        for t in range(1, horizon + 1))
-    return Schedule(k, horizon, activations, delays,
-                    staleness_bound=1, fairness_window=1)
-
-
-class _CheckedTicks:
-    """Ticks pulled in order from ``source`` (ticks 1, 2, ...), each
-    checked with :func:`_tick_violation` when it is first read and kept
-    once it passes.  A tick that fails is never kept: it and every later
-    tick raise :class:`PreconditionError` on every read."""
-
-    def __init__(self, processors, staleness_bound, fairness_window, source):
-        self.passed: list[tuple] = []
-        self._source = source
-        self._bounds = (staleness_bound, fairness_window)
-        self._last_active = [0] * processors
-        self._violation = None
-
-    def tick(self, t: int) -> tuple:
-        """``(active set, delay rows)`` of tick ``t``."""
-        passed = self.passed
-        while len(passed) < t:
-            if self._violation is None:
-                pulled = next(self._source)
-                self._violation = _tick_violation(
-                    len(passed) + 1, *pulled, self._last_active, *self._bounds)
-            if self._violation is not None:
-                raise PreconditionError(
-                    f"schedule is not admissible: {self._violation}",
-                    witness=self._violation)
-            passed.append(pulled)
-        return passed[t - 1]
-
-
-class SampledSchedule(_CheckedTicks):
-    """A schedule whose ticks are drawn from ``source`` on first read,
-    checked, and then kept, so every run that shares it sees the same
-    ticks."""
-
-    def __init__(self, processors, horizon, staleness_bound, fairness_window,
-                 source):
-        super().__init__(processors, staleness_bound, fairness_window, source)
-        self.processors = processors
-        self.horizon = horizon
-        self.staleness_bound = staleness_bound
-        self.fairness_window = fairness_window
-
-    @property
-    def ticks_drawn(self) -> int:
-        return len(self.passed)
+    return Schedule(k, horizon, 1, 1, (
+        (everyone, ((t - 1,) * k,) * k) for t in range(1, horizon + 1)))
 
 
 def sample_schedule(k: int, horizon: int, seed: int, *,
                     activation_prob: float = 0.5,
                     max_staleness: int = 5,
-                    fairness_window: int = 8) -> SampledSchedule:
+                    fairness_window: int = 8) -> Schedule:
     """A random admissible schedule, deterministic in the seed, whose ticks
     are drawn as runs read them.
 
@@ -264,8 +232,8 @@ def sample_schedule(k: int, horizon: int, seed: int, *,
                 rows[i] = tuple([lo + floor(random() * n) for _ in ks])
             yield frozenset(active), tuple(rows)
 
-    return SampledSchedule(k, horizon, max_staleness, fairness_window,
-                           draw(random.Random(seed)))
+    return Schedule(k, horizon, max_staleness, fairness_window,
+                    draw(random.Random(seed)))
 
 
 @dataclass(frozen=True)
@@ -280,18 +248,22 @@ def _tick_violation(t, active, rows, last_active, staleness_bound,
 
     Checks causality and staleness of the rows the active processors read,
     and that no processor has been idle for more than the fairness window;
-    then records tick ``t``'s activations in ``last_active``.  Each check
+    only when all hold, records tick ``t``'s activations in
+    ``last_active``, so a failing tick fails alike when checked again.  Each check
     first tests the bounds of a whole row (or of ``last_active``) and scans
     element by element, for the first violation, only when that fails.
+    A tick of the wrong shape (other than ``k`` rows, an activation index
+    outside ``0 .. k-1``, or an active row other than ``k`` long) raises
+    :class:`ScheduleRejectedError`.
     """
+    k = len(last_active)
+    if len(rows) != k:
+        raise ScheduleRejectedError("delay table must be k x k per tick")
     oldest = max(0, t - staleness_bound)
-    if any(min(rows[i]) < oldest or max(rows[i]) >= t for i in active):
-        for i in sorted(active):
-            for j, b in enumerate(rows[i]):
-                if not 0 <= b <= t - 1:
-                    return ("causality", t, i, j, b)
-                if t - b > staleness_bound:
-                    return ("staleness", t, i, j, b)
+    for i in active:
+        if not 0 <= i < k or len(rows[i]) != k \
+                or min(rows[i]) < oldest or max(rows[i]) >= t:
+            return _row_violation(t, active, rows, staleness_bound)
     if t - min(last_active) > fairness_window:
         for i, last in enumerate(last_active):
             if t - last > fairness_window:
@@ -299,6 +271,22 @@ def _tick_violation(t, active, rows, last_active, staleness_bound,
     for i in active:
         last_active[i] = t
     return None
+
+
+def _row_violation(t, active, rows, staleness_bound):
+    """The first causality or staleness violation in the rows the active
+    processors read at tick ``t``, once the tick's shape is checked."""
+    k = len(rows)
+    if not all(0 <= i < k for i in active):
+        raise ScheduleRejectedError(f"activation set {set(active)} out of range")
+    if any(len(rows[i]) != k for i in active):
+        raise ScheduleRejectedError("delay table must be k x k per tick")
+    for i in sorted(active):
+        for j, b in enumerate(rows[i]):
+            if not 0 <= b <= t - 1:
+                return ("causality", t, i, j, b)
+            if t - b > staleness_bound:
+                return ("staleness", t, i, j, b)
 
 
 def check_admissible_prefix(schedule) -> AdmissibilityReport:
@@ -498,20 +486,22 @@ def load_schedule(source) -> Schedule:
     """
     doc = _load_json(source)
     try:
-        horizon = int(doc["horizon"])
+        horizon = _integer(doc["horizon"], "horizon")
         raw_acts = doc["activations"]
         if len(raw_acts) != horizon:
             raise ScheduleRejectedError(
                 "activations must list one set per tick")
-        k = int(doc.get("processors", 0))
+        activations = tuple(
+            frozenset(_integer(i, "activation index") for i in a)
+            for a in raw_acts)
+        k = _integer(doc.get("processors", 0), "processors")
         if not k:
-            k = max((max(a) + 1 for a in raw_acts if a), default=1)
-        activations = tuple(frozenset(int(i) for i in a) for a in raw_acts)
+            k = max((max(a) + 1 for a in activations if a), default=1)
 
         delay_rows = [
             [[t - 1] * k for _ in range(k)] for t in range(1, horizon + 1)]
         for entry in doc.get("delays", []):
-            t, i, j, src = (int(x) for x in entry)
+            t, i, j, src = (_integer(x, "delay entry") for x in entry)
             if not 1 <= t <= horizon or not 0 <= i < k or not 0 <= j < k:
                 raise ScheduleRejectedError(
                     f"delay entry {entry!r} out of range")
@@ -519,9 +509,8 @@ def load_schedule(source) -> Schedule:
     except (KeyError, TypeError) as exc:
         raise ScheduleRejectedError(
             f"bad schedule description: {exc}") from None
-    delays = tuple(tuple(tuple(r) for r in row) for row in delay_rows)
 
-    staleness = max([1] + [t - b for t, row in enumerate(delays, 1)
+    staleness = max([1] + [t - b for t, row in enumerate(delay_rows, 1)
                            for r in row for b in r])
     last = [0] * k
     window = 1
@@ -531,8 +520,8 @@ def load_schedule(source) -> Schedule:
                 window = max(window, t - last[i])
                 last[i] = t
     window = max([window] + [horizon - t for t in last])
-    schedule = Schedule(k, horizon, activations, delays,
-                        staleness_bound=staleness, fairness_window=window)
+    schedule = Schedule(k, horizon, staleness, window,
+                        zip(activations, delay_rows))
     report = check_admissible_prefix(schedule)
     if not report.ok:
         raise PreconditionError(
@@ -565,6 +554,13 @@ def load_operator(source):
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad operator description: {exc}") from None
     return op, start
+
+
+def _integer(value, what: str) -> int:
+    """A JSON integer; ``true`` does not stand for ``1``."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _scalar(v):

@@ -129,10 +129,18 @@ def test_search_refutes_wide_identity_without_a_cap():
     assert cert.refutation["stalled_box"] == (tuple(range(7)),) * 5
 
 
-def test_search_rejects_images_outside_the_domain():
-    leaky = DecomposedOperator(DOM22, lambda s: (s[0], 2))
+@pytest.mark.parametrize("image", [(0, 0, 1), (2, 0), (0,)],
+                         ids=["long", "outside", "short"])
+@pytest.mark.parametrize("use", [
+    search_box_sequence, search_ultrametric, certify_aco,
+    lambda op: iteration.run_sync(op, (0, 0), 10),
+    lambda op: iteration.run_async(op, (0, 0),
+                                   iteration.sample_schedule(2, 50, 0)),
+], ids=["boxes", "ultrametric", "certify", "run_sync", "run_async"])
+def test_search_rejects_images_outside_the_domain(image, use):
+    leaky = DecomposedOperator(DOM22, lambda s: image)
     with pytest.raises(PreconditionError, match="outside itself"):
-        search_box_sequence(leaky)
+        use(leaky)
 
 
 def test_box_census_3x2():

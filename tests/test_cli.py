@@ -427,11 +427,29 @@ def test_run_rejects_bad_map_inputs(tmp_path, capsys, inputs, message):
     (("--schedule", "DOC"), {"horizon": 4, "processors": 2,
                              "activations": [[0, 1]] * 4,
                              "delays": [[3, 0, 1, 3]]}, EXIT_FAIL),
+    # every count and index must be a JSON integer
+    (("--schedule", "DOC"), {"horizon": 2.5, "activations": [[0], [1]]},
+     EXIT_BAD_INPUT),
+    (("--schedule", "DOC"), {"horizon": "2", "activations": [[0], [1]]},
+     EXIT_BAD_INPUT),
+    (("--schedule", "DOC"), {"horizon": 2, "processors": True,
+                             "activations": [[0], [0]]}, EXIT_BAD_INPUT),
+    (("--schedule", "DOC"), {"horizon": 2, "processors": 2,
+                             "activations": [[0, True], [0, 1]]},
+     EXIT_BAD_INPUT),
+    (("--schedule", "DOC"), {"horizon": 2, "processors": 2,
+                             "activations": [[0, 1], [0, 1]],
+                             "delays": [[2, 0, 1, 1.0]]}, EXIT_BAD_INPUT),
+    (("--schedule", "DOC"), {"horizon": 2, "processors": 2,
+                             "activations": [[0, 1], [0, 2]]},
+     EXIT_BAD_INPUT),
     (("--max-staleness", "0"), None, EXIT_BAD_INPUT),
     (("--activation-prob", "0"), None, EXIT_BAD_INPUT),
     (("--fairness-window", "1"), None, EXIT_BAD_INPUT),
     (("--horizon", "0"), None, EXIT_BAD_INPUT),
-], ids=["malformed", "inadmissible", "staleness", "prob", "window", "horizon"])
+], ids=["malformed", "inadmissible", "float-horizon", "string-horizon",
+        "bool-processors", "bool-index", "float-delay", "index-out-of-range",
+        "staleness", "prob", "window", "horizon"])
 def test_run_async_rejects_a_schedule_before_printing(tmp_path, capsys, flags,
                                                       doc, exit_code):
     path = tmp_path / "schedule.json"

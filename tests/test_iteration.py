@@ -85,18 +85,35 @@ def test_load_operator_checks_map_inputs(inputs, message):
     assert str(exc.value) == message
 
 
-def test_synchronous_schedule_shape():
-    sched = make_synchronous_schedule(1, 3)
-    assert sched.activations == (frozenset({0}),) * 3
-    assert [sched.delays[t - 1][0][0] for t in (1, 2, 3)] == [0, 1, 2]
-    sched2 = make_synchronous_schedule(2, 2)
-    assert all(a == frozenset({0, 1}) for a in sched2.activations)
-    assert check_admissible_prefix(sched2).ok
-
-
 def ticks(schedule, upto=None):
     upto = schedule.horizon if upto is None else upto
     return [schedule.tick(t) for t in range(1, upto + 1)]
+
+
+def dense_table(schedule, upto=None):
+    """The activation sets and delay rows of ticks ``1 .. upto`` of
+    ``schedule`` as lists to edit, idle rows filled with ``t - 1``."""
+    acts, delays = [], []
+    for t, (active, rows) in enumerate(ticks(schedule, upto), 1):
+        acts.append(active)
+        delays.append([list(row or (t - 1,) * schedule.processors)
+                       for row in rows])
+    return acts, delays
+
+
+def dense(acts, delays, staleness_bound=1, fairness_window=1):
+    """A :class:`Schedule` reading its ticks from the given table."""
+    rows = [tuple(tuple(r) for r in row) for row in delays]
+    return Schedule(len(rows[0]), len(acts), staleness_bound,
+                    fairness_window, zip(acts, rows))
+
+
+def test_synchronous_schedule_shape():
+    assert ticks(make_synchronous_schedule(1, 3)) == \
+        [(frozenset({0}), ((t,),)) for t in (0, 1, 2)]
+    sched2 = make_synchronous_schedule(2, 2)
+    assert all(a == frozenset({0, 1}) for a, _ in ticks(sched2))
+    assert check_admissible_prefix(sched2).ok
 
 
 def test_sample_schedule_deterministic_and_admissible():
@@ -178,46 +195,63 @@ def test_sample_schedule_rejects_bad_parameters():
         sample_schedule(2, 10, 0, max_staleness=0)
 
 
-def _tweak(schedule, **changes):
-    fields = dict(
-        processors=schedule.processors, horizon=schedule.horizon,
-        activations=schedule.activations, delays=schedule.delays,
-        staleness_bound=schedule.staleness_bound,
-        fairness_window=schedule.fairness_window)
-    fields.update(changes)
-    return Schedule(**fields)
+SYNC2 = ((frozenset({0, 1}), ((0, 0), (0, 0))),
+         (frozenset({0, 1}), ((1, 1), (1, 1))))
+
+
+@pytest.mark.parametrize("processors, horizon, bounds, source, message", [
+    (0, 2, (1, 1), SYNC2, "at least one processor"),
+    (2, -1, (1, 1), SYNC2, "horizon must be non-negative"),
+    (2, 2, (0, 1), SYNC2, "fairness window >= 1"),
+    (2, 2, (1, 0), SYNC2, "fairness window >= 1"),
+    (2, 3, (1, 1), SYNC2, "must cover the horizon"),
+    (2, 2, (1, 1), ((frozenset({0, 2}), ((0, 0), (0, 0))),),
+     r"activation set \{0, 2\} out of range"),
+    (2, 2, (1, 1), ((frozenset({-1}), ((0, 0), (0, 0))),),
+     r"activation set \{-1\} out of range"),
+    (2, 2, (1, 1), ((frozenset({0}), ((0, 0),)),), "k x k"),
+    (2, 2, (1, 1), ((frozenset({0}), ((0, 0, 0), (0, 0))),), "k x k"),
+], ids=["processors", "horizon", "staleness", "window", "short", "index",
+        "negative-index", "rows", "row"])
+def test_schedule_rejects_a_malformed_schedule(processors, horizon, bounds,
+                                               source, message):
+    def build():
+        return Schedule(processors, horizon, *bounds, iter(source))
+
+    if processors < 1 or horizon < 0 or min(bounds) < 1:
+        with pytest.raises(ScheduleRejectedError, match=message):
+            build()
+        return
+    sched = build()
+    for _ in range(2):  # a rejected tick stays rejected
+        with pytest.raises(ScheduleRejectedError, match=message):
+            check_admissible_prefix(sched)
+    with pytest.raises(ScheduleRejectedError, match=message):
+        run_async(swap_op(), (0, 1), build())  # never settles
 
 
 def test_checker_flags_causality_violation():
-    sched = make_synchronous_schedule(2, 4)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 4))
     delays[2][0][1] = 3  # beta(3, 0, 1) = 3, not in the past
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays))
-    report = check_admissible_prefix(bad)
+    report = check_admissible_prefix(dense(acts, delays))
     assert not report.ok
     assert report.violation[0] == "causality"
     assert report.violation[1:4] == (3, 0, 1)
 
 
 def test_checker_flags_staleness_violation():
-    sched = make_synchronous_schedule(2, 10)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 10))
     delays[7][1][0] = 2  # age 6 exceeds the claimed bound below
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays),
-                 staleness_bound=3)
-    report = check_admissible_prefix(bad)
+    report = check_admissible_prefix(dense(acts, delays, staleness_bound=3))
     assert not report.ok
     assert report.violation[0] == "staleness"
 
 
 def test_checker_flags_fairness_violation():
-    sched = make_synchronous_schedule(2, 8)
+    _, delays = dense_table(make_synchronous_schedule(2, 8))
     acts = [frozenset({0}) if t > 0 else frozenset({0, 1})
             for t in range(8)]
-    bad = _tweak(sched, activations=tuple(acts), fairness_window=3)
-    report = check_admissible_prefix(bad)
+    report = check_admissible_prefix(dense(acts, delays, fairness_window=3))
     assert not report.ok
     kind, window, proc = report.violation
     assert kind == "fairness" and proc == 1 and window == (2, 4)
@@ -277,14 +311,11 @@ def test_run_async_ring3_seed7_matches_sync_fixed_point(ring3):
 
 
 def test_run_async_requires_admissible_schedule():
-    sched = make_synchronous_schedule(2, 4)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 4))
     delays[0][0][0] = 0
     delays[1][0][0] = 3
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays))
     with pytest.raises(PreconditionError):
-        run_async(identity_op(), (0, 0), bad)
+        run_async(identity_op(), (0, 0), dense(acts, delays))
 
 
 def test_frozen_processor_keeps_value():
@@ -292,12 +323,8 @@ def test_frozen_processor_keeps_value():
     op = DecomposedOperator(
         ((0, 1), (0, 1)), lambda s: (1, 1 - s[1]))
     acts = (frozenset({0, 1}),) + tuple(frozenset({0}) for _ in range(9))
-    delays = tuple(
-        tuple(tuple(t - 1 for _ in range(2)) for _ in range(2))
-        for t in range(1, 11))
-    sched = Schedule(2, 10, acts, delays, staleness_bound=1,
-                     fairness_window=10)
-    traj = run_async(op, (0, 0), sched)
+    _, delays = dense_table(make_synchronous_schedule(2, 10))
+    traj = run_async(op, (0, 0), dense(acts, delays, fairness_window=10))
     values = traj.history(1)
     assert len(set(values[1:])) == 1
 
@@ -356,17 +383,11 @@ def test_horizon_exhausted_when_quiet_window_missing():
 
 
 def test_checker_reads_rows_of_active_processors_only():
-    sched = make_synchronous_schedule(2, 4)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 4))
     delays[2][1][0] = 3  # not in the past, but processor 1 is idle at 3
-    acts = list(sched.activations)
-    acts[2] = frozenset({0})
-    delays = tuple(tuple(tuple(r) for r in row) for row in delays)
-    idle = _tweak(sched, activations=tuple(acts), delays=delays,
-                  fairness_window=2)
-    assert check_admissible_prefix(idle).ok
-    active = _tweak(sched, delays=delays)
-    assert check_admissible_prefix(active).violation == \
+    idle = acts[:2] + [frozenset({0})] + acts[3:]
+    assert check_admissible_prefix(dense(idle, delays, fairness_window=2)).ok
+    assert check_admissible_prefix(dense(acts, delays)).violation == \
         ("causality", 3, 1, 0, 3)
 
 
@@ -386,8 +407,8 @@ def test_load_schedule_defaults_and_roundtrip(tmp_path):
     }
     sched = load_schedule(doc)
     assert sched.horizon == 3
-    assert sched.delays[1][0][1] == 0   # the sparse entry
-    assert sched.delays[2][1][0] == 2   # defaulted to t-1
+    assert sched.tick(2)[1][0][1] == 0   # the sparse entry
+    assert sched.tick(3)[1][1][0] == 2   # defaulted to t-1
     assert check_admissible_prefix(sched).ok
 
 
@@ -462,11 +483,10 @@ def test_shared_schedule_checks_each_tick_once(monkeypatch):
 
 def test_dense_schedule_with_a_bad_tick_raises_on_every_run():
     sched = make_synchronous_schedule(2, 6)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(sched)
     delays[3][1][0] = 4  # tick 4 reads from its own tick
     # a staleness bound of 5 keeps the run going past tick 4
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays), staleness_bound=5)
+    bad = dense(acts, delays, staleness_bound=5)
     for _ in range(2):
         with pytest.raises(PreconditionError, match="causality"):
             run_async(identity_op(), (0, 1), bad)
@@ -477,12 +497,10 @@ def test_dense_schedule_with_a_bad_tick_raises_on_every_run():
 def test_settled_run_still_checks_every_tick():
     op = constant_op()
     op.apply((0, 0))  # the fixed point is known before any run
-    sched = make_synchronous_schedule(2, 12)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 12))
     delays[4][1][0] = 5  # tick 5 reads from its own tick
     # staleness bound 5 and window 1: a quiet run stops at tick 6
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays), staleness_bound=5)
+    bad = dense(acts, delays, staleness_bound=5)
     for _ in range(3):
         with pytest.raises(PreconditionError, match="causality"):
             run_async(op, (0, 0), bad)
@@ -508,11 +526,9 @@ def test_run_does_not_settle_while_an_older_state_is_readable():
     ref = DecomposedOperator.from_table(((0, 1),) * 2, table)
     op.apply((0, 0))
     ref.apply((0, 0))
-    sched = make_synchronous_schedule(2, 10)
-    delays = [list(list(r) for r in row) for row in sched.delays]
+    acts, delays = dense_table(make_synchronous_schedule(2, 10))
     delays[1][0][0] = 0
-    bad = _tweak(sched, delays=tuple(tuple(tuple(r) for r in row)
-                                     for row in delays), staleness_bound=2)
+    bad = dense(acts, delays, staleness_bound=2)
     traj = run_async(op, (1, 1), bad)
     assert traj.states[:3] == ((1, 1), (0, 0), (1, 0))
     assert traj == run_async_by_definition(ref, (1, 1), bad)
@@ -520,17 +536,6 @@ def test_run_does_not_settle_while_an_older_state_is_readable():
 
 
 RUN_SHAPES = (((0, 1),) * 2, ((0, 1, 2), (0, 1)), ((0, 1),) * 3)
-
-
-def _dense_copy(sched, horizon):
-    """A :class:`Schedule` storing ticks ``1 .. horizon`` of ``sched``,
-    idle rows filled with ``t - 1``."""
-    drawn = ticks(sched, horizon)
-    return Schedule(
-        sched.processors, horizon, tuple(a for a, _ in drawn),
-        tuple(tuple(row or (t - 1,) * sched.processors for row in rows)
-              for t, (_, rows) in enumerate(drawn, 1)),
-        sched.staleness_bound, sched.fairness_window)
 
 
 @settings(max_examples=150)
@@ -559,7 +564,10 @@ def test_run_async_equals_the_run_that_evaluates_every_view(data):
                                 activation_prob=prob,
                                 max_staleness=staleness,
                                 fairness_window=window)
-        return sched if kind == "sampled" else _dense_copy(sched, horizon)
+        if kind == "sampled":
+            return sched
+        return dense(*dense_table(sched), sched.staleness_bound,
+                     sched.fairness_window)
 
     # runs share one operator and one schedule, as in a campaign, so later
     # runs meet states whose image is already known
