@@ -10,6 +10,7 @@ against each other.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
@@ -305,15 +306,59 @@ def _canonical_heights(sizes: tuple, top: int) -> np.ndarray:
     return grid[keep]
 
 
+@functools.lru_cache(maxsize=4)
+def _height_family(sizes: tuple) -> tuple:
+    """``(heights, pair_dist, a, b)`` for a domain whose components have
+    ``sizes`` values, built once per shape and kept.
+
+    ``heights`` holds the order-canonical assignments of heights
+    ``0 .. max(1, n - 1)`` for ``n`` states (:func:`_canonical_heights`);
+    ``pair_dist[r, i, j]`` is the product height distance of states ``i``
+    and ``j`` (``itertools.product`` order) under row ``r``: the largest
+    height of a value at which they differ, ``0`` when they are equal; and
+    ``a, b`` index the state pairs ``a < b``.  More than
+    :data:`MAX_ASSIGNMENTS` assignments raise :class:`SizeLimitError`
+    before anything is built, so an over-cap shape is never cached.  The
+    arrays are shared by every caller and read-only.
+    """
+    states = math.prod(sizes)
+    top = max(1, states - 1)
+    total = (top + 1) ** sum(sizes)
+    if total > MAX_ASSIGNMENTS:
+        raise SizeLimitError(f"{total} height assignments exceed the "
+                             f"search cap {MAX_ASSIGNMENTS}")
+    heights = _canonical_heights(sizes, top)
+    # column of each state's coordinate in an assignment row
+    starts = np.cumsum((0,) + sizes[:-1])
+    cols = np.array(list(itertools.product(
+        *(range(s, s + n) for s, n in zip(starts, sizes)))))
+    differ = cols[:, None, :] != cols[None, :, :]
+    pair_dist = np.zeros((len(heights), states, states), dtype=np.uint8)
+    # one component at a time keeps each temporary the size of pair_dist
+    for c in range(len(sizes)):
+        h = heights[:, cols[:, c]]
+        top_of = np.maximum(h[:, :, None], h[:, None, :])
+        np.maximum(pair_dist, top_of * differ[:, :, c], out=pair_dist)
+    a, b = np.triu_indices(states, 1)
+    for array in (heights, pair_dist, a, b):
+        array.setflags(write=False)
+    return heights, pair_dist, a, b
+
+
 def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     """Search product ultrametrics built from per-component heights.
 
     Each component value gets a height in ``0 .. max(1, n - 1)`` for
-    ``n`` states, and every order-canonical assignment
-    (:func:`_canonical_heights`) is checked at once.  Returns the first
-    product space, in ``itertools.product`` order of assignments, making
-    the operator a contraction that is strict on orbits around a unique
-    fixed point, or ``None``.  More than :data:`MAX_ASSIGNMENTS`
+    ``n`` states, and every order-canonical assignment is checked at once
+    against the distances of :func:`_height_family`, which is built once
+    per domain shape and kept: the operator contracts when no pair of
+    images is farther apart than the pair, and is strict on orbits when
+    every step ``F(x), F(F(x))`` is shorter than ``x, F(x)`` for each
+    ``x`` it moves.  Returns the first product space, in
+    ``itertools.product`` order of assignments, making the operator a
+    contraction that is strict on orbits around a unique fixed point, or
+    ``None``.  An operator without exactly one fixed point returns
+    ``None`` on any domain; otherwise more than :data:`MAX_ASSIGNMENTS`
     assignments raise :class:`SizeLimitError` before any is built.
 
     The unique-fixed-point requirement is independent of any metric:
@@ -332,29 +377,14 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
                   "gate=unique-fixed-point", fixed)
         return None
     sizes = tuple(len(dom) for dom in op.domains)
-    top = max(1, len(states) - 1)
-    total = (top + 1) ** sum(sizes)
-    if total > MAX_ASSIGNMENTS:
-        raise SizeLimitError(f"{total} height assignments exceed the "
-                             f"search cap {MAX_ASSIGNMENTS}")
+    heights, pair_dist, a, b = _height_family(sizes)
 
-    heights = _canonical_heights(sizes, top)
-    # column of each state's coordinate in an assignment row
-    starts = np.cumsum((0,) + sizes[:-1])
-    cols = np.array(list(itertools.product(
-        *(range(s, s + n) for s, n in zip(starts, sizes)))))
-    state_heights = heights[:, cols]
-
-    def dist(a, b):
-        differ = cols[a] != cols[b]
-        top_of = np.maximum(state_heights[:, a], state_heights[:, b])
-        return (top_of * differ).max(axis=2)
-
-    a, b = np.triu_indices(len(states), 1)
-    ok = (dist(sigma[a], sigma[b]) <= dist(a, b)).all(axis=1)
+    contracts = (pair_dist[:, sigma[a], sigma[b]]
+                 <= pair_dist[:, a, b]).all(axis=1)
     moved = ids[sigma != ids]
-    ok &= (dist(sigma[moved], sigma[sigma[moved]])
-           < dist(moved, sigma[moved])).all(axis=1)
+    strict = (pair_dist[:, sigma[moved], sigma[sigma[moved]]]
+              < pair_dist[:, moved, sigma[moved]]).all(axis=1)
+    ok = contracts & strict
     log.debug("search_ultrametric: assignments=%d verdict=%s", len(heights),
               "found" if ok.any() else "none")
     if not ok.any():
@@ -363,8 +393,10 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     h = heights[ok.argmax()].tolist()
     scale = RadiusScale(tuple(range(max(h) + 1)))
     comps = []
-    for dom, start in zip(op.domains, starts):
+    start = 0
+    for dom in op.domains:
         table = dict(zip(dom, h[start:start + len(dom)]))
+        start += len(dom)
         comps.append(FiniteUltrametricSpace(
             dom, scale,
             lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))

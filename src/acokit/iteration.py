@@ -41,7 +41,9 @@ class DecomposedOperator:
     calls the callable once per distinct state, checks that the image is a
     state of the domain and keeps it, one entry per distinct state read,
     for as long as the operator lives.  ``evaluations`` counts the calls
-    made to the callable.
+    made to the callable.  A table operator checks every image when it is
+    built, from its own copy of the table, and :meth:`apply` does not
+    check them again.
     """
 
     def __init__(self, domains, global_fn):
@@ -55,11 +57,13 @@ class DecomposedOperator:
             frozenset((type(v), v) for v in d) for d in self.domains)
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
+        self._images_checked = False  # from_table checks them up front
         self.evaluations = 0
 
     @classmethod
     def from_table(cls, domains, table):
-        op = cls(domains, lambda state: table[state])
+        table = dict(table)  # later changes to the caller's dict go unseen
+        op = cls(domains, table.__getitem__)
         for state, image in table.items():
             op._check(state, "table input {!r} has the wrong shape",
                       "table input holds {!r} outside its component domain")
@@ -68,6 +72,7 @@ class DecomposedOperator:
         if len(table) != op.size():
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
+        op._images_checked = True
         return op
 
     @property
@@ -103,10 +108,11 @@ class DecomposedOperator:
             out = tuple(self._global(state))
         except KeyError:
             raise PreconditionError(f"state {state!r} outside domain") from None
-        self._check(out, "operator maps its domain outside itself: "
-                    "image {!r} has the wrong shape",
-                    "operator maps its domain outside itself: "
-                    "image holds {!r}")
+        if not self._images_checked:
+            self._check(out, "operator maps its domain outside itself: "
+                        "image {!r} has the wrong shape",
+                        "operator maps its domain outside itself: "
+                        "image holds {!r}")
         self._images[state] = out
         return out
 

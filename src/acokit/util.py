@@ -29,9 +29,14 @@ def canonical_key(value):
 
     Handles numbers, strings, tuples and (frozen)sets, nested arbitrarily.
     Values of different kinds sort by kind rank, so heterogeneous
-    collections still order deterministically.
+    collections still order deterministically.  Ints (bools included) and
+    fractions key as themselves, which Python compares exactly; a float
+    keys as its exact :class:`Fraction`, so NaN raises
+    :class:`ValueError`.
     """
-    if isinstance(value, (int, float, Fraction)):  # bool included
+    if isinstance(value, (int, Fraction)):
+        return (0, value)
+    if isinstance(value, float):
         return (0, Fraction(value))
     if isinstance(value, str):
         return (1, value)

@@ -144,10 +144,12 @@ def test_search_rejects_images_outside_the_domain(image, use):
 
 
 def test_box_census_3x2():
-    # every self-map of the 3x2 domain, never sampled down
+    # every self-map of the 3x2 domain through both searches, never
+    # sampled down: every product height metric found has a box chain,
+    # but not every box chain has one
     domains = ((0, 1, 2), (0, 1))
     states = list(itertools.product(*domains))
-    total = certified = 0
+    total = certified = found = 0
     for images in itertools.product(states, repeat=len(states)):
         op = DecomposedOperator.from_table(domains, dict(zip(states, images)))
         seq = search_box_sequence(op)
@@ -155,7 +157,10 @@ def test_box_census_3x2():
         if seq is not None:
             certified += 1
             assert verify_box_sequence(op, seq).ok
-    assert (total, certified) == (46_656, 1_548)
+        if search_ultrametric(op) is not None:
+            found += 1
+            assert seq is not None
+    assert (total, certified, found) == (46_656, 1_548, 1_116)
 
 
 SHAPES = (((0, 1),) * 3, ((0, 1, 2),) * 2, ((0, 1, 2, 3), (0, 1)))
@@ -281,6 +286,40 @@ def test_search_ultrametric_cap_is_checked_before_the_search(monkeypatch):
     # 10 states, heights 0 .. 9 on 7 values: 10**7 assignments
     with pytest.raises(SizeLimitError, match="10000000 height assignments"):
         search_ultrametric(op)
+
+
+def test_equivalence_census_builds_the_height_family_once(monkeypatch):
+    aco._height_family.cache_clear()
+    calls = []
+    build = aco._canonical_heights
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(aco, "_canonical_heights", counting)
+    assert equivalence_census().ok
+    assert calls == [((2, 2), 3)]
+
+
+def test_height_family_is_shared_read_only():
+    heights, pair_dist, a, b = aco._height_family((2, 2))
+    assert aco._height_family((2, 2))[1] is pair_dist
+    with pytest.raises(ValueError, match="read-only"):
+        pair_dist[0, 0, 1] = 0
+
+
+def test_search_ultrametric_gate_runs_before_the_cap():
+    # 10 states on 7 values is over the cap, but the identity has ten
+    # fixed points and is turned away before the family is asked for
+    domains = ((0, 1, 2, 3, 4), (0, 1))
+    aco._height_family.cache_clear()
+    identity = DecomposedOperator(domains, lambda s: s)
+    assert search_ultrametric(identity) is None
+    constant = DecomposedOperator(domains, lambda s: (0, 0))
+    with pytest.raises(SizeLimitError):
+        search_ultrametric(constant)
+    assert aco._height_family.cache_info().currsize == 0
 
 
 def test_boxes_from_ultrametric_requires_qualifying_map(ring3):

@@ -76,6 +76,17 @@ def test_from_table_checks_every_input_state():
         DecomposedOperator.from_table(dom, {**table, (1,): (0, 0)})
 
 
+def test_from_table_keeps_its_own_copy():
+    table = {(0,): (0,), (1,): (0,)}
+    op = DecomposedOperator.from_table(((0, 1),), table)
+    # the copy was checked when the operator was built, so apply does not
+    # check it again; later changes to the caller's dict must not reach it
+    table[(1,)] = (5,)
+    del table[(0,)]
+    assert [op.apply(s) for s in op.iter_states()] == [(0,), (0,)]
+    assert op.evaluations == 2
+
+
 @pytest.mark.parametrize("inputs, message", BAD_MAP_INPUTS)
 def test_load_operator_checks_map_inputs(inputs, message):
     doc = {"domains": [[0, 1], [0, 1]],
