@@ -16,7 +16,8 @@ import logging
 import math
 from dataclasses import dataclass
 
-import numpy as np
+# numpy is imported inside each function that uses it: most commands run
+# no numpy pass and start faster without it
 
 from .errors import (
     MalformedBoxError,
@@ -161,6 +162,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
     product spaces).  Coinciding balls are emitted once, at their smallest
     radius.
     """
+    import numpy as np
     if set(space.elements) != set(op.iter_states()):
         raise PreconditionError(
             "space elements do not match the operator domain")
@@ -295,8 +297,9 @@ def _canonical_heights(sizes: tuple, top: int) -> np.ndarray:
     lowers every entry, so the first qualifying row of the whole grid is
     canonical anyway; dropping the others only saves work.
     """
+    import numpy as np
     grid = np.indices((top + 1,) * sum(sizes), dtype=np.uint8)
-    grid = grid.reshape(sum(sizes), -1).T
+    grid = grid.reshape(sum(sizes), (top + 1) ** sum(sizes)).T
     keep = np.ones(len(grid), dtype=bool)
     for part in np.split(grid, np.cumsum(sizes)[:-1], axis=1):
         keep &= (part == 0).sum(axis=1) <= 1
@@ -321,6 +324,7 @@ def _height_family(sizes: tuple) -> tuple:
     before anything is built, so an over-cap shape is never cached.  The
     arrays are shared by every caller and read-only.
     """
+    import numpy as np
     states = math.prod(sizes)
     top = max(1, states - 1)
     total = (top + 1) ** sum(sizes)
@@ -359,7 +363,8 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     contraction that is strict on orbits around a unique fixed point, or
     ``None``.  An operator without exactly one fixed point returns
     ``None`` on any domain; otherwise more than :data:`MAX_ASSIGNMENTS`
-    assignments raise :class:`SizeLimitError` before any is built.
+    assignments to the values of components with more than one value
+    raise :class:`SizeLimitError` before any is built.
 
     The unique-fixed-point requirement is independent of any metric:
     strictness on orbits is vacuous at fixed points, so a map fixing two
@@ -367,6 +372,7 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     asynchronous runs can settle on either point.  Without this condition
     the two search verdicts could not agree.
     """
+    import numpy as np
     states = list(op.iter_states())
     index = {m: p for p, m in enumerate(states)}
     sigma = np.array([index[op.apply(m)] for m in states])
@@ -376,8 +382,12 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
         log.debug("search_ultrametric: fixed_points=%d "
                   "gate=unique-fixed-point", fixed)
         return None
-    sizes = tuple(len(dom) for dom in op.domains)
-    heights, pair_dist, a, b = _height_family(sizes)
+    # A one-value component never enters a distance, so the family is
+    # built without it and its value gets height 0.  The first qualifying
+    # row of the full family has 0 there anyway: zeroing those entries and
+    # relabeling by rank keeps every distance and lowers every entry.
+    heights, pair_dist, a, b = _height_family(
+        tuple(len(dom) for dom in op.domains if len(dom) > 1))
 
     contracts = (pair_dist[:, sigma[a], sigma[b]]
                  <= pair_dist[:, a, b]).all(axis=1)
@@ -391,12 +401,15 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
         return None
 
     h = heights[ok.argmax()].tolist()
-    scale = RadiusScale(tuple(range(max(h) + 1)))
+    scale = RadiusScale(tuple(range(max(h, default=0) + 1)))
     comps = []
     start = 0
     for dom in op.domains:
-        table = dict(zip(dom, h[start:start + len(dom)]))
-        start += len(dom)
+        if len(dom) == 1:
+            table = {dom[0]: 0}
+        else:
+            table = dict(zip(dom, h[start:start + len(dom)]))
+            start += len(dom)
         comps.append(FiniteUltrametricSpace(
             dom, scale,
             lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))

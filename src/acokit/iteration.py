@@ -570,6 +570,9 @@ def _integer(value, what: str) -> int:
 
 
 def _scalar(v):
+    """A JSON string, integer or boolean; a float or a container is a
+    mistyped value, not a refuted operator."""
     if isinstance(v, (str, int, bool)):
         return v
-    raise PreconditionError(f"operator values must be scalars, got {v!r}")
+    raise TypeError(
+        f"operator values must be strings, integers or booleans, got {v!r}")

@@ -15,7 +15,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-import numpy as np
+# numpy is imported inside each function that uses it: most commands run
+# no numpy pass and start faster without it
 
 from .errors import PreconditionError, SemanticsError, SizeLimitError
 from .iteration import DecomposedOperator
@@ -407,6 +408,7 @@ def decompose_program(program: GroundProgram) -> DecomposedOperator:
 def _consequence_images(program: GroundProgram) -> np.ndarray:
     """The consequence operator's image of every interpretation, indexed
     as in :func:`interpretation_space`, in one pass per clause."""
+    import numpy as np
     masks = np.arange(1 << len(program.atoms))
     sig = np.zeros_like(masks)
     for head, pos, neg in program.consequence_rule:

@@ -18,7 +18,8 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
+# numpy is imported inside each function that uses it: most commands run
+# no numpy pass and start faster without it
 
 from .errors import (
     PreconditionError,
@@ -444,6 +445,7 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     agree at and above it.  The witness is the smallest violating pair of
     masks ``a < b``.
     """
+    import numpy as np
     universe = instance.all_permitted
     p_count = len(universe)
     if p_count > _STRICT_CONTRACTION_MAX_PATHS:

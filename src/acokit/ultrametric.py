@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
+# numpy is imported inside each function that uses it: most commands run
+# no numpy pass and start faster without it
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
 from .util import _load_json, canonical_key
@@ -96,6 +97,7 @@ class FiniteUltrametricSpace:
     """
 
     def __init__(self, elements, scale: RadiusScale, dist):
+        import numpy as np
         elements = tuple(elements)
         if not elements:
             raise MalformedSpaceError("space needs at least one element")
@@ -164,6 +166,7 @@ class FiniteUltrametricSpace:
 
     @cached_property
     def _ball_labels(self) -> np.ndarray:
+        import numpy as np
         D = self._mat
         els, values = self.elements, self.scale.values
         nonzero = np.flatnonzero(np.diagonal(D) != 0)
@@ -230,6 +233,7 @@ def check_axioms(space) -> AxiomReport:
     ``index_matrix()``, including product spaces.  Violations carry the
     witnessing elements; the list is capped to keep reports readable.
     """
+    import numpy as np
     D = _space_matrix(space)
     els = space.elements
     n = len(els)
@@ -272,6 +276,7 @@ def check_axioms(space) -> AxiomReport:
 
 def check_isosceles(space) -> AxiomReport:
     """Every triple must have its two largest distances equal."""
+    import numpy as np
     D = _space_matrix(space)
     els = space.elements
     n = len(els)
@@ -381,6 +386,7 @@ def check_spherical_completeness(space) -> CompletenessReport:
     is executable.  On failure (possible only for tables that are not
     actually ultrametrics) the offending balls are returned as the witness.
     """
+    import numpy as np
     n = len(space.elements)
     if n > _BALL_ENUM_MAX_ELEMENTS:
         raise SizeLimitError(
@@ -479,6 +485,7 @@ class ProductSpace:
 
     @cached_property
     def _matrix(self) -> np.ndarray:
+        import numpy as np
         total = len(self)
         ids = np.arange(total)
         mat = np.zeros((total, total), dtype=np.int32)
@@ -501,6 +508,7 @@ class ProductSpace:
         the index of the box's smallest element.  Each component checks
         its own table.
         """
+        import numpy as np
         labels = np.zeros((len(self.scale), 1), dtype=np.int64)
         for comp, size in zip(self.components, self._sizes):
             labels = (labels[:, :, None] * size
@@ -540,6 +548,7 @@ def _first_split(before: np.ndarray, after: np.ndarray):
     class whose ``after`` differs from that of ``i``.  ``None`` when every
     class maps into one ``after`` value.
     """
+    import numpy as np
     split = np.flatnonzero(after != after[before])
     if not split.size:
         return None
@@ -554,6 +563,7 @@ def _min_split(befores, afters):
 
 
 def _sigma_array(space, sigma) -> np.ndarray:
+    import numpy as np
     els = space.elements
     if isinstance(sigma, np.ndarray):
         if sigma.shape != (len(els),) or sigma.dtype.kind not in "iu" \
@@ -603,6 +613,7 @@ def classify_contraction(space, sigma) -> ContractionReport:
 
 
 def _classify(els, sig, labels, images) -> ContractionReport:
+    import numpy as np
     pair = _min_split(labels, images)
     if pair is not None:
         return ContractionReport(NOT_CONTRACTION, (els[pair[0]], els[pair[1]]))

@@ -274,6 +274,35 @@ def test_search_ultrametric_matches_reference_on_seeded_samples():
     assert 0 < found < 52
 
 
+@pytest.mark.parametrize("domains", [
+    ((0,),), ((0,), ("a",)), ((0,), (0, 1)), ((0, 1), (0,)),
+    ((0, 1, 2), (0,)), ((0,), (0, 1), (0,)), ((0, 1), (0,), (0, 1)),
+], ids=lambda domains: "x".join(str(len(dom)) for dom in domains))
+def test_search_ultrametric_with_one_value_components_matches_the_full_family(
+        domains):
+    # the reference enumerates heights for every value, one-value
+    # components included
+    states = list(itertools.product(*domains))
+    found = 0
+    for images in itertools.product(states, repeat=len(states)):
+        op = DecomposedOperator.from_table(domains, dict(zip(states, images)))
+        expected = heights_expected(op)
+        assert heights_found(op) == expected
+        found += expected is not None
+    assert found > 0
+
+
+def test_search_ultrametric_leaves_one_value_components_out_of_the_family(
+        caplog):
+    domains = ((0,), (0,), (0,), (0,), (0, 1, 2, 3, 4))
+    op = DecomposedOperator(domains, lambda s: s[:4] + (max(0, s[4] - 1),))
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        assert search_ultrametric(op) is not None
+    # the family of (5,): the full one of (1, 1, 1, 1, 5) has 978,432 rows
+    assert "search_ultrametric: assignments=796 verdict=found" \
+        in caplog.messages
+
+
 def test_search_ultrametric_cap_is_checked_before_the_search(monkeypatch):
     domains = ((0, 1, 2, 3, 4), (0, 1))
     op = DecomposedOperator.from_table(

@@ -357,6 +357,12 @@ _MALFORMED_OPERATORS = {
     "int-start": {"domains": [[0, 1], [0, 1]], "map": _CONSTANT_MAP,
                   "start": 7},
     "top-level-list": [[0, 1], [0, 1]],
+    "float-domain": {"domains": [[2.5, 1, 0], ["b", "a"]],
+                     "map": _CONSTANT_MAP},
+    "float-start": {"domains": [[0, 1], [0, 1]], "map": _CONSTANT_MAP,
+                    "start": [0.5]},
+    "list-domain-entry": {"domains": [[0, [1]], [0, 1]],
+                          "map": _CONSTANT_MAP},
 }
 # argv with DOC for the malformed file and OP for a well-formed operator
 MALFORMED_FILES = [
@@ -382,9 +388,18 @@ def test_malformed_files_exit_2_with_one_error_line(tmp_path, capsys, argv,
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     files = {"DOC": str(path), "OP": _operator_file(tmp_path)}
-    code, _, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
     assert code == EXIT_BAD_INPUT
+    assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_float_operator_values_are_bad_input(tmp_path, capsys):
+    op_file = _operator_file(tmp_path, domains=[[2.5, 1, 0], ["b", "a"]])
+    code, out, err = run_cli(capsys, "run", "sync", op_file)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == ("error: bad operator description: operator values must "
+                   "be strings, integers or booleans, got 2.5\n")
 
 
 @pytest.mark.parametrize("start", [[2, 1], [True, 1]])
@@ -485,17 +500,56 @@ def test_run_sync_reads_max_steps(tmp_path, capsys):
     assert code == EXIT_OK and "status: converged" in out
 
 
-def test_cli_import_needs_no_package_but_numpy():
-    check = ("import sys, numpy\n"
+def test_cli_import_needs_no_package_outside_the_stdlib():
+    # numpy included: only the commands that run a numpy pass import it
+    check = ("import sys\n"
              "before = set(sys.modules)\n"
              "import acokit.cli\n"
              "added = {m.split('.')[0] for m in set(sys.modules) - before}\n"
              "print(sorted(added - set(sys.stdlib_module_names)"
-             " - {'acokit', 'numpy'}))\n")
+             " - {'acokit'}))\n")
     proc = subprocess.run([sys.executable, "-c", check],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# commands that run no numpy pass; OP is an operator file, TRACE a CSV path
+_NUMPY_FREE_COMMANDS = [
+    ("routing", "check", corpus_path("ring3.json")),
+    ("routing", "solve", corpus_path("ring3.json"), "--mode", "async",
+     "--schedules", "5", "--trace", "TRACE"),
+    ("logic", "solve", corpus_path("logic", "mixed.pl"), "--mode", "async",
+     "--schedules", "5"),
+    ("aco", "certify", "OP", "--schedules", "5"),
+    ("run", "async", "OP"),
+]
+
+
+def _run_numpy_free_commands(tmp_path, prelude):
+    """Stdout of the commands, run in one fresh interpreter after
+    ``prelude``; its last line says whether numpy was loaded."""
+    files = {"OP": _operator_file(tmp_path, start=[1, 1]),
+             "TRACE": str(tmp_path / "trace.csv")}
+    argvs = [[files.get(a, a) for a in argv] for argv in _NUMPY_FREE_COMMANDS]
+    script = (f"import sys\n{prelude}\n"
+              "import acokit, acokit.cli\n"
+              f"for argv in {argvs!r}:\n"
+              "    print('exit', acokit.cli.main(argv))\n"
+              "print('numpy loaded:', sys.modules.get('numpy') is not None)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_commands_without_a_numpy_pass_leave_numpy_unimported(tmp_path):
+    out = _run_numpy_free_commands(tmp_path, "")
+    assert out.count("exit 0\n") == len(_NUMPY_FREE_COMMANDS)
+    assert out.endswith("numpy loaded: False\n")
+    # an import of numpy would now raise ImportError
+    assert _run_numpy_free_commands(
+        tmp_path, "sys.modules['numpy'] = None") == out
 
 
 def test_contraction_checks_leave_numpy_ma_unimported():
