@@ -28,13 +28,10 @@ from .iteration import (
     sample_schedule,
 )
 from .ultrametric import (
-    Ball,
     FiniteUltrametricSpace,
     ProductSpace,
     RadiusScale,
-    ball_members,
     check_axioms,
-    check_ball_is_box,
     check_isosceles,
     check_spherical_completeness,
     classify_contraction,
@@ -47,7 +44,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AcoCertificate",
-    "Ball",
     "BoxSequence",
     "DecomposedOperator",
     "FiniteUltrametricSpace",
@@ -55,13 +51,11 @@ __all__ = [
     "RadiusScale",
     "Schedule",
     "Trajectory",
-    "ball_members",
     "boxes_from_ultrametric",
     "campaign",
     "certify_aco",
     "check_admissible_prefix",
     "check_axioms",
-    "check_ball_is_box",
     "check_isosceles",
     "check_spherical_completeness",
     "classify_contraction",

@@ -253,6 +253,9 @@ def _cmd_logic_solve(args: argparse.Namespace) -> int:
     if args.mode == "async":
         iteration.check_schedules(args.schedules)
     program = logic.load_program(args.instance)
+    # a program without atoms has no async campaign: reject it before
+    # printing anything
+    op = logic.decompose_program(program) if args.mode == "async" else None
     strat_result = logic.find_stratification(program)
     print(f"file: {args.instance}")
     print(f"atoms: {len(program.atoms)}")
@@ -283,7 +286,6 @@ def _cmd_logic_solve(args: argparse.Namespace) -> int:
     payload["steps"] = result.steps
     ok = True
     if args.mode == "async":
-        op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
         runs = iteration.campaign(op, [start], **_campaign_args(args))
@@ -320,8 +322,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
-    # a rejected schedule or sampling flag must leave stdout empty
-    if args.mode == "async":
+    # run before printing: rejected input must leave stdout empty
+    if args.mode == "sync":
+        steps = args.max_steps if args.max_steps is not None \
+            else op.size() + 1
+        traj = iteration.run_sync(op, start, steps)
+    else:
         if args.schedule_file:
             schedule = iteration.load_schedule(args.schedule_file)
         else:
@@ -330,15 +336,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 activation_prob=args.activation_prob,
                 max_staleness=args.staleness,
                 fairness_window=args.window)
+        traj = iteration.run_async(op, start, schedule)
     print(f"file: {args.instance}")
     print(f"processors: {op.processors}")
     print(f"mode: {args.mode}")
-    if args.mode == "sync":
-        steps = args.max_steps if args.max_steps is not None \
-            else op.size() + 1
-        traj = iteration.run_sync(op, start, steps)
-    else:
-        traj = iteration.run_async(op, start, schedule)
     print(f"status: {traj.status}")
     conv = traj.converged_at
     print(f"converged_at: {'none' if conv is None else conv}")

@@ -116,9 +116,6 @@ class DecomposedOperator:
         self._images[state] = out
         return out
 
-    def component(self, i: int, state: tuple):
-        return self.apply(state)[i]
-
     def known_image(self, state: tuple) -> tuple | None:
         """The image :meth:`apply` has already computed for ``state``, or
         ``None``; never calls the callable."""
@@ -329,17 +326,18 @@ class Trajectory:
     cycle_length: int | None = None
     activations: tuple[frozenset, ...] | None = None
 
-    def history(self, i: int) -> tuple:
-        return tuple(state[i] for state in self.states)
-
     @property
     def final(self) -> tuple:
         return self.states[-1]
 
 
 def run_sync(op: DecomposedOperator, start: tuple, max_steps: int) -> Trajectory:
-    """Iterate the assembled operator, stopping at a fixed point or the
-    first repeated state (reported as a cycle)."""
+    """Iterate the assembled operator for at most ``max_steps >= 1``
+    steps, stopping at a fixed point or the first repeated state (reported
+    as a cycle)."""
+    if max_steps < 1:
+        raise ScheduleRejectedError(
+            f"max_steps must be at least 1, got {max_steps}")
     op.check_state(tuple(start))
     states = [tuple(start)]
     seen = {states[0]: 0}

@@ -73,9 +73,6 @@ class Preference:
     def lt(self, p: Path, q: Path) -> bool:
         return self.leq(p, q) and not self.leq(q, p)
 
-    def equivalent(self, p: Path, q: Path) -> bool:
-        return self.leq(p, q) and self.leq(q, p)
-
     @classmethod
     def hop_count(cls, paths) -> "Preference":
         """Fewer arcs strictly preferred, equal arc counts equivalent."""
@@ -212,11 +209,11 @@ class SppInstance:
             for node in live for q in node)
 
     @cached_property
-    def path_heights(self) -> PathHeight:
-        """See :func:`path_height`."""
+    def path_heights(self) -> dict:
+        """The height of each path ``p``: the number of universe paths
+        ``q`` with ``p <= q``."""
         leq = self.preference.leq
-        return PathHeight(tuple(
-            (p, sum(1 for q in self.paths if leq(p, q))) for p in self.paths))
+        return {p: sum(1 for q in self.paths if leq(p, q)) for p in self.paths}
 
     @property
     def empty_path(self) -> Path:
@@ -244,12 +241,6 @@ def _simple_paths_to(nodes, arcs, dest) -> tuple[Path, ...]:
         if node != dest:
             walk((node,))
     return tuple(sorted(found, key=canonical_key))
-
-
-def enumerate_paths(instance: SppInstance) -> tuple[Path, ...]:
-    """All simple directed paths to the destination, including the empty
-    path, in a deterministic lexicographic order."""
-    return _simple_paths_to(instance.nodes, instance.arcs, instance.dest)
 
 
 def make_instance(nodes, dest, arcs, permitted=None,
@@ -370,25 +361,6 @@ def check_strictly_inflationary(instance: SppInstance) -> InflationReport:
     return InflationReport(True)
 
 
-@dataclass(frozen=True)
-class PathHeight:
-    """Count of weakly-worse paths for each path in the universe."""
-
-    table: tuple[tuple[Path, int], ...]
-
-    @cached_property
-    def mapping(self) -> dict:
-        return dict(self.table)
-
-    def of(self, p: Path) -> int:
-        return self.mapping[p]
-
-
-def path_height(instance: SppInstance) -> PathHeight:
-    """The height of ``p`` counts the universe paths ``q`` with p <= q."""
-    return instance.path_heights
-
-
 def validate_state(instance: SppInstance, state) -> frozenset:
     state = frozenset(tuple(p) for p in state)
     for p in state:
@@ -416,13 +388,9 @@ def sigma_step(instance: SppInstance, state) -> frozenset:
 def state_distance(instance: SppInstance, m, n) -> int:
     """Zero for equal states, otherwise the largest height in the
     symmetric difference."""
-    m = validate_state(instance, m)
-    n = validate_state(instance, n)
-    delta = m ^ n
-    if not delta:
-        return 0
-    heights = path_height(instance)
-    return max(heights.of(p) for p in delta)
+    heights = instance.path_heights
+    delta = validate_state(instance, m) ^ validate_state(instance, n)
+    return max((heights[p] for p in delta), default=0)
 
 
 @dataclass(frozen=True)
@@ -452,8 +420,8 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
         raise SizeLimitError(
             f"{p_count} permitted paths; exhaustive pair check capped at "
             f"{_STRICT_CONTRACTION_MAX_PATHS}")
-    heights = path_height(instance)
-    hvec = np.array([heights.of(p) for p in universe])
+    heights = instance.path_heights
+    hvec = np.array([heights[p] for p in universe])
     bits = 1 << np.arange(p_count, dtype=np.int64)
     total = 1 << p_count
 
@@ -547,23 +515,15 @@ def decompose(instance: SppInstance, granularity: str) -> DecomposedOperator:
 
 def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
     """Product ultrametric matching :func:`decompose`: per group, the
-    distance between two held subsets is the top height in their symmetric
-    difference."""
-    groups = _groups(instance, granularity)
-    domains = _group_domains(groups)
-    heights = path_height(instance)
-    scale = RadiusScale.numeric(h for _, h in heights.table)
+    distance between two held subsets is their :func:`state_distance`."""
+    scale = RadiusScale.numeric(instance.path_heights.values())
 
-    components = []
-    for dom in domains:
-        def dist(x, y):
-            delta = x ^ y
-            if not delta:
-                return 0
-            return max(heights.of(p) for p in delta)
+    def dist(x, y):
+        return state_distance(instance, x, y)
 
-        components.append(FiniteUltrametricSpace(dom, scale, dist))
-    return ProductSpace(components)
+    return ProductSpace(
+        FiniteUltrametricSpace(dom, scale, dist)
+        for dom in _group_domains(_groups(instance, granularity)))
 
 
 @dataclass(frozen=True)

@@ -81,12 +81,6 @@ class RadiusScale:
         except KeyError:
             raise MalformedSpaceError(f"label {label!r} not in scale") from None
 
-    def leq(self, a, b) -> bool:
-        return self.index(a) <= self.index(b)
-
-    def less(self, a, b) -> bool:
-        return self.index(a) < self.index(b)
-
 
 class FiniteUltrametricSpace:
     """Finite element set plus a total distance table into a scale.
@@ -153,7 +147,7 @@ class FiniteUltrametricSpace:
         return self._mat
 
     def ball_labels(self) -> np.ndarray:
-        """Ball label of every element at every radius (read-only use).
+        """The ball label of every element at every radius (read-only use).
 
         Row ``r`` holds, for each element, the index of the smallest
         element within distance ``r`` of it, so two elements share a
@@ -351,29 +345,6 @@ def height_space(elements, heights, scale: RadiusScale | None = None,
 
 
 @dataclass(frozen=True)
-class Ball:
-    """Ball of a given radius about a center point."""
-
-    space: object
-    center: object
-    radius: object
-
-    def __post_init__(self):
-        if self.center not in self.space:
-            raise MalformedSpaceError(f"center {self.center!r} not in space")
-        self.space.scale.index(self.radius)  # radius must belong to the scale
-
-
-def ball_members(ball: Ball) -> frozenset:
-    """Exactly the elements within the radius of the center."""
-    space = ball.space
-    r = space.scale.index(ball.radius)
-    return frozenset(
-        e for e in space.elements
-        if space.distance_index(ball.center, e) <= r)
-
-
-@dataclass(frozen=True)
 class CompletenessReport:
     ok: bool
     witness: tuple = ()
@@ -501,7 +472,7 @@ class ProductSpace:
         return self._matrix
 
     def ball_labels(self) -> np.ndarray:
-        """Ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
+        """The ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
 
         A product ball is the box of its component balls, so the label
         combines the component labels in mixed radix, in element order:
@@ -514,16 +485,6 @@ class ProductSpace:
             labels = (labels[:, :, None] * size
                       + comp.ball_labels()[:, None, :]).reshape(len(labels), -1)
         return labels
-
-
-def check_ball_is_box(product: ProductSpace, ball: Ball) -> bool:
-    """A product-space ball must equal the product of component balls."""
-    members = ball_members(ball)
-    component_balls = [
-        ball_members(Ball(comp, center_i, ball.radius))
-        for comp, center_i in zip(product.components, ball.center)]
-    expected = set(itertools.product(*component_balls))
-    return members == expected
 
 
 @dataclass(frozen=True)

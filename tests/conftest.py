@@ -56,6 +56,14 @@ def chain_table(domains, choice, subset):
     return table, next(box_members(chain[-1]))
 
 
+def ball_from_labels(space, center, r) -> frozenset:
+    """The elements whose ``space.ball_labels()`` label at radius index
+    ``r`` is the label of ``center``."""
+    row = space.ball_labels()[r]
+    label = row[space.index_of(center)]
+    return frozenset(e for e, x in zip(space.elements, row) if x == label)
+
+
 def corpus_path(*parts) -> str:
     return os.path.abspath(os.path.join(CORPUS, *parts))
 

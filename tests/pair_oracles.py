@@ -173,7 +173,7 @@ def run_async_by_definition(op, start, schedule):
         for i in active:
             # component j as processor i reads it: its value at tick b
             view = tuple([states[b][j] for j, b in enumerate(rows[i])])
-            nxt[i] = op.component(i, view)
+            nxt[i] = op.apply(view)[i]
         nxt = tuple(nxt)
         states.append(nxt)
         if nxt != prev:

@@ -18,17 +18,15 @@ from acokit.aco import box_members
 from acokit.errors import PreferenceCycleError
 from acokit.iteration import DecomposedOperator, campaign
 from acokit.ultrametric import (
-    Ball,
     ProductSpace,
     RadiusScale,
-    ball_members,
     check_axioms,
     check_isosceles,
     height_space,
     string_space,
 )
 
-from conftest import corpus_path, logic_corpus_paths
+from conftest import ball_from_labels, corpus_path, logic_corpus_paths
 
 STATES22 = list(itertools.product((0, 1), (0, 1)))
 
@@ -73,11 +71,12 @@ def test_criterion_2_construction_round_trip():
         assert aco.verify_box_sequence(op, seq).ok, name
         space = aco.ultrametric_from_boxes(seq)
         balls = []
-        seen = set()
-        for r in space.scale.values:
-            members = ball_members(Ball(space, seq.fixed_point, r))
-            if members not in seen:
-                seen.add(members)
+        for r in range(len(space.scale)):
+            members = ball_from_labels(space, seq.fixed_point, r)
+            assert members == {
+                e for e in space.elements
+                if space.distance_index(seq.fixed_point, e) <= r}, name
+            if members not in balls:
                 balls.append(members)
         expected = [frozenset(box_members(b)) for b in seq.boxes]
         assert balls == expected, name

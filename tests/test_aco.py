@@ -29,15 +29,13 @@ from acokit.errors import (
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
     NOT_CONTRACTION,
-    Ball,
     ContractionReport,
     FiniteUltrametricSpace,
     RadiusScale,
-    ball_members,
     check_axioms,
     classify_contraction,
 )
-from conftest import chain_table
+from conftest import ball_from_labels, chain_table
 from pair_oracles import search_ultrametric_by_pairs
 
 DOM22 = ((0, 1), (0, 1))
@@ -417,11 +415,12 @@ def test_round_trip_on_census_certified():
         space = ultrametric_from_boxes(seq)
         # balls about the fixed point reproduce the boxes exactly
         balls = []
-        seen = set()
-        for r in space.scale.values:
-            members = ball_members(Ball(space, seq.fixed_point, r))
-            if members not in seen:
-                seen.add(members)
+        for r in range(len(space.scale)):
+            members = ball_from_labels(space, seq.fixed_point, r)
+            assert members == {
+                e for e in space.elements
+                if space.distance_index(seq.fixed_point, e) <= r}
+            if members not in balls:
                 balls.append(members)
         expected = [frozenset(box_members(b)) for b in seq.boxes]
         assert balls == expected

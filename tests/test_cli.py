@@ -462,9 +462,13 @@ def test_run_rejects_bad_map_inputs(tmp_path, capsys, inputs, message):
     (("--activation-prob", "0"), None, EXIT_BAD_INPUT),
     (("--fairness-window", "1"), None, EXIT_BAD_INPUT),
     (("--horizon", "0"), None, EXIT_BAD_INPUT),
+    # admissible, but for three processors where the operator has two
+    (("--schedule", "DOC"), {"horizon": 2, "processors": 3,
+                             "activations": [[0, 1, 2], [0, 1, 2]]},
+     EXIT_FAIL),
 ], ids=["malformed", "inadmissible", "float-horizon", "string-horizon",
         "bool-processors", "bool-index", "float-delay", "index-out-of-range",
-        "staleness", "prob", "window", "horizon"])
+        "staleness", "prob", "window", "horizon", "processor-count"])
 def test_run_async_rejects_a_schedule_before_printing(tmp_path, capsys, flags,
                                                       doc, exit_code):
     path = tmp_path / "schedule.json"
@@ -490,6 +494,29 @@ def test_run_rejects_flags_it_does_not_read(tmp_path, capsys, mode, flag):
         main(["run", mode, _operator_file(tmp_path), flag, "1"])
     assert exc.value.code == EXIT_BAD_INPUT
     assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("steps", ["0", "-2"])
+@pytest.mark.parametrize("command", ["routing", "run"])
+def test_step_counts_below_1_are_rejected_before_printing(
+        tmp_path, capsys, command, steps):
+    argv = {"routing": ("routing", "solve", corpus_path("ring3.json")),
+            "run": ("run", "sync", _operator_file(tmp_path))}[command]
+    code, out, err = run_cli(capsys, *argv, "--max-steps", steps)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == f"error: max_steps must be at least 1, got {steps}\n"
+
+
+def test_an_atomless_program_is_rejected_in_async_mode_before_printing(
+        tmp_path, capsys):
+    path = tmp_path / "empty.pl"
+    path.write_text("% no clauses\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "logic", "solve", str(path))
+    assert code == EXIT_OK and "model: {}" in out
+    code, out, err = run_cli(capsys, "logic", "solve", str(path),
+                             "--mode", "async")
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "error: program has an empty atom base\n"
 
 
 def test_run_sync_reads_max_steps(tmp_path, capsys):

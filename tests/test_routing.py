@@ -20,10 +20,8 @@ from acokit.routing import (
     check_strictly_inflationary,
     components_to_state,
     decompose,
-    enumerate_paths,
     format_path,
     make_instance,
-    path_height,
     sigma_step,
     solve,
     state_distance,
@@ -43,45 +41,42 @@ P21D = ("2", "1", "d")
 RING3_FIXED = frozenset({EPS, P1D, P2D})
 
 
-def test_enumerate_paths_destination_only():
+def test_paths_destination_only():
     inst = make_instance(["d"], "d", [])
-    assert enumerate_paths(inst) == (("d",),)
+    assert inst.paths == (("d",),)
 
 
-def test_enumerate_paths_ring3(ring3):
-    assert set(enumerate_paths(ring3)) == {EPS, P1D, P2D, P12D, P21D}
+def test_paths_ring3(ring3):
+    assert set(ring3.paths) == {EPS, P1D, P2D, P12D, P21D}
 
 
-def test_enumerate_paths_multi2(multi2):
-    assert set(enumerate_paths(multi2)) == {
+def test_paths_multi2(multi2):
+    assert set(multi2.paths) == {
         EPS, P1D, P2D, ("3", "1", "d"), ("3", "2", "d")}
 
 
 def test_heights_by_direct_count(ring3):
     # independent oracle: count weakly-worse paths with raw hop comparisons
-    paths = enumerate_paths(ring3)
+    paths = ring3.paths
     hops = {p: len(p) - 1 for p in paths}
     expected = {
         p: sum(1 for q in paths if hops[p] <= hops[q]) for p in paths}
-    computed = path_height(ring3)
-    assert {p: computed.of(p) for p in paths} == expected
+    assert ring3.path_heights == expected
     assert expected[EPS] == 5
     assert expected[P1D] == expected[P2D] == 4
     assert expected[P12D] == expected[P21D] == 2
 
 
 def test_heights_single_arc(single_arc):
-    h = path_height(single_arc)
-    assert h.of(EPS) == 2
-    assert h.of(P1D) == 1
+    assert single_arc.path_heights == {EPS: 2, P1D: 1}
 
 
 def test_height_monotone_under_strict_preference(ring3):
-    h = path_height(ring3)
+    h = ring3.path_heights
     pref = ring3.preference
     for p, q in itertools.permutations(ring3.paths, 2):
         if pref.lt(p, q):
-            assert h.of(p) > h.of(q)
+            assert h[p] > h[q]
 
 
 def test_state_distance_does_not_hash_the_instance(ring3, monkeypatch):
@@ -92,7 +87,7 @@ def test_state_distance_does_not_hash_the_instance(ring3, monkeypatch):
 
     monkeypatch.setattr(routing.SppInstance, "__hash__", refuse)
     assert state_distance(ring3, {EPS}, {EPS, P1D}) == 4
-    assert path_height(ring3) is path_height(ring3)
+    assert ring3.path_heights is ring3.path_heights
 
 
 def test_inflationary_ring3_and_single_arc(ring3, single_arc):
@@ -124,7 +119,7 @@ def test_declared_ties_are_not_cycles():
     inst = make_instance(["d", "1", "2"], "d",
                          [("1", "d"), ("2", "d"), ("1", "2"), ("2", "1")],
                          preference=pairs)
-    assert inst.preference.equivalent(P1D, P2D)
+    assert inst.preference.leq(P1D, P2D) and inst.preference.leq(P2D, P1D)
 
 
 def test_sigma_step_examples(ring3, multi2):
@@ -155,7 +150,7 @@ def policy_instances(draw):
     nodes = ["d"] + [str(i) for i in range(1, n + 1)]
     arcs = [(u, v) for u in nodes[1:] for v in nodes
             if u != v and draw(st.booleans())]
-    paths = enumerate_paths(make_instance(nodes, "d", arcs))
+    paths = make_instance(nodes, "d", arcs).paths
     permitted = None
     if draw(st.booleans()):
         routes = [p for p in paths if len(p) > 1]
@@ -261,7 +256,7 @@ def _gated_ring(n):
 def test_strict_contraction_matches_pair_oracle(shape, preference):
     build, n = shape
     nodes, arcs = build(n)
-    paths = enumerate_paths(make_instance(nodes, "d", arcs))
+    paths = make_instance(nodes, "d", arcs).paths
     # all-tied paths share one height, so the round contracts strictly
     # only if it maps every state to one image, and weakly whatever it is
     pairs = {"hop-count": "hop-count",

@@ -10,13 +10,10 @@ from hypothesis import strategies as st
 
 from acokit.errors import InvalidHeightError, MalformedSpaceError
 from acokit.ultrametric import (
-    Ball,
     FiniteUltrametricSpace,
     ProductSpace,
     RadiusScale,
-    ball_members,
     check_axioms,
-    check_ball_is_box,
     check_isosceles,
     check_spherical_completeness,
     classify_contraction,
@@ -30,6 +27,7 @@ from acokit.ultrametric import (
     STRICT_CONTRACTION,
     STRICT_ON_ORBITS,
 )
+from conftest import ball_from_labels
 from pair_oracles import classify_by_pairs
 
 
@@ -58,8 +56,7 @@ def space_from_table(table, scale_values):
 def test_scale_orders_labels():
     scale = RadiusScale((0, "low", "high"))
     assert scale.zero == 0
-    assert scale.less(0, "low") and scale.less("low", "high")
-    assert scale.leq("high", "high")
+    assert scale.index(0) < scale.index("low") < scale.index("high")
     with pytest.raises(MalformedSpaceError):
         scale.index("absent")
 
@@ -164,23 +161,25 @@ def _random_height_space(rng, size, name):
     return height_space(elements, heights, scale)
 
 
-def test_ball_members_and_recentering():
+def test_ball_labels_match_distances_and_recentering():
     space = height_space(("a", "b", "c"), {"a": 3, "b": 5, "c": 5})
-    assert ball_members(Ball(space, "a", 0)) == {"a"}
-    top = space.scale.top
-    assert ball_members(Ball(space, "a", top)) == set(space.elements)
+    top = len(space.scale) - 1
+    assert ball_from_labels(space, "a", 0) == {"a"}
+    assert ball_from_labels(space, "a", top) == set(space.elements)
     for center in space.elements:
-        for radius in space.scale.values:
-            members = ball_members(Ball(space, center, radius))
+        for r in range(len(space.scale)):
+            members = ball_from_labels(space, center, r)
+            assert members == {e for e in space.elements
+                               if space.distance_index(center, e) <= r}
             for other in members:
-                assert ball_members(Ball(space, other, radius)) == members
+                assert ball_from_labels(space, other, r) == members
 
 
 def test_balls_nest_or_are_disjoint():
     rng = random.Random(7)
     space = _random_height_space(rng, 8, "e")
-    balls = {ball_members(Ball(space, c, r))
-             for c in space.elements for r in space.scale.values}
+    balls = {ball_from_labels(space, c, r)
+             for c in space.elements for r in range(len(space.scale))}
     for a, b in itertools.combinations(balls, 2):
         assert not (a & b) or a <= b or b <= a
 
@@ -230,17 +229,21 @@ def test_product_rejects_vectors_of_the_wrong_length(wrong):
         classify_contraction(product, lambda m: wrong)
 
 
-def test_every_product_ball_is_box():
-    rng = random.Random(20240803)
-    for trial in range(10):
-        comps = tuple(
-            _random_height_space(rng, rng.randint(2, 3), f"c{trial}_{i}_")
-            for i in range(rng.randint(2, 3)))
-        product = ProductSpace(comps)
-        for _ in range(5):
-            center = rng.choice(product.elements)
-            radius = rng.choice(product.scale.values)
-            assert check_ball_is_box(product, Ball(product, center, radius))
+@given(st.lists(st.lists(st.integers(min_value=1, max_value=4),
+                         min_size=1, max_size=3), min_size=1, max_size=3))
+def test_every_product_ball_is_box(component_heights):
+    # the product's labels combine component ball labels, so each of its
+    # balls is a box by construction; a space over the product's own
+    # distance table finds the real balls
+    scale = RadiusScale((0, 1, 2, 3, 4))
+    product = ProductSpace(
+        height_space(range(len(heights)), dict(enumerate(heights)), scale)
+        for heights in component_heights)
+    D, index_of = product.index_matrix(), product.index_of
+    flat = FiniteUltrametricSpace(
+        product.elements, scale,
+        lambda m, n: scale.values[D[index_of(m), index_of(n)]])
+    assert np.array_equal(product.ball_labels(), flat.ball_labels())
 
 
 def test_classify_identity_is_strict_on_orbits():
