@@ -41,6 +41,8 @@ Box = tuple  # per-component subsets, each a canonically sorted tuple
 
 # most height assignments search_ultrametric will enumerate
 MAX_ASSIGNMENTS = 2_000_000
+# most cells of any temporary array one batch of the census allocates
+BATCH_CELLS = 1 << 22
 
 
 def _normalize_box(box) -> Box:
@@ -316,9 +318,10 @@ def _height_family(sizes: tuple) -> tuple:
 
     ``heights`` holds the order-canonical assignments of heights
     ``0 .. max(1, n - 1)`` for ``n`` states (:func:`_canonical_heights`);
-    ``pair_dist[r, i, j]`` is the product height distance of states ``i``
+    ``pair_dist[i, j, r]`` is the product height distance of states ``i``
     and ``j`` (``itertools.product`` order) under row ``r``: the largest
-    height of a value at which they differ, ``0`` when they are equal; and
+    height of a value at which they differ, ``0`` when they are equal,
+    with the distances of one pair under every row side by side; and
     ``a, b`` index the state pairs ``a < b``.  More than
     :data:`MAX_ASSIGNMENTS` assignments raise :class:`SizeLimitError`
     before anything is built, so an over-cap shape is never cached.  The
@@ -332,21 +335,130 @@ def _height_family(sizes: tuple) -> tuple:
         raise SizeLimitError(f"{total} height assignments exceed the "
                              f"search cap {MAX_ASSIGNMENTS}")
     heights = _canonical_heights(sizes, top)
-    # column of each state's coordinate in an assignment row
-    starts = np.cumsum((0,) + sizes[:-1])
-    cols = np.array(list(itertools.product(
-        *(range(s, s + n) for s, n in zip(starts, sizes)))))
+    cols = _value_columns(sizes)
     differ = cols[:, None, :] != cols[None, :, :]
-    pair_dist = np.zeros((len(heights), states, states), dtype=np.uint8)
+    pair_dist = np.zeros((states, states, len(heights)), dtype=np.uint8)
     # one component at a time keeps each temporary the size of pair_dist
     for c in range(len(sizes)):
-        h = heights[:, cols[:, c]]
-        top_of = np.maximum(h[:, :, None], h[:, None, :])
-        np.maximum(pair_dist, top_of * differ[:, :, c], out=pair_dist)
+        h = heights[:, cols[:, c]].T
+        top_of = np.maximum(h[:, None, :], h[None, :, :])
+        np.maximum(pair_dist, top_of * differ[:, :, c, None], out=pair_dist)
     a, b = np.triu_indices(states, 1)
     for array in (heights, pair_dist, a, b):
         array.setflags(write=False)
     return heights, pair_dist, a, b
+
+
+def _value_columns(sizes: tuple) -> np.ndarray:
+    """``cols[s, c]``: the column of state ``s``'s value of component
+    ``c`` among all ``sum(sizes)`` values, components in turn, states in
+    ``itertools.product`` order."""
+    import numpy as np
+    starts = np.cumsum((0,) + sizes[:-1])
+    return np.array(list(itertools.product(
+        *(range(s, s + n) for s, n in zip(starts, sizes)))), dtype=np.int64)
+
+
+def _metric_sizes(domains) -> tuple:
+    """The shape the batch passes read: the sizes of the components with
+    more than one value.
+
+    A one-value component leaves every state index as it is, never stops
+    a hull from being a singleton and never enters a distance, so the
+    family is built without it and its value gets height 0.  The first
+    qualifying row of the full family has 0 there anyway: zeroing those
+    entries and relabeling by rank keeps every distance and lowers every
+    entry.
+    """
+    return tuple(len(dom) for dom in domains if len(dom) > 1)
+
+
+def _batch_hulls(sizes: tuple, images: np.ndarray) -> np.ndarray:
+    """:func:`_image_hulls` of many operators at once.
+
+    ``images[n, s]`` is the index of operator ``n``'s image of state
+    ``s``.  Each hull is a boolean mask over the ``sum(sizes)`` values,
+    and every operator's mask is replaced by the values of the images of
+    the states inside it until no operator's mask changes.  Returns
+    whether each operator's hulls stop at a singleton.
+    """
+    import numpy as np
+    cols = _value_columns(sizes)
+    holds = np.zeros((len(cols), sum(sizes)), dtype=bool)
+    holds[np.arange(len(cols))[:, None], cols] = True
+    hit = holds[images]  # the values of each image, per operator and state
+    mask = np.ones((len(images), sum(sizes)), dtype=bool)
+    while True:
+        inside = mask[:, cols].all(axis=2)
+        nxt = (hit & inside[:, :, None]).any(axis=1)
+        if np.array_equal(nxt, mask):
+            return mask.sum(axis=1) == len(sizes)
+        mask = nxt
+
+
+def _batch_metric(sizes: tuple, images: np.ndarray) -> np.ndarray:
+    """The first qualifying :func:`_height_family` row of each operator,
+    or ``-1`` (see :func:`search_ultrametric`).
+
+    ``images`` is as for :func:`_batch_hulls`.  Operators without exactly
+    one fixed point get ``-1`` before the family is asked for; the others
+    go through :func:`_qualifying_rows` at once.
+    """
+    import numpy as np
+    rows = np.full(len(images), -1, dtype=np.int64)
+    gated = np.flatnonzero(
+        (images == np.arange(images.shape[1])).sum(axis=1) == 1)
+    if gated.size:
+        rows[gated] = _qualifying_rows(sizes, images[gated])
+    return rows
+
+
+def _qualifying_rows(sizes: tuple, sigma: np.ndarray) -> np.ndarray:
+    """The first :func:`_height_family` row under which each operator (an
+    array of image indices with exactly one fixed point, one per row of
+    ``sigma``) contracts and is strict on orbits, or ``-1``.
+
+    Every row is checked at once: the temporaries hold operators times
+    state pairs times rows cells.
+    """
+    import numpy as np
+    heights, pair_dist, a, b = _height_family(sizes)
+    after = sigma[np.arange(len(sigma))[:, None], sigma]
+    # no pair of images farther apart than the pair
+    contracts = (pair_dist[sigma[:, a], sigma[:, b]]
+                 <= pair_dist[a, b]).all(axis=1)
+    # every step F(x), F(F(x)) shorter than x, F(x) where F moves x: such
+    # a step x, F(x) is at least 1, as distinct states never share a zero
+    # height, while the fixed point's two steps are 0 and pass
+    steps = pair_dist[np.arange(sigma.shape[1]), sigma]
+    strict = (pair_dist[sigma, after] < np.maximum(steps, 1)).all(axis=1)
+    ok = contracts & strict
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+
+def _witness(domains, row) -> ProductSpace:
+    """The product space of height row ``row``: one height per value of
+    each component with more than one value, in order; a one-value
+    component's value gets height 0."""
+    scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
+    comps = []
+    start = 0
+    for dom in domains:
+        if len(dom) == 1:
+            table = {dom[0]: 0}
+        else:
+            table = dict(zip(dom, row[start:start + len(dom)]))
+            start += len(dom)
+        comps.append(FiniteUltrametricSpace(
+            dom, scale,
+            lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))
+    return ProductSpace(comps)
+
+
+def _confirm(witness: ProductSpace, sigma) -> None:
+    if not classify_contraction(witness, sigma).qualifies():
+        raise SemanticsError(
+            "inline height check disagrees with classify_contraction")
 
 
 def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
@@ -358,13 +470,17 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     per domain shape and kept: the operator contracts when no pair of
     images is farther apart than the pair, and is strict on orbits when
     every step ``F(x), F(F(x))`` is shorter than ``x, F(x)`` for each
-    ``x`` it moves.  Returns the first product space, in
-    ``itertools.product`` order of assignments, making the operator a
-    contraction that is strict on orbits around a unique fixed point, or
-    ``None``.  An operator without exactly one fixed point returns
-    ``None`` on any domain; otherwise more than :data:`MAX_ASSIGNMENTS`
-    assignments to the values of components with more than one value
-    raise :class:`SizeLimitError` before any is built.
+    ``x`` it moves: the census's metric pass, :func:`_qualifying_rows`,
+    on one operator.
+    Returns the first product space, in ``itertools.product`` order of
+    assignments, making the operator a contraction that is strict on
+    orbits around a unique fixed point, or ``None``.  An operator without
+    exactly one fixed point returns ``None`` on any domain; otherwise more
+    than :data:`MAX_ASSIGNMENTS` assignments to the values of components
+    with more than one value raise :class:`SizeLimitError` before any is
+    built.
+    Every space found is confirmed by :func:`classify_contraction`, and a
+    disagreement raises :class:`SemanticsError`.
 
     The unique-fixed-point requirement is independent of any metric:
     strictness on orbits is vacuous at fixed points, so a map fixing two
@@ -376,48 +492,20 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     states = list(op.iter_states())
     index = {m: p for p, m in enumerate(states)}
     sigma = np.array([index[op.apply(m)] for m in states])
-    ids = np.arange(len(states))
-    fixed = np.count_nonzero(sigma == ids)
+    fixed = np.count_nonzero(sigma == np.arange(len(states)))
     if fixed != 1:
         log.debug("search_ultrametric: fixed_points=%d "
                   "gate=unique-fixed-point", fixed)
         return None
-    # A one-value component never enters a distance, so the family is
-    # built without it and its value gets height 0.  The first qualifying
-    # row of the full family has 0 there anyway: zeroing those entries and
-    # relabeling by rank keeps every distance and lowers every entry.
-    heights, pair_dist, a, b = _height_family(
-        tuple(len(dom) for dom in op.domains if len(dom) > 1))
-
-    contracts = (pair_dist[:, sigma[a], sigma[b]]
-                 <= pair_dist[:, a, b]).all(axis=1)
-    moved = ids[sigma != ids]
-    strict = (pair_dist[:, sigma[moved], sigma[sigma[moved]]]
-              < pair_dist[:, moved, sigma[moved]]).all(axis=1)
-    ok = contracts & strict
+    sizes = _metric_sizes(op.domains)
+    heights = _height_family(sizes)[0]
+    row = _qualifying_rows(sizes, sigma[None, :])[0]
     log.debug("search_ultrametric: assignments=%d verdict=%s", len(heights),
-              "found" if ok.any() else "none")
-    if not ok.any():
+              "found" if row >= 0 else "none")
+    if row < 0:
         return None
-
-    h = heights[ok.argmax()].tolist()
-    scale = RadiusScale(tuple(range(max(h, default=0) + 1)))
-    comps = []
-    start = 0
-    for dom in op.domains:
-        if len(dom) == 1:
-            table = {dom[0]: 0}
-        else:
-            table = dict(zip(dom, h[start:start + len(dom)]))
-            start += len(dom)
-        comps.append(FiniteUltrametricSpace(
-            dom, scale,
-            lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))
-    witness = ProductSpace(comps)
-    confirmation = classify_contraction(witness, op.apply)
-    if not confirmation.qualifies():
-        raise SemanticsError(
-            "inline height check disagrees with classify_contraction")
+    witness = _witness(op.domains, heights[row].tolist())
+    _confirm(witness, sigma)
     return witness
 
 
@@ -523,29 +611,79 @@ class CensusResult:
         return self.agreements == self.total
 
 
+def _chunk_size(sizes: tuple, rows: int) -> int:
+    """Operators per batch, so that no temporary of :func:`_batch_hulls`
+    or :func:`_batch_metric` exceeds :data:`BATCH_CELLS` cells; a batch
+    holds at least one operator, whose gathers the height-family cap
+    bounds."""
+    states = math.prod(sizes)
+    per_operator = max(rows * max(states * (states - 1) // 2, states),
+                       states * sum(sizes))
+    return max(1, BATCH_CELLS // per_operator)
+
+
+def _image_arrays(states: int, chunk: int):
+    """Every self-map of ``states`` states as an array of image indices,
+    in ``itertools.product`` order, ``chunk`` maps at a time."""
+    import numpy as np
+    place = states ** np.arange(states - 1, -1, -1)
+    total = states ** states
+    for start in range(0, total, chunk):
+        codes = np.arange(start, min(start + chunk, total))
+        yield codes[:, None] // place % states
+
+
 def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
-    """Run both searches over every operator on a small product domain.
+    """Run both characterizations over every operator on a small product
+    domain.
 
     The default domain yields the 256 self-maps of a 2x2 product; the box
     search and the ultrametric search must return the same verdict on each.
+    Every table is checked in ``itertools.product`` order by one batched
+    pass per chunk of operators: :func:`_batch_hulls` for the box chain
+    and :func:`_batch_metric` for the product height metric, with chunks
+    sized before anything is allocated so that no temporary exceeds
+    :data:`BATCH_CELLS` cells.  Each metric found is confirmed by
+    :func:`classify_contraction` on its witness space, built once per
+    height row within the call, and each operator whose two verdicts
+    differ is rechecked by :func:`search_box_sequence` and
+    :func:`search_ultrametric`; either check disagreeing with the batch
+    raises :class:`SemanticsError`.  Empty domains and repeated values
+    raise :class:`PreconditionError`, as for any operator.
     """
-    domains = tuple(tuple(d) for d in domains)
+    import numpy as np
+    # the identity operator checks the domains
+    domains = DecomposedOperator(domains, lambda s: s).domains
     states = list(itertools.product(*domains))
+    sizes = _metric_sizes(domains)
+    heights = _height_family(sizes)[0]
     total = 0
     agreements = 0
     acos = 0
     mismatches = []
-    for images in itertools.product(states, repeat=len(states)):
-        table = dict(zip(states, images))
-        op = DecomposedOperator.from_table(domains, table)
-        by_boxes = search_box_sequence(op) is not None
-        by_metric = search_ultrametric(op) is not None
-        total += 1
-        if by_boxes == by_metric:
-            agreements += 1
-            if by_boxes:
-                acos += 1
-        else:
-            mismatches.append((tuple(sorted(table.items())),
-                               by_boxes, by_metric))
+    witnesses = {}  # height row -> its space
+    for images in _image_arrays(len(states),
+                                _chunk_size(sizes, len(heights))):
+        by_boxes = _batch_hulls(sizes, images)
+        rows = _batch_metric(sizes, images)
+        by_metric = rows >= 0
+        for n in np.flatnonzero(by_metric):
+            row = int(rows[n])
+            if row not in witnesses:
+                witnesses[row] = _witness(domains, heights[row].tolist())
+            _confirm(witnesses[row], images[n])
+        for n in np.flatnonzero(by_boxes != by_metric):
+            table = dict(zip(states, (states[i] for i in images[n])))
+            verdicts = (bool(by_boxes[n]), bool(by_metric[n]))
+            op = DecomposedOperator.from_table(domains, table)
+            if verdicts != (search_box_sequence(op) is not None,
+                            search_ultrametric(op) is not None):
+                raise SemanticsError(
+                    f"batch verdicts {verdicts} on {table!r} disagree with "
+                    "the single-operator searches")
+            mismatches.append((tuple(sorted(table.items())), *verdicts))
+        agree = by_boxes == by_metric
+        total += len(images)
+        agreements += int(np.count_nonzero(agree))
+        acos += int(np.count_nonzero(agree & by_boxes))
     return CensusResult(total, agreements, acos, tuple(mismatches))

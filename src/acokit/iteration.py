@@ -140,8 +140,9 @@ class Schedule:
                  fairness_window: int, ticks):
         if processors < 1:
             raise ScheduleRejectedError("need at least one processor")
-        if horizon < 0:
-            raise ScheduleRejectedError("horizon must be non-negative")
+        if horizon < 1:
+            raise ScheduleRejectedError(
+                f"horizon must be at least 1, got {horizon}")
         if staleness_bound < 1 or fairness_window < 1:
             raise ScheduleRejectedError("staleness bound and fairness window >= 1")
         self.processors = processors

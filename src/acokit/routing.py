@@ -24,6 +24,7 @@ from functools import cached_property
 from .errors import (
     PreconditionError,
     PreferenceCycleError,
+    ScheduleRejectedError,
     SizeLimitError,
 )
 from .iteration import (DecomposedOperator, campaign, campaign_stats,
@@ -570,10 +571,15 @@ def solve(instance: SppInstance, mode: str = "sync", *,
     ``force`` is set; forced runs may oscillate, which is reported as a
     cycle (sync) or horizon exhaustion (async).  An async campaign whose
     runs all converge, but not to one state, is ``divergent``.  An async
-    campaign of fewer than one schedule is rejected before any other work.
+    campaign of fewer than one schedule, or given ``max_steps``, which
+    bounds sync runs only, is rejected before any other work.
     """
     if mode == "async":
         check_schedules(schedules)
+        if max_steps is not None:
+            raise ScheduleRejectedError(
+                "max_steps bounds sync runs only; an async run stops at its "
+                "horizon (--horizon)")
     report = check_strictly_inflationary(instance)
     if not report.ok and not force:
         arc, p = report.witness

@@ -119,6 +119,7 @@ class FiniteUltrametricSpace:
                         raise MalformedSpaceError(
                             f"missing table entry for ({m!r}, {e!r})") from None
                     mat[i, j] = scale.index(label)
+        mat.setflags(write=False)
         self._mat = mat
 
     def __len__(self):
@@ -143,11 +144,11 @@ class FiniteUltrametricSpace:
         return self.scale.values[self.distance_index(m, n)]
 
     def index_matrix(self) -> np.ndarray:
-        """Distance table as a matrix of scale indices (read-only use)."""
+        """Distance table as a matrix of scale indices (read-only)."""
         return self._mat
 
     def ball_labels(self) -> np.ndarray:
-        """The ball label of every element at every radius (read-only use).
+        """The ball label of every element at every radius (read-only).
 
         Row ``r`` holds, for each element, the index of the smallest
         element within distance ``r`` of it, so two elements share a
@@ -196,6 +197,7 @@ class FiniteUltrametricSpace:
                     f"{values[D[x, z]]!r} exceeds d({els[x]!r}, {els[y]!r}) "
                     f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
                     f"= {values[D[y, z]]!r}")
+        labels.setflags(write=False)
         return labels
 
 
@@ -466,6 +468,7 @@ class ProductSpace:
             digits = (ids // stride) % size
             cm = comp.index_matrix()
             np.maximum(mat, cm[np.ix_(digits, digits)], out=mat)
+        mat.setflags(write=False)
         return mat
 
     def index_matrix(self) -> np.ndarray:
@@ -477,13 +480,18 @@ class ProductSpace:
         A product ball is the box of its component balls, so the label
         combines the component labels in mixed radix, in element order:
         the index of the box's smallest element.  Each component checks
-        its own table.
+        its own table.  Computed once per space (read-only).
         """
+        return self._ball_labels
+
+    @cached_property
+    def _ball_labels(self) -> np.ndarray:
         import numpy as np
         labels = np.zeros((len(self.scale), 1), dtype=np.int64)
         for comp, size in zip(self.components, self._sizes):
             labels = (labels[:, :, None] * size
                       + comp.ball_labels()[:, None, :]).reshape(len(labels), -1)
+        labels.setflags(write=False)
         return labels
 
 

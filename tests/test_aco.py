@@ -2,6 +2,7 @@ import itertools
 import logging
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -148,17 +149,36 @@ def test_box_census_3x2():
     domains = ((0, 1, 2), (0, 1))
     states = list(itertools.product(*domains))
     total = certified = found = 0
+    differ = []
     for images in itertools.product(states, repeat=len(states)):
-        op = DecomposedOperator.from_table(domains, dict(zip(states, images)))
+        table = dict(zip(states, images))
+        op = DecomposedOperator.from_table(domains, table)
         seq = search_box_sequence(op)
         total += 1
         if seq is not None:
             certified += 1
             assert verify_box_sequence(op, seq).ok
-        if search_ultrametric(op) is not None:
+        metric = search_ultrametric(op) is not None
+        if metric:
             found += 1
             assert seq is not None
+        if (seq is not None) != metric:
+            differ.append((tuple(sorted(table.items())), seq is not None,
+                           metric))
     assert (total, certified, found) == (46_656, 1_548, 1_116)
+    # the batched census reads the same verdicts off every table
+    census = equivalence_census(domains)
+    assert (census.total, census.agreements, census.aco_count) == \
+        (46_656, 46_224, 1_116)
+    assert len(census.mismatches) == 432
+    assert {m[1:] for m in census.mismatches} == {(True, False)}
+    assert list(census.mismatches) == differ
+
+
+def _image_array(domains, tables):
+    states = list(itertools.product(*domains))
+    index = {s: i for i, s in enumerate(states)}
+    return np.array([[index[table[s]] for s in states] for table in tables])
 
 
 SHAPES = (((0, 1),) * 3, ((0, 1, 2),) * 2, ((0, 1, 2, 3), (0, 1)))
@@ -193,6 +213,84 @@ def test_search_on_random_operators(data):
     assert images == [set(comp) for comp in stalled]
     assert 1 <= refutation["boxes_examined"] <= \
         sum(map(len, domains)) - len(domains) + 1
+
+
+@given(st.data())
+def test_batch_pass_matches_the_single_operator_searches(data):
+    domains = data.draw(st.sampled_from(SHAPES))
+    states = list(itertools.product(*domains))
+    tables = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            table, _ = chain_table(
+                domains, lambda xs: data.draw(st.sampled_from(xs)),
+                lambda xs: data.draw(st.lists(
+                    st.sampled_from(xs), min_size=1, max_size=len(xs) - 1,
+                    unique=True)))
+        else:
+            table = {s: data.draw(st.sampled_from(states)) for s in states}
+        tables.append(table)
+    sizes = aco._metric_sizes(domains)
+    images = _image_array(domains, tables)
+    certified = aco._batch_hulls(sizes, images)
+    rows = aco._batch_metric(sizes, images)
+    for n, table in enumerate(tables):
+        op = DecomposedOperator.from_table(domains, table)
+        assert certified[n] == (search_box_sequence(op) is not None)
+        assert (rows[n] >= 0) == (search_ultrametric(op) is not None)
+
+
+def test_equivalence_census_raises_when_the_classifier_disagrees(
+        monkeypatch):
+    monkeypatch.setattr(aco, "classify_contraction",
+                        lambda space, sigma: ContractionReport(
+                            NOT_CONTRACTION, None))
+    with pytest.raises(SemanticsError, match="disagrees"):
+        equivalence_census()
+
+
+def test_equivalence_census_raises_when_a_recheck_contradicts_the_batch(
+        monkeypatch):
+    # a box side that certifies nothing disagrees with the metric side
+    # on the 28 operators it finds, and the single-operator box search
+    # certifies each of them
+    def no_chains(sizes, images):
+        return np.zeros(len(images), dtype=bool)
+
+    monkeypatch.setattr(aco, "_batch_hulls", no_chains)
+    with pytest.raises(SemanticsError, match="single-operator searches"):
+        equivalence_census()
+
+
+@pytest.mark.parametrize("domains, message", [
+    (((), (0, 1)), "nonempty domain"),
+    ((), "nonempty domain"),
+    (((0, 0), (1, 2)), "distinct"),
+])
+def test_equivalence_census_rejects_bad_domains(domains, message):
+    with pytest.raises(PreconditionError, match=message):
+        equivalence_census(domains)
+
+
+@pytest.mark.parametrize("cells", [1, 5_000, 100_000])
+def test_equivalence_census_is_the_same_in_every_chunking(monkeypatch, cells):
+    domains = ((0, 1), (0,), (0, 1))
+    expected = equivalence_census(domains)
+    chunks = []
+    batch = aco._batch_metric
+
+    def recording(sizes, images):
+        chunks.append(len(images))
+        return batch(sizes, images)
+
+    monkeypatch.setattr(aco, "BATCH_CELLS", cells)
+    monkeypatch.setattr(aco, "_batch_metric", recording)
+    assert equivalence_census(domains) == expected
+    # 115 rows times 6 state pairs per operator, and at least one operator
+    chunk = max(1, cells // (115 * 6))
+    assert aco._chunk_size((2, 2), 115) == chunk
+    assert chunks == [chunk] * (256 // chunk) + [256 % chunk] * (
+        256 % chunk > 0)
 
 
 def test_search_ultrametric_examples():
@@ -347,6 +445,27 @@ def test_search_ultrametric_gate_runs_before_the_cap():
     with pytest.raises(SizeLimitError):
         search_ultrametric(constant)
     assert aco._height_family.cache_info().currsize == 0
+
+
+def test_search_ultrametric_witnesses_keep_value_types():
+    # (False, True) == (0, 1): each domain's space keeps its own values,
+    # whichever of the two is searched first
+    bools = ((False, True), (0, 1))
+    ints = ((0, 1), (0, 1))
+
+    def constant(domains):
+        states = itertools.product(*domains)
+        return DecomposedOperator.from_table(
+            domains, {s: (domains[0][0], domains[1][0]) for s in states})
+
+    for order in ((bools, ints), (ints, bools)):
+        for domains in order:
+            space = search_ultrametric(constant(domains))
+            assert [[type(v) for v in comp.elements]
+                    for comp in space.components] == \
+                [[type(v) for v in dom] for dom in domains]
+            assert [type(v) for v in space.elements[-1]] == \
+                [type(dom[-1]) for dom in domains]
 
 
 def test_boxes_from_ultrametric_requires_qualifying_map(ring3):

@@ -466,9 +466,13 @@ def test_run_rejects_bad_map_inputs(tmp_path, capsys, inputs, message):
     (("--schedule", "DOC"), {"horizon": 2, "processors": 3,
                              "activations": [[0, 1, 2], [0, 1, 2]]},
      EXIT_FAIL),
+    # a schedule file of no ticks, like --horizon 0
+    (("--schedule", "DOC"), {"horizon": 0, "activations": []},
+     EXIT_BAD_INPUT),
 ], ids=["malformed", "inadmissible", "float-horizon", "string-horizon",
         "bool-processors", "bool-index", "float-delay", "index-out-of-range",
-        "staleness", "prob", "window", "horizon", "processor-count"])
+        "staleness", "prob", "window", "horizon", "processor-count",
+        "zero-horizon-file"])
 def test_run_async_rejects_a_schedule_before_printing(tmp_path, capsys, flags,
                                                       doc, exit_code):
     path = tmp_path / "schedule.json"
@@ -505,6 +509,17 @@ def test_step_counts_below_1_are_rejected_before_printing(
     code, out, err = run_cli(capsys, *argv, "--max-steps", steps)
     assert (code, out) == (EXIT_BAD_INPUT, "")
     assert err == f"error: max_steps must be at least 1, got {steps}\n"
+
+
+@pytest.mark.parametrize("steps", ["-1", "5"])
+def test_routing_solve_rejects_max_steps_in_async_mode_before_printing(
+        capsys, steps):
+    code, out, err = run_cli(capsys, "routing", "solve",
+                             corpus_path("ring3.json"), "--mode", "async",
+                             "--schedules", "2", "--max-steps", steps)
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--horizon" in err
 
 
 def test_an_atomless_program_is_rejected_in_async_mode_before_printing(

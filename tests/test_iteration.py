@@ -212,7 +212,8 @@ SYNC2 = ((frozenset({0, 1}), ((0, 0), (0, 0))),
 
 @pytest.mark.parametrize("processors, horizon, bounds, source, message", [
     (0, 2, (1, 1), SYNC2, "at least one processor"),
-    (2, -1, (1, 1), SYNC2, "horizon must be non-negative"),
+    (2, -1, (1, 1), SYNC2, "horizon must be at least 1, got -1"),
+    (2, 0, (1, 1), (), "horizon must be at least 1, got 0"),
     (2, 2, (0, 1), SYNC2, "fairness window >= 1"),
     (2, 2, (1, 0), SYNC2, "fairness window >= 1"),
     (2, 3, (1, 1), SYNC2, "must cover the horizon"),
@@ -222,14 +223,14 @@ SYNC2 = ((frozenset({0, 1}), ((0, 0), (0, 0))),
      r"activation set \{-1\} out of range"),
     (2, 2, (1, 1), ((frozenset({0}), ((0, 0),)),), "k x k"),
     (2, 2, (1, 1), ((frozenset({0}), ((0, 0, 0), (0, 0))),), "k x k"),
-], ids=["processors", "horizon", "staleness", "window", "short", "index",
-        "negative-index", "rows", "row"])
+], ids=["processors", "horizon", "zero-horizon", "staleness", "window",
+        "short", "index", "negative-index", "rows", "row"])
 def test_schedule_rejects_a_malformed_schedule(processors, horizon, bounds,
                                                source, message):
     def build():
         return Schedule(processors, horizon, *bounds, iter(source))
 
-    if processors < 1 or horizon < 0 or min(bounds) < 1:
+    if processors < 1 or horizon < 1 or min(bounds) < 1:
         with pytest.raises(ScheduleRejectedError, match=message):
             build()
         return

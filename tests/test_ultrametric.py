@@ -209,6 +209,19 @@ def test_product_distance_examples():
     assert check_isosceles(product).ok
 
 
+def test_cached_distance_and_label_arrays_are_read_only():
+    # classify_contraction reads these arrays on every call, so a write
+    # would change later verdicts on the same space
+    scale = RadiusScale((0, 1, 2))
+    left = height_space(("a", "a'"), {"a": 1, "a'": 2}, scale)
+    product = ProductSpace((left, height_space(("b",), {"b": 1}, scale)))
+    for space in (left, product):
+        for array in (space.index_matrix(), space.ball_labels()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+        assert space.ball_labels() is space.ball_labels()
+
+
 def test_product_scale_must_match():
     a = height_space(("x",), {"x": 1})
     b = height_space(("y",), {"y": 2})
