@@ -13,7 +13,9 @@ configuration produce byte-identical stdout and files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import io
 import json
 import logging
 import os
@@ -73,7 +75,7 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
-def _cmd_space_check(args: argparse.Namespace) -> int:
+def _cmd_space_check(args: argparse.Namespace) -> tuple[int, dict | None]:
     space = ultrametric.load_space(args.instance)
     axioms = ultrametric.check_axioms(space)
     isosceles = ultrametric.check_isosceles(space)
@@ -89,18 +91,16 @@ def _cmd_space_check(args: argparse.Namespace) -> int:
     print(f"spherically complete: {'ok' if complete.ok else 'FAIL'}")
     ok = axioms.ok and isosceles.ok and complete.ok
     print(f"result: {'PASS' if ok else 'FAIL'}")
-    if args.json_out:
-        _write_json(args.json_out, {
-            "file": args.instance,
-            "elements": len(space.elements),
-            "axioms_ok": axioms.ok,
-            "isosceles_ok": isosceles.ok,
-            "spherically_complete": complete.ok,
-            "violations": [
-                {"axiom": v.axiom, "witness": jsonable(v.witness)}
-                for v in axioms.violations[:50]],
-        })
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL, {
+        "file": args.instance,
+        "elements": len(space.elements),
+        "axioms_ok": axioms.ok,
+        "isosceles_ok": isosceles.ok,
+        "spherically_complete": complete.ok,
+        "violations": [
+            {"axiom": v.axiom, "witness": jsonable(v.witness)}
+            for v in axioms.violations[:50]],
+    }
 
 
 def _render_box(box) -> str:
@@ -108,7 +108,7 @@ def _render_box(box) -> str:
         "{" + ",".join(format_value(v) for v in comp) + "}" for comp in box)
 
 
-def _cmd_aco_certify(args: argparse.Namespace) -> int:
+def _cmd_aco_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
     op, _ = iteration.load_operator(args.instance)
     cert = aco.certify_aco(op, **_campaign_args(args))
     print(f"file: {args.instance}")
@@ -129,35 +129,31 @@ def _cmd_aco_certify(args: argparse.Namespace) -> int:
         rendered = ",".join(format_value(m) for m in fps) if fps else "none"
         print(f"fixed points: {rendered}")
         print(f"stalled at: {_render_box(cert.refutation['stalled_box'])}")
-    if args.json_out:
-        _write_json(args.json_out, cert.to_json_dict())
-    return EXIT_OK if cert.certified else EXIT_FAIL
+    return EXIT_OK if cert.certified else EXIT_FAIL, cert.to_json_dict()
 
 
-def _cmd_aco_census(args: argparse.Namespace) -> int:
+def _cmd_aco_census(args: argparse.Namespace) -> tuple[int, dict | None]:
     census = aco.equivalence_census()
     print(f"operators: {census.total}")
     print(f"verdicts agree on {census.agreements}/{census.total} operators")
     print(f"certified: {census.aco_count}")
     print(f"result: {'PASS' if census.ok else 'FAIL'}")
-    if args.json_out:
-        _write_json(args.json_out, {
-            "operators": census.total,
-            "agreements": census.agreements,
-            "certified": census.aco_count,
-            "mismatches": jsonable(census.mismatches),
-        })
-    return EXIT_OK if census.ok else EXIT_FAIL
+    return EXIT_OK if census.ok else EXIT_FAIL, {
+        "operators": census.total,
+        "agreements": census.agreements,
+        "certified": census.aco_count,
+        "mismatches": jsonable(census.mismatches),
+    }
 
 
-def _cmd_routing_check(args: argparse.Namespace) -> int:
+def _cmd_routing_check(args: argparse.Namespace) -> tuple[int, dict | None]:
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
         print(f"file: {args.instance}")
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     report = routing.check_strictly_inflationary(instance)
     print(f"file: {args.instance}")
     print(f"paths: {len(instance.paths)}")
@@ -165,7 +161,7 @@ def _cmd_routing_check(args: argparse.Namespace) -> int:
     if not report.ok:
         arc, p = report.witness
         print(f"witness: arc ({arc[0]} {arc[1]}), path {routing.format_path(p)}")
-    return EXIT_OK if report.ok else EXIT_FAIL
+    return EXIT_OK if report.ok else EXIT_FAIL, None
 
 
 def _routing_distances(instance, trajectory, fixed_point):
@@ -184,13 +180,13 @@ def _routing_value(value) -> str:
     return format_value(value)
 
 
-def _cmd_routing_solve(args: argparse.Namespace) -> int:
+def _cmd_routing_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     result = routing.solve(
         instance, args.mode, granularity=args.granularity,
         max_steps=args.max_steps, force=args.force,
@@ -244,25 +240,20 @@ def _cmd_routing_solve(args: argparse.Namespace) -> int:
                    distances=_routing_distances(
                        instance, result.trajectory, result.fixed_point),
                    value_format=_routing_value)
-    if args.json_out:
-        _write_json(args.json_out, payload)
-    return EXIT_OK if result.status == "converged" else EXIT_FAIL
+    return EXIT_OK if result.status == "converged" else EXIT_FAIL, payload
 
 
-def _cmd_logic_solve(args: argparse.Namespace) -> int:
+def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
     if args.mode == "async":
         iteration.check_schedules(args.schedules)
     program = logic.load_program(args.instance)
-    # a program without atoms has no async campaign: reject it before
-    # printing anything
-    op = logic.decompose_program(program) if args.mode == "async" else None
     strat_result = logic.find_stratification(program)
     print(f"file: {args.instance}")
     print(f"atoms: {len(program.atoms)}")
     if not strat_result.ok:
         print("stratification: REJECTED")
         print("negative cycle: " + " -> ".join(strat_result.witness))
-        return EXIT_FAIL
+        return EXIT_FAIL, None
     strat = strat_result.stratification
     print("strata: " + " ".join(
         f"{a}={lvl}" for a, lvl in strat.levels))
@@ -275,9 +266,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> int:
     }
     if result.status != "converged":
         print(f"status: {result.status}")
-        if args.json_out:
-            _write_json(args.json_out, payload)
-        return EXIT_FAIL
+        return EXIT_FAIL, payload
     print(f"model: {_fmt_interp(result.model)}")
     print(f"steps: {result.steps}")
     print("trajectory: " + " -> ".join(
@@ -286,6 +275,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> int:
     payload["steps"] = result.steps
     ok = True
     if args.mode == "async":
+        op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
         runs = iteration.campaign(op, [start], **_campaign_args(args))
@@ -309,20 +299,17 @@ def _cmd_logic_solve(args: argparse.Namespace) -> int:
             str(logic.interpretation_distance(strat, i, result.model))
             for i in result.trajectory]
         emit_trace(args.trace, sync_traj, distances=distances)
-    if args.json_out:
-        _write_json(args.json_out, payload)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if ok else EXIT_FAIL, payload
 
 
 def _fmt_interp(interp) -> str:
     return "{" + ",".join(sorted(interp)) + "}"
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
+def _cmd_run(args: argparse.Namespace) -> tuple[int, dict | None]:
     op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
-    # run before printing: rejected input must leave stdout empty
     if args.mode == "sync":
         steps = args.max_steps if args.max_steps is not None \
             else op.size() + 1
@@ -348,7 +335,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"cycle: start={traj.cycle_start} length={traj.cycle_length}")
     if args.trace:
         emit_trace(args.trace, traj)
-    return EXIT_OK if traj.status == "converged" else EXIT_FAIL
+    return EXIT_OK if traj.status == "converged" else EXIT_FAIL, None
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser):
@@ -442,16 +429,25 @@ def main(argv=None) -> int:
                         stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
+    # a handler prints its report into ``text`` and returns its exit code
+    # and its --json payload (None for no file); a rejected command,
+    # unwritable --trace and --json paths included, leaves stdout empty
+    text = io.StringIO()
     try:
-        return args.handler(args)
+        with contextlib.redirect_stdout(text):
+            code, payload = args.handler(args)
+        if payload is not None and args.json_out:
+            _write_json(args.json_out, payload)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL
     except (ValueError, OSError) as exc:
         # malformed input (bad JSON included), size limits, rejected
-        # sampling parameters, unreadable files
+        # sampling parameters, unreadable or unwritable files
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    sys.stdout.write(text.getvalue())
+    return code
 
 
 if __name__ == "__main__":

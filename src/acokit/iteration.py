@@ -185,8 +185,6 @@ class Schedule:
 def make_synchronous_schedule(k: int, horizon: int) -> Schedule:
     """All processors active every tick, reading the immediately preceding
     state."""
-    if k < 1 or horizon < 1:
-        raise ScheduleRejectedError("k and horizon must be at least 1")
     everyone = frozenset(range(k))
     return Schedule(k, horizon, 1, 1, (
         (everyone, ((t - 1,) * k,) * k) for t in range(1, horizon + 1)))
@@ -209,15 +207,11 @@ def sample_schedule(k: int, horizon: int, seed: int, *,
     """
     if not 0 < activation_prob <= 1:
         raise ScheduleRejectedError("activation_prob must be in (0, 1]")
-    if max_staleness < 1:
-        raise ScheduleRejectedError("max_staleness must be >= 1")
     needed = math.ceil(1 / activation_prob)
     if fairness_window < needed:
         raise ScheduleRejectedError(
             f"fairness_window {fairness_window} below ceil(1/activation_prob)"
             f" = {needed}; fairness would rely entirely on forcing")
-    if k < 1 or horizon < 1:
-        raise ScheduleRejectedError("k and horizon must be at least 1")
 
     def draw(rng):
         # rng.choices(range(lo, t), k=k) inlined: the same random() calls,
@@ -527,10 +521,7 @@ def load_schedule(source) -> Schedule:
     window = max([window] + [horizon - t for t in last])
     schedule = Schedule(k, horizon, staleness, window,
                         zip(activations, delay_rows))
-    report = check_admissible_prefix(schedule)
-    if not report.ok:
-        raise PreconditionError(
-            f"schedule is not admissible: {report.violation}")
+    schedule.tick(horizon)  # checks every tick
     return schedule
 
 

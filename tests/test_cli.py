@@ -87,12 +87,16 @@ def test_malformed_input_exit_code(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_space_check_pass_and_fail(tmp_path, capsys):
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({
+def _space_file(tmp_path):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
         "elements": ["a", "b"], "scale": ["0", "1"],
         "dist": [["a", "b", "1"]]}), encoding="utf-8")
-    code, out, _ = run_cli(capsys, "space", "check", str(good))
+    return str(path)
+
+
+def test_space_check_pass_and_fail(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "space", "check", _space_file(tmp_path))
     assert code == EXIT_OK and "result: PASS" in out
 
     bad = tmp_path / "bad.json"
@@ -389,6 +393,36 @@ def test_malformed_files_exit_2_with_one_error_line(tmp_path, capsys, argv,
     path.write_text(json.dumps(doc), encoding="utf-8")
     files = {"DOC": str(path), "OP": _operator_file(tmp_path)}
     code, out, err = run_cli(capsys, *(files.get(a, a) for a in argv))
+    assert code == EXIT_BAD_INPUT
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# each command would pass; only its output path lies in a missing directory
+UNWRITABLE_OUTPUTS = {
+    "space-check": lambda tmp: ("space", "check", _space_file(tmp)),
+    "aco-certify": lambda tmp: ("aco", "certify", _const_operator(tmp)),
+    "aco-census": lambda tmp: ("aco", "census"),
+    "routing-solve": lambda tmp: ("routing", "solve", corpus_path("ring3.json")),
+    "logic-solve": lambda tmp: ("logic", "solve",
+                                corpus_path("logic", "diamond.pl")),
+    "run-sync": lambda tmp: ("run", "sync", _operator_file(tmp)),
+    "run-async": lambda tmp: ("run", "async", _operator_file(tmp)),
+}
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("space-check", "--json"), ("aco-certify", "--json"),
+    ("aco-census", "--json"), ("routing-solve", "--json"),
+    ("logic-solve", "--json"), ("routing-solve", "--trace"),
+    ("logic-solve", "--trace"), ("run-sync", "--trace"),
+    ("run-async", "--trace"),
+])
+def test_an_unwritable_output_path_leaves_stdout_empty(tmp_path, capsys,
+                                                       command, flag):
+    argv = UNWRITABLE_OUTPUTS[command](tmp_path)
+    code, out, err = run_cli(capsys, *argv,
+                             flag, str(tmp_path / "missing" / "out"))
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -198,12 +198,29 @@ def test_tick_check_reports_the_first_violation_of_the_scan(data):
 
 
 def test_sample_schedule_rejects_bad_parameters():
-    with pytest.raises(ScheduleRejectedError):
+    # the last four come from Schedule, the one check of the counts and
+    # bounds every schedule claims
+    with pytest.raises(ScheduleRejectedError, match=r"in \(0, 1\]"):
         sample_schedule(2, 10, 0, activation_prob=0.0)
-    with pytest.raises(ScheduleRejectedError):
+    with pytest.raises(ScheduleRejectedError,
+                       match=r"fairness_window 3 below ceil\(1/activation_prob\)"
+                             r" = 10"):
         sample_schedule(2, 10, 0, activation_prob=0.1, fairness_window=3)
-    with pytest.raises(ScheduleRejectedError):
+    with pytest.raises(ScheduleRejectedError,
+                       match="staleness bound and fairness window >= 1"):
         sample_schedule(2, 10, 0, max_staleness=0)
+    with pytest.raises(ScheduleRejectedError,
+                       match="need at least one processor"):
+        sample_schedule(0, 10, 0)
+    with pytest.raises(ScheduleRejectedError,
+                       match="horizon must be at least 1, got 0"):
+        sample_schedule(2, 0, 0)
+    with pytest.raises(ScheduleRejectedError,
+                       match="need at least one processor"):
+        make_synchronous_schedule(0, 3)
+    with pytest.raises(ScheduleRejectedError,
+                       match="horizon must be at least 1, got 0"):
+        make_synchronous_schedule(2, 0)
 
 
 SYNC2 = ((frozenset({0, 1}), ((0, 0), (0, 0))),
