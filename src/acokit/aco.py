@@ -14,7 +14,7 @@ import functools
 import itertools
 import logging
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 # numpy is imported inside each function that uses it: most commands run
 # no numpy pass and start faster without it
@@ -33,7 +33,7 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
-from .util import jsonable, sorted_canonical
+from .util import jsonable, refuse_assignment, sorted_canonical
 
 log = logging.getLogger("acokit")
 
@@ -73,24 +73,25 @@ def box_subset(inner: Box, outer: Box) -> bool:
     return all(set(a) <= set(b) for a, b in zip(inner, outer))
 
 
-@dataclass(frozen=True)
 class BoxSequence:
     """Nested boxes ``C_0 .. C_k``: a singleton up to the whole space."""
 
     boxes: tuple[Box, ...]
     fixed_point: tuple
 
-    def __post_init__(self):
-        if not self.boxes:
+    def __init__(self, boxes, fixed_point):
+        if not boxes:
             raise MalformedBoxError("box sequence must be nonempty")
-        width = len(self.boxes[0])
+        width = len(boxes[0])
         normalized = []
-        for box in self.boxes:
+        for box in boxes:
             if len(box) != width:
                 raise MalformedBoxError("boxes must share one dimension")
             normalized.append(_normalize_box(box))
         object.__setattr__(self, "boxes", tuple(normalized))
-        object.__setattr__(self, "fixed_point", tuple(self.fixed_point))
+        object.__setattr__(self, "fixed_point", tuple(fixed_point))
+
+    __setattr__ = refuse_assignment
 
     def __len__(self):
         return len(self.boxes)
@@ -102,8 +103,7 @@ class BoxSequence:
         }
 
 
-@dataclass(frozen=True)
-class BoxCheck:
+class BoxCheck(NamedTuple):
     ok: bool
     violated: str | None = None
     witness: tuple | None = None
@@ -509,8 +509,7 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     return witness
 
 
-@dataclass(frozen=True)
-class AcoCertificate:
+class AcoCertificate(NamedTuple):
     verdict: str  # "certified" | "refuted"
     box_sequence: BoxSequence | None = None
     refutation: dict | None = None
@@ -599,8 +598,7 @@ def certify_aco(op: DecomposedOperator, *,
                           stats=campaign_stats(op, runs))
 
 
-@dataclass(frozen=True)
-class CensusResult:
+class CensusResult(NamedTuple):
     total: int
     agreements: int
     aco_count: int

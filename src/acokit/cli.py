@@ -31,51 +31,77 @@ EXIT_BAD_INPUT = 2
 
 log = logging.getLogger("acokit")
 
+# what a handler returns: its exit code, its --trace text and its --json
+# payload, None for no file
+_Outcome = tuple[int, str | None, dict | None]
 
-def emit_trace(path, trajectory, distances=None, value_format=format_value):
-    """Write a run as CSV: one row per (tick, processor) plus a summary row.
+
+def trace_csv(trajectory, distances=None, value_format=format_value) -> str:
+    """A run as CSV: one row per (tick, processor) plus a summary row.
 
     Columns: t, processor, activated, value, dist_to_fixpoint.  The
     distance column carries the state's distance label when given and is
     empty otherwise; it is recorded, never asserted monotone.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "processor", "activated", "value",
-                         "dist_to_fixpoint"])
-        for t, state in enumerate(trajectory.states):
-            if t == 0:
-                active = frozenset()
-            elif trajectory.activations is not None:
-                active = trajectory.activations[t - 1]
-            else:
-                active = frozenset(range(len(state)))
-            dist = "" if distances is None else str(distances[t])
-            for i, value in enumerate(state):
-                writer.writerow(
-                    [t, i, "yes" if i in active else "no",
-                     value_format(value), dist])
-        conv = ("none" if trajectory.converged_at is None
-                else str(trajectory.converged_at))
-        writer.writerow(
-            ["summary", "", "",
-             f"converged_at={conv};status={trajectory.status}", ""])
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["t", "processor", "activated", "value",
+                     "dist_to_fixpoint"])
+    for t, state in enumerate(trajectory.states):
+        if t == 0:
+            active = frozenset()
+        elif trajectory.activations is not None:
+            active = trajectory.activations[t - 1]
+        else:
+            active = frozenset(range(len(state)))
+        dist = "" if distances is None else str(distances[t])
+        for i, value in enumerate(state):
+            writer.writerow(
+                [t, i, "yes" if i in active else "no",
+                 value_format(value), dist])
+    conv = ("none" if trajectory.converged_at is None
+            else str(trajectory.converged_at))
+    writer.writerow(
+        ["summary", "", "",
+         f"converged_at={conv};status={trajectory.status}", ""])
+    return out.getvalue()
 
 
 def _campaign_args(args: argparse.Namespace) -> dict:
-    """The campaign flags, passed the same way to every campaign."""
+    """The campaign flags, passed the same way to every campaign.
+
+    They are checked as a campaign checks them, also in the synchronous
+    modes that run none, so a value is accepted or rejected alike in
+    every mode.  A sampled schedule checks its flags when it is made and
+    draws no tick until a run reads one.
+    """
+    iteration.check_schedules(args.schedules)
+    iteration.sample_schedule(1, args.horizon, args.seed,
+                              activation_prob=args.activation_prob,
+                              max_staleness=args.staleness,
+                              fairness_window=args.window)
     return dict(schedules=args.schedules, seed=args.seed,
                 horizon=args.horizon, staleness=args.staleness,
                 window=args.window, activation_prob=args.activation_prob)
 
 
-def _write_json(path, payload):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def _write_files(files):
+    """Write each ``(path, text)`` in order.  When a write fails, remove
+    every file written so far, the failing one included once it exists,
+    and re-raise."""
+    written = []
+    try:
+        for path, text in files:
+            with open(path, "w", newline="", encoding="utf-8") as fh:
+                written.append(path)
+                fh.write(text)
+    except OSError:
+        for path in written:
+            os.remove(path)
+        raise
 
 
-def _cmd_space_check(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_space_check(args: argparse.Namespace) -> _Outcome:
     space = ultrametric.load_space(args.instance)
     axioms = ultrametric.check_axioms(space)
     isosceles = ultrametric.check_isosceles(space)
@@ -91,7 +117,7 @@ def _cmd_space_check(args: argparse.Namespace) -> tuple[int, dict | None]:
     print(f"spherically complete: {'ok' if complete.ok else 'FAIL'}")
     ok = axioms.ok and isosceles.ok and complete.ok
     print(f"result: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if ok else EXIT_FAIL, {
+    return EXIT_OK if ok else EXIT_FAIL, None, {
         "file": args.instance,
         "elements": len(space.elements),
         "axioms_ok": axioms.ok,
@@ -108,7 +134,7 @@ def _render_box(box) -> str:
         "{" + ",".join(format_value(v) for v in comp) + "}" for comp in box)
 
 
-def _cmd_aco_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_aco_certify(args: argparse.Namespace) -> _Outcome:
     op, _ = iteration.load_operator(args.instance)
     cert = aco.certify_aco(op, **_campaign_args(args))
     print(f"file: {args.instance}")
@@ -129,16 +155,16 @@ def _cmd_aco_certify(args: argparse.Namespace) -> tuple[int, dict | None]:
         rendered = ",".join(format_value(m) for m in fps) if fps else "none"
         print(f"fixed points: {rendered}")
         print(f"stalled at: {_render_box(cert.refutation['stalled_box'])}")
-    return EXIT_OK if cert.certified else EXIT_FAIL, cert.to_json_dict()
+    return EXIT_OK if cert.certified else EXIT_FAIL, None, cert.to_json_dict()
 
 
-def _cmd_aco_census(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_aco_census(args: argparse.Namespace) -> _Outcome:
     census = aco.equivalence_census()
     print(f"operators: {census.total}")
     print(f"verdicts agree on {census.agreements}/{census.total} operators")
     print(f"certified: {census.aco_count}")
     print(f"result: {'PASS' if census.ok else 'FAIL'}")
-    return EXIT_OK if census.ok else EXIT_FAIL, {
+    return EXIT_OK if census.ok else EXIT_FAIL, None, {
         "operators": census.total,
         "agreements": census.agreements,
         "certified": census.aco_count,
@@ -146,14 +172,14 @@ def _cmd_aco_census(args: argparse.Namespace) -> tuple[int, dict | None]:
     }
 
 
-def _cmd_routing_check(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_routing_check(args: argparse.Namespace) -> _Outcome:
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
         print(f"file: {args.instance}")
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
-        return EXIT_FAIL, None
+        return EXIT_FAIL, None, None
     report = routing.check_strictly_inflationary(instance)
     print(f"file: {args.instance}")
     print(f"paths: {len(instance.paths)}")
@@ -161,7 +187,7 @@ def _cmd_routing_check(args: argparse.Namespace) -> tuple[int, dict | None]:
     if not report.ok:
         arc, p = report.witness
         print(f"witness: arc ({arc[0]} {arc[1]}), path {routing.format_path(p)}")
-    return EXIT_OK if report.ok else EXIT_FAIL, None
+    return EXIT_OK if report.ok else EXIT_FAIL, None, None
 
 
 def _routing_distances(instance, trajectory, fixed_point):
@@ -180,13 +206,13 @@ def _routing_value(value) -> str:
     return format_value(value)
 
 
-def _cmd_routing_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_routing_solve(args: argparse.Namespace) -> _Outcome:
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
         print("preference: REJECTED (strict preference cycle)")
         print("cycle: " + " -> ".join(routing.format_path(p) for p in exc.cycle))
-        return EXIT_FAIL, None
+        return EXIT_FAIL, None, None
     result = routing.solve(
         instance, args.mode, granularity=args.granularity,
         max_steps=args.max_steps, force=args.force,
@@ -234,18 +260,18 @@ def _cmd_routing_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
              "converged_at": r.converged_at,
              "final": jsonable(r.final)} for r in result.runs]
         payload["stats"] = result.stats
+    trace = None
     if args.trace:
         # the synchronous run, or the first run of the async campaign
-        emit_trace(args.trace, result.trajectory,
-                   distances=_routing_distances(
-                       instance, result.trajectory, result.fixed_point),
-                   value_format=_routing_value)
-    return EXIT_OK if result.status == "converged" else EXIT_FAIL, payload
+        trace = trace_csv(result.trajectory,
+                          distances=_routing_distances(
+                              instance, result.trajectory, result.fixed_point),
+                          value_format=_routing_value)
+    return EXIT_OK if result.status == "converged" else EXIT_FAIL, trace, payload
 
 
-def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
-    if args.mode == "async":
-        iteration.check_schedules(args.schedules)
+def _cmd_logic_solve(args: argparse.Namespace) -> _Outcome:
+    campaign_args = _campaign_args(args)
     program = logic.load_program(args.instance)
     strat_result = logic.find_stratification(program)
     print(f"file: {args.instance}")
@@ -253,7 +279,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
     if not strat_result.ok:
         print("stratification: REJECTED")
         print("negative cycle: " + " -> ".join(strat_result.witness))
-        return EXIT_FAIL, None
+        return EXIT_FAIL, None, None
     strat = strat_result.stratification
     print("strata: " + " ".join(
         f"{a}={lvl}" for a, lvl in strat.levels))
@@ -266,7 +292,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
     }
     if result.status != "converged":
         print(f"status: {result.status}")
-        return EXIT_FAIL, payload
+        return EXIT_FAIL, None, payload
     print(f"model: {_fmt_interp(result.model)}")
     print(f"steps: {result.steps}")
     print("trajectory: " + " -> ".join(
@@ -278,7 +304,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
         op = logic.decompose_program(program)
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
-        runs = iteration.campaign(op, [start], **_campaign_args(args))
+        runs = iteration.campaign(op, [start], **campaign_args)
         ticks = [r.trajectory.converged_at for r in runs
                  if r.trajectory.status == "converged"
                  and r.trajectory.final == target]
@@ -291,6 +317,7 @@ def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
         payload["async_schedules"] = args.schedules
         payload["stats"] = iteration.campaign_stats(op, runs)
         ok = converged == args.schedules
+    trace = None
     if args.trace:
         sync_traj = iteration.Trajectory(tuple(  # a converged iteration
             logic.interp_to_tuple(program, i) for i in result.trajectory),
@@ -298,15 +325,15 @@ def _cmd_logic_solve(args: argparse.Namespace) -> tuple[int, dict | None]:
         distances = [
             str(logic.interpretation_distance(strat, i, result.model))
             for i in result.trajectory]
-        emit_trace(args.trace, sync_traj, distances=distances)
-    return EXIT_OK if ok else EXIT_FAIL, payload
+        trace = trace_csv(sync_traj, distances=distances)
+    return EXIT_OK if ok else EXIT_FAIL, trace, payload
 
 
 def _fmt_interp(interp) -> str:
     return "{" + ",".join(sorted(interp)) + "}"
 
 
-def _cmd_run(args: argparse.Namespace) -> tuple[int, dict | None]:
+def _cmd_run(args: argparse.Namespace) -> _Outcome:
     op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
@@ -333,9 +360,8 @@ def _cmd_run(args: argparse.Namespace) -> tuple[int, dict | None]:
     print(f"final: {format_value(traj.final)}")
     if traj.status == "cycle":
         print(f"cycle: start={traj.cycle_start} length={traj.cycle_length}")
-    if args.trace:
-        emit_trace(args.trace, traj)
-    return EXIT_OK if traj.status == "converged" else EXIT_FAIL, None
+    trace = trace_csv(traj) if args.trace else None
+    return EXIT_OK if traj.status == "converged" else EXIT_FAIL, trace, None
 
 
 def _add_sampling_flags(parser: argparse.ArgumentParser):
@@ -429,15 +455,18 @@ def main(argv=None) -> int:
                         stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
-    # a handler prints its report into ``text`` and returns its exit code
-    # and its --json payload (None for no file); a rejected command,
+    # a handler prints its report into ``text``; a rejected command,
     # unwritable --trace and --json paths included, leaves stdout empty
+    # and no file behind
     text = io.StringIO()
     try:
         with contextlib.redirect_stdout(text):
-            code, payload = args.handler(args)
+            code, trace, payload = args.handler(args)
+        files = [] if trace is None else [(args.trace, trace)]
         if payload is not None and args.json_out:
-            _write_json(args.json_out, payload)
+            files.append((args.json_out, json.dumps(
+                payload, indent=2, sort_keys=True) + "\n"))
+        _write_files(files)
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAIL

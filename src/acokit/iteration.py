@@ -22,7 +22,7 @@ import itertools
 import logging
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PreconditionError, ScheduleRejectedError
 from .util import _load_json
@@ -234,8 +234,7 @@ def sample_schedule(k: int, horizon: int, seed: int, *,
                     draw(random.Random(seed)))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
+class AdmissibilityReport(NamedTuple):
     ok: bool
     violation: tuple | None = None
 
@@ -303,8 +302,7 @@ def check_admissible_prefix(schedule) -> AdmissibilityReport:
     return AdmissibilityReport(True)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     """States ``x(0..T)`` of a run plus how it ended.
 
     ``converged_at`` is the first tick after which the state never changed
@@ -411,8 +409,7 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
                       activations=tuple(activations))
 
 
-@dataclass(frozen=True)
-class CampaignRun:
+class CampaignRun(NamedTuple):
     """One run of a campaign: its schedule seed, its start, and its
     trajectory, which carries the activation sets of the ticks it used."""
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
@@ -27,6 +26,7 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
+from .util import refuse_assignment
 
 _CLASSIFY_MAX_ATOMS = 12
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -37,19 +37,24 @@ class Literal(NamedTuple):
     positive: bool
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     head: str
     body: tuple[Literal, ...]
 
 
-@dataclass(frozen=True)
 class GroundProgram:
     """Clauses over a finite atom base; facts are clauses with empty body."""
 
     atoms: tuple[str, ...]
     clauses: tuple[Clause, ...]
-    declared_strata: tuple[tuple[str, int], ...] | None = None
+    declared_strata: tuple[tuple[str, int], ...] | None
+
+    def __init__(self, atoms, clauses, declared_strata=None):
+        object.__setattr__(self, "atoms", atoms)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "declared_strata", declared_strata)
+
+    __setattr__ = refuse_assignment
 
     @cached_property
     def consequence_rule(self) -> tuple:
@@ -139,9 +144,13 @@ def load_program(path) -> GroundProgram:
         return parse_program(fh.read())
 
 
-@dataclass(frozen=True)
 class Stratification:
     levels: tuple[tuple[str, int], ...]
+
+    def __init__(self, levels):
+        object.__setattr__(self, "levels", levels)
+
+    __setattr__ = refuse_assignment
 
     @cached_property
     def mapping(self) -> dict:
@@ -155,8 +164,7 @@ class Stratification:
         return max((v for _, v in self.levels), default=0)
 
 
-@dataclass(frozen=True)
-class StratificationResult:
+class StratificationResult(NamedTuple):
     stratification: Stratification | None
     witness: tuple | None = None  # atom cycle through a negative edge
 
@@ -333,8 +341,7 @@ def perfect_model_by_strata(program: GroundProgram,
     return frozenset(model)
 
 
-@dataclass(frozen=True)
-class PerfectModelResult:
+class PerfectModelResult(NamedTuple):
     model: frozenset | None
     trajectory: tuple[frozenset, ...]
     status: str  # "converged" | "cycle"

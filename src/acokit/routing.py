@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 # numpy is imported inside each function that uses it: most commands run
 # no numpy pass and start faster without it
@@ -31,7 +31,8 @@ from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules, run_sync)
 from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
                          _min_split)
-from .util import _load_json, canonical_key, sorted_canonical
+from .util import (_load_json, canonical_key, refuse_assignment,
+                   sorted_canonical)
 
 log = logging.getLogger("acokit")
 
@@ -45,7 +46,6 @@ Path = tuple
 _STRICT_CONTRACTION_MAX_PATHS = 12
 
 
-@dataclass(frozen=True)
 class Preference:
     """Validated preorder over a fixed path universe.
 
@@ -57,6 +57,12 @@ class Preference:
 
     paths: tuple[Path, ...]
     matrix: tuple[tuple[bool, ...], ...]
+
+    def __init__(self, paths, matrix):
+        object.__setattr__(self, "paths", paths)
+        object.__setattr__(self, "matrix", matrix)
+
+    __setattr__ = refuse_assignment
 
     @cached_property
     def _pos(self) -> dict:
@@ -161,7 +167,6 @@ def format_state(state) -> str:
     return "{" + ",".join(sorted(format_path(p) for p in state)) + "}"
 
 
-@dataclass(frozen=True)
 class SppInstance:
     """A destination-rooted path selection problem."""
 
@@ -171,6 +176,16 @@ class SppInstance:
     permitted: tuple[tuple, ...]  # (node, sorted tuple of paths) pairs
     preference: Preference
     paths: tuple[Path, ...]
+
+    def __init__(self, nodes, dest, arcs, permitted, preference, paths):
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "dest", dest)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "permitted", permitted)
+        object.__setattr__(self, "preference", preference)
+        object.__setattr__(self, "paths", paths)
+
+    __setattr__ = refuse_assignment
 
     @cached_property
     def permitted_map(self) -> dict:
@@ -337,8 +352,7 @@ def load_instance(source) -> SppInstance:
     return make_instance(nodes, dest, arcs, permitted, preference)
 
 
-@dataclass(frozen=True)
-class InflationReport:
+class InflationReport(NamedTuple):
     ok: bool
     witness: tuple | None = None  # (arc, path) failing strictness
 
@@ -394,8 +408,7 @@ def state_distance(instance: SppInstance, m, n) -> int:
     return max((heights[p] for p in delta), default=0)
 
 
-@dataclass(frozen=True)
-class ContractionCheck:
+class ContractionCheck(NamedTuple):
     """``pairs_checked`` counts the pairs of distinct states the check
     covers; they are decided height by height, never listed one by one."""
 
@@ -527,16 +540,14 @@ def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
         for dom in _group_domains(_groups(instance, granularity)))
 
 
-@dataclass(frozen=True)
-class AsyncRun:
+class AsyncRun(NamedTuple):
     seed: int
     status: str
     converged_at: int | None
     final: frozenset
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """How a solve ended.  ``trajectory`` is the synchronous run or the
     first asynchronous one; ``finals`` lists the distinct final states of
     the asynchronous runs and ``stats`` their

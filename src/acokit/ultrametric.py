@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import itertools
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 # numpy is imported inside each function that uses it: most commands run
 # no numpy pass and start faster without it
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
-from .util import _load_json, canonical_key
+from .util import _load_json, canonical_key, refuse_assignment
 
 log = logging.getLogger("acokit")
 
@@ -34,19 +34,20 @@ _BALL_ENUM_MAX_ELEMENTS = 4096
 _MAX_WITNESSES = 200
 
 
-@dataclass(frozen=True)
 class RadiusScale:
     """Finite totally ordered set of radius labels; ``values[0]`` is zero."""
 
     values: tuple
 
-    def __post_init__(self):
-        values = tuple(self.values)
+    def __init__(self, values):
+        values = tuple(values)
         object.__setattr__(self, "values", values)
         if not values:
             raise MalformedSpaceError("radius scale must be nonempty")
         if len(set(values)) != len(values):
             raise MalformedSpaceError("radius scale labels must be distinct")
+
+    __setattr__ = refuse_assignment
 
     @classmethod
     def numeric(cls, values, zero=0):
@@ -201,14 +202,12 @@ class FiniteUltrametricSpace:
         return labels
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     axiom: str
     witness: tuple
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     ok: bool
     violations: tuple[AxiomViolation, ...]
 
@@ -346,8 +345,7 @@ def height_space(elements, heights, scale: RadiusScale | None = None,
         elements, scale, lambda m, n: height_distance(heights, m, n))
 
 
-@dataclass(frozen=True)
-class CompletenessReport:
+class CompletenessReport(NamedTuple):
     ok: bool
     witness: tuple = ()
 
@@ -495,8 +493,7 @@ class ProductSpace:
         return labels
 
 
-@dataclass(frozen=True)
-class ContractionReport:
+class ContractionReport(NamedTuple):
     """Strongest contraction class of a self-map, with a counterexample for
     the next stronger class when one exists."""
 

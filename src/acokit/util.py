@@ -1,5 +1,5 @@
-"""Small shared helpers: JSON loading, canonical ordering and value
-rendering.
+"""Small shared helpers: JSON loading, canonical ordering, value
+rendering and the assignment guard of immutable classes.
 
 Everything that leaves the package (summaries, traces, witnesses) must not
 depend on hash-randomized set iteration order, so any set-to-sequence
@@ -49,6 +49,14 @@ def canonical_key(value):
 
 def sorted_canonical(values):
     return sorted(values, key=canonical_key)
+
+
+def refuse_assignment(self, name, value):
+    """``__setattr__`` of the immutable classes that keep a ``__dict__``
+    for their cached properties; their ``__init__`` sets fields with
+    ``object.__setattr__``."""
+    raise AttributeError(
+        f"cannot assign to {name!r}: {type(self).__name__} is immutable")
 
 
 def format_value(value) -> str:

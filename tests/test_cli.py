@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from acokit.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, emit_trace, main
+from acokit.cli import EXIT_BAD_INPUT, EXIT_FAIL, EXIT_OK, main, trace_csv
 from acokit.iteration import Trajectory
 
 from conftest import BAD_MAP_INPUTS, corpus_path
@@ -123,10 +123,8 @@ def test_trace_converged_run_ends_at_distance_zero(tmp_path, capsys):
     assert "converged_at=2" in lines[-1]
 
 
-def test_trace_empty_trajectory(tmp_path):
-    path = tmp_path / "empty.csv"
-    emit_trace(path, Trajectory((), None, "horizon-exhausted"))
-    lines = path.read_text(encoding="utf-8").splitlines()
+def test_trace_empty_trajectory():
+    lines = trace_csv(Trajectory((), None, "horizon-exhausted")).splitlines()
     assert len(lines) == 2
     assert lines[0].startswith("t,processor")
     assert lines[1].startswith("summary,")
@@ -302,11 +300,23 @@ CAMPAIGN_COMMANDS = {
 }
 
 
+# the synchronous modes run no campaign but check its flags alike
+SCHEDULE_COUNT_COMMANDS = {
+    **CAMPAIGN_COMMANDS,
+    "routing-solve-sync": lambda tmp: ("routing", "solve",
+                                       corpus_path("ring3.json"),
+                                       "--horizon", "0"),
+    "logic-solve-sync": lambda tmp: ("logic", "solve",
+                                     corpus_path("logic", "diamond.pl"),
+                                     "--horizon", "0"),
+}
+
+
 @pytest.mark.parametrize("schedules", ["0", "-1"])
-@pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
+@pytest.mark.parametrize("command", sorted(SCHEDULE_COUNT_COMMANDS))
 def test_campaign_commands_reject_fewer_than_one_schedule(
         tmp_path, capsys, command, schedules):
-    argv = CAMPAIGN_COMMANDS[command](tmp_path)
+    argv = SCHEDULE_COUNT_COMMANDS[command](tmp_path)
     code, out, err = run_cli(capsys, *argv, "--schedules", schedules)
     assert code == EXIT_BAD_INPUT
     assert out == ""
@@ -318,8 +328,28 @@ def test_campaign_commands_reject_fewer_than_one_schedule(
     ("logic", "solve", corpus_path("logic", "diamond.pl")),
 ])
 def test_sync_modes_ignore_the_schedule_count(capsys, argv):
-    code, _, _ = run_cli(capsys, *argv, "--mode", "sync", "--schedules", "0")
-    assert code == EXIT_OK
+    expected = run_cli(capsys, *argv, "--mode", "sync")
+    assert expected[0] == EXIT_OK
+    assert run_cli(capsys, *argv, "--mode", "sync", "--schedules", "3",
+                   "--seed", "9") == expected
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--horizon", "0"), ("--max-staleness", "0"),
+    ("--fairness-window", "1"), ("--activation-prob", "0"),
+    ("--activation-prob", "1.5"),
+])
+@pytest.mark.parametrize("argv", [
+    ("routing", "solve", corpus_path("ring3.json")),
+    ("logic", "solve", corpus_path("logic", "diamond.pl")),
+])
+def test_both_modes_reject_the_same_campaign_flags(capsys, argv, flag, value):
+    results = [run_cli(capsys, *argv, "--mode", mode, flag, value)
+               for mode in ("sync", "async")]
+    assert results[0] == results[1]
+    code, out, err = results[0]
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", sorted(CAMPAIGN_COMMANDS))
@@ -411,21 +441,34 @@ UNWRITABLE_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("command, flag", [
+_UNWRITABLE_CASES = [
     ("space-check", "--json"), ("aco-certify", "--json"),
     ("aco-census", "--json"), ("routing-solve", "--json"),
     ("logic-solve", "--json"), ("routing-solve", "--trace"),
     ("logic-solve", "--trace"), ("run-sync", "--trace"),
     ("run-async", "--trace"),
-])
+]
+
+
+# a writable --trace next to an unwritable --json must not stay on disk
+@pytest.mark.parametrize("command, flag, with_trace", [
+    *((command, flag, False) for command, flag in _UNWRITABLE_CASES),
+    ("routing-solve", "--json", True), ("logic-solve", "--json", True),
+], ids=[f"{command}-{flag}" for command, flag in _UNWRITABLE_CASES]
+    + ["routing-solve---json-after---trace", "logic-solve---json-after---trace"])
 def test_an_unwritable_output_path_leaves_stdout_empty(tmp_path, capsys,
-                                                       command, flag):
+                                                       command, flag,
+                                                       with_trace):
     argv = UNWRITABLE_OUTPUTS[command](tmp_path)
+    trace = tmp_path / "trace.csv"
+    if with_trace:
+        argv += ("--trace", str(trace))
     code, out, err = run_cli(capsys, *argv,
                              flag, str(tmp_path / "missing" / "out"))
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert not trace.exists()
 
 
 def test_float_operator_values_are_bad_input(tmp_path, capsys):
@@ -602,9 +645,10 @@ _NUMPY_FREE_COMMANDS = [
 ]
 
 
-def _run_numpy_free_commands(tmp_path, prelude):
+def _run_numpy_free_commands(tmp_path, prelude, modules=("numpy",)):
     """Stdout of the commands, run in one fresh interpreter after
-    ``prelude``; its last line says whether numpy was loaded."""
+    ``prelude``; its last lines say whether each of ``modules`` was
+    loaded."""
     files = {"OP": _operator_file(tmp_path, start=[1, 1]),
              "TRACE": str(tmp_path / "trace.csv")}
     argvs = [[files.get(a, a) for a in argv] for argv in _NUMPY_FREE_COMMANDS]
@@ -612,7 +656,8 @@ def _run_numpy_free_commands(tmp_path, prelude):
               "import acokit, acokit.cli\n"
               f"for argv in {argvs!r}:\n"
               "    print('exit', acokit.cli.main(argv))\n"
-              "print('numpy loaded:', sys.modules.get('numpy') is not None)\n")
+              f"for name in {modules!r}:\n"
+              "    print(name, 'loaded:', sys.modules.get(name) is not None)\n")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -626,6 +671,14 @@ def test_commands_without_a_numpy_pass_leave_numpy_unimported(tmp_path):
     # an import of numpy would now raise ImportError
     assert _run_numpy_free_commands(
         tmp_path, "sys.modules['numpy'] = None") == out
+
+
+def test_cli_commands_leave_dataclasses_and_inspect_unimported(tmp_path):
+    # defining the result records as dataclasses cost about 30 ms of every
+    # CLI start, most of it in generated methods and in importing inspect
+    out = _run_numpy_free_commands(tmp_path, "", ("dataclasses", "inspect"))
+    assert out.count("exit 0\n") == len(_NUMPY_FREE_COMMANDS)
+    assert out.endswith("dataclasses loaded: False\ninspect loaded: False\n")
 
 
 def test_contraction_checks_leave_numpy_ma_unimported():
