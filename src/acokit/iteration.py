@@ -25,7 +25,7 @@ import random
 from typing import NamedTuple
 
 from .errors import PreconditionError, ScheduleRejectedError
-from .util import _load_json
+from .util import json_object, typed
 
 log = logging.getLogger("acokit")
 
@@ -41,9 +41,8 @@ class DecomposedOperator:
     calls the callable once per distinct state, checks that the image is a
     state of the domain and keeps it, one entry per distinct state read,
     for as long as the operator lives.  ``evaluations`` counts the calls
-    made to the callable.  A table operator checks every image when it is
-    built, from its own copy of the table, and :meth:`apply` does not
-    check them again.
+    made to the callable.  A table operator also checks every image when
+    it is built, from its own copy of the table.
     """
 
     def __init__(self, domains, global_fn):
@@ -57,7 +56,6 @@ class DecomposedOperator:
             frozenset((type(v), v) for v in d) for d in self.domains)
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
-        self._images_checked = False  # from_table checks them up front
         self.evaluations = 0
 
     @classmethod
@@ -72,7 +70,6 @@ class DecomposedOperator:
         if len(table) != op.size():
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
-        op._images_checked = True
         return op
 
     @property
@@ -108,11 +105,10 @@ class DecomposedOperator:
             out = tuple(self._global(state))
         except KeyError:
             raise PreconditionError(f"state {state!r} outside domain") from None
-        if not self._images_checked:
-            self._check(out, "operator maps its domain outside itself: "
-                        "image {!r} has the wrong shape",
-                        "operator maps its domain outside itself: "
-                        "image holds {!r}")
+        self._check(out, "operator maps its domain outside itself: "
+                    "image {!r} has the wrong shape",
+                    "operator maps its domain outside itself: "
+                    "image holds {!r}")
         self._images[state] = out
         return out
 
@@ -476,35 +472,33 @@ def load_schedule(source) -> Schedule:
 
     Fields: ``horizon``, ``activations`` (array per tick of processor
     indices), ``delays`` (sparse triples ``[t, i, j, t']``; absent entries
-    default to ``t - 1``).  The staleness bound and fairness window are
-    inferred from the data.  A schedule that is not admissible is
-    rejected as a whole, before any run reads it.
+    default to ``t - 1``), ``processors`` (inferred from the activations
+    when absent).  The staleness bound and fairness window are inferred
+    from the data.  A schedule that is not admissible is rejected as a
+    whole, before any run reads it.
     """
-    doc = _load_json(source)
-    try:
-        horizon = _integer(doc["horizon"], "horizon")
-        raw_acts = doc["activations"]
-        if len(raw_acts) != horizon:
+    with json_object(source, "bad schedule description",
+                     ScheduleRejectedError) as doc:
+        horizon = typed(doc["horizon"], int, "horizon must be an integer")
+        activations = tuple(map(frozenset, typed(
+            doc["activations"], [[int]],
+            "activations must be an array of processor index arrays")))
+        if len(activations) != horizon:
             raise ScheduleRejectedError(
                 "activations must list one set per tick")
-        activations = tuple(
-            frozenset(_integer(i, "activation index") for i in a)
-            for a in raw_acts)
-        k = _integer(doc.get("processors", 0), "processors")
-        if not k:
-            k = max((max(a) + 1 for a in activations if a), default=1)
+        inferred = max((max(a) + 1 for a in activations if a), default=1)
+        k = typed(doc.get("processors", inferred), int,
+                  "processors must be an integer")
 
         delay_rows = [
             [[t - 1] * k for _ in range(k)] for t in range(1, horizon + 1)]
-        for entry in doc.get("delays", []):
-            t, i, j, src = (_integer(x, "delay entry") for x in entry)
+        what = "delays must be an array of integer quadruples"
+        for entry in typed(doc.get("delays", []), list, what):
+            t, i, j, src = typed(entry, [int], what, 4)
             if not 1 <= t <= horizon or not 0 <= i < k or not 0 <= j < k:
                 raise ScheduleRejectedError(
                     f"delay entry {entry!r} out of range")
             delay_rows[t - 1][i][j] = src
-    except (KeyError, TypeError) as exc:
-        raise ScheduleRejectedError(
-            f"bad schedule description: {exc}") from None
 
     staleness = max([1] + [t - b for t, row in enumerate(delay_rows, 1)
                            for r in row for b in r])
@@ -528,38 +522,26 @@ def load_operator(source):
 
     Returns ``(operator, start_or_None)``.
     """
-    doc = _load_json(source)
-    try:
-        domains = [tuple(_scalar(v) for v in dom) for dom in doc["domains"]]
+    with json_object(source, "bad operator description", ValueError) as doc:
+        domains = [_values(dom, "a domain") for dom in typed(
+            doc["domains"], list, "domains must be an array")]
         table = {}
-        for pair in doc["map"]:
+        for pair in typed(doc["map"], list, "map must be an array"):
             if len(pair) != 2:
                 raise PreconditionError(f"map entry {pair!r} is not a pair")
-            state = tuple(_scalar(v) for v in pair[0])
+            state, image = (_values(s, "a map state") for s in pair)
             if state in table:
                 raise PreconditionError(f"map lists state {state!r} twice")
-            table[state] = tuple(_scalar(v) for v in pair[1])
+            table[state] = image
         op = DecomposedOperator.from_table(domains, table)
         start = None
         if "start" in doc:
-            start = tuple(_scalar(v) for v in doc["start"])
+            start = _values(doc["start"], "start")
             op.check_state(start)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad operator description: {exc}") from None
     return op, start
 
 
-def _integer(value, what: str) -> int:
-    """A JSON integer; ``true`` does not stand for ``1``."""
-    if type(value) is not int:
-        raise TypeError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _scalar(v):
-    """A JSON string, integer or boolean; a float or a container is a
-    mistyped value, not a refuted operator."""
-    if isinstance(v, (str, int, bool)):
-        return v
-    raise TypeError(
-        f"operator values must be strings, integers or booleans, got {v!r}")
+def _values(value, what: str) -> tuple:
+    return tuple(typed(v, (str, int, bool), "operator values must be "
+                       "strings, integers or booleans")
+                 for v in typed(value, list, f"{what} must be an array"))

@@ -8,7 +8,7 @@ a per-atom processor decomposition for asynchronous runs.
 
 from __future__ import annotations
 
-import json
+import io
 import re
 from fractions import Fraction
 from functools import cached_property
@@ -26,7 +26,7 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
-from .util import refuse_assignment
+from .util import json_object, refuse_assignment, typed
 
 _CLASSIFY_MAX_ATOMS = 12
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -82,8 +82,7 @@ def program_from_clauses(clauses, extra_atoms=(),
             raise ValueError(f"bad atom name {atom!r}")
     declared = None
     if declared_strata is not None:
-        declared = tuple(sorted(
-            (str(a), int(v)) for a, v in dict(declared_strata).items()))
+        declared = tuple(sorted(declared_strata.items()))
         for a, v in declared:
             if a not in atoms:
                 raise ValueError(f"strata pragma names unknown atom {a!r}")
@@ -108,11 +107,11 @@ def parse_program(text: str) -> GroundProgram:
         if line.startswith("%"):
             pragma = line[1:].strip()
             if pragma.startswith("strata:"):
-                try:
-                    declared = json.loads(pragma[len("strata:"):].strip())
-                except json.JSONDecodeError as exc:
-                    raise ValueError(
-                        f"line {lineno}: bad strata pragma: {exc}") from None
+                text = io.StringIO(pragma[len("strata:"):].strip())
+                with json_object(text, f"line {lineno}: bad strata pragma",
+                                 ValueError) as declared:
+                    for level in declared.values():
+                        typed(level, int, "a stratum must be an integer")
             continue
         if not line.endswith("."):
             raise ValueError(f"line {lineno}: clause must end with a period")

@@ -31,8 +31,8 @@ from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules, run_sync)
 from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
                          _min_split)
-from .util import (_load_json, canonical_key, refuse_assignment,
-                   sorted_canonical)
+from .util import (canonical_key, json_object, refuse_assignment,
+                   sorted_canonical, typed)
 
 log = logging.getLogger("acokit")
 
@@ -44,6 +44,8 @@ GRANULARITIES = (PER_NODE, PER_NEXTHOP, PER_PATH)
 Path = tuple
 
 _STRICT_CONTRACTION_MAX_PATHS = 12
+# a processor's values are the subsets of its paths: 2 ** 16 = 65,536
+_GROUP_MAX_PATHS = 16
 
 
 class Preference:
@@ -329,24 +331,26 @@ def load_instance(source) -> SppInstance:
     """Load an instance file (JSON): ``nodes``, ``dest``, ``arcs``,
     optional ``permitted`` (node to path arrays), ``preference`` of kind
     ``hop-count`` or ``explicit`` with weak pairs."""
-    doc = _load_json(source)
-    try:
-        nodes = [str(n) for n in doc["nodes"]]
-        dest = str(doc["dest"])
-        arcs = [(str(u), str(v)) for u, v in doc["arcs"]]
+    with json_object(source, "bad instance description", ValueError) as doc:
+        nodes = typed(doc["nodes"], [str], "nodes must be an array of strings")
+        dest = typed(doc["dest"], str, "dest must be a string")
+        what = "arcs must be an array of node label pairs"
+        arcs = [tuple(typed(arc, [str], what, 2))
+                for arc in typed(doc["arcs"], list, what)]
         permitted = None
         if "permitted" in doc:
-            permitted = {
-                str(node): [tuple(str(x) for x in p) for p in plist]
-                for node, plist in doc["permitted"].items()}
-        spec = doc.get("preference", {"kind": "hop-count"})
-        preference = kind = spec.get("kind")
+            what = "permitted must map nodes to arrays of paths"
+            permitted = typed(doc["permitted"], dict, what)
+            for plist in permitted.values():
+                typed(plist, [[str]], what)
+        spec = typed(doc.get("preference", {"kind": "hop-count"}), dict,
+                     "preference must be an object")
+        preference = kind = spec["kind"]
         if kind == "explicit":
-            preference = [
-                (tuple(str(x) for x in p), tuple(str(x) for x in q))
-                for p, q in spec.get("pairs", [])]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"bad instance description: {exc}") from None
+            what = "pairs must be an array of path pairs"
+            preference = typed(spec.get("pairs", []), list, what)
+            for pair in preference:
+                typed(pair, [[str]], what, 2)
     if kind not in ("hop-count", "explicit"):
         raise PreconditionError(f"unknown preference kind {kind!r}")
     return make_instance(nodes, dest, arcs, permitted, preference)
@@ -482,6 +486,11 @@ def _groups(instance: SppInstance, granularity: str):
 
 
 def _group_domains(groups):
+    for key, members in groups:
+        if len(members) > _GROUP_MAX_PATHS:
+            raise SizeLimitError(
+                f"processor {key!r} has {len(members)} permitted paths; "
+                f"its subsets are capped at {_GROUP_MAX_PATHS} paths")
     domains = []
     for _, members in groups:
         subsets = []

@@ -18,7 +18,7 @@ from typing import NamedTuple
 # no numpy pass and start faster without it
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
-from .util import _load_json, canonical_key, refuse_assignment
+from .util import canonical_key, json_object, refuse_assignment, typed
 
 log = logging.getLogger("acokit")
 
@@ -351,11 +351,12 @@ class CompletenessReport(NamedTuple):
 
 
 def check_spherical_completeness(space) -> CompletenessReport:
-    """Enumerate every chain of distinct balls and intersect it.
+    """Check that any two distinct balls are nested or disjoint.
 
-    For any finite space this passes; the point of the operation is that it
-    is executable.  On failure (possible only for tables that are not
-    actually ultrametrics) the offending balls are returned as the witness.
+    That is the whole test: the chain of the balls containing a ball ``b``
+    includes ``b`` itself, so it intersects to ``b``, which is never empty.
+    Every finite ultrametric passes; a table that is not one may fail, with
+    two overlapping balls as the witness.
     """
     import numpy as np
     n = len(space.elements)
@@ -365,26 +366,13 @@ def check_spherical_completeness(space) -> CompletenessReport:
             f"{_BALL_ENUM_MAX_ELEMENTS}")
     D = space.index_matrix()
     els = space.elements
-
-    distinct: dict[frozenset, frozenset] = {}
-    for r in range(len(space.scale)):
-        rows = np.unique(D <= r, axis=0)
-        for row in rows:
-            members = frozenset(els[i] for i in np.flatnonzero(row))
-            if members:
-                distinct.setdefault(members, members)
-    balls = sorted(distinct, key=lambda b: (len(b), canonical_key(b)))
-
-    # Nested-or-disjoint must hold for the chain structure to make sense.
+    balls = sorted({frozenset(els[i] for i in np.flatnonzero(row))
+                    for r in range(len(space.scale))
+                    for row in np.unique(D <= r, axis=0) if row.any()},
+                   key=lambda b: (len(b), canonical_key(b)))
     for a, b in itertools.combinations(balls, 2):
-        inter = a & b
-        if inter and not (a <= b or b <= a):
+        if a & b and not (a <= b or b <= a):
             return CompletenessReport(False, (a, b))
-
-    for b in balls:
-        chain = tuple(c for c in balls if b <= c)
-        if not frozenset.intersection(*chain):
-            return CompletenessReport(False, chain)
     return CompletenessReport(True)
 
 
@@ -601,24 +589,20 @@ def load_space(source) -> FiniteUltrametricSpace:
     ``"0"``), ``dist`` (triples ``[m, n, label]``).  A missing ``(m, n)``
     entry defaults from ``(n, m)``; a missing diagonal defaults to ``"0"``.
     """
-    doc = _load_json(source)
-    try:
-        elements = [str(e) for e in doc["elements"]]
-        scale_labels = [str(v) for v in doc["scale"]]
-        triples = doc.get("dist", [])
+    with json_object(source, "bad space description",
+                     MalformedSpaceError) as doc:
+        elements = typed(doc["elements"], [str],
+                         "elements must be an array of strings")
+        scale_labels = typed(doc["scale"], [str],
+                             "scale must be an array of strings")
         if not scale_labels or scale_labels[0] != "0":
             raise MalformedSpaceError('scale must start with the label "0"')
         scale = RadiusScale(tuple(scale_labels))
-
-        table: dict[tuple, str] = {}
-        for entry in triples:
-            if len(entry) != 3:
-                raise MalformedSpaceError(
-                    f"dist entry {entry!r} is not a triple")
-            m, n, label = (str(x) for x in entry)
+        what = "dist must be an array of label triples"
+        table = {}
+        for entry in typed(doc.get("dist", []), list, what):
+            m, n, label = typed(entry, [str], what, 3)
             table[(m, n)] = label
-    except (KeyError, TypeError) as exc:
-        raise MalformedSpaceError(f"bad space description: {exc}") from None
     for m, n in itertools.product(elements, repeat=2):
         if (m, n) in table:
             continue

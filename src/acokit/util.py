@@ -1,4 +1,4 @@
-"""Small shared helpers: JSON loading, canonical ordering, value
+"""Small shared helpers: typed JSON reading, canonical ordering, value
 rendering and the assignment guard of immutable classes.
 
 Everything that leaves the package (summaries, traces, witnesses) must not
@@ -9,19 +9,40 @@ conversion goes through :func:`canonical_key`.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from fractions import Fraction
 
 
-def _load_json(source) -> dict:
-    """The JSON object at a path, or ``source`` itself when it is already
-    a parsed document.  Any document but an object is malformed."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    if not isinstance(source, dict):
-        raise ValueError(
-            f"expected a JSON object, got {type(source).__name__}")
-    return source
+@contextmanager
+def json_object(source, rejected: str, error):
+    """The JSON object at a path, in an open text file or already parsed,
+    for a ``with`` block that reads its fields.  Text that is not JSON, a
+    document that is not an object, a missing field (``KeyError``) and a
+    mistyped one (``TypeError``) raise ``error("<rejected>: ...")``."""
+    try:
+        if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+            with open(source, "r", encoding="utf-8") as fh:
+                source = json.load(fh)
+        elif hasattr(source, "read"):
+            source = json.load(source)
+        yield typed(source, dict, "expected a JSON object")
+    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+        raise error(f"{rejected}: {exc}") from None
+
+
+def typed(value, kind, what: str, length: int | None = None):
+    """``value`` if its JSON type is exactly ``kind`` (``str``, ``int``,
+    ``bool``, ``list``, ``dict``, a tuple of them, or ``[kind]``, an array
+    of ``kind`` items, at ``length`` items if given), else
+    ``TypeError("<what>, got <value>")``.  ``true`` and ``1.0`` are not
+    integers and a string is not an array."""
+    if isinstance(kind, list):
+        for item in typed(value, list, what, length):
+            typed(item, kind[0], what)
+    elif (type(value) not in (kind if isinstance(kind, tuple) else (kind,))
+          or length is not None and len(value) != length):
+        raise TypeError(f"{what}, got {value!r}")
+    return value
 
 
 def canonical_key(value):

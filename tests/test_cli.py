@@ -383,6 +383,7 @@ def _operator_file(tmp_path, **fields):
 
 
 _CONSTANT_MAP = [[[a, b], [0, 0]] for a in (0, 1) for b in (0, 1)]
+_AB_MAP = [[[a, b], ["a", "a"]] for a in "ab" for b in "ab"]
 _RING3 = {"nodes": ["d", "1", "2"], "dest": "d",
           "arcs": [["1", "d"], ["2", "d"], ["1", "2"], ["2", "1"]]}
 _MALFORMED_OPERATORS = {
@@ -397,6 +398,12 @@ _MALFORMED_OPERATORS = {
                     "start": [0.5]},
     "list-domain-entry": {"domains": [[0, [1]], [0, 1]],
                           "map": _CONSTANT_MAP},
+    # a string is not an array: each would read as its characters
+    "str-domain": {"domains": ["ab", ["a", "b"]], "map": _AB_MAP},
+    "str-map-state": {"domains": [["a", "b"], ["a", "b"]],
+                      "map": [["".join(s), "aa"] for s, _ in _AB_MAP]},
+    "str-start": {"domains": [["a", "b"], ["a", "b"]], "map": _AB_MAP,
+                  "start": "ab"},
 }
 # argv with DOC for the malformed file and OP for a well-formed operator
 MALFORMED_FILES = [
@@ -413,6 +420,52 @@ MALFORMED_FILES = [
     pytest.param(("space", "check", "DOC"),
                  {"elements": ["a"], "scale": ["0"], "dist": 5},
                  id="int-dist"),
+    # a string is not an array: each would read as its characters
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "arcs": ["1d", "2d"]}, id="str-arcs"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "nodes": "d12"}, id="str-nodes"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "permitted": {"1": ["1d"]}}, id="str-permitted"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "permitted": {"1": "1d"}},
+                 id="str-permitted-list"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "preference": {"kind": "explicit",
+                                           "pairs": [["1d", "12d"]]}},
+                 id="str-preference-path"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": "ab", "scale": ["0", "1"],
+                  "dist": [["a", "b", "1"]]}, id="str-elements"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a"], "scale": "0"}, id="str-scale"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a", "b"], "scale": ["0", "1"],
+                  "dist": ["ab1"]}, id="str-dist-entry"),
+    # labels are JSON strings, never made from other values
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "nodes": ["d", 1, "2"]}, id="int-node"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "dest": None}, id="null-dest"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "arcs": [[True, "d"]]}, id="bool-arc-node"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "permitted": {"1": [["1", ["d"]]]}},
+                 id="list-path-node"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a", 1], "scale": ["0", "1"],
+                  "dist": [["a", "1", "1"]]}, id="int-element"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a"], "scale": ["0", 1]}, id="int-scale-label"),
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a", "b"], "scale": ["0", "1"],
+                  "dist": [["a", "b", 1]]}, id="int-dist-label"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "preference": {}}, id="preference-without-kind"),
+    # only an absent processor count is inferred
+    pytest.param(("run", "async", "OP", "--schedule", "DOC"),
+                 {"horizon": 2, "processors": 0, "activations": [[0], [1]]},
+                 id="schedule-zero-processors"),
 ]
 
 
@@ -469,6 +522,19 @@ def test_an_unwritable_output_path_leaves_stdout_empty(tmp_path, capsys,
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not trace.exists()
+
+
+@pytest.mark.parametrize("pragma", [
+    "[1, 2]", '{"a": null}', '{"a": 1.5}', '{"a": true}'])
+def test_logic_solve_rejects_a_mistyped_strata_pragma(tmp_path, capsys,
+                                                      pragma):
+    program = tmp_path / "p.pl"
+    program.write_text(f"a.\nb :- not a.\n% strata: {pragma}\n",
+                       encoding="utf-8")
+    code, out, err = run_cli(capsys, "logic", "solve", str(program))
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err.startswith("error: line 3: bad strata pragma: ")
+    assert err.count("\n") == 1
 
 
 def test_float_operator_values_are_bad_input(tmp_path, capsys):

@@ -437,3 +437,37 @@ def test_solve_async_rejects_fewer_than_one_schedule(disagree_repaired):
             solve(disagree_repaired, "async", schedules=schedules)
     assert solve(disagree_repaired, "sync", schedules=0,
                  force=True).status == "cycle"
+
+
+def _grid(rows, cols):
+    """Bidirectional grid with the destination ``d`` in a corner."""
+    label = {(i, j): "d" if (i, j) == (0, 0) else f"n{i}{j}"
+             for i in range(rows) for j in range(cols)}
+    arcs = []
+    for (i, j), u in label.items():
+        for v in (label.get((i + 1, j)), label.get((i, j + 1))):
+            if v is not None:
+                arcs += [(u, v), (v, u)]
+    return make_instance(list(label.values()), "d", arcs)
+
+
+def test_a_processor_over_the_path_cap_is_refused_before_any_subset():
+    # the busiest node of a 3x4 grid has 38 permitted paths, so 2 ** 38
+    # subsets; the cap is checked before the first one is built
+    grid = _grid(3, 4)
+    assert max(len(paths) for _, paths in grid.permitted) == 38
+    for granularity in (PER_NODE, PER_NEXTHOP):
+        with pytest.raises(SizeLimitError, match="capped at 16 paths"):
+            decompose(grid, granularity)
+        with pytest.raises(SizeLimitError):
+            state_space(grid, granularity)
+    with pytest.raises(SizeLimitError):
+        solve(grid, "async", schedules=1)
+    op = decompose(grid, PER_PATH)
+    assert op.processors == len(grid.paths)
+
+
+def test_the_3x3_grid_stays_under_the_path_cap():
+    grid = _grid(3, 3)
+    assert max(len(paths) for _, paths in grid.permitted) == 12
+    assert solve(grid).status == "converged"
