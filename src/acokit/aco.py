@@ -574,13 +574,13 @@ def certify_aco(op: DecomposedOperator, *,
     runs = campaign(op, op.iter_states(), schedules=schedules, seed=seed,
                     horizon=horizon, staleness=staleness, window=window,
                     activation_prob=activation_prob)
-    converged = [r for r in runs if r.trajectory.status == "converged"]
+    converged = [r for r in runs if r.status == "converged"]
     for r in converged:
-        if r.trajectory.final != seq.fixed_point:
+        if r.final != seq.fixed_point:
             raise SemanticsError(
                 f"run from {r.start!r} under schedule seed {r.seed} converged "
-                f"to {r.trajectory.final!r}, not to the box chain's fixed "
-                f"point {seq.fixed_point!r}")
+                f"to {r.final!r}, not to the box chain's fixed point "
+                f"{seq.fixed_point!r}")
     sampling = {
         "schedules": schedules,
         "seed": seed,
@@ -592,7 +592,7 @@ def certify_aco(op: DecomposedOperator, *,
         "converged": len(converged),
         "horizon_exhausted": len(runs) - len(converged),
         "max_converged_tick": max(
-            (r.trajectory.converged_at for r in converged), default=0),
+            (r.converged_at for r in converged), default=0),
     }
     return AcoCertificate("certified", box_sequence=seq, sampling=sampling,
                           stats=campaign_stats(op, runs))

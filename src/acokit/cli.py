@@ -262,10 +262,22 @@ def _cmd_routing_solve(args: argparse.Namespace) -> _Outcome:
         payload["stats"] = result.stats
     trace = None
     if args.trace:
-        # the synchronous run, or the first run of the async campaign
-        trace = trace_csv(result.trajectory,
+        trajectory = result.trajectory
+        if args.mode == "async":
+            # a campaign keeps no trajectory: replay its first run, the
+            # one under the schedule for --seed
+            op = routing.decompose(instance, args.granularity)
+            trajectory = iteration.run_async(
+                op, routing.state_to_components(
+                    instance, args.granularity, frozenset()),
+                iteration.sample_schedule(
+                    op.processors, args.horizon, args.seed,
+                    activation_prob=args.activation_prob,
+                    max_staleness=args.staleness,
+                    fairness_window=args.window))
+        trace = trace_csv(trajectory,
                           distances=_routing_distances(
-                              instance, result.trajectory, result.fixed_point),
+                              instance, trajectory, result.fixed_point),
                           value_format=_routing_value)
     return EXIT_OK if result.status == "converged" else EXIT_FAIL, trace, payload
 
@@ -305,9 +317,8 @@ def _cmd_logic_solve(args: argparse.Namespace) -> _Outcome:
         start = tuple(False for _ in program.atoms)
         target = logic.interp_to_tuple(program, result.model)
         runs = iteration.campaign(op, [start], **campaign_args)
-        ticks = [r.trajectory.converged_at for r in runs
-                 if r.trajectory.status == "converged"
-                 and r.trajectory.final == target]
+        ticks = [r.converged_at for r in runs
+                 if r.status == "converged" and r.final == target]
         converged = len(ticks)
         print(f"schedules: {args.schedules}")
         print(f"converged to model: {converged}/{args.schedules}")

@@ -12,8 +12,16 @@ reads it: a sampled schedule draws it from a seeded generator, a
 synchronous one builds it, a loaded one reads it from the file's table.
 The schedule checks the tick for admissibility and shape before any run
 uses it and keeps it, so the runs that share a schedule see the same
-ticks and check each one once between them.  :func:`campaign` is the one
-place that maps a seed to a sampled schedule and runs starts under it.
+ticks and check each one once between them.
+
+One engine, :func:`_lockstep`, advances runs: every start under a
+schedule together, tick by tick, reading each tick once for all the runs
+that still evaluate it.  A run that has settled (its recent states all
+equal a known fixed point of the operator) evaluates nothing more, since
+no admissible tick can move it, so a tick that no run evaluates is never
+drawn.  :func:`campaign` is the one place that maps a seed to a sampled
+schedule and runs starts under it; :func:`run_async` runs one start and
+then reads every tick the run spans, for a full trajectory.
 """
 
 from __future__ import annotations
@@ -346,25 +354,54 @@ def run_sync(op: DecomposedOperator, start: tuple, max_steps: int) -> Trajectory
 def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     """Run the asynchronous recurrence under a schedule.
 
-    Inactive processors keep their value; active ones apply their component
-    to the delayed view dictated by the schedule.  The schedule checks each
-    tick for admissibility the first time any run reads it, and raises
-    :class:`PreconditionError` for a tick that fails.  The run stops once
-    the state has been quiet for ``staleness_bound + fairness_window``
-    ticks, after which no stale value can revive a change;
-    ``converged_at`` is the last tick a change occurred.
-
-    The run settles at tick ``t`` when the states of ticks
-    ``max(0, t - staleness_bound) .. t - 1`` all equal the last state ``x``
-    and the operator already knows ``F(x) == x``.  An admissible tick reads
-    only those states, so every view is ``x`` and the new state is ``x``
-    again, at every later tick too.  From then on the run evaluates
-    nothing, but it still reads (draws and checks) every tick up to where
-    it would have stopped, so the trajectory and ``op.evaluations`` are
-    those of evaluating every view.
+    This is :func:`_lockstep` on one start, after which the run reads the
+    activation set of every tick it spans.  So every such tick is drawn
+    and checked for admissibility, a failing one raising
+    :class:`PreconditionError`, and the trajectory lists every state
+    ``x(0..T)``, the ones the run stopped evaluating included.
     """
     start = tuple(start)
-    op.check_state(start)
+    [(states, ticks, status, converged_at)] = _lockstep(op, [start], schedule)
+    activations = tuple(schedule.tick(t)[0] for t in range(1, ticks + 1))
+    states += [states[-1]] * (ticks + 1 - len(states))
+    return Trajectory(tuple(states), converged_at, status,
+                      activations=activations)
+
+
+def _lockstep(op: DecomposedOperator, starts, schedule) -> list[tuple]:
+    """Run every start under one schedule together, tick by tick.
+
+    Inactive processors keep their value; active ones apply their component
+    to the delayed view dictated by the schedule.  A run stops once its
+    state has been quiet for ``staleness_bound + fairness_window`` ticks,
+    after which no stale value can revive a change; it has converged when
+    it stops that way within the horizon, at the last tick its state
+    changed.
+
+    A run settles at tick ``t`` when the states of ticks
+    ``max(0, t - staleness_bound) .. t - 1`` all equal its last state ``x``
+    and the operator already knows ``F(x) == x``.  An admissible tick reads
+    only those states, so every view is ``x`` and the new state is ``x``
+    again, at every later tick too.  So a settled run evaluates nothing
+    more: it spans the ticks up to where it would have stopped, each state
+    ``x``, without reading them.  Tick ``t`` is read once for all the runs
+    that evaluate it, and not at all when none does, so the schedule draws
+    only up to the last tick some run evaluates.  Which runs have settled
+    by a tick depends on what the shared operator has learnt from all of
+    them, but a run's states, and the distinct views the operator is asked
+    for, do not.
+
+    Returns, per start in order, ``(states, ticks, status, converged_at)``:
+    the states ``x(0..e)`` of the ticks the run evaluated (later states
+    all equal ``x(e)``), the ``ticks >= e`` it spans, ``converged`` or
+    ``horizon-exhausted``, and the tick of its last change when converged,
+    else ``None``.
+    """
+    runs = []
+    for start in starts:
+        op.check_state(start)
+        # its states, the tick of its last change, the ticks it spans
+        runs.append([[start], 0, schedule.horizon])
     if schedule.processors != op.processors:
         raise PreconditionError(
             f"schedule has {schedule.processors} processors, "
@@ -374,44 +411,56 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     quiet_needed = staleness + schedule.fairness_window
     horizon = schedule.horizon
     tick, apply, known_image = schedule.tick, op.apply, op.known_image
-    states = [start]
-    activations = []
-    last_change = 0
+    live = runs
     for t in range(1, horizon + 1):
-        prev = states[-1]
-        if (last_change == 0 or t - last_change >= staleness) \
-                and known_image(prev) == prev:
-            stop = min(horizon, last_change + quiet_needed)
-            activations.extend(tick(u)[0] for u in range(t, stop + 1))
-            states.extend([prev] * (stop + 1 - t))
+        rows = None  # tick t is read by the first run that evaluates it
+        still = []
+        for run in live:
+            states, changed, _ = run
+            prev = states[-1]
+            if (changed == 0 or t - changed >= staleness) \
+                    and known_image(prev) == prev:
+                run[2] = min(horizon, changed + quiet_needed)
+                continue
+            if rows is None:
+                active, rows = tick(t)
+            nxt = list(prev)
+            for i in active:
+                # component j as processor i reads it: its value at tick b
+                view = tuple([states[b][j] for j, b in enumerate(rows[i])])
+                nxt[i] = apply(view)[i]
+            nxt = tuple(nxt)
+            states.append(nxt)
+            if nxt != prev:
+                run[1] = t
+            elif t - changed >= quiet_needed:
+                run[2] = t
+                continue
+            still.append(run)
+        live = still
+        if not live:
             break
-        active, rows = tick(t)
-        activations.append(active)
-        nxt = list(prev)
-        for i in active:
-            # component j as processor i reads it: its value at tick b
-            view = tuple([states[b][j] for j, b in enumerate(rows[i])])
-            nxt[i] = apply(view)[i]
-        nxt = tuple(nxt)
-        states.append(nxt)
-        if nxt != prev:
-            last_change = t
-        elif t - last_change >= quiet_needed:
-            break
-    if len(activations) - last_change >= quiet_needed:
-        return Trajectory(tuple(states), last_change, "converged",
-                          activations=tuple(activations))
-    return Trajectory(tuple(states), None, "horizon-exhausted",
-                      activations=tuple(activations))
+    return [(states, ticks, "converged", changed)
+            if ticks - changed >= quiet_needed
+            else (states, ticks, "horizon-exhausted", None)
+            for states, changed, ticks in runs]
 
 
 class CampaignRun(NamedTuple):
-    """One run of a campaign: its schedule seed, its start, and its
-    trajectory, which carries the activation sets of the ticks it used."""
+    """One run of a campaign: its schedule seed and start, its ``final``
+    state, ``status`` and ``converged_at`` as a :class:`Trajectory` gives
+    them, the ``ticks`` it spans, and ``evaluated``, the last tick it
+    evaluated, from which on its state is ``final``.  It keeps no per-tick
+    states or activation sets: :func:`run_async` of its start under the
+    schedule for its seed replays them."""
 
     seed: int
     start: tuple
-    trajectory: Trajectory
+    final: tuple
+    status: str
+    converged_at: int | None
+    ticks: int
+    evaluated: int
 
 
 def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
@@ -419,9 +468,12 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
              activation_prob: float) -> list[CampaignRun]:
     """Run every start under each of ``schedules`` sampled schedules.
 
-    Schedule ``s`` is drawn from seed ``seed + s`` and shared by all
-    starts.  Runs are listed schedule by schedule, starts in the given
-    order.  The campaign's :func:`campaign_stats` are logged at INFO.
+    Schedule ``s`` is drawn from seed ``seed + s``, and all starts run
+    under it together (:func:`_lockstep`), so it draws only the ticks some
+    run evaluates.  Each run equals :func:`run_async` of its start under
+    the schedule for its seed.  Runs are listed schedule by schedule,
+    starts in the given order.  The campaign's :func:`campaign_stats` are
+    logged at INFO.
     """
     check_schedules(schedules)
     starts = [tuple(start) for start in starts]
@@ -431,11 +483,14 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
                                    activation_prob=activation_prob,
                                    max_staleness=staleness,
                                    fairness_window=window)
-        for start in starts:
-            runs.append(CampaignRun(seed + s, start,
-                                    run_async(op, start, schedule)))
-    log.info("campaign: %s", " ".join(
-        f"{name}={value}" for name, value in campaign_stats(op, runs).items()))
+        for start, (states, ticks, status, converged_at) in zip(
+                starts, _lockstep(op, starts, schedule)):
+            runs.append(CampaignRun(seed + s, start, states[-1], status,
+                                    converged_at, ticks, len(states) - 1))
+    if log.isEnabledFor(logging.INFO):  # the counters cost a pass over runs
+        log.info("campaign: %s", " ".join(
+            f"{name}={value}"
+            for name, value in campaign_stats(op, runs).items()))
     return runs
 
 
@@ -449,20 +504,20 @@ def check_schedules(schedules: int) -> None:
 def campaign_stats(op: DecomposedOperator, runs) -> dict:
     """The deterministic counters of a campaign's runs.
 
-    ``ticks_used`` sums the ticks each run read.  A sampled schedule draws
-    exactly the ticks its longest run reads, so ``ticks_drawn`` sums the
-    longest run of each schedule.  ``operator_evaluations`` is
-    ``op.evaluations``: the calls the operator has made to its callable so
-    far (its memo misses), the campaign's included.
+    ``ticks_used`` sums the ticks each run spans.  ``ticks_drawn`` sums,
+    over the schedules, the ticks each drew: a campaign's schedule draws
+    up to the last tick some run evaluated, and no further.
+    ``operator_evaluations`` is ``op.evaluations``: the calls the operator
+    has made to its callable so far (its memo misses), the campaign's
+    included.
     """
-    longest: dict[int, int] = {}
+    drawn: dict[int, int] = {}
     for r in runs:
-        used = len(r.trajectory.states) - 1
-        longest[r.seed] = max(longest.get(r.seed, 0), used)
+        drawn[r.seed] = max(drawn.get(r.seed, 0), r.evaluated)
     return {
         "runs": len(runs),
-        "ticks_used": sum(len(r.trajectory.states) - 1 for r in runs),
-        "ticks_drawn": sum(longest.values()),
+        "ticks_used": sum(r.ticks for r in runs),
+        "ticks_drawn": sum(drawn.values()),
         "operator_evaluations": op.evaluations,
     }
 
@@ -527,9 +582,8 @@ def load_operator(source):
             doc["domains"], list, "domains must be an array")]
         table = {}
         for pair in typed(doc["map"], list, "map must be an array"):
-            if len(pair) != 2:
-                raise PreconditionError(f"map entry {pair!r} is not a pair")
-            state, image = (_values(s, "a map state") for s in pair)
+            state, image = (_values(s, "a map state") for s in typed(
+                pair, list, "map entries must be [input, output] pairs", 2))
             if state in table:
                 raise PreconditionError(f"map lists state {state!r} twice")
             table[state] = image

@@ -345,7 +345,8 @@ def load_instance(source) -> SppInstance:
                 typed(plist, [[str]], what)
         spec = typed(doc.get("preference", {"kind": "hop-count"}), dict,
                      "preference must be an object")
-        preference = kind = spec["kind"]
+        preference = kind = typed(spec["kind"], str,
+                                  "preference kind must be a string")
         if kind == "explicit":
             what = "pairs must be an array of path pairs"
             preference = typed(spec.get("pairs", []), list, what)
@@ -557,9 +558,9 @@ class AsyncRun(NamedTuple):
 
 
 class SolveResult(NamedTuple):
-    """How a solve ended.  ``trajectory`` is the synchronous run or the
-    first asynchronous one; ``finals`` lists the distinct final states of
-    the asynchronous runs and ``stats`` their
+    """How a solve ended.  ``trajectory`` is the synchronous run; an
+    asynchronous campaign keeps none.  ``finals`` lists the distinct final
+    states of the asynchronous runs and ``stats`` their
     :func:`~acokit.iteration.campaign_stats`."""
 
     mode: str
@@ -639,8 +640,8 @@ def solve(instance: SppInstance, mode: str = "sync", *,
                        horizon=horizon, staleness=staleness, window=window,
                        activation_prob=activation_prob)
     runs = tuple(
-        AsyncRun(r.seed, r.trajectory.status, r.trajectory.converged_at,
-                 components_to_state(r.trajectory.final)) for r in records)
+        AsyncRun(r.seed, r.status, r.converged_at,
+                 components_to_state(r.final)) for r in records)
     finals = tuple(sorted_canonical({r.final for r in runs}))
     fixed = stable = None
     if any(r.status != "converged" for r in runs):
@@ -650,6 +651,5 @@ def solve(instance: SppInstance, mode: str = "sync", *,
     else:
         status, fixed = "converged", finals[0]
         stable = sigma_step(instance, fixed) == fixed
-    return SolveResult(mode, granularity, status, fixed, stable,
-                       trajectory=records[0].trajectory, runs=runs,
+    return SolveResult(mode, granularity, status, fixed, stable, runs=runs,
                        finals=finals, stats=campaign_stats(op, records))

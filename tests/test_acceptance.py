@@ -166,10 +166,9 @@ def test_criterion_5_async_convergence_campaign():
             for run in campaign(op, [start], schedules=100, seed=0,
                                 horizon=200, staleness=5, window=8,
                                 activation_prob=0.5):
-                traj = run.trajectory
                 total += 1
-                if traj.status == "converged" and \
-                        routing.components_to_state(traj.final) == sync_fp:
+                if run.status == "converged" and \
+                        routing.components_to_state(run.final) == sync_fp:
                     converged += 1
         assert (converged, total) == (200, 200), fname
     _report(5, "200/200 async runs per instance reach the sync fixed point",
@@ -232,9 +231,8 @@ def test_criterion_8_per_atom_async_logic():
                         staleness=5, window=8, activation_prob=0.5)
         assert len(runs) == 100
         for run in runs:
-            traj = run.trajectory
-            assert traj.status == "converged", (name, run.seed)
-            assert traj.final == target, (name, run.seed)
+            assert run.status == "converged", (name, run.seed)
+            assert run.final == target, (name, run.seed)
     _report(8, f"100/100 per-atom async runs on {len(qualifying)} "
                f"qualifying programs", time.time() - t0)
 

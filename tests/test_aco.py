@@ -27,7 +27,7 @@ from acokit.errors import (
     SemanticsError,
     SizeLimitError,
 )
-from acokit.iteration import DecomposedOperator, Trajectory
+from acokit.iteration import DecomposedOperator
 from acokit.ultrametric import (
     NOT_CONTRACTION,
     ContractionReport,
@@ -621,11 +621,11 @@ def test_certify_records_activation_prob():
 
 
 def test_certify_raises_when_a_run_converges_elsewhere(monkeypatch):
-    def wrong_final(op, start, schedule):
-        return Trajectory((tuple(start), (1, 1)), 1, "converged")
+    def wrong_final(op, starts, schedule):
+        return [([start, (1, 1)], 14, "converged", 1) for start in starts]
 
-    monkeypatch.setattr(iteration, "run_async", wrong_final)
-    with pytest.raises(SemanticsError):
+    monkeypatch.setattr(iteration, "_lockstep", wrong_final)
+    with pytest.raises(SemanticsError, match=r"converged to \(1, 1\)"):
         certify_aco(constant_op(), schedules=2, horizon=16)
 
 

@@ -281,6 +281,32 @@ def test_cross_process_determinism(tmp_path, hash_seed):
     assert result.stdout == expected.stdout
 
 
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
+
+
+def test_routing_solve_async_output_is_pinned(tmp_path, capsys, monkeypatch):
+    """stdout, the trace of the first run and --json of a five-schedule
+    campaign, byte for byte.  The pinned JSON leaves out ``ticks_drawn``,
+    which counts work done rather than what the runs did."""
+    monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
+    trace, summary = tmp_path / "t.csv", tmp_path / "t.json"
+    code, out, _ = run_cli(capsys, "routing", "solve", "corpus/ring3.json",
+                           "--mode", "async", "--schedules", "5",
+                           "--trace", str(trace), "--json", str(summary))
+    assert code == EXIT_OK
+    raw = summary.read_bytes()
+    stats = json.loads(raw)["stats"]
+    assert 0 < stats["ticks_drawn"] < stats["ticks_used"]
+    drawn = f'    "ticks_drawn": {stats["ticks_drawn"]},\n'.encode()
+    assert raw.count(drawn) == 1
+    pinned = {"ring3_async_stdout.txt": out.encode(),
+              "ring3_async_trace.csv": trace.read_bytes(),
+              "ring3_async.json": raw.replace(drawn, b"")}
+    for name, got in pinned.items():
+        with open(os.path.join(GOLDEN, name), "rb") as fh:
+            assert got == fh.read(), name
+
+
 def _const_operator(tmp_path):
     path = tmp_path / "const.json"
     path.write_text(json.dumps({
@@ -398,6 +424,9 @@ _MALFORMED_OPERATORS = {
                     "start": [0.5]},
     "list-domain-entry": {"domains": [[0, [1]], [0, 1]],
                           "map": _CONSTANT_MAP},
+    "map-entry-not-a-pair": {"domains": [[0, 1], [0, 1]],
+                             "map": [_CONSTANT_MAP[0] + [[0, 0]],
+                                     *_CONSTANT_MAP[1:]]},
     # a string is not an array: each would read as its characters
     "str-domain": {"domains": ["ab", ["a", "b"]], "map": _AB_MAP},
     "str-map-state": {"domains": [["a", "b"], ["a", "b"]],
@@ -462,6 +491,9 @@ MALFORMED_FILES = [
                   "dist": [["a", "b", 1]]}, id="int-dist-label"),
     pytest.param(("routing", "check", "DOC"),
                  {**_RING3, "preference": {}}, id="preference-without-kind"),
+    pytest.param(("routing", "check", "DOC"),
+                 {**_RING3, "preference": {"kind": 5}},
+                 id="int-preference-kind"),
     # only an absent processor count is inferred
     pytest.param(("run", "async", "OP", "--schedule", "DOC"),
                  {"horizon": 2, "processors": 0, "activations": [[0], [1]]},
@@ -479,6 +511,15 @@ def test_malformed_files_exit_2_with_one_error_line(tmp_path, capsys, argv,
     assert code == EXIT_BAD_INPUT
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_an_unknown_preference_kind_fails(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_RING3, "preference": {"kind": "widest"}}),
+                    encoding="utf-8")
+    code, out, err = run_cli(capsys, "routing", "check", str(path))
+    assert (code, out) == (EXIT_FAIL, "")
+    assert err == "error: unknown preference kind 'widest'\n"
 
 
 # each command would pass; only its output path lies in a missing directory

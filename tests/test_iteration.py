@@ -1,6 +1,8 @@
+import contextlib
 import itertools
 import logging
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -380,6 +382,40 @@ def test_shared_schedule_ticks_do_not_depend_on_run_order(ring3):
     assert ticks(first, first.ticks_drawn) == ticks(second, second.ticks_drawn)
 
 
+def assert_replays(run, trajectory):
+    """A campaign run says what ``trajectory``, the run_async replay of its
+    start, says: final state, status, converged_at and ticks spanned.  From
+    the last tick the run evaluated on, the replay stays at the final
+    state."""
+    assert (run.final, run.status, run.converged_at, run.ticks) == (
+        trajectory.final, trajectory.status, trajectory.converged_at,
+        len(trajectory.states) - 1)
+    assert set(trajectory.states[run.evaluated:]) == {run.final}
+
+
+@contextlib.contextmanager
+def drawing_schedules():
+    """The schedules campaigns sample inside the block, each listing in
+    ``reads`` the ticks read from it, in order."""
+    schedules = []
+    sample = iteration.sample_schedule
+
+    def recording(*args, **kwargs):
+        sched = sample(*args, **kwargs)
+        sched.reads, tick = [], sched.tick
+
+        def read(t):
+            sched.reads.append(t)
+            return tick(t)
+
+        sched.tick = read
+        schedules.append(sched)
+        return sched
+
+    with mock.patch.object(iteration, "sample_schedule", recording):
+        yield schedules
+
+
 def test_campaign_maps_seed_plus_s_to_schedule_s(ring3):
     op = routing.decompose(ring3, routing.PER_NODE)
     start = routing.state_to_components(ring3, routing.PER_NODE, frozenset())
@@ -388,9 +424,7 @@ def test_campaign_maps_seed_plus_s_to_schedule_s(ring3):
     assert [r.seed for r in runs] == [40, 41, 42]
     for r in runs:
         sched = sample_schedule(op.processors, 200, r.seed)
-        assert r.trajectory == run_async(op, start, sched)
-        assert list(r.trajectory.activations) == \
-            [a for a, _ in ticks(sched, len(r.trajectory.states) - 1)]
+        assert_replays(r, run_async(op, start, sched))
 
 
 def test_run_async_determinism(ring3):
@@ -487,9 +521,9 @@ def test_campaign_runs_equal_runs_with_fresh_operators(ring3):
     for r in runs:
         fresh = routing.decompose(ring3, routing.PER_PATH)
         sched = sample_schedule(fresh.processors, 200, r.seed)
-        assert r.trajectory == run_async(fresh, r.start, sched)
+        assert_replays(r, run_async(fresh, r.start, sched))
     # the shared operator evaluated each distinct state once
-    assert op.evaluations < sum(len(r.trajectory.states) for r in runs)
+    assert op.evaluations < sum(r.ticks + 1 for r in runs)
 
 
 def test_shared_schedule_checks_each_tick_once(monkeypatch):
@@ -612,6 +646,53 @@ def test_run_async_equals_the_run_that_evaluates_every_view(data):
         assert op.evaluations == ref.evaluations
 
 
+@settings(max_examples=100)
+@given(st.data())
+def test_lockstep_campaign_equals_its_runs_one_after_another(data):
+    domains = data.draw(st.sampled_from(RUN_SHAPES))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, _ = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
+    else:
+        table = {s: data.draw(st.sampled_from(states)) for s in states}
+    prob = data.draw(st.sampled_from([0.3, 0.5, 1.0]))
+    staleness = data.draw(st.integers(1, 6))
+    window = data.draw(st.integers(math.ceil(1 / prob), 8))
+    horizon = data.draw(st.integers(1, 30))  # below staleness + window too
+    seed = data.draw(st.integers(0, 10_000))
+    count = data.draw(st.integers(1, 3))
+    starts = data.draw(st.lists(st.sampled_from(states), min_size=1,
+                                max_size=8))
+
+    op = DecomposedOperator.from_table(domains, table)
+    one_by_one = DecomposedOperator.from_table(domains, table)
+    for state in data.draw(st.lists(st.sampled_from(states), max_size=4)):
+        op.apply(state)  # images known before any run
+        one_by_one.apply(state)
+    with drawing_schedules() as schedules:
+        runs = campaign(op, starts, schedules=count, seed=seed,
+                        horizon=horizon, staleness=staleness, window=window,
+                        activation_prob=prob)
+    assert len(schedules) == count and len(runs) == count * len(starts)
+    for s, sched in enumerate(schedules):
+        replay = sample_schedule(len(domains), horizon, seed + s,
+                                 activation_prob=prob,
+                                 max_staleness=staleness,
+                                 fairness_window=window)
+        under = runs[s * len(starts):(s + 1) * len(starts)]
+        for r, start in zip(under, starts):
+            assert (r.seed, r.start) == (seed + s, start)
+            assert_replays(r, run_async(one_by_one, start, replay))
+        # each tick read once, and none past the last one a run evaluated
+        last = max(r.evaluated for r in under)
+        assert sched.reads == list(range(1, last + 1))
+        assert sched.ticks_drawn == last
+    assert op.evaluations == one_by_one.evaluations
+
+
 @pytest.mark.parametrize("schedules", [0, -1])
 def test_campaign_rejects_fewer_than_one_schedule(schedules):
     with pytest.raises(ScheduleRejectedError):
@@ -623,21 +704,24 @@ def test_campaign_stats_count_ticks_and_evaluations(ring3, caplog):
     op = routing.decompose(ring3, routing.PER_NODE)
     empty = routing.state_to_components(ring3, routing.PER_NODE, frozenset())
     fixed = run_sync(op, empty, 30).final
-    with caplog.at_level(logging.INFO, logger="acokit"):
+    with caplog.at_level(logging.INFO, logger="acokit"), \
+            drawing_schedules() as schedules:
         runs = campaign(op, [empty, fixed], schedules=4, seed=8, horizon=200,
                         staleness=5, window=8, activation_prob=0.5)
     stats = campaign_stats(op, runs)
-    drawn = 0
+    used = spanned = 0
     for seed in range(8, 12):
         sched = sample_schedule(op.processors, 200, seed)
         for start in (empty, fixed):
-            run_async(op, start, sched)
-        drawn += sched.ticks_drawn
+            used += len(run_async(op, start, sched).states) - 1
+        spanned += sched.ticks_drawn
     assert stats == {
         "runs": 8,
-        "ticks_used": sum(len(r.trajectory.states) - 1 for r in runs),
-        "ticks_drawn": drawn,
+        "ticks_used": used,
+        "ticks_drawn": sum(sched.ticks_drawn for sched in schedules),
         "operator_evaluations": op.evaluations,
     }
+    # the fixed start settles at once and the other run before it stops
+    assert stats["ticks_drawn"] < spanned
     assert caplog.messages == [
         "campaign: " + " ".join(f"{k}={v}" for k, v in stats.items())]

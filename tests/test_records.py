@@ -34,7 +34,8 @@ SAMPLES = [
     (Trajectory, dict(states=((0,), (1,)), converged_at=None, status="cycle",
                       cycle_start=0, cycle_length=2,
                       activations=(frozenset({0}),))),
-    (CampaignRun, dict(seed=3, start=(0,), trajectory=_TRAJECTORY)),
+    (CampaignRun, dict(seed=3, start=(0,), final=(1,), status="converged",
+                       converged_at=1, ticks=14, evaluated=2)),
     (Clause, dict(head="p", body=(Literal("q", True),))),
     (GroundProgram, dict(atoms=("p", "q"), clauses=(_CLAUSE,),
                          declared_strata=(("p", 1), ("q", 0)))),
