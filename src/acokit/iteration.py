@@ -126,6 +126,61 @@ class DecomposedOperator:
         return self._images.get(state)
 
 
+class BitRules(NamedTuple):
+    """A boolean rule table over the bits ``0 .. width - 1`` of a mask.
+
+    A rule ``(head, pos, neg)`` derives the bits of ``head`` from a mask
+    exactly when the mask holds every bit of ``pos`` and none of ``neg``;
+    a fact has ``pos = neg = 0``.  A routing selection round and a logic
+    program's consequence operator are both such tables.
+    """
+
+    width: int
+    rules: tuple[tuple[int, int, int], ...]
+
+    def step(self, mask: int) -> int:
+        """The bits the rules derive from ``mask``."""
+        out = 0
+        for head, pos, neg in self.rules:
+            if mask & pos == pos and not mask & neg:
+                out |= head
+        return out
+
+    def images(self):
+        """:meth:`step` of every mask ``0 .. 2**width - 1``, a numpy array
+        indexed by mask, in one pass per rule.  It holds ``2**width``
+        entries, so callers check their size cap first."""
+        import numpy as np
+        masks = np.arange(1 << self.width, dtype=np.int64)
+        out = np.zeros_like(masks)
+        for head, pos, neg in self.rules:
+            out[((masks & pos) == pos) & ((masks & neg) == 0)] |= head
+        return out
+
+
+def rule_operator(rules: BitRules, values) -> DecomposedOperator:
+    """The rule table as an operator on processors that hold its bits.
+
+    ``values[i]`` maps each value of processor ``i``'s domain, in domain
+    order, to the mask of the bits it holds; the processors hold disjoint
+    bits, and each mask of processor ``i``'s bits is the mask of exactly
+    one of its values.  A state's mask is the OR of its values' masks,
+    and its image gives each processor the value of its bits of
+    :meth:`BitRules.step` of that mask.  A value outside its processor's
+    domain raises :class:`PreconditionError` through
+    :meth:`DecomposedOperator.apply`.
+    """
+    value_of = [{mask: v for v, mask in vals.items()} for vals in values]
+    held = [max(vals.values()) for vals in values]  # all of its bits
+    step, get = rules.step, dict.__getitem__
+
+    def global_step(state):
+        out = step(sum(map(get, values, state)))
+        return tuple(map(get, value_of, map(out.__and__, held)))
+
+    return DecomposedOperator(values, global_step)
+
+
 class Schedule:
     """Finite-horizon activation sets and delay maps, read tick by tick.
 

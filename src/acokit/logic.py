@@ -14,11 +14,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-# numpy is imported inside each function that uses it: most commands run
-# no numpy pass and start faster without it
-
 from .errors import PreconditionError, SemanticsError, SizeLimitError
-from .iteration import DecomposedOperator
+from .iteration import BitRules, DecomposedOperator, rule_operator
 from .ultrametric import (
     ContractionReport,
     FiniteUltrametricSpace,
@@ -57,16 +54,22 @@ class GroundProgram:
     __setattr__ = refuse_assignment
 
     @cached_property
-    def consequence_rule(self) -> tuple:
-        """The consequence operator as ``(head, pos, neg)`` masks, one
-        triple per clause, with atom k as bit ``n - 1 - k``, so a mask is
-        the interpretation's index in :func:`interpretation_space`.  A
-        clause derives its head exactly when every atom in ``pos`` is held
-        and none in ``neg`` is; a fact has ``pos = neg = 0``."""
-        bit = {a: 1 << k for k, a in enumerate(reversed(self.atoms))}
-        return tuple((bit[c.head], *(
+    def atom_bit(self) -> dict:
+        """Atom k as bit ``n - 1 - k``, so a mask is the interpretation's
+        index in :func:`interpretation_space`."""
+        n = len(self.atoms)
+        return {a: 1 << (n - 1 - k) for k, a in enumerate(self.atoms)}
+
+    @cached_property
+    def consequence_rule(self) -> BitRules:
+        """The consequence operator as a rule table over :attr:`atom_bit`,
+        one rule ``(head, pos, neg)`` per clause.  A clause derives its
+        head exactly when every atom in ``pos`` is held and none in
+        ``neg`` is; a fact has ``pos = neg = 0``."""
+        bit = self.atom_bit
+        return BitRules(len(bit), tuple((bit[c.head], *(
             sum({bit[lit.atom] for lit in c.body if lit.positive == sign})
-            for sign in (True, False))) for c in self.clauses)
+            for sign in (True, False))) for c in self.clauses))
 
 
 def program_from_clauses(clauses, extra_atoms=(),
@@ -273,8 +276,10 @@ def find_stratification(program: GroundProgram) -> StratificationResult:
 def immediate_consequence(program: GroundProgram, interp) -> frozenset:
     """Heads of clauses whose bodies the interpretation satisfies; atoms
     outside the base are ignored."""
-    return tuple_to_interp(program, _consequence_on_bits(program)(
-        interp_to_tuple(program, interp)))
+    bit = program.atom_bit
+    out = program.consequence_rule.step(
+        sum(bit.get(a, 0) for a in frozenset(interp)))
+    return frozenset(a for a, b in bit.items() if out & b)
 
 
 def interpretation_distance(strat: Stratification, left, right) -> Fraction:
@@ -400,38 +405,13 @@ def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
             f"{len(program.atoms)} atoms; classification enumerates "
             f"2**n interpretations and is capped at {_CLASSIFY_MAX_ATOMS}")
     space = interpretation_space(program, _require_stratification(program))
-    return classify_contraction(space, _consequence_images(program))
+    return classify_contraction(space, program.consequence_rule.images())
 
 
 def decompose_program(program: GroundProgram) -> DecomposedOperator:
-    """One boolean processor per atom of the base."""
+    """One boolean processor per atom of the base, evaluated on bit masks
+    (:func:`~acokit.iteration.rule_operator`)."""
     if not program.atoms:
         raise PreconditionError("program has an empty atom base")
-    domains = tuple((False, True) for _ in program.atoms)
-    return DecomposedOperator(domains, _consequence_on_bits(program))
-
-
-def _consequence_images(program: GroundProgram) -> np.ndarray:
-    """The consequence operator's image of every interpretation, indexed
-    as in :func:`interpretation_space`, in one pass per clause."""
-    import numpy as np
-    masks = np.arange(1 << len(program.atoms))
-    sig = np.zeros_like(masks)
-    for head, pos, neg in program.consequence_rule:
-        sig[((masks & pos) == pos) & ((masks & neg) == 0)] |= head
-    return sig
-
-
-def _consequence_on_bits(program: GroundProgram):
-    """The consequence operator on tuples of per-atom truth values."""
-    rule, shifts = program.consequence_rule, range(len(program.atoms))[::-1]
-
-    def step(bits):
-        mask = out = 0
-        for held in bits:
-            mask = mask << 1 | held
-        for head, pos, neg in rule:
-            if mask & pos == pos and not mask & neg:
-                out |= head
-        return tuple(out >> s & 1 == 1 for s in shifts)
-    return step
+    return rule_operator(program.consequence_rule, [
+        {False: 0, True: bit} for bit in program.atom_bit.values()])

@@ -27,8 +27,9 @@ from .errors import (
     ScheduleRejectedError,
     SizeLimitError,
 )
-from .iteration import (DecomposedOperator, campaign, campaign_stats,
-                        check_schedules, run_sync)
+from .iteration import (BitRules, DecomposedOperator, campaign,
+                        campaign_stats, check_schedules, rule_operator,
+                        run_sync)
 from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
                          _min_split)
 from .util import (canonical_key, json_object, refuse_assignment,
@@ -213,18 +214,19 @@ class SppInstance:
         return {p: 1 << k for k, p in enumerate(self.all_permitted)}
 
     @cached_property
-    def selection_rule(self) -> tuple:
-        """The selection round as ``(q, tail, better)`` masks, one triple
-        per non-empty permitted path q whose tail is permitted: ``better``
+    def selection_rule(self) -> BitRules:
+        """The selection round as a rule table over :attr:`path_bit`.  The
+        empty path is a fact, and each non-empty permitted path q whose
+        tail is permitted has one rule ``(q, tail, better)``: ``better``
         ORs the tails of the candidates at ``q[0]`` strictly preferred to
         q.  A round keeps q exactly when its tail is held and no tail in
         ``better`` is."""
         bit, lt = self.path_bit, self.preference.lt
         live = [[q for q in paths if q[1:] in bit]
                 for _, paths in self.permitted]
-        return tuple(
+        return BitRules(len(bit), ((bit[self.empty_path], 0, 0),) + tuple(
             (bit[q], bit[q[1:]], sum(bit[r[1:]] for r in node if lt(r, q)))
-            for node in live for q in node)
+            for node in live for q in node))
 
     @cached_property
     def path_heights(self) -> dict:
@@ -397,11 +399,7 @@ def sigma_step(instance: SppInstance, state) -> frozenset:
     empty path.  An empty candidate set yields the empty set."""
     state = validate_state(instance, state)
     bit = instance.path_bit
-    mask = sum(bit[p] for p in state)
-    out = bit[instance.empty_path]
-    for q, tail, better in instance.selection_rule:
-        if mask & tail and not mask & better:
-            out |= q
+    out = instance.selection_rule.step(sum(bit[p] for p in state))
     return frozenset(p for p, b in bit.items() if out & b)
 
 
@@ -449,10 +447,7 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
             universe[idx] for idx in range(p_count) if mask >> idx & 1)
 
     masks = np.arange(total, dtype=np.int64)
-    sig = np.full(total, instance.path_bit[instance.empty_path],
-                  dtype=np.int64)
-    for q, tail, better in instance.selection_rule:
-        sig[((masks & tail) != 0) & ((masks & better) == 0)] |= q
+    sig = instance.selection_rule.images()
     levels = sorted(set(hvec.tolist()))
     pair = _min_split(
         (masks & bits[hvec > h].sum() for h in levels),
@@ -486,21 +481,27 @@ def _groups(instance: SppInstance, granularity: str):
     raise PreconditionError(f"unknown granularity {granularity!r}")
 
 
-def _group_domains(groups):
+def _group_domains(instance: SppInstance, groups) -> list[dict]:
+    """Per processor, its values in domain order, each mapped to the
+    :attr:`~SppInstance.path_bit` mask of its paths.  The values are the
+    subsets of the group by size, then canonically: the order in which
+    ``itertools.combinations`` yields them, as the members are sorted
+    canonically."""
     for key, members in groups:
         if len(members) > _GROUP_MAX_PATHS:
             raise SizeLimitError(
                 f"processor {key!r} has {len(members)} permitted paths; "
                 f"its subsets are capped at {_GROUP_MAX_PATHS} paths")
-    domains = []
+    bit, combinations = instance.path_bit, itertools.combinations
+    values = []
     for _, members in groups:
-        subsets = []
-        for size in range(len(members) + 1):
-            for comb in itertools.combinations(members, size):
-                subsets.append(frozenset(comb))
-        subsets.sort(key=lambda s: (len(s), canonical_key(s)))
-        domains.append(tuple(subsets))
-    return tuple(domains)
+        bits = [bit[p] for p in members]
+        values.append({
+            frozenset(comb): sum(held)
+            for size in range(len(members) + 1)
+            for comb, held in zip(combinations(members, size),
+                                  combinations(bits, size))})
+    return values
 
 
 def components_to_state(comps) -> frozenset:
@@ -524,17 +525,11 @@ def decompose(instance: SppInstance, granularity: str) -> DecomposedOperator:
 
     Component values are the subsets of the group actually held; their
     union reassembles the global state, and the assembled operator equals
-    :func:`sigma_step` at every granularity.
+    :func:`sigma_step` at every granularity.  It evaluates the round on
+    bit masks (:func:`~acokit.iteration.rule_operator`).
     """
-    groups = _groups(instance, granularity)
-    domains = _group_domains(groups)
-    member_sets = tuple(frozenset(members) for _, members in groups)
-
-    def global_step(comps):
-        out = sigma_step(instance, components_to_state(comps))
-        return tuple(out & members for members in member_sets)
-
-    return DecomposedOperator(domains, global_step)
+    return rule_operator(instance.selection_rule, _group_domains(
+        instance, _groups(instance, granularity)))
 
 
 def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
@@ -546,8 +541,8 @@ def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
         return state_distance(instance, x, y)
 
     return ProductSpace(
-        FiniteUltrametricSpace(dom, scale, dist)
-        for dom in _group_domains(_groups(instance, granularity)))
+        FiniteUltrametricSpace(tuple(dom), scale, dist)
+        for dom in _group_domains(instance, _groups(instance, granularity)))
 
 
 class AsyncRun(NamedTuple):

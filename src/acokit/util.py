@@ -54,7 +54,20 @@ def canonical_key(value):
     fractions key as themselves, which Python compares exactly; a float
     keys as its exact :class:`Fraction`, so NaN raises
     :class:`ValueError`.
+
+    The common exact types are tried first: ``isinstance`` against
+    ``Fraction``, a ``numbers`` ABC, is slow for every value that is not
+    an int.
     """
+    kind = type(value)
+    if kind is str:
+        return (1, value)
+    if kind is tuple:
+        return (2, tuple([canonical_key(v) for v in value]))
+    if kind is int or kind is bool or kind is Fraction:
+        return (0, value)
+    if kind is frozenset:
+        return (3, tuple(sorted([canonical_key(v) for v in value])))
     if isinstance(value, (int, Fraction)):
         return (0, value)
     if isinstance(value, float):

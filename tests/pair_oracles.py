@@ -8,12 +8,14 @@ definitions read too, not from the library's compiled bit-mask rules.
 
 The asynchronous oracles at the end do the same for runs and schedules:
 a run that evaluates every view, ticks drawn with ``random.choices`` and
-an admissibility check that scans every delay.
+an admissibility check that scans every delay.  The ordering key is
+checked against its plain ``isinstance`` chain.
 """
 
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 from acokit import routing
 from acokit.errors import PreconditionError
@@ -41,6 +43,23 @@ def classify_by_pairs(space, sigma):
         if d(f(m), f(n)) >= d(m, n) > 0:
             return STRICT_ON_ORBITS, (m, n)
     return STRICT_CONTRACTION, None
+
+
+def canonical_key_by_isinstance(value):
+    """:func:`util.canonical_key` as one ``isinstance`` chain, without its
+    dispatch on exact types."""
+    if isinstance(value, (int, Fraction)):
+        return (0, value)
+    if isinstance(value, float):
+        return (0, Fraction(value))
+    if isinstance(value, str):
+        return (1, value)
+    if isinstance(value, tuple):
+        return (2, tuple(canonical_key_by_isinstance(v) for v in value))
+    if isinstance(value, (set, frozenset)):
+        return (3, tuple(sorted(canonical_key_by_isinstance(v)
+                                for v in value)))
+    return (4, type(value).__name__, repr(value))
 
 
 def selection_round_by_definition(instance, state):

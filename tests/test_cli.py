@@ -288,10 +288,25 @@ def test_routing_solve_async_output_is_pinned(tmp_path, capsys, monkeypatch):
     """stdout, the trace of the first run and --json of a five-schedule
     campaign, byte for byte.  The pinned JSON leaves out ``ticks_drawn``,
     which counts work done rather than what the runs did."""
+    _check_pinned_async_output(tmp_path, capsys, monkeypatch, (),
+                               "ring3_async")
+
+
+@pytest.mark.parametrize("granularity, prefix", [
+    ("per-path", "ring3_async_per_path"),
+    ("per-source-destination-nexthop", "ring3_async_per_nexthop"),
+])
+def test_routing_solve_async_output_is_pinned_per_granularity(
+        tmp_path, capsys, monkeypatch, granularity, prefix):
+    _check_pinned_async_output(tmp_path, capsys, monkeypatch,
+                               ("--granularity", granularity), prefix)
+
+
+def _check_pinned_async_output(tmp_path, capsys, monkeypatch, flags, prefix):
     monkeypatch.chdir(os.path.join(os.path.dirname(__file__), os.pardir))
     trace, summary = tmp_path / "t.csv", tmp_path / "t.json"
     code, out, _ = run_cli(capsys, "routing", "solve", "corpus/ring3.json",
-                           "--mode", "async", "--schedules", "5",
+                           "--mode", "async", "--schedules", "5", *flags,
                            "--trace", str(trace), "--json", str(summary))
     assert code == EXIT_OK
     raw = summary.read_bytes()
@@ -299,9 +314,9 @@ def test_routing_solve_async_output_is_pinned(tmp_path, capsys, monkeypatch):
     assert 0 < stats["ticks_drawn"] < stats["ticks_used"]
     drawn = f'    "ticks_drawn": {stats["ticks_drawn"]},\n'.encode()
     assert raw.count(drawn) == 1
-    pinned = {"ring3_async_stdout.txt": out.encode(),
-              "ring3_async_trace.csv": trace.read_bytes(),
-              "ring3_async.json": raw.replace(drawn, b"")}
+    pinned = {f"{prefix}_stdout.txt": out.encode(),
+              f"{prefix}_trace.csv": trace.read_bytes(),
+              f"{prefix}.json": raw.replace(drawn, b"")}
     for name, got in pinned.items():
         with open(os.path.join(GOLDEN, name), "rb") as fh:
             assert got == fh.read(), name

@@ -22,7 +22,6 @@ from acokit.logic import (
     perfect_model_by_strata,
     program_from_clauses,
     tuple_to_interp,
-    _consequence_images,
 )
 from acokit.ultrametric import (check_axioms, check_isosceles,
                                 classify_contraction)
@@ -329,7 +328,8 @@ def test_stratification_of_arbitrary_programs_matches_relaxation(program):
 
 @given(arbitrary_programs(max_atoms=8))
 def test_consequence_routes_match_the_definition(program):
-    images = _consequence_images(program)
+    images = program.consequence_rule.images()
+    step = program.consequence_rule.step
     apply = decompose_program(program).apply
     space = itertools.product((False, True), repeat=len(program.atoms))
     for index, bits in enumerate(space):
@@ -338,7 +338,8 @@ def test_consequence_routes_match_the_definition(program):
         assert immediate_consequence(program, interp | {"outside"}) == expected
         target = interp_to_tuple(program, expected)
         assert apply(bits) == target
-        assert images[index] == int("".join("01"[b] for b in target), 2)
+        assert step(index) == int("".join("01"[b] for b in target), 2)
+        assert images[index] == step(index)
 
 
 @given(arbitrary_programs(max_atoms=8).filter(

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from acokit.aco import AcoCertificate, BoxCheck, BoxSequence, CensusResult
-from acokit.iteration import AdmissibilityReport, CampaignRun, Trajectory
+from acokit.iteration import (AdmissibilityReport, BitRules, CampaignRun,
+                              Trajectory)
 from acokit.logic import (Clause, GroundProgram, Literal, PerfectModelResult,
                           Stratification, StratificationResult)
 from acokit.routing import (AsyncRun, ContractionCheck, InflationReport,
@@ -34,6 +35,7 @@ SAMPLES = [
     (Trajectory, dict(states=((0,), (1,)), converged_at=None, status="cycle",
                       cycle_start=0, cycle_length=2,
                       activations=(frozenset({0}),))),
+    (BitRules, dict(width=2, rules=((1, 0, 0), (2, 1, 0)))),
     (CampaignRun, dict(seed=3, start=(0,), final=(1,), status="converged",
                        converged_at=1, ticks=14, evaluated=2)),
     (Clause, dict(head="p", body=(Literal("q", True),))),

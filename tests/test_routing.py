@@ -1,5 +1,7 @@
+import glob
 import itertools
 import logging
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +32,8 @@ from acokit.routing import (
     verify_strict_contraction,
 )
 from acokit.ultrametric import check_axioms, check_isosceles
+from acokit.util import canonical_key
+from conftest import corpus_path
 from pair_oracles import (selection_round_by_definition,
                           strict_contraction_by_pairs)
 
@@ -172,11 +176,17 @@ def policy_instances(draw):
 
 @given(policy_instances())
 def test_sigma_step_matches_definition_on_every_state(inst):
-    universe = inst.all_permitted
-    for size in range(len(universe) + 1):
-        for state in itertools.combinations(universe, size):
-            assert sigma_step(inst, state) == \
-                selection_round_by_definition(inst, state)
+    """``sigma_step``, and the rule table's ``step`` and ``images()`` on
+    every mask, equal the frozenset selection round."""
+    universe, bit = inst.all_permitted, inst.path_bit
+    rules = inst.selection_rule
+    images = rules.images()
+    for mask in range(1 << len(universe)):
+        state = frozenset(p for p in universe if mask & bit[p])
+        expected = selection_round_by_definition(inst, state)
+        assert sigma_step(inst, state) == expected
+        assert rules.step(mask) == sum(bit[p] for p in expected)
+        assert images[mask] == rules.step(mask)
 
 
 def test_state_distance_examples(ring3):
@@ -303,12 +313,61 @@ def test_decompose_processor_counts(ring3):
 
 
 @pytest.mark.parametrize("granularity", [PER_NODE, PER_NEXTHOP, PER_PATH])
-def test_assembled_operator_equals_sigma_step(ring3, granularity):
-    op = decompose(ring3, granularity)
-    for state_bits in itertools.product((False, True), repeat=5):
-        state = frozenset(p for p, b in zip(ring3.paths, state_bits) if b)
-        comps = state_to_components(ring3, granularity, state)
-        assert components_to_state(op.apply(comps)) == sigma_step(ring3, state)
+def test_assembled_operator_equals_sigma_step(ring3, multi2, disagree_repaired,
+                                              granularity):
+    """On every state of three corpus instances (5 paths each), and on
+    2,000 seeded random states of the 2x3 grid's 2 ** 18."""
+    for inst in (ring3, multi2, disagree_repaired, _grid(2, 3)):
+        op = decompose(inst, granularity)
+        universe = inst.all_permitted
+        masks = range(1 << len(universe))
+        if len(universe) > 5:
+            masks = random.Random(7).sample(masks, 2000)
+        for mask in masks:
+            state = frozenset(
+                p for k, p in enumerate(universe) if mask >> k & 1)
+            comps = state_to_components(inst, granularity, state)
+            assert components_to_state(op.apply(comps)) == \
+                sigma_step(inst, state)
+
+
+@pytest.mark.parametrize("value", [frozenset({("9", "d")}),
+                                   frozenset({P1D}), (P2D,)])
+def test_an_unknown_component_value_is_refused(ring3, value):
+    # a path of no node, node 1's path, node 2's path outside a frozenset
+    op = decompose(ring3, PER_NODE)
+    d, _, n2 = state_to_components(ring3, PER_NODE, frozenset())
+    with pytest.raises(PreconditionError, match="outside domain"):
+        op.apply((d, n2, value))
+
+
+def _sorted_domains(instance, granularity):
+    """Each group's subsets sorted by size, then by canonical key."""
+    return tuple(
+        tuple(sorted((frozenset(comb) for size in range(len(members) + 1)
+                      for comb in itertools.combinations(members, size)),
+                     key=lambda s: (len(s), canonical_key(s))))
+        for _, members in routing._groups(instance, granularity))
+
+
+def _loadable_corpus():
+    out = []
+    for path in sorted(glob.glob(corpus_path("*.json"))):
+        try:
+            out.append(routing.load_instance(path))
+        except PreferenceCycleError:
+            pass
+    return out
+
+
+@pytest.mark.parametrize("granularity", [PER_NODE, PER_NEXTHOP, PER_PATH])
+def test_domains_come_by_size_then_canonically(granularity):
+    generated = [make_instance(nodes, "d", arcs)
+                 for nodes, arcs in map(_ring, (3, 4, 6, 9))]
+    generated += [_grid(2, 2), _grid(2, 3), _grid(3, 3)]
+    for inst in _loadable_corpus() + generated:
+        assert decompose(inst, granularity).domains == \
+            _sorted_domains(inst, granularity)
 
 
 def test_granularity_independent_fixed_points(ring3, multi2):

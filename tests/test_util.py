@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from acokit import iteration, routing, ultrametric
 from acokit.errors import MalformedSpaceError, ScheduleRejectedError
 from acokit.util import canonical_key, json_object, sorted_canonical, typed
+from pair_oracles import canonical_key_by_isinstance
 
 
 def fraction_key(value):
@@ -56,6 +58,36 @@ def test_canonical_key_rejects_nan(value):
         canonical_key(value)
     with pytest.raises(ValueError):
         sorted_canonical([0, value])
+
+
+class Small(int):
+    pass
+
+
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
+SCALARS = st.one_of(NUMBERS, st.integers(-3, 3).map(Small),
+                    st.text(max_size=2))
+HASHABLE = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.builds(Pair, inner, inner),
+                            st.frozensets(inner, max_size=3)),
+    max_leaves=8)
+# sets are unhashable, so they hold hashable values and sit in tuples
+MIXED = st.recursive(
+    HASHABLE,
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.sets(HASHABLE, max_size=3)),
+    max_leaves=6)
+
+
+@given(MIXED)
+def test_canonical_key_equals_the_isinstance_chain(value):
+    assert canonical_key(value) == canonical_key_by_isinstance(value)
 
 
 @pytest.mark.parametrize("value, kind, length", [
