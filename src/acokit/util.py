@@ -55,29 +55,21 @@ def canonical_key(value):
     keys as its exact :class:`Fraction`, so NaN raises
     :class:`ValueError`.
 
-    The common exact types are tried first: ``isinstance`` against
-    ``Fraction``, a ``numbers`` ABC, is slow for every value that is not
-    an int.
+    Fractions are tested last: ``isinstance`` against ``Fraction``, a
+    ``numbers`` ABC, is slow for every value that is not one.
     """
-    kind = type(value)
-    if kind is str:
-        return (1, value)
-    if kind is tuple:
-        return (2, tuple([canonical_key(v) for v in value]))
-    if kind is int or kind is bool or kind is Fraction:
-        return (0, value)
-    if kind is frozenset:
-        return (3, tuple(sorted([canonical_key(v) for v in value])))
-    if isinstance(value, (int, Fraction)):
-        return (0, value)
-    if isinstance(value, float):
-        return (0, Fraction(value))
     if isinstance(value, str):
         return (1, value)
     if isinstance(value, tuple):
-        return (2, tuple(canonical_key(v) for v in value))
+        return (2, tuple([canonical_key(v) for v in value]))
     if isinstance(value, (set, frozenset)):
-        return (3, tuple(sorted(canonical_key(v) for v in value)))
+        return (3, tuple(sorted([canonical_key(v) for v in value])))
+    if isinstance(value, int):
+        return (0, value)
+    if isinstance(value, float):
+        return (0, Fraction(value))
+    if isinstance(value, Fraction):
+        return (0, value)
     return (4, type(value).__name__, repr(value))
 
 

@@ -46,8 +46,8 @@ def classify_by_pairs(space, sigma):
 
 
 def canonical_key_by_isinstance(value):
-    """:func:`util.canonical_key` as one ``isinstance`` chain, without its
-    dispatch on exact types."""
+    """:func:`util.canonical_key` as its ``isinstance`` chain first read,
+    numbers (fractions included) tested first."""
     if isinstance(value, (int, Fraction)):
         return (0, value)
     if isinstance(value, float):
