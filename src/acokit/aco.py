@@ -28,6 +28,7 @@ from .errors import (
 from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules)
 from .ultrametric import (
+    BATCH_CELLS,
     FiniteUltrametricSpace,
     ProductSpace,
     RadiusScale,
@@ -41,8 +42,6 @@ Box = tuple  # per-component subsets, each a canonically sorted tuple
 
 # most height assignments search_ultrametric will enumerate
 MAX_ASSIGNMENTS = 2_000_000
-# most cells of any temporary array one batch of the census allocates
-BATCH_CELLS = 1 << 22
 
 
 def _normalize_box(box) -> Box:
@@ -418,22 +417,28 @@ def _qualifying_rows(sizes: tuple, sigma: np.ndarray) -> np.ndarray:
     array of image indices with exactly one fixed point, one per row of
     ``sigma``) contracts and is strict on orbits, or ``-1``.
 
-    Every row is checked at once: the temporaries hold operators times
-    state pairs times rows cells.
+    Strictness on orbits is checked on every row at once, and
+    contraction on pairs only on the rows that some operator still
+    passes, which are few.  The temporaries hold at most operators times
+    rows times the larger of the state and state pair counts, plus a copy
+    of the family's distances on the rows still passed.
     """
     import numpy as np
     heights, pair_dist, a, b = _height_family(sizes)
     after = sigma[np.arange(len(sigma))[:, None], sigma]
-    # no pair of images farther apart than the pair
-    contracts = (pair_dist[sigma[:, a], sigma[:, b]]
-                 <= pair_dist[a, b]).all(axis=1)
     # every step F(x), F(F(x)) shorter than x, F(x) where F moves x: such
     # a step x, F(x) is at least 1, as distinct states never share a zero
     # height, while the fixed point's two steps are 0 and pass
     steps = pair_dist[np.arange(sigma.shape[1]), sigma]
     strict = (pair_dist[sigma, after] < np.maximum(steps, 1)).all(axis=1)
-    ok = contracts & strict
-    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+    rows = np.flatnonzero(strict.any(axis=0))
+    if not rows.size:
+        return np.full(len(sigma), -1)
+    # no pair of images farther apart than the pair, on those rows
+    dist = pair_dist[:, :, rows]
+    ok = strict[:, rows] & (dist[sigma[:, a], sigma[:, b]]
+                            <= dist[a, b]).all(axis=1)
+    return np.where(ok.any(axis=1), rows[ok.argmax(axis=1)], -1)
 
 
 def _witness(domains, row) -> ProductSpace:
@@ -467,11 +472,11 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     Each component value gets a height in ``0 .. max(1, n - 1)`` for
     ``n`` states, and every order-canonical assignment is checked at once
     against the distances of :func:`_height_family`, which is built once
-    per domain shape and kept: the operator contracts when no pair of
-    images is farther apart than the pair, and is strict on orbits when
+    per domain shape and kept: the operator is strict on orbits when
     every step ``F(x), F(F(x))`` is shorter than ``x, F(x)`` for each
-    ``x`` it moves: the census's metric pass, :func:`_qualifying_rows`,
-    on one operator.
+    ``x`` it moves, checked first, and contracts when no pair of images
+    is farther apart than the pair, checked on the assignments left: the
+    census's metric pass, :func:`_qualifying_rows`, on one operator.
     Returns the first product space, in ``itertools.product`` order of
     assignments, making the operator a contraction that is strict on
     orbits around a unique fixed point, or ``None``.  An operator without

@@ -57,11 +57,13 @@ class DecomposedOperator:
         self.domains = tuple(tuple(d) for d in domains)
         if not self.domains or any(not d for d in self.domains):
             raise PreconditionError("every processor needs a nonempty domain")
-        for dom in self.domains:
-            if len(set(dom)) != len(dom):
+        # each value's type, keyed by the value: equal values (1, 1.0 and
+        # True) share one key, so a domain holding two is shorter
+        self._domain_types = tuple({v: type(v) for v in d}
+                                   for d in self.domains)
+        for dom, types in zip(self.domains, self._domain_types):
+            if len(types) != len(dom):
                 raise PreconditionError("domain elements must be distinct")
-        self._domain_sets = tuple(  # typed: see _check
-            frozenset((type(v), v) for v in d) for d in self.domains)
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
         self.evaluations = 0
@@ -95,8 +97,8 @@ class DecomposedOperator:
         element's type (``True`` does not pass for ``1``)."""
         if not isinstance(state, tuple) or len(state) != self.processors:
             raise PreconditionError(wrong_shape.format(state))
-        for value, dom in zip(state, self._domain_sets):
-            if (type(value), value) not in dom:
+        for value, types in zip(state, self._domain_types):
+            if types.get(value) is not type(value):
                 raise PreconditionError(outside.format(value))
 
     def check_state(self, state):

@@ -32,6 +32,9 @@ STRICT_CONTRACTION = "strict-contraction"
 _AXIOM_CHECK_MAX_ELEMENTS = 1024
 _BALL_ENUM_MAX_ELEMENTS = 4096
 _MAX_WITNESSES = 200
+# most cells of any temporary array one batched numpy pass allocates: a
+# chunk of radii of the ball labels here, a batch of the census in aco
+BATCH_CELLS = 1 << 22
 
 
 class RadiusScale:
@@ -157,6 +160,10 @@ class FiniteUltrametricSpace:
         :class:`MalformedSpaceError` with a witness when "within ``r``"
         is not an equivalence relation for some ``r``, i.e. when the
         table is not an ultrametric up to zero distances.
+
+        All radii are labelled and checked in one numpy pass, a chunk of
+        radii at a time, so that no temporary holds more than the larger
+        of ``n * n`` cells and :data:`BATCH_CELLS` for ``n`` elements.
         """
         return self._ball_labels
 
@@ -165,28 +172,33 @@ class FiniteUltrametricSpace:
         import numpy as np
         D = self._mat
         els, values = self.elements, self.scale.values
-        nonzero = np.flatnonzero(np.diagonal(D) != 0)
-        if nonzero.size:
-            e = nonzero[0]
+        diagonal = np.diagonal(D)
+        if diagonal.any():
+            e = np.flatnonzero(diagonal)[0]
             raise MalformedSpaceError(
                 f"not an ultrametric: d({els[e]!r}, {els[e]!r}) = "
                 f"{values[D[e, e]]!r} is not zero")
-        asymmetric = np.argwhere(D != D.T)
-        if asymmetric.size:
-            a, b = asymmetric[0]
+        asymmetric = D != D.T
+        if asymmetric.any():
+            a, b = np.argwhere(asymmetric)[0]
             raise MalformedSpaceError(
                 f"not an ultrametric: d({els[a]!r}, {els[b]!r}) = "
                 f"{values[D[a, b]]!r} but d({els[b]!r}, {els[a]!r}) = "
                 f"{values[D[b, a]]!r}")
         labels = np.empty((len(values), len(els)), dtype=np.int64)
-        for r, row in enumerate(labels):
-            within = D <= r
-            row[:] = within.argmax(axis=1)
-            bad = np.argwhere(within != (row[:, None] == row[None, :]))
-            if bad.size:
-                a, c = bad[0]
+        chunk = max(1, BATCH_CELLS // D.size)
+        for start in range(0, len(values), chunk):
+            radii = np.arange(start, min(start + chunk, len(values)))
+            within = D <= radii[:, None, None]
+            rows = labels[start:start + len(radii)]
+            rows[:] = within.argmax(axis=2)
+            bad = within != (rows[:, :, None] == rows[:, None, :])
+            if bad.any():
+                k = bad.any(axis=(1, 2)).argmax()
+                within, row = within[k], rows[k]
+                a, c = np.argwhere(bad[k])[0]
                 # a witness triple (x, y, z) with d(x, y) and d(y, z)
-                # within r but d(x, z) not
+                # within the radius but d(x, z) not
                 if not within[a, c]:
                     x, y, z = a, row[a], c
                 elif not within[c, row[a]]:
@@ -212,12 +224,15 @@ class AxiomReport(NamedTuple):
     violations: tuple[AxiomViolation, ...]
 
 
-def _space_matrix(space) -> np.ndarray:
-    n = len(space.elements)
+def _check_axiom_size(n: int) -> None:
     if n > _AXIOM_CHECK_MAX_ELEMENTS:
         raise SizeLimitError(
             f"axiom check over {n} elements exceeds the desk-scale cap "
             f"{_AXIOM_CHECK_MAX_ELEMENTS}")
+
+
+def _space_matrix(space) -> np.ndarray:
+    _check_axiom_size(len(space.elements))
     return space.index_matrix()
 
 
@@ -518,17 +533,17 @@ def _min_split(befores, afters):
 
 def _sigma_array(space, sigma) -> np.ndarray:
     import numpy as np
-    els = space.elements
+    n = len(space)
     if isinstance(sigma, np.ndarray):
-        if sigma.shape != (len(els),) or sigma.dtype.kind not in "iu" \
-                or not 0 <= sigma.min() <= sigma.max() < len(els):
+        if sigma.shape != (n,) or sigma.dtype.kind not in "iu" \
+                or not 0 <= sigma.min() <= sigma.max() < n:
             raise MalformedSpaceError(
-                f"image array must hold {len(els)} indices below {len(els)}, "
+                f"image array must hold {n} indices below {n}, "
                 f"got shape {sigma.shape} and dtype {sigma.dtype}")
         return sigma.astype(np.int64)
     fn = sigma if callable(sigma) else sigma.__getitem__
-    out = np.empty(len(els), dtype=np.int64)
-    for i, e in enumerate(els):
+    out = np.empty(n, dtype=np.int64)
+    for i, e in enumerate(space.elements):
         image = fn(e)
         try:
             out[i] = space.index_of(image)
@@ -536,6 +551,21 @@ def _sigma_array(space, sigma) -> np.ndarray:
             raise MalformedSpaceError(
                 f"sigma maps {e!r} outside the space: {image!r}") from None
     return out
+
+
+def _element_at(space, index):
+    """``space.elements[index]``.  A product space's element is decoded
+    from the index in mixed radix over its components' elements, the
+    last component varying fastest as in ``itertools.product``, so its
+    element tuple is never built."""
+    if not isinstance(space, ProductSpace):
+        return space.elements[index]
+    index = int(index)
+    coords = []
+    for comp, size in zip(space.components[::-1], space._sizes[::-1]):
+        index, digit = divmod(index, size)
+        coords.append(comp.elements[digit])
+    return tuple(coords[::-1])
 
 
 def classify_contraction(space, sigma) -> ContractionReport:
@@ -553,32 +583,38 @@ def classify_contraction(space, sigma) -> ContractionReport:
     contracts when equal ``L[r]`` always gives images with equal ``L[r]``,
     contracts strictly when equal ``L[r]`` gives images with equal
     ``L[r - 1]`` for every ``r >= 1``, and the distance of two states is
-    the first ``r`` at which their labels agree.  A table that is not an
-    ultrametric raises :class:`MalformedSpaceError`.
+    the first ``r`` at which their labels agree.  Only the labels of a
+    component space with ``n`` elements take ``n * n`` cells, a chunk of
+    radii at a time within :data:`BATCH_CELLS`.  Given an image array, a
+    product space's element tuple is never built: each witness is
+    decoded from its index.  A table that is not an ultrametric raises
+    :class:`MalformedSpaceError`.
     """
-    els = space.elements
     sig = _sigma_array(space, sigma)
     labels = space.ball_labels()
-    report = _classify(els, sig, labels, labels[:, sig])
+    report = _classify(space, sig, labels, labels[:, sig])
     log.debug("classify_contraction: states=%d radii=%d evaluations=%d "
-              "verdict=%s", len(els), len(labels), len(els),
+              "verdict=%s", len(sig), len(labels), len(sig),
               report.classification)
     return report
 
 
-def _classify(els, sig, labels, images) -> ContractionReport:
+def _classify(space, sig, labels, images) -> ContractionReport:
     import numpy as np
     pair = _min_split(labels, images)
     if pair is not None:
-        return ContractionReport(NOT_CONTRACTION, (els[pair[0]], els[pair[1]]))
+        return ContractionReport(NOT_CONTRACTION, (
+            _element_at(space, pair[0]), _element_at(space, pair[1])))
     step = (labels == images).argmax(axis=0)
     next_step = (images == images[:, sig]).argmax(axis=0)
-    orbit_bad = (sig != np.arange(len(els))) & (next_step >= step)
+    orbit_bad = (sig != np.arange(len(sig))) & (next_step >= step)
     if orbit_bad.any():
-        return ContractionReport(CONTRACTION, (els[int(orbit_bad.argmax())],))
+        return ContractionReport(
+            CONTRACTION, (_element_at(space, orbit_bad.argmax()),))
     pair = _min_split(labels[1:], images[:-1])
     if pair is not None:
-        return ContractionReport(STRICT_ON_ORBITS, (els[pair[0]], els[pair[1]]))
+        return ContractionReport(STRICT_ON_ORBITS, (
+            _element_at(space, pair[0]), _element_at(space, pair[1])))
     return ContractionReport(STRICT_CONTRACTION, None)
 
 
@@ -588,11 +624,14 @@ def load_space(source) -> FiniteUltrametricSpace:
     Fields: ``elements`` (strings), ``scale`` (labels ascending, first
     ``"0"``), ``dist`` (triples ``[m, n, label]``).  A missing ``(m, n)``
     entry defaults from ``(n, m)``; a missing diagonal defaults to ``"0"``.
+    A file listing more elements than :func:`check_axioms` accepts raises
+    :class:`SizeLimitError` before its table is built.
     """
     with json_object(source, "bad space description",
                      MalformedSpaceError) as doc:
         elements = typed(doc["elements"], [str],
                          "elements must be an array of strings")
+        _check_axiom_size(len(elements))
         scale_labels = typed(doc["scale"], [str],
                              "scale must be an array of strings")
         if not scale_labels or scale_labels[0] != "0":

@@ -10,6 +10,10 @@ The asynchronous oracles at the end do the same for runs and schedules:
 a run that evaluates every view, ticks drawn with ``random.choices`` and
 an admissibility check that scans every delay.  The ordering key is
 checked against its plain ``isinstance`` chain.
+
+The remaining references keep earlier versions of library passes that
+were since rewritten for speed: per-radius ball labels, the height
+search gathering every row, and the typed-set domain check.
 """
 
 import functools
@@ -17,8 +21,8 @@ import itertools
 import random
 from fractions import Fraction
 
-from acokit import routing
-from acokit.errors import PreconditionError
+from acokit import aco, routing
+from acokit.errors import MalformedSpaceError, PreconditionError
 from acokit.iteration import Trajectory
 from acokit.ultrametric import (
     CONTRACTION,
@@ -43,6 +47,47 @@ def classify_by_pairs(space, sigma):
         if d(f(m), f(n)) >= d(m, n) > 0:
             return STRICT_ON_ORBITS, (m, n)
     return STRICT_CONTRACTION, None
+
+
+def ball_labels_by_radius(space):
+    """:meth:`FiniteUltrametricSpace.ball_labels` as it first read: one
+    radius at a time, each checked pair by pair against its labels, with
+    the same :class:`MalformedSpaceError` messages."""
+    import numpy as np
+    D = space.index_matrix()
+    els, values = space.elements, space.scale.values
+    nonzero = np.flatnonzero(np.diagonal(D) != 0)
+    if nonzero.size:
+        e = nonzero[0]
+        raise MalformedSpaceError(
+            f"not an ultrametric: d({els[e]!r}, {els[e]!r}) = "
+            f"{values[D[e, e]]!r} is not zero")
+    asymmetric = np.argwhere(D != D.T)
+    if asymmetric.size:
+        a, b = asymmetric[0]
+        raise MalformedSpaceError(
+            f"not an ultrametric: d({els[a]!r}, {els[b]!r}) = "
+            f"{values[D[a, b]]!r} but d({els[b]!r}, {els[a]!r}) = "
+            f"{values[D[b, a]]!r}")
+    labels = np.empty((len(values), len(els)), dtype=np.int64)
+    for r, row in enumerate(labels):
+        within = D <= r
+        row[:] = within.argmax(axis=1)
+        bad = np.argwhere(within != (row[:, None] == row[None, :]))
+        if bad.size:
+            a, c = bad[0]
+            if not within[a, c]:
+                x, y, z = a, row[a], c
+            elif not within[c, row[a]]:
+                x, y, z = c, a, row[a]
+            else:
+                x, y, z = a, c, row[c]
+            raise MalformedSpaceError(
+                f"not an ultrametric: d({els[x]!r}, {els[z]!r}) = "
+                f"{values[D[x, z]]!r} exceeds d({els[x]!r}, {els[y]!r}) "
+                f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
+                f"= {values[D[y, z]]!r}")
+    return labels
 
 
 def canonical_key_by_isinstance(value):
@@ -168,6 +213,31 @@ def search_ultrametric_by_pairs(op):
                     tuple({v: h[i, v] for v in dom}
                           for i, dom in enumerate(op.domains)))
     return None
+
+
+def qualifying_rows_on_all_rows(sizes, sigma):
+    """:func:`aco._qualifying_rows` as it first read: the pair condition
+    and the orbit condition both gathered on every height row."""
+    import numpy as np
+    heights, pair_dist, a, b = aco._height_family(sizes)
+    after = sigma[np.arange(len(sigma))[:, None], sigma]
+    contracts = (pair_dist[sigma[:, a], sigma[:, b]]
+                 <= pair_dist[a, b]).all(axis=1)
+    steps = pair_dist[np.arange(sigma.shape[1]), sigma]
+    strict = (pair_dist[sigma, after] < np.maximum(steps, 1)).all(axis=1)
+    ok = contracts & strict
+    return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+
+def domain_check_by_typed_sets(domains, state):
+    """Whether :class:`DecomposedOperator` accepts ``domains`` and then
+    ``state``, as it first decided: distinct values by ``set``, and each
+    value looked up as a ``(type, value)`` pair.  ``"duplicates"`` for
+    rejected domains, else ``True`` or ``False`` for the state."""
+    if any(len(set(dom)) != len(dom) for dom in domains):
+        return "duplicates"
+    typed = [frozenset((type(v), v) for v in dom) for dom in domains]
+    return all((type(v), v) in dom for v, dom in zip(state, typed))
 
 
 def run_async_by_definition(op, start, schedule):

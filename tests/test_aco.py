@@ -37,7 +37,7 @@ from acokit.ultrametric import (
     classify_contraction,
 )
 from conftest import ball_from_labels, chain_table
-from pair_oracles import search_ultrametric_by_pairs
+from pair_oracles import qualifying_rows_on_all_rows, search_ultrametric_by_pairs
 
 DOM22 = ((0, 1), (0, 1))
 STATES22 = list(itertools.product((0, 1), (0, 1)))
@@ -425,6 +425,48 @@ def test_equivalence_census_builds_the_height_family_once(monkeypatch):
     monkeypatch.setattr(aco, "_canonical_heights", counting)
     assert equivalence_census().ok
     assert calls == [((2, 2), 3)]
+
+
+def _one_fixed_point(images):
+    return images[(images == np.arange(images.shape[1])).sum(axis=1) == 1]
+
+
+def test_qualifying_rows_match_the_all_rows_reference_on_every_2x2_operator():
+    sigma = _one_fixed_point(np.array(list(itertools.product(range(4),
+                                                             repeat=4))))
+    expected = qualifying_rows_on_all_rows((2, 2), sigma)
+    assert np.array_equal(aco._qualifying_rows((2, 2), sigma), expected)
+    assert [aco._qualifying_rows((2, 2), s[None])[0] for s in sigma] == \
+        expected.tolist()
+    assert 0 < np.count_nonzero(expected >= 0) < len(sigma)
+
+
+def test_qualifying_rows_match_the_all_rows_reference_on_3x2_batches():
+    rng = np.random.default_rng(20261019)
+    for size in (1, 7, 60, 200):
+        sigma = _one_fixed_point(rng.integers(0, 6, size=(4 * size, 6)))
+        assert np.array_equal(aco._qualifying_rows((3, 2), sigma),
+                              qualifying_rows_on_all_rows((3, 2), sigma))
+    # certified chains qualify on some row, so both verdicts are compared
+    chains = [chain_table(((0, 1, 2), (0, 1)), rng.choice,
+                          lambda xs: rng.choice(xs, rng.integers(1, len(xs)),
+                                                replace=False))[0]
+              for _ in range(40)]
+    states = list(itertools.product((0, 1, 2), (0, 1)))
+    sigma = _one_fixed_point(np.array(
+        [[states.index(table[s]) for s in states] for table in chains]))
+    expected = qualifying_rows_on_all_rows((3, 2), sigma)
+    assert np.array_equal(aco._qualifying_rows((3, 2), sigma), expected)
+    assert np.count_nonzero(expected >= 0) > 0
+
+
+def test_qualifying_rows_when_no_row_is_strict_on_orbits():
+    # states 0 and 1 swap, so d(F(0), F(F(0))) = d(0, F(0)) on every row
+    sigma = np.array([[1, 0, 5, 5, 5, 5], [1, 0, 0, 1, 2, 5],
+                      [1, 0, 1, 0, 3, 5]])
+    expected = qualifying_rows_on_all_rows((3, 2), sigma)
+    assert expected.tolist() == [-1, -1, -1]
+    assert np.array_equal(aco._qualifying_rows((3, 2), sigma), expected)
 
 
 def test_height_family_is_shared_read_only():

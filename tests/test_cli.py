@@ -109,6 +109,34 @@ def test_space_check_pass_and_fail(tmp_path, capsys):
     assert "strong-triangle" in out
 
 
+@pytest.mark.parametrize("command, path, flags, expected", [
+    (("space", "check"), "spaces/heights.json", (), EXIT_OK),
+    (("space", "check"), "spaces/broken_triangle.json", (), EXIT_FAIL),
+    (("aco", "certify"), "operators/shift2x2.json", ("--schedules", "3"),
+     EXIT_OK),
+    (("run", "sync"), "operators/shift2x2.json", (), EXIT_OK),
+    (("run", "async"), "operators/shift2x2.json", ("--seed", "3"), EXIT_OK),
+], ids=["heights", "broken-triangle", "certify", "run-sync", "run-async"])
+def test_bundled_spaces_and_operator(capsys, command, path, flags, expected):
+    # the commands the installed-console-script CI step runs
+    code, out, _ = run_cli(capsys, *command, corpus_path(path), *flags)
+    assert code == expected and out
+
+
+def test_space_check_refuses_an_over_cap_space_before_building_it(
+        tmp_path, capsys):
+    # no dist entries: a table built first would be refused for a
+    # missing entry instead
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({
+        "elements": [f"e{k}" for k in range(1025)], "scale": ["0", "1"]}),
+        encoding="utf-8")
+    code, out, err = run_cli(capsys, "space", "check", str(big))
+    assert code == EXIT_BAD_INPUT and out == ""
+    assert err == ("error: axiom check over 1025 elements exceeds the "
+                   "desk-scale cap 1024\n")
+
+
 def test_trace_converged_run_ends_at_distance_zero(tmp_path, capsys):
     trace = tmp_path / "trace.csv"
     code, _, _ = run_cli(capsys, "routing", "solve",

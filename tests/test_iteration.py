@@ -4,6 +4,8 @@ import logging
 import math
 from unittest import mock
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,7 @@ from acokit import routing
 
 from conftest import BAD_MAP_INPUTS, chain_table
 from pair_oracles import (
+    domain_check_by_typed_sets,
     run_async_by_definition,
     sampled_ticks_by_choices,
     tick_violation_by_scan,
@@ -64,6 +67,45 @@ def test_domain_checks_compare_types():
         op.check_state((True, 1))
     with pytest.raises(PreconditionError, match="produced 0.0 outside"):
         DecomposedOperator.from_table(((0, 1),), {(0,): (0.0,), (1,): (0,)})
+
+
+# equal values of different types (False, 0, 0.0, -0.0, Fraction(0)),
+# unequal ones of one type, and strings and tuples beside them
+MIXED_VALUES = st.one_of(
+    st.booleans(), st.integers(-1, 2), st.sampled_from((0.0, -0.0, 1.0, 0.5)),
+    st.fractions(-1, 2, max_denominator=2), st.sampled_from(("a", "1", "")),
+    st.tuples(st.integers(0, 1)), st.tuples(st.booleans()))
+
+
+@given(st.lists(st.lists(MIXED_VALUES, min_size=1, max_size=4),
+                min_size=1, max_size=3), st.data())
+def test_domain_check_equals_the_typed_set_reference(domains, data):
+    state = tuple(data.draw(st.one_of(st.sampled_from(dom), MIXED_VALUES))
+                  for dom in domains)
+    expected = domain_check_by_typed_sets(domains, state)
+    try:
+        op = DecomposedOperator(domains, lambda s: s)
+    except PreconditionError as exc:
+        assert str(exc) == "domain elements must be distinct"
+        assert expected == "duplicates"
+        return
+    try:
+        op.check_state(state)
+    except PreconditionError as exc:
+        assert str(exc).endswith("not in component domain")
+        assert expected is False
+    else:
+        assert expected is True
+
+
+def test_domain_check_rejects_equal_values_of_two_types():
+    with pytest.raises(PreconditionError, match="must be distinct"):
+        DecomposedOperator(((1, True),), lambda s: s)
+    op = DecomposedOperator(((1, Fraction(1, 2)),), lambda s: s)
+    op.check_state((Fraction(1, 2),))
+    for value in (True, 1.0, 0.5):
+        with pytest.raises(PreconditionError, match="not in component"):
+            op.check_state((value,))
 
 
 def test_from_table_checks_every_input_state():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from acokit import ultrametric
 from acokit.errors import InvalidHeightError, MalformedSpaceError
 from acokit.ultrametric import (
     FiniteUltrametricSpace,
@@ -28,7 +29,7 @@ from acokit.ultrametric import (
     STRICT_ON_ORBITS,
 )
 from conftest import ball_from_labels
-from pair_oracles import classify_by_pairs
+from pair_oracles import ball_labels_by_radius, classify_by_pairs
 
 
 def brute_force_axioms(elements, dist):
@@ -222,6 +223,78 @@ def test_cached_distance_and_label_arrays_are_read_only():
         assert space.ball_labels() is space.ball_labels()
 
 
+@st.composite
+def distance_tables(draw):
+    """A space whose table is an ultrametric up to zero distances (the
+    common-prefix distance of random codes), or that table broken at an
+    entry: given a nonzero diagonal, made asymmetric, or changed in both
+    orders so that a triangle may fail at any radius."""
+    n = draw(st.integers(1, 6))
+    radii = draw(st.integers(1, 5))
+    codes = [draw(st.lists(st.integers(0, 1), min_size=radii - 1,
+                           max_size=radii - 1)) for _ in range(n)]
+
+    def prefix(i, j):
+        return next((k for k, (u, v) in enumerate(zip(codes[i], codes[j]))
+                     if u != v), radii - 1)
+
+    D = [[radii - 1 - prefix(i, j) for j in range(n)] for i in range(n)]
+    kind = draw(st.sampled_from(("valid", "diagonal", "one-order",
+                                 "both-orders", "both-orders")))
+    i, j = draw(st.permutations(range(n)))[:2] if n > 1 else (0, 0)
+    if kind == "diagonal" and radii > 1:
+        D[i][i] = draw(st.integers(1, radii - 1))
+    elif kind != "valid" and i != j and radii > 1:
+        label = draw(st.sampled_from(
+            [v for v in range(radii) if v != D[i][j]]))
+        D[i][j] = label
+        if kind == "both-orders":
+            D[j][i] = label
+    elements = ("a", 1, (0, "b"), "c", 2.5, Fraction(1, 3))[:n]
+    scale = RadiusScale(("0", 1, Fraction(3, 2), "x", (4,))[:radii])
+    return FiniteUltrametricSpace(elements, scale, {
+        (elements[a], elements[b]): scale.values[D[a][b]]
+        for a in range(n) for b in range(n)})
+
+
+def _labels_or_message(ball_labels, space):
+    try:
+        return ball_labels(space).tolist()
+    except MalformedSpaceError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("cells", [1, 50, ultrametric.BATCH_CELLS])
+@given(distance_tables())
+def test_ball_labels_equal_the_per_radius_reference(cells, space):
+    # 50 cells hold every radius of a 2-element table, 3 of a 4-element
+    # one and 1 of a 6-element one
+    expected = _labels_or_message(ball_labels_by_radius, space)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ultrametric, "BATCH_CELLS", cells)
+        assert _labels_or_message(type(space).ball_labels, space) == expected
+
+
+@pytest.mark.parametrize("cells", [1, 50, ultrametric.BATCH_CELLS])
+def test_ball_labels_name_a_triangle_failing_at_an_inner_radius(cells):
+    # within 1, a-b and b-c but not a-c; every pair is within the top radius
+    table = {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 2,
+             ("a", "z"): 3, ("b", "z"): 3, ("c", "z"): 3}
+    table.update({(n, m): v for (m, n), v in list(table.items())})
+    table.update({(m, m): 0 for m in "abcz"})
+    space = space_from_table(table, (0, 1, 2, 3))
+    with pytest.raises(MalformedSpaceError) as reference:
+        ball_labels_by_radius(space)
+    assert str(reference.value) == (
+        "not an ultrametric: d('c', 'a') = 2 exceeds d('c', 'b') = 1 "
+        "and d('b', 'a') = 1")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ultrametric, "BATCH_CELLS", cells)
+        with pytest.raises(MalformedSpaceError) as raised:
+            space.ball_labels()
+    assert str(raised.value) == str(reference.value)
+
+
 def test_product_scale_must_match():
     a = height_space(("x",), {"x": 1})
     b = height_space(("y",), {"y": 2})
@@ -319,18 +392,23 @@ def test_classify_rejects_non_ultrametric_tables():
         .classification == STRICT_ON_ORBITS
 
 
+def _random_product(rng):
+    """A function building a random product of height spaces afresh."""
+    top = rng.randint(1, 5)
+    scale = RadiusScale(tuple(range(top + 1)))
+    heights = [{f"c{i}v{j}": rng.randint(1, top)
+                for j in range(rng.randint(1, 3))}
+               for i in range(rng.randint(1, 3))]
+    return lambda: ProductSpace(tuple(height_space(tuple(h), h, scale)
+                                      for h in heights))
+
+
 def _random_classify_case(rng):
     """A product height space, a flat height space or a string space, and
     a self-map on it that is constant, nearly constant or arbitrary."""
     kind = rng.randrange(3)
     if kind == 0:
-        top = rng.randint(1, 5)
-        scale = RadiusScale(tuple(range(top + 1)))
-        heights = [{f"c{i}v{j}": rng.randint(1, top)
-                    for j in range(rng.randint(1, 3))}
-                   for i in range(rng.randint(1, 3))]
-        space = ProductSpace(tuple(height_space(tuple(h), h, scale)
-                                   for h in heights))
+        space = _random_product(rng)()
     elif kind == 1:
         space = height_space(tuple(range(rng.randint(1, 6))),
                              {k: rng.randint(1, 5) for k in range(6)})
@@ -384,6 +462,28 @@ def test_pair_oracle_cases_reach_every_class():
     for _ in range(300):
         space, sigma = _random_classify_case(rng)
         report = classify_contraction(space, sigma)
+        assert (report.classification, report.witness) == \
+            classify_by_pairs(space, sigma)
+        seen.add(report.classification)
+    assert seen == {NOT_CONTRACTION, CONTRACTION, STRICT_ON_ORBITS,
+                    STRICT_CONTRACTION}
+
+
+def test_classify_leaves_a_product_unlisted_given_an_image_array():
+    rng = random.Random(20261019)
+    seen = set()
+    for _ in range(300):
+        build = _random_product(rng)
+        els = build().elements
+        target = rng.choice(els)
+        keep = rng.choice((0.0, 0.6, 0.9, 1.0))
+        images = np.array([els.index(target) if rng.random() < keep
+                           else rng.randrange(len(els)) for _ in els])
+        space = build()
+        report = classify_contraction(space, images)
+        assert "elements" not in space.__dict__
+        # the witnesses name the elements the space lists when asked
+        sigma = dict(zip(space.elements, (els[i] for i in images)))
         assert (report.classification, report.witness) == \
             classify_by_pairs(space, sigma)
         seen.add(report.classification)
