@@ -40,8 +40,10 @@ log = logging.getLogger("acokit")
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
-# most height assignments search_ultrametric will enumerate
-MAX_ASSIGNMENTS = 2_000_000
+# most states search_ultrametric builds height conditions for, and most
+# states of a domain whose every table equivalence_census checks
+MAX_SEARCH_STATES = 1024
+MAX_CENSUS_STATES = 8
 
 
 def _normalize_box(box) -> Box:
@@ -287,67 +289,6 @@ def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     return chain
 
 
-def _canonical_heights(sizes: tuple, top: int) -> np.ndarray:
-    """Every order-canonical height assignment, one row each, in
-    ``itertools.product`` order over ``0 .. top`` per position (the values
-    of each component in turn).
-
-    A row has at most one zero per component, else two points would sit at
-    distance zero, and its nonzero labels are exactly ``1 .. count``.  The
-    conditions read only the order of heights, and relabeling by rank
-    lowers every entry, so the first qualifying row of the whole grid is
-    canonical anyway; dropping the others only saves work.
-    """
-    import numpy as np
-    grid = np.indices((top + 1,) * sum(sizes), dtype=np.uint8)
-    grid = grid.reshape(sum(sizes), (top + 1) ** sum(sizes)).T
-    keep = np.ones(len(grid), dtype=bool)
-    for part in np.split(grid, np.cumsum(sizes)[:-1], axis=1):
-        keep &= (part == 0).sum(axis=1) <= 1
-    used = [(grid == v).any(axis=1) for v in range(1, top + 1)]
-    for lower, higher in zip(used, used[1:]):
-        keep &= lower | ~higher
-    return grid[keep]
-
-
-@functools.lru_cache(maxsize=4)
-def _height_family(sizes: tuple) -> tuple:
-    """``(heights, pair_dist, a, b)`` for a domain whose components have
-    ``sizes`` values, built once per shape and kept.
-
-    ``heights`` holds the order-canonical assignments of heights
-    ``0 .. max(1, n - 1)`` for ``n`` states (:func:`_canonical_heights`);
-    ``pair_dist[i, j, r]`` is the product height distance of states ``i``
-    and ``j`` (``itertools.product`` order) under row ``r``: the largest
-    height of a value at which they differ, ``0`` when they are equal,
-    with the distances of one pair under every row side by side; and
-    ``a, b`` index the state pairs ``a < b``.  More than
-    :data:`MAX_ASSIGNMENTS` assignments raise :class:`SizeLimitError`
-    before anything is built, so an over-cap shape is never cached.  The
-    arrays are shared by every caller and read-only.
-    """
-    import numpy as np
-    states = math.prod(sizes)
-    top = max(1, states - 1)
-    total = (top + 1) ** sum(sizes)
-    if total > MAX_ASSIGNMENTS:
-        raise SizeLimitError(f"{total} height assignments exceed the "
-                             f"search cap {MAX_ASSIGNMENTS}")
-    heights = _canonical_heights(sizes, top)
-    cols = _value_columns(sizes)
-    differ = cols[:, None, :] != cols[None, :, :]
-    pair_dist = np.zeros((states, states, len(heights)), dtype=np.uint8)
-    # one component at a time keeps each temporary the size of pair_dist
-    for c in range(len(sizes)):
-        h = heights[:, cols[:, c]].T
-        top_of = np.maximum(h[:, None, :], h[None, :, :])
-        np.maximum(pair_dist, top_of * differ[:, :, c, None], out=pair_dist)
-    a, b = np.triu_indices(states, 1)
-    for array in (heights, pair_dist, a, b):
-        array.setflags(write=False)
-    return heights, pair_dist, a, b
-
-
 def _value_columns(sizes: tuple) -> np.ndarray:
     """``cols[s, c]``: the column of state ``s``'s value of component
     ``c`` among all ``sum(sizes)`` values, components in turn, states in
@@ -359,17 +300,92 @@ def _value_columns(sizes: tuple) -> np.ndarray:
 
 
 def _metric_sizes(domains) -> tuple:
-    """The shape the batch passes read: the sizes of the components with
-    more than one value.
+    """The shape the census and the height search read: the sizes of the
+    components with more than one value.
 
     A one-value component leaves every state index as it is, never stops
-    a hull from being a singleton and never enters a distance, so the
-    family is built without it and its value gets height 0.  The first
-    qualifying row of the full family has 0 there anyway: zeroing those
-    entries and relabeling by rank keeps every distance and lowers every
-    entry.
+    a hull from being a singleton and never enters a distance, so it is
+    left out and its value gets height 0.
     """
     return tuple(len(dom) for dom in domains if len(dom) > 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _differing_values(sizes: tuple) -> tuple:
+    """``table[i][j]``: the values at which states ``i`` and ``j`` differ,
+    both values of each component where they differ, as columns of
+    :func:`_value_columns`.  Built once per shape and kept; equal sets
+    are one tuple."""
+    cols = [tuple(row) for row in _value_columns(sizes).tolist()]
+    sets: dict = {}
+    return tuple(
+        tuple(sets.setdefault(d, d) for d in (
+            tuple(v for u, w in zip(x, y) if u != w for v in (u, w))
+            for y in cols))
+        for x in cols)
+
+
+def _greatest_heights(sizes: tuple, sigma) -> tuple:
+    """``(heights, conditions, rounds)``: the greatest product heights
+    under which the map of image indices ``sigma`` contracts and is
+    strict on orbits, relabelled by rank, with ``heights`` ``None`` when
+    no heights do.
+
+    ``heights`` holds one height per value of ``sizes``, components in
+    turn.  Under the product height metric, ``d(x, y)`` is the largest
+    height of a value where ``x`` and ``y`` differ, so each condition
+    reads "``h_a <= max(h[S]) + c`` for every ``a`` in ``T``":
+
+    - a pair whose images differ contracts: ``T`` the values where the
+      images differ, ``S`` where the pair does, ``c = 0``;
+    - a moved ``x`` with ``F(x) != F(F(x))`` steps strictly inward: ``T``
+      the values where ``F(x)`` and ``F(F(x))`` differ, ``S`` where ``x``
+      and ``F(x)`` do, ``c = -1``.
+
+    Solutions are closed under pointwise max, and the conditions read
+    only the order of heights, so any solution has a copy with the same
+    order in ``0 .. max(1, V - 1)`` for ``V`` values.  Lowering each
+    ``h_a`` to its bound from ``h`` of that top until nothing changes
+    therefore ends at the greatest solution, and a bound below 0 shows
+    there is none.  Two zero heights in one component put two states at
+    distance 0; that bound holds for every larger assignment too, so
+    testing it on the greatest solution decides it.  ``conditions``
+    counts the conditions above, ``rounds`` the passes over them.
+    """
+    sigma = sigma.tolist()
+    table = _differing_values(sizes)
+    at_most: dict = {}  # (S, c) -> the values a with h_a <= max(h[S]) + c
+    conditions = 0
+    for x, fx in enumerate(sigma):
+        row, images = table[x], table[fx]
+        for over, fy in zip(row[x + 1:], sigma[x + 1:]):
+            if fy != fx:
+                at_most.setdefault((over, 0), set()).update(images[fy])
+                conditions += 1
+        if sigma[fx] != fx:
+            at_most.setdefault((row[fx], -1), set()).update(
+                images[sigma[fx]])
+            conditions += 1
+    h = [max(1, sum(sizes) - 1)] * sum(sizes)
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for (over, c), values in at_most.items():
+            bound = max(map(h.__getitem__, over)) + c
+            if bound < 0:
+                return None, conditions, rounds
+            for a in values:
+                if h[a] > bound:
+                    h[a] = bound
+                    changed = True
+    for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
+        if h[lo:hi].count(0) > 1:
+            return None, conditions, rounds
+    ranks = sorted(set(h))
+    rank = {v: r for r, v in enumerate(ranks, start=0 if 0 in ranks else 1)}
+    return [rank[v] for v in h], conditions, rounds
 
 
 def _batch_hulls(sizes: tuple, images: np.ndarray) -> np.ndarray:
@@ -395,54 +411,8 @@ def _batch_hulls(sizes: tuple, images: np.ndarray) -> np.ndarray:
         mask = nxt
 
 
-def _batch_metric(sizes: tuple, images: np.ndarray) -> np.ndarray:
-    """The first qualifying :func:`_height_family` row of each operator,
-    or ``-1`` (see :func:`search_ultrametric`).
-
-    ``images`` is as for :func:`_batch_hulls`.  Operators without exactly
-    one fixed point get ``-1`` before the family is asked for; the others
-    go through :func:`_qualifying_rows` at once.
-    """
-    import numpy as np
-    rows = np.full(len(images), -1, dtype=np.int64)
-    gated = np.flatnonzero(
-        (images == np.arange(images.shape[1])).sum(axis=1) == 1)
-    if gated.size:
-        rows[gated] = _qualifying_rows(sizes, images[gated])
-    return rows
-
-
-def _qualifying_rows(sizes: tuple, sigma: np.ndarray) -> np.ndarray:
-    """The first :func:`_height_family` row under which each operator (an
-    array of image indices with exactly one fixed point, one per row of
-    ``sigma``) contracts and is strict on orbits, or ``-1``.
-
-    Strictness on orbits is checked on every row at once, and
-    contraction on pairs only on the rows that some operator still
-    passes, which are few.  The temporaries hold at most operators times
-    rows times the larger of the state and state pair counts, plus a copy
-    of the family's distances on the rows still passed.
-    """
-    import numpy as np
-    heights, pair_dist, a, b = _height_family(sizes)
-    after = sigma[np.arange(len(sigma))[:, None], sigma]
-    # every step F(x), F(F(x)) shorter than x, F(x) where F moves x: such
-    # a step x, F(x) is at least 1, as distinct states never share a zero
-    # height, while the fixed point's two steps are 0 and pass
-    steps = pair_dist[np.arange(sigma.shape[1]), sigma]
-    strict = (pair_dist[sigma, after] < np.maximum(steps, 1)).all(axis=1)
-    rows = np.flatnonzero(strict.any(axis=0))
-    if not rows.size:
-        return np.full(len(sigma), -1)
-    # no pair of images farther apart than the pair, on those rows
-    dist = pair_dist[:, :, rows]
-    ok = strict[:, rows] & (dist[sigma[:, a], sigma[:, b]]
-                            <= dist[a, b]).all(axis=1)
-    return np.where(ok.any(axis=1), rows[ok.argmax(axis=1)], -1)
-
-
 def _witness(domains, row) -> ProductSpace:
-    """The product space of height row ``row``: one height per value of
+    """The product space of heights ``row``: one height per value of
     each component with more than one value, in order; a one-value
     component's value gets height 0."""
     scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
@@ -469,23 +439,15 @@ def _confirm(witness: ProductSpace, sigma) -> None:
 def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     """Search product ultrametrics built from per-component heights.
 
-    Each component value gets a height in ``0 .. max(1, n - 1)`` for
-    ``n`` states, and every order-canonical assignment is checked at once
-    against the distances of :func:`_height_family`, which is built once
-    per domain shape and kept: the operator is strict on orbits when
-    every step ``F(x), F(F(x))`` is shorter than ``x, F(x)`` for each
-    ``x`` it moves, checked first, and contracts when no pair of images
-    is farther apart than the pair, checked on the assignments left: the
-    census's metric pass, :func:`_qualifying_rows`, on one operator.
-    Returns the first product space, in ``itertools.product`` order of
-    assignments, making the operator a contraction that is strict on
-    orbits around a unique fixed point, or ``None``.  An operator without
-    exactly one fixed point returns ``None`` on any domain; otherwise more
-    than :data:`MAX_ASSIGNMENTS` assignments to the values of components
-    with more than one value raise :class:`SizeLimitError` before any is
-    built.
-    Every space found is confirmed by :func:`classify_contraction`, and a
-    disagreement raises :class:`SemanticsError`.
+    Returns the product space of the greatest heights under which the
+    operator contracts and is strict on orbits around a unique fixed
+    point (:func:`_greatest_heights`, relabelled by rank), or ``None``
+    when no product height metric does.  An operator without exactly one
+    fixed point returns ``None`` on any domain; otherwise more than
+    :data:`MAX_SEARCH_STATES` states raise :class:`SizeLimitError` before
+    any condition is built.  Every space found is confirmed by
+    :func:`classify_contraction`, and a disagreement raises
+    :class:`SemanticsError`.
 
     The unique-fixed-point requirement is independent of any metric:
     strictness on orbits is vacuous at fixed points, so a map fixing two
@@ -502,14 +464,17 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
         log.debug("search_ultrametric: fixed_points=%d "
                   "gate=unique-fixed-point", fixed)
         return None
-    sizes = _metric_sizes(op.domains)
-    heights = _height_family(sizes)[0]
-    row = _qualifying_rows(sizes, sigma[None, :])[0]
-    log.debug("search_ultrametric: assignments=%d verdict=%s", len(heights),
-              "found" if row >= 0 else "none")
-    if row < 0:
+    if len(states) > MAX_SEARCH_STATES:
+        raise SizeLimitError(f"{len(states)} states exceed the ultrametric "
+                             f"search cap {MAX_SEARCH_STATES}")
+    heights, conditions, rounds = _greatest_heights(
+        _metric_sizes(op.domains), sigma)
+    log.debug("search_ultrametric: states=%d conditions=%d rounds=%d "
+              "verdict=%s", len(states), conditions, rounds,
+              "none" if heights is None else "found")
+    if heights is None:
         return None
-    witness = _witness(op.domains, heights[row].tolist())
+    witness = _witness(op.domains, heights)
     _confirm(witness, sigma)
     return witness
 
@@ -614,15 +579,11 @@ class CensusResult(NamedTuple):
         return self.agreements == self.total
 
 
-def _chunk_size(sizes: tuple, rows: int) -> int:
+def _chunk_size(sizes: tuple) -> int:
     """Operators per batch, so that no temporary of :func:`_batch_hulls`
-    or :func:`_batch_metric` exceeds :data:`BATCH_CELLS` cells; a batch
-    holds at least one operator, whose gathers the height-family cap
-    bounds."""
-    states = math.prod(sizes)
-    per_operator = max(rows * max(states * (states - 1) // 2, states),
-                       states * sum(sizes))
-    return max(1, BATCH_CELLS // per_operator)
+    exceeds :data:`BATCH_CELLS` cells; a batch holds at least one
+    operator."""
+    return max(1, BATCH_CELLS // max(1, math.prod(sizes) * sum(sizes)))
 
 
 def _image_arrays(states: int, chunk: int):
@@ -642,39 +603,48 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
 
     The default domain yields the 256 self-maps of a 2x2 product; the box
     search and the ultrametric search must return the same verdict on each.
-    Every table is checked in ``itertools.product`` order by one batched
-    pass per chunk of operators: :func:`_batch_hulls` for the box chain
-    and :func:`_batch_metric` for the product height metric, with chunks
-    sized before anything is allocated so that no temporary exceeds
-    :data:`BATCH_CELLS` cells.  Each metric found is confirmed by
+    Every table is checked in ``itertools.product`` order, a chunk of
+    operators at a time, chunks sized before anything is allocated so that
+    no temporary exceeds :data:`BATCH_CELLS` cells: :func:`_batch_hulls`
+    decides the box chains of a chunk at once, and each operator with
+    exactly one fixed point goes through :func:`_greatest_heights`, as in
+    :func:`search_ultrametric`.  Each metric found is confirmed by
     :func:`classify_contraction` on its witness space, built once per
-    height row within the call, and each operator whose two verdicts
-    differ is rechecked by :func:`search_box_sequence` and
-    :func:`search_ultrametric`; either check disagreeing with the batch
+    heights within the call, and each operator whose two verdicts differ
+    is rechecked by :func:`search_box_sequence` and
+    :func:`search_ultrametric`; either check disagreeing with the census
     raises :class:`SemanticsError`.  Empty domains and repeated values
-    raise :class:`PreconditionError`, as for any operator.
+    raise :class:`PreconditionError`, as for any operator, and domains of
+    more than :data:`MAX_CENSUS_STATES` states raise
+    :class:`SizeLimitError` before any table is built.
     """
     import numpy as np
     # the identity operator checks the domains
     domains = DecomposedOperator(domains, lambda s: s).domains
+    count = math.prod(len(dom) for dom in domains)
+    if count > MAX_CENSUS_STATES:
+        raise SizeLimitError(f"{count} states exceed the census cap "
+                             f"{MAX_CENSUS_STATES}")
     states = list(itertools.product(*domains))
     sizes = _metric_sizes(domains)
-    heights = _height_family(sizes)[0]
     total = 0
     agreements = 0
     acos = 0
     mismatches = []
-    witnesses = {}  # height row -> its space
-    for images in _image_arrays(len(states),
-                                _chunk_size(sizes, len(heights))):
+    witnesses = {}  # heights -> their space
+    for images in _image_arrays(count, _chunk_size(sizes)):
         by_boxes = _batch_hulls(sizes, images)
-        rows = _batch_metric(sizes, images)
-        by_metric = rows >= 0
-        for n in np.flatnonzero(by_metric):
-            row = int(rows[n])
-            if row not in witnesses:
-                witnesses[row] = _witness(domains, heights[row].tolist())
-            _confirm(witnesses[row], images[n])
+        by_metric = np.zeros(len(images), dtype=bool)
+        unique = (images == np.arange(count)).sum(axis=1) == 1
+        for n in np.flatnonzero(unique):
+            heights = _greatest_heights(sizes, images[n])[0]
+            if heights is None:
+                continue
+            by_metric[n] = True
+            key = tuple(heights)
+            if key not in witnesses:
+                witnesses[key] = _witness(domains, heights)
+            _confirm(witnesses[key], images[n])
         for n in np.flatnonzero(by_boxes != by_metric):
             table = dict(zip(states, (states[i] for i in images[n])))
             verdicts = (bool(by_boxes[n]), bool(by_metric[n]))
@@ -682,7 +652,7 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
             if verdicts != (search_box_sequence(op) is not None,
                             search_ultrametric(op) is not None):
                 raise SemanticsError(
-                    f"batch verdicts {verdicts} on {table!r} disagree with "
+                    f"census verdicts {verdicts} on {table!r} disagree with "
                     "the single-operator searches")
             mismatches.append((tuple(sorted(table.items())), *verdicts))
         agree = by_boxes == by_metric

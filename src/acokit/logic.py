@@ -301,15 +301,16 @@ def interpretation_scale(strat: Stratification) -> RadiusScale:
 def interpretation_space(program: GroundProgram,
                          strat: Stratification) -> ProductSpace:
     """Per-atom product space whose max-distance equals
-    :func:`interpretation_distance` on the full interpretation lattice."""
+    :func:`interpretation_distance` on the full interpretation lattice.
+
+    The atoms of one stratum share one component space, so its table and
+    ball labels are built once."""
     scale = interpretation_scale(strat)
-    components = []
-    for atom in program.atoms:
-        radius = Fraction(1, 2 ** strat.of(atom))
-        components.append(FiniteUltrametricSpace(
-            (False, True), scale,
-            lambda m, n, r=radius: Fraction(0) if m == n else r))
-    return ProductSpace(components)
+    levels = {level: FiniteUltrametricSpace(
+        (False, True), scale,
+        lambda m, n, r=Fraction(1, 2 ** level): Fraction(0) if m == n else r)
+        for level in {strat.of(atom) for atom in program.atoms}}
+    return ProductSpace(levels[strat.of(atom)] for atom in program.atoms)
 
 
 def interp_to_tuple(program: GroundProgram, interp) -> tuple:

@@ -2,9 +2,10 @@
 
 They loop over every pair of states and compare distances as the
 definitions read; the library decides the same questions from ball
-labels without listing pairs, and searches height assignments all at
-once.  The operators they check against are evaluated as their
-definitions read too, not from the library's compiled bit-mask rules.
+labels without listing pairs, and finds product heights as the greatest
+solution of their conditions rather than by listing assignments.  The
+operators they check against are evaluated as their definitions read
+too, not from the library's compiled bit-mask rules.
 
 The asynchronous oracles at the end do the same for runs and schedules:
 a run that evaluates every view, ticks drawn with ``random.choices`` and
@@ -12,16 +13,18 @@ an admissibility check that scans every delay.  The ordering key is
 checked against its plain ``isinstance`` chain.
 
 The remaining references keep earlier versions of library passes that
-were since rewritten for speed: per-radius ball labels, the height
-search gathering every row, and the typed-set domain check.
+were since rewritten: per-radius ball labels, the height search over
+every order-canonical assignment with every row gathered, and the
+typed-set domain check.
 """
 
 import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
-from acokit import aco, routing
+from acokit import routing
 from acokit.errors import MalformedSpaceError, PreconditionError
 from acokit.iteration import Trajectory
 from acokit.ultrametric import (
@@ -168,58 +171,113 @@ def strict_contraction_by_pairs(instance):
     return witness is None, witness, pairs
 
 
-@functools.lru_cache(maxsize=None)
-def _canonical_heights(sizes, top):
-    """Assignments with at most one zero per component whose nonzero
-    labels are exactly ``1 .. count``, in ``itertools.product`` order."""
-    bounds = list(itertools.accumulate(sizes, initial=0))
-    rows = []
-    for row in itertools.product(range(top + 1), repeat=sum(sizes)):
-        labels = sorted(set(row) - {0})
-        if labels == list(range(1, len(labels) + 1)) and all(
-                row[lo:hi].count(0) <= 1 for lo, hi in zip(bounds, bounds[1:])):
-            rows.append(row)
-    return rows
-
-
 def search_ultrametric_by_pairs(op):
     """(scale values, per-component {value: height}) as
     :func:`search_ultrametric` must find them, or ``None``.
 
-    Tries order-canonical height assignments over ``0 .. states - 1`` in
-    ``itertools.product`` order and takes the first under which the map
-    contracts every pair and is strict on every orbit step, provided the
-    map has exactly one fixed point.
+    Lists every assignment of heights ``0 .. max(1, V - 1)`` to the ``V``
+    values of the components with more than one value, keeps those with
+    at most one zero height per component under which the map contracts
+    every pair and is strict on every orbit step, provided the map has
+    exactly one fixed point, and returns their pointwise max relabelled
+    by rank (from 1 when no height is 0).  A one-value component's value
+    gets height 0.  Each pair's distance is computed for every assignment
+    at once.
     """
+    import numpy as np
     states = list(op.iter_states())
     f = {m: op.apply(m) for m in states}
     if sum(f[m] == m for m in states) != 1:
         return None
-    values = [(i, v) for i, dom in enumerate(op.domains) for v in dom]
-    sizes = tuple(len(dom) for dom in op.domains)
-    for row in _canonical_heights(sizes, max(1, len(states) - 1)):
-        h = dict(zip(values, row))
+    values = [(i, v) for i, dom in enumerate(op.domains) if len(dom) > 1
+              for v in dom]
+    column = {value: k for k, value in enumerate(values)}
+    top = max(1, len(values) - 1)
+    grid = np.indices((top + 1,) * len(values), dtype=np.uint8)
+    grid = grid.reshape(len(values), (top + 1) ** len(values)).T
+    ok = np.ones(len(grid), dtype=bool)
+    for i, dom in enumerate(op.domains):
+        cols = [column[i, v] for v in dom if (i, v) in column]
+        ok &= (grid[:, cols] == 0).sum(axis=1) <= 1
+    dist = {}
 
-        def d(m, n):
-            return max((max(h[i, u], h[i, v])
-                        for i, (u, v) in enumerate(zip(m, n)) if u != v),
-                       default=0)
+    def d(m, n):
+        if (m, n) not in dist:
+            cols = [column[i, w] for i, (u, v) in enumerate(zip(m, n))
+                    if u != v for w in (u, v)]
+            dist[m, n] = grid[:, cols].max(axis=1, initial=0)
+        return dist[m, n]
 
-        if all(d(f[m], f[n]) <= d(m, n)
-               for m, n in itertools.combinations(states, 2)) and \
-                all(d(f[m], f[f[m]]) < d(m, f[m])
-                    for m in states if f[m] != m):
-            return (tuple(range(max(row) + 1)),
-                    tuple({v: h[i, v] for v in dom}
-                          for i, dom in enumerate(op.domains)))
-    return None
+    for m, n in itertools.combinations(states, 2):
+        ok &= d(f[m], f[n]) <= d(m, n)
+    for m in states:
+        if f[m] != m:
+            ok &= d(f[m], f[f[m]]) < d(m, f[m])
+    if not ok.any():
+        return None
+    greatest = grid[ok].max(axis=0).tolist()
+    labels = sorted(set(greatest))
+    shift = 0 if 0 in labels else 1
+    h = {value: labels.index(g) + shift for value, g in zip(values, greatest)}
+    return (tuple(range(len(labels) + shift)) if labels else (0,),
+            tuple({v: h.get((i, v), 0) for v in dom}
+                  for i, dom in enumerate(op.domains)))
+
+
+def _canonical_heights(sizes, top):
+    """Every order-canonical height assignment, one row each, in
+    ``itertools.product`` order over ``0 .. top`` per position (the values
+    of each component in turn).
+
+    A row has at most one zero per component, else two points would sit at
+    distance zero, and its nonzero labels are exactly ``1 .. count``.  The
+    conditions read only the order of heights, and relabeling by rank
+    lowers every entry, so some canonical row qualifies whenever any
+    assignment does.
+    """
+    import numpy as np
+    grid = np.indices((top + 1,) * sum(sizes), dtype=np.uint8)
+    grid = grid.reshape(sum(sizes), (top + 1) ** sum(sizes)).T
+    keep = np.ones(len(grid), dtype=bool)
+    for part in np.split(grid, np.cumsum(sizes)[:-1], axis=1):
+        keep &= (part == 0).sum(axis=1) <= 1
+    used = [(grid == v).any(axis=1) for v in range(1, top + 1)]
+    for lower, higher in zip(used, used[1:]):
+        keep &= lower | ~higher
+    return grid[keep]
+
+
+@functools.lru_cache(maxsize=None)
+def _height_family(sizes):
+    """``(heights, pair_dist, a, b)`` for a domain whose components have
+    ``sizes`` values: the order-canonical assignments of heights
+    ``0 .. max(1, n - 1)`` for ``n`` states; ``pair_dist[i, j, r]``, the
+    product height distance of states ``i`` and ``j`` (``itertools.product``
+    order) under row ``r``; and ``a, b``, the state pairs ``a < b``."""
+    import numpy as np
+    states = math.prod(sizes)
+    heights = _canonical_heights(sizes, max(1, states - 1))
+    starts = itertools.accumulate(sizes[:-1], initial=0)
+    cols = np.array(list(itertools.product(
+        *(range(s, s + n) for s, n in zip(starts, sizes)))), dtype=np.int64)
+    differ = cols[:, None, :] != cols[None, :, :]
+    pair_dist = np.zeros((states, states, len(heights)), dtype=np.uint8)
+    for c in range(len(sizes)):
+        h = heights[:, cols[:, c]].T
+        top_of = np.maximum(h[:, None, :], h[None, :, :])
+        np.maximum(pair_dist, top_of * differ[:, :, c, None], out=pair_dist)
+    a, b = np.triu_indices(states, 1)
+    return heights, pair_dist, a, b
 
 
 def qualifying_rows_on_all_rows(sizes, sigma):
-    """:func:`aco._qualifying_rows` as it first read: the pair condition
-    and the orbit condition both gathered on every height row."""
+    """The first :func:`_height_family` row under which each map (one row
+    of image indices in ``sigma``) contracts every pair and is strict on
+    every orbit step, or ``-1``: the height search as it first read, the
+    pair condition and the orbit condition both gathered on every row.
+    The fixed points are not counted."""
     import numpy as np
-    heights, pair_dist, a, b = aco._height_family(sizes)
+    heights, pair_dist, a, b = _height_family(sizes)
     after = sigma[np.arange(len(sigma))[:, None], sigma]
     contracts = (pair_dist[sigma[:, a], sigma[:, b]]
                  <= pair_dist[a, b]).all(axis=1)

@@ -233,11 +233,13 @@ def test_batch_pass_matches_the_single_operator_searches(data):
     sizes = aco._metric_sizes(domains)
     images = _image_array(domains, tables)
     certified = aco._batch_hulls(sizes, images)
-    rows = aco._batch_metric(sizes, images)
+    # the metric verdict against the height family it replaced
+    found = _one_fixed_point(images) & (
+        qualifying_rows_on_all_rows(sizes, images) >= 0)
     for n, table in enumerate(tables):
         op = DecomposedOperator.from_table(domains, table)
         assert certified[n] == (search_box_sequence(op) is not None)
-        assert (rows[n] >= 0) == (search_ultrametric(op) is not None)
+        assert found[n] == (search_ultrametric(op) is not None)
 
 
 def test_equivalence_census_raises_when_the_classifier_disagrees(
@@ -272,23 +274,23 @@ def test_equivalence_census_rejects_bad_domains(domains, message):
         equivalence_census(domains)
 
 
-@pytest.mark.parametrize("cells", [1, 5_000, 100_000])
+@pytest.mark.parametrize("cells", [1, 100, 5_000, 100_000])
 def test_equivalence_census_is_the_same_in_every_chunking(monkeypatch, cells):
     domains = ((0, 1), (0,), (0, 1))
     expected = equivalence_census(domains)
     chunks = []
-    batch = aco._batch_metric
+    batch = aco._batch_hulls
 
     def recording(sizes, images):
         chunks.append(len(images))
         return batch(sizes, images)
 
     monkeypatch.setattr(aco, "BATCH_CELLS", cells)
-    monkeypatch.setattr(aco, "_batch_metric", recording)
+    monkeypatch.setattr(aco, "_batch_hulls", recording)
     assert equivalence_census(domains) == expected
-    # 115 rows times 6 state pairs per operator, and at least one operator
-    chunk = max(1, cells // (115 * 6))
-    assert aco._chunk_size((2, 2), 115) == chunk
+    # 4 states times 4 value masks per operator, and at least one operator
+    chunk = max(1, cells // (4 * 4))
+    assert aco._chunk_size((2, 2)) == chunk
     assert chunks == [chunk] * (256 // chunk) + [256 % chunk] * (
         256 % chunk > 0)
 
@@ -310,13 +312,15 @@ def test_search_ultrametric_logs_counters(caplog):
         search_ultrametric(constant_op())
         search_ultrametric(swap_op())
         search_ultrametric(cycling)
-    # 115 canonical assignments of heights 0..3 to the four values of 2x2
+    # the constant map's images never differ and never move twice; the
+    # cycle has five pairs with differing images and two moved states
+    # whose image moves too, and its second pass finds a bound below 0
     assert caplog.messages == [
-        "search_ultrametric: assignments=115 verdict=found",
+        "search_ultrametric: states=4 conditions=0 rounds=1 verdict=found",
         "classify_contraction: states=4 radii=2 evaluations=4 "
         "verdict=strict-contraction",
         "search_ultrametric: fixed_points=2 gate=unique-fixed-point",
-        "search_ultrametric: assignments=115 verdict=none"]
+        "search_ultrametric: states=4 conditions=7 rounds=2 verdict=none"]
 
 
 def heights_found(op):
@@ -376,8 +380,8 @@ def test_search_ultrametric_matches_reference_on_seeded_samples():
 ], ids=lambda domains: "x".join(str(len(dom)) for dom in domains))
 def test_search_ultrametric_with_one_value_components_matches_the_full_family(
         domains):
-    # the reference enumerates heights for every value, one-value
-    # components included
+    # the reference reads every component of each state pair, one-value
+    # components included, and gives their values height 0
     states = list(itertools.product(*domains))
     found = 0
     for images in itertools.product(states, repeat=len(states)):
@@ -388,105 +392,127 @@ def test_search_ultrametric_with_one_value_components_matches_the_full_family(
     assert found > 0
 
 
-def test_search_ultrametric_leaves_one_value_components_out_of_the_family(
+def test_search_ultrametric_leaves_one_value_components_out_of_the_heights(
         caplog):
     domains = ((0,), (0,), (0,), (0,), (0, 1, 2, 3, 4))
     op = DecomposedOperator(domains, lambda s: s[:4] + (max(0, s[4] - 1),))
     with caplog.at_level(logging.DEBUG, logger="acokit"):
-        assert search_ultrametric(op) is not None
-    # the family of (5,): the full one of (1, 1, 1, 1, 5) has 978,432 rows
-    assert "search_ultrametric: assignments=796 verdict=found" \
-        in caplog.messages
+        space = search_ultrametric(op)
+    # heights 0 .. 4 for the five values, the countdown's only order;
+    # the one-value components get height 0
+    assert caplog.messages[0] == \
+        "search_ultrametric: states=5 conditions=12 rounds=4 verdict=found"
+    assert space.scale.values == (0, 1, 2, 3, 4)
+    assert [comp.index_matrix().tolist() for comp in space.components] == \
+        [[[0]]] * 4 + [[[0 if m == n else max(m, n) for n in range(5)]
+                         for m in range(5)]]
+
+
+def _never(*args):
+    raise AssertionError("built past the size cap")
 
 
 def test_search_ultrametric_cap_is_checked_before_the_search(monkeypatch):
-    domains = ((0, 1, 2, 3, 4), (0, 1))
-    op = DecomposedOperator.from_table(
-        domains, {s: (0, 0) for s in itertools.product(*domains)})
-
-    def build(*args):
-        raise AssertionError("height assignments built past the cap")
-
-    monkeypatch.setattr(aco, "_canonical_heights", build)
-    # 10 states, heights 0 .. 9 on 7 values: 10**7 assignments
-    with pytest.raises(SizeLimitError, match="10000000 height assignments"):
+    domains = ((0, 1),) * 11
+    op = DecomposedOperator(domains, lambda s: (0,) * 11)
+    monkeypatch.setattr(aco, "_differing_values", _never)
+    monkeypatch.setattr(aco, "_greatest_heights", _never)
+    with pytest.raises(SizeLimitError, match="2048 states exceed"):
         search_ultrametric(op)
 
 
-def test_equivalence_census_builds_the_height_family_once(monkeypatch):
-    aco._height_family.cache_clear()
-    calls = []
-    build = aco._canonical_heights
+def test_search_ultrametric_gate_runs_before_the_cap(monkeypatch):
+    # the identity on 2048 states has 2048 fixed points and is turned
+    # away before the cap is checked or any condition is built
+    monkeypatch.setattr(aco, "_differing_values", _never)
+    monkeypatch.setattr(aco, "_greatest_heights", _never)
+    identity = DecomposedOperator(((0, 1),) * 11, lambda s: s)
+    assert search_ultrametric(identity) is None
 
-    def counting(*args):
-        calls.append(args)
-        return build(*args)
 
-    monkeypatch.setattr(aco, "_canonical_heights", counting)
+@pytest.mark.parametrize("domains", [
+    ((0, 1, 2),) * 2, ((0, 1, 2, 3, 4), (0, 1)), ((0, 1, 2), (0,), (0, 1, 2)),
+], ids=["3x3", "5x2", "3x1x3"])
+def test_equivalence_census_cap_is_checked_before_any_table(monkeypatch,
+                                                            domains):
+    for name in ("_image_arrays", "_batch_hulls", "_differing_values",
+                 "_greatest_heights"):
+        monkeypatch.setattr(aco, name, _never)
+    with pytest.raises(SizeLimitError, match="states exceed the census cap 8"):
+        equivalence_census(domains)
+
+
+@pytest.mark.parametrize("domains", [((0, 1),) * 5, ((0, 1, 2),) * 3],
+                         ids=["2^5", "3x3x3"])
+def test_search_ultrametric_finds_metrics_for_shift_operators(domains):
+    # component i takes component i + 1's value and the last one counts
+    # down, so heights rising with i, and with the value in the last
+    # component, make the map a strict contraction
+    def shift(s):
+        return s[1:] + (max(0, s[-1] - 1),)
+
+    op = DecomposedOperator(domains, shift)
+    space = search_ultrametric(op)
+    assert space is not None
+    assert classify_contraction(space, op.apply).qualifies()
+    assert search_box_sequence(op) is not None
+
+
+def test_equivalence_census_builds_the_differing_values_once():
+    aco._differing_values.cache_clear()
     assert equivalence_census().ok
-    assert calls == [((2, 2), 3)]
+    # one table for 2x2, read by each of the 108 maps with one fixed point
+    info = aco._differing_values.cache_info()
+    assert (info.misses, info.hits) == (1, 107)
+    # states in product order: (0, 0), (0, 1), (1, 0), (1, 1); values 0,
+    # 1 of the first component are columns 0, 1 and of the second 2, 3
+    table = aco._differing_values((2, 2))
+    assert table[0] == ((), (2, 3), (0, 1), (0, 1, 2, 3))
+    assert table[0][1] is table[2][3]
 
 
 def _one_fixed_point(images):
-    return images[(images == np.arange(images.shape[1])).sum(axis=1) == 1]
+    return (images == np.arange(images.shape[1])).sum(axis=1) == 1
 
 
-def test_qualifying_rows_match_the_all_rows_reference_on_every_2x2_operator():
-    sigma = _one_fixed_point(np.array(list(itertools.product(range(4),
-                                                             repeat=4))))
-    expected = qualifying_rows_on_all_rows((2, 2), sigma)
-    assert np.array_equal(aco._qualifying_rows((2, 2), sigma), expected)
-    assert [aco._qualifying_rows((2, 2), s[None])[0] for s in sigma] == \
-        expected.tolist()
-    assert 0 < np.count_nonzero(expected >= 0) < len(sigma)
+def _found(sizes, sigma):
+    return np.array([aco._greatest_heights(sizes, s)[0] is not None
+                     for s in sigma])
 
 
-def test_qualifying_rows_match_the_all_rows_reference_on_3x2_batches():
-    rng = np.random.default_rng(20261019)
-    for size in (1, 7, 60, 200):
-        sigma = _one_fixed_point(rng.integers(0, 6, size=(4 * size, 6)))
-        assert np.array_equal(aco._qualifying_rows((3, 2), sigma),
-                              qualifying_rows_on_all_rows((3, 2), sigma))
-    # certified chains qualify on some row, so both verdicts are compared
-    chains = [chain_table(((0, 1, 2), (0, 1)), rng.choice,
-                          lambda xs: rng.choice(xs, rng.integers(1, len(xs)),
-                                                replace=False))[0]
-              for _ in range(40)]
-    states = list(itertools.product((0, 1, 2), (0, 1)))
-    sigma = _one_fixed_point(np.array(
-        [[states.index(table[s]) for s in states] for table in chains]))
-    expected = qualifying_rows_on_all_rows((3, 2), sigma)
-    assert np.array_equal(aco._qualifying_rows((3, 2), sigma), expected)
-    assert np.count_nonzero(expected >= 0) > 0
+def test_greatest_heights_match_the_family_on_every_2x2_operator():
+    # every map, the identity (which qualifies under every metric) too
+    sigma = np.array(list(itertools.product(range(4), repeat=4)))
+    expected = qualifying_rows_on_all_rows((2, 2), sigma) >= 0
+    assert np.array_equal(_found((2, 2), sigma), expected)
+    gated = _one_fixed_point(sigma)
+    assert np.count_nonzero(expected & gated) == 28
+    # search_ultrametric is the gate and the same heights
+    for n, images in enumerate(itertools.product(STATES22, repeat=4)):
+        op = op_from_map(dict(zip(STATES22, images)))
+        assert (search_ultrametric(op) is not None) == \
+            (expected[n] and gated[n])
 
 
-def test_qualifying_rows_when_no_row_is_strict_on_orbits():
-    # states 0 and 1 swap, so d(F(0), F(F(0))) = d(0, F(0)) on every row
+def test_greatest_heights_match_the_family_on_every_one_fixed_point_3x2_operator():
+    sigma = np.array(list(itertools.product(range(6), repeat=6)))
+    sigma = sigma[_one_fixed_point(sigma)]
+    assert len(sigma) == 18_750
+    found = _found((3, 2), sigma)
+    for start in range(0, len(sigma), 1_000):
+        part = sigma[start:start + 1_000]
+        assert np.array_equal(found[start:start + 1_000],
+                              qualifying_rows_on_all_rows((3, 2), part) >= 0)
+    assert np.count_nonzero(found) == 1_116
+
+
+def test_greatest_heights_when_no_assignment_is_strict_on_orbits():
+    # states 0 and 1 swap, so d(F(0), F(F(0))) = d(0, F(0)) under every
+    # assignment
     sigma = np.array([[1, 0, 5, 5, 5, 5], [1, 0, 0, 1, 2, 5],
                       [1, 0, 1, 0, 3, 5]])
-    expected = qualifying_rows_on_all_rows((3, 2), sigma)
-    assert expected.tolist() == [-1, -1, -1]
-    assert np.array_equal(aco._qualifying_rows((3, 2), sigma), expected)
-
-
-def test_height_family_is_shared_read_only():
-    heights, pair_dist, a, b = aco._height_family((2, 2))
-    assert aco._height_family((2, 2))[1] is pair_dist
-    with pytest.raises(ValueError, match="read-only"):
-        pair_dist[0, 0, 1] = 0
-
-
-def test_search_ultrametric_gate_runs_before_the_cap():
-    # 10 states on 7 values is over the cap, but the identity has ten
-    # fixed points and is turned away before the family is asked for
-    domains = ((0, 1, 2, 3, 4), (0, 1))
-    aco._height_family.cache_clear()
-    identity = DecomposedOperator(domains, lambda s: s)
-    assert search_ultrametric(identity) is None
-    constant = DecomposedOperator(domains, lambda s: (0, 0))
-    with pytest.raises(SizeLimitError):
-        search_ultrametric(constant)
-    assert aco._height_family.cache_info().currsize == 0
+    assert qualifying_rows_on_all_rows((3, 2), sigma).tolist() == [-1] * 3
+    assert not _found((3, 2), sigma).any()
 
 
 def test_search_ultrametric_witnesses_keep_value_types():

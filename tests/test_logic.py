@@ -116,6 +116,17 @@ def test_interpretation_space_matches_distance():
             assert space.distance(bits_a, bits_b) == expected
 
 
+def test_interpretation_space_shares_one_component_per_stratum():
+    program = parse_program("q.\ns.\np :- not q.\nr :- p, not s.")
+    strat = find_stratification(program).stratification
+    space = interpretation_space(program, strat)
+    by_level = {}
+    for atom, comp in zip(program.atoms, space.components):
+        assert by_level.setdefault(strat.of(atom), comp) is comp
+    assert len({id(comp) for comp in space.components}) == \
+        len(set(dict(strat.levels).values())) < len(program.atoms)
+
+
 def test_perfect_model_three_clause_trajectory():
     result = compute_perfect_model(THREE)
     assert result.status == "converged"
