@@ -458,17 +458,25 @@ def test_search_ultrametric_finds_metrics_for_shift_operators(domains):
     assert search_box_sequence(op) is not None
 
 
-def test_equivalence_census_builds_the_differing_values_once():
+def test_equivalence_census_builds_the_height_family_once():
+    # the heights of every map are solved over one per-shape table of
+    # differing values: one table for 2x2, read by each of the 108 maps
+    # with one fixed point
     aco._differing_values.cache_clear()
     assert equivalence_census().ok
-    # one table for 2x2, read by each of the 108 maps with one fixed point
     info = aco._differing_values.cache_info()
     assert (info.misses, info.hits) == (1, 107)
+
+
+def test_height_family_is_shared_read_only():
     # states in product order: (0, 0), (0, 1), (1, 0), (1, 1); values 0,
     # 1 of the first component are columns 0, 1 and of the second 2, 3
     table = aco._differing_values((2, 2))
+    assert aco._differing_values((2, 2)) is table
     assert table[0] == ((), (2, 3), (0, 1), (0, 1, 2, 3))
     assert table[0][1] is table[2][3]
+    with pytest.raises(TypeError, match="does not support item assignment"):
+        table[0][1] = ()
 
 
 def _one_fixed_point(images):
