@@ -175,7 +175,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
             f"operator classifies as {report.classification}; "
             "need a contraction that is strict on orbits",
             witness=report)
-    fixed_points = [m for m in op.iter_states() if op.apply(m) == m]
+    fixed_points = _fixed_points(op)
     if len(fixed_points) != 1:
         # Strictness on orbits says nothing about points that are already
         # fixed, so the classification alone cannot rule out several of
@@ -236,6 +236,53 @@ def ultrametric_from_boxes(seq: BoxSequence) -> FiniteUltrametricSpace:
     return FiniteUltrametricSpace(elements, scale, dist)
 
 
+def _state_columns(sizes: tuple):
+    """Each state's values as columns among all ``sum(sizes)`` values, the
+    values of each component in turn, one column per component, states
+    in ``itertools.product`` order."""
+    ends = tuple(itertools.accumulate(sizes))
+    return itertools.product(*map(range, (0, *ends), ends))
+
+
+def _metric_sizes(domains) -> tuple:
+    """The shape the census and the height search read: the sizes of the
+    components with more than one value.
+
+    A one-value component leaves every state index as it is, never stops
+    a hull from being a singleton and never enters a distance, so it is
+    left out and its value gets height 0.
+    """
+    return tuple(len(dom) for dom in domains if len(dom) > 1)
+
+
+@functools.lru_cache(maxsize=4)
+def _value_masks(sizes: tuple) -> tuple:
+    """``masks[s]``: state ``s``'s values as bits among all ``sum(sizes)``
+    values, one bit per value of each component in turn, states in
+    ``itertools.product`` order.  Built once per shape and kept."""
+    return tuple(sum(1 << c for c in cols) for cols in _state_columns(sizes))
+
+
+def _hulls(sizes: tuple, image) -> list[int]:
+    """The image hulls of the map of state indices ``image`` over a
+    domain of shape ``sizes``, as :func:`_value_masks` bit masks:
+    ``H_0`` holds every value and ``H_{n+1}`` the values of the images of
+    the states inside ``H_n``, up to the first ``H_m`` with
+    ``H_{m+1} == H_m``.  The hulls only shrink, so each pass scans only
+    the states inside the last hull."""
+    masks = _value_masks(sizes)
+    hulls = [(1 << sum(sizes)) - 1]
+    inside = range(len(image))
+    while True:
+        hull = 0
+        for s in inside:
+            hull |= masks[image[s]]
+        if hull == hulls[-1]:
+            return hulls
+        hulls.append(hull)
+        inside = [s for s in inside if masks[s] & hull == masks[s]]
+
+
 def _image_hulls(op: DecomposedOperator) -> list[Box]:
     """``H_0`` the whole domain and ``H_{n+1}`` the hull of ``F(H_n)`` (the
     smallest box containing it), up to the first ``H_m`` with
@@ -245,18 +292,23 @@ def _image_hulls(op: DecomposedOperator) -> list[Box]:
     :meth:`DecomposedOperator.apply` rejects every image outside the
     domain, so ``H_{n+1} <= H_n`` for every ``n``.  Each step before the
     last drops at least one value, so there are at most
-    ``sum(|D_i|) - k + 1`` boxes.
+    ``sum(|D_i|) - k + 1`` boxes.  :func:`_hulls` iterates them on the
+    operator's :meth:`~DecomposedOperator.image_indices`; each mask is
+    read back here as a box.
     """
-    hulls = [_normalize_box(op.domains)]
-    while True:
-        images = [set() for _ in op.domains]
-        for m in box_members(hulls[-1]):
-            for comp, v in zip(images, op.apply(m)):
-                comp.add(v)
-        nxt = _normalize_box(images)
-        if nxt == hulls[-1]:
-            return hulls
-        hulls.append(nxt)
+    sizes = tuple(map(len, op.domains))
+    starts = itertools.accumulate(sizes, initial=0)
+    columns = [tuple(enumerate(dom, start))
+               for dom, start in zip(op.domains, starts)]
+    return [_normalize_box([v for c, v in comp if hull >> c & 1]
+                           for comp in columns)
+            for hull in _hulls(sizes, op.image_indices())]
+
+
+def _fixed_points(op: DecomposedOperator) -> list:
+    """The states the operator fixes, in :meth:`iter_states` order."""
+    return [m for i, (m, f) in enumerate(zip(op.iter_states(),
+                                             op.image_indices())) if f == i]
 
 
 def _chain_from_hulls(hulls: list[Box]) -> BoxSequence | None:
@@ -289,34 +341,13 @@ def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     return chain
 
 
-def _value_columns(sizes: tuple) -> np.ndarray:
-    """``cols[s, c]``: the column of state ``s``'s value of component
-    ``c`` among all ``sum(sizes)`` values, components in turn, states in
-    ``itertools.product`` order."""
-    import numpy as np
-    starts = np.cumsum((0,) + sizes[:-1])
-    return np.array(list(itertools.product(
-        *(range(s, s + n) for s, n in zip(starts, sizes)))), dtype=np.int64)
-
-
-def _metric_sizes(domains) -> tuple:
-    """The shape the census and the height search read: the sizes of the
-    components with more than one value.
-
-    A one-value component leaves every state index as it is, never stops
-    a hull from being a singleton and never enters a distance, so it is
-    left out and its value gets height 0.
-    """
-    return tuple(len(dom) for dom in domains if len(dom) > 1)
-
-
 @functools.lru_cache(maxsize=4)
 def _differing_values(sizes: tuple) -> tuple:
     """``table[i][j]``: the values at which states ``i`` and ``j`` differ,
     both values of each component where they differ, as columns of
-    :func:`_value_columns`.  Built once per shape and kept; equal sets
+    :func:`_state_columns`.  Built once per shape and kept; equal sets
     are one tuple."""
-    cols = [tuple(row) for row in _value_columns(sizes).tolist()]
+    cols = list(_state_columns(sizes))
     sets: dict = {}
     return tuple(
         tuple(sets.setdefault(d, d) for d in (
@@ -388,29 +419,6 @@ def _greatest_heights(sizes: tuple, sigma) -> tuple:
     return [rank[v] for v in h], conditions, rounds
 
 
-def _batch_hulls(sizes: tuple, images: np.ndarray) -> np.ndarray:
-    """:func:`_image_hulls` of many operators at once.
-
-    ``images[n, s]`` is the index of operator ``n``'s image of state
-    ``s``.  Each hull is a boolean mask over the ``sum(sizes)`` values,
-    and every operator's mask is replaced by the values of the images of
-    the states inside it until no operator's mask changes.  Returns
-    whether each operator's hulls stop at a singleton.
-    """
-    import numpy as np
-    cols = _value_columns(sizes)
-    holds = np.zeros((len(cols), sum(sizes)), dtype=bool)
-    holds[np.arange(len(cols))[:, None], cols] = True
-    hit = holds[images]  # the values of each image, per operator and state
-    mask = np.ones((len(images), sum(sizes)), dtype=bool)
-    while True:
-        inside = mask[:, cols].all(axis=2)
-        nxt = (hit & inside[:, :, None]).any(axis=1)
-        if np.array_equal(nxt, mask):
-            return mask.sum(axis=1) == len(sizes)
-        mask = nxt
-
-
 def _witness(domains, row) -> ProductSpace:
     """The product space of heights ``row``: one height per value of
     each component with more than one value, in order; a one-value
@@ -456,21 +464,19 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     the two search verdicts could not agree.
     """
     import numpy as np
-    states = list(op.iter_states())
-    index = {m: p for p, m in enumerate(states)}
-    sigma = np.array([index[op.apply(m)] for m in states])
-    fixed = np.count_nonzero(sigma == np.arange(len(states)))
+    fixed = len(_fixed_points(op))
     if fixed != 1:
         log.debug("search_ultrametric: fixed_points=%d "
                   "gate=unique-fixed-point", fixed)
         return None
-    if len(states) > MAX_SEARCH_STATES:
-        raise SizeLimitError(f"{len(states)} states exceed the ultrametric "
+    if op.size() > MAX_SEARCH_STATES:
+        raise SizeLimitError(f"{op.size()} states exceed the ultrametric "
                              f"search cap {MAX_SEARCH_STATES}")
+    sigma = np.array(op.image_indices())
     heights, conditions, rounds = _greatest_heights(
         _metric_sizes(op.domains), sigma)
     log.debug("search_ultrametric: states=%d conditions=%d rounds=%d "
-              "verdict=%s", len(states), conditions, rounds,
+              "verdict=%s", len(sigma), conditions, rounds,
               "none" if heights is None else "found")
     if heights is None:
         return None
@@ -525,7 +531,7 @@ def certify_aco(op: DecomposedOperator, *,
     any other work.
     """
     check_schedules(schedules)
-    fixed_points = [m for m in op.iter_states() if op.apply(m) == m]
+    fixed_points = _fixed_points(op)
     hulls = _image_hulls(op)
     seq = _chain_from_hulls(hulls)
     if seq is None:
@@ -579,13 +585,6 @@ class CensusResult(NamedTuple):
         return self.agreements == self.total
 
 
-def _chunk_size(sizes: tuple) -> int:
-    """Operators per batch, so that no temporary of :func:`_batch_hulls`
-    exceeds :data:`BATCH_CELLS` cells; a batch holds at least one
-    operator."""
-    return max(1, BATCH_CELLS // max(1, math.prod(sizes) * sum(sizes)))
-
-
 def _image_arrays(states: int, chunk: int):
     """Every self-map of ``states`` states as an array of image indices,
     in ``itertools.product`` order, ``chunk`` maps at a time."""
@@ -603,16 +602,18 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
 
     The default domain yields the 256 self-maps of a 2x2 product; the box
     search and the ultrametric search must return the same verdict on each.
-    Every table is checked in ``itertools.product`` order, a chunk of
-    operators at a time, chunks sized before anything is allocated so that
-    no temporary exceeds :data:`BATCH_CELLS` cells: :func:`_batch_hulls`
-    decides the box chains of a chunk at once, and each operator with
-    exactly one fixed point goes through :func:`_greatest_heights`, as in
-    :func:`search_ultrametric`.  Each metric found is confirmed by
-    :func:`classify_contraction` on its witness space, built once per
-    heights within the call, and each operator whose two verdicts differ
-    is rechecked by :func:`search_box_sequence` and
-    :func:`search_ultrametric`; either check disagreeing with the census
+    Every table is checked in ``itertools.product`` order, as arrays of
+    image indices of at most :data:`BATCH_CELLS` cells.  Only a map with
+    exactly one fixed point can have either verdict: the metric search
+    asks for one, and a box chain ends at a fixed point while every fixed
+    point ``x`` stays in every image hull (``x`` in ``H_n`` puts
+    ``F(x) = x`` in ``H_{n+1}``), so hulls that keep two never reach a
+    singleton.  Every other map is counted as an agreement on "no" without
+    being searched.  Each map with one fixed point goes through the same
+    :func:`_hulls` as :func:`search_box_sequence` and the same
+    :func:`_greatest_heights` as :func:`search_ultrametric`.  Each metric
+    found is confirmed by :func:`classify_contraction` on its witness
+    space, built once per heights within the call, and a disagreement
     raises :class:`SemanticsError`.  Empty domains and repeated values
     raise :class:`PreconditionError`, as for any operator, and domains of
     more than :data:`MAX_CENSUS_STATES` states raise
@@ -627,36 +628,26 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
                              f"{MAX_CENSUS_STATES}")
     states = list(itertools.product(*domains))
     sizes = _metric_sizes(domains)
-    total = 0
-    agreements = 0
     acos = 0
     mismatches = []
     witnesses = {}  # heights -> their space
-    for images in _image_arrays(count, _chunk_size(sizes)):
-        by_boxes = _batch_hulls(sizes, images)
-        by_metric = np.zeros(len(images), dtype=bool)
+    for images in _image_arrays(count, max(1, BATCH_CELLS // count)):
         unique = (images == np.arange(count)).sum(axis=1) == 1
-        for n in np.flatnonzero(unique):
-            heights = _greatest_heights(sizes, images[n])[0]
-            if heights is None:
-                continue
-            by_metric[n] = True
-            key = tuple(heights)
-            if key not in witnesses:
-                witnesses[key] = _witness(domains, heights)
-            _confirm(witnesses[key], images[n])
-        for n in np.flatnonzero(by_boxes != by_metric):
-            table = dict(zip(states, (states[i] for i in images[n])))
-            verdicts = (bool(by_boxes[n]), bool(by_metric[n]))
-            op = DecomposedOperator.from_table(domains, table)
-            if verdicts != (search_box_sequence(op) is not None,
-                            search_ultrametric(op) is not None):
-                raise SemanticsError(
-                    f"census verdicts {verdicts} on {table!r} disagree with "
-                    "the single-operator searches")
-            mismatches.append((tuple(sorted(table.items())), *verdicts))
-        agree = by_boxes == by_metric
-        total += len(images)
-        agreements += int(np.count_nonzero(agree))
-        acos += int(np.count_nonzero(agree & by_boxes))
-    return CensusResult(total, agreements, acos, tuple(mismatches))
+        for sigma in images[unique]:
+            hulls = _hulls(sizes, sigma.tolist())
+            by_boxes = hulls[-1].bit_count() == len(sizes)
+            heights = _greatest_heights(sizes, sigma)[0]
+            by_metric = heights is not None
+            if by_metric:
+                key = tuple(heights)
+                if key not in witnesses:
+                    witnesses[key] = _witness(domains, heights)
+                _confirm(witnesses[key], sigma)
+            if by_boxes != by_metric:
+                table = zip(states, map(states.__getitem__, sigma))
+                mismatches.append(
+                    (tuple(sorted(table)), by_boxes, by_metric))
+            acos += by_boxes and by_metric
+    total = count ** count
+    return CensusResult(total, total - len(mismatches), acos,
+                        tuple(mismatches))

@@ -67,6 +67,15 @@ def trace_csv(trajectory, distances=None, value_format=format_value) -> str:
     return out.getvalue()
 
 
+def _sampled_schedule(args: argparse.Namespace, processors: int):
+    """The schedule the sampling flags and ``--seed`` give a run on
+    ``processors`` processors."""
+    return iteration.sample_schedule(
+        processors, args.horizon, args.seed,
+        activation_prob=args.activation_prob, max_staleness=args.staleness,
+        fairness_window=args.window)
+
+
 def _campaign_args(args: argparse.Namespace) -> dict:
     """The campaign flags, passed the same way to every campaign.
 
@@ -76,10 +85,7 @@ def _campaign_args(args: argparse.Namespace) -> dict:
     draws no tick until a run reads one.
     """
     iteration.check_schedules(args.schedules)
-    iteration.sample_schedule(1, args.horizon, args.seed,
-                              activation_prob=args.activation_prob,
-                              max_staleness=args.staleness,
-                              fairness_window=args.window)
+    _sampled_schedule(args, 1)
     return dict(schedules=args.schedules, seed=args.seed,
                 horizon=args.horizon, staleness=args.staleness,
                 window=args.window, activation_prob=args.activation_prob)
@@ -270,11 +276,7 @@ def _cmd_routing_solve(args: argparse.Namespace) -> _Outcome:
             trajectory = iteration.run_async(
                 op, routing.state_to_components(
                     instance, args.granularity, frozenset()),
-                iteration.sample_schedule(
-                    op.processors, args.horizon, args.seed,
-                    activation_prob=args.activation_prob,
-                    max_staleness=args.staleness,
-                    fairness_window=args.window))
+                _sampled_schedule(args, op.processors))
         trace = trace_csv(trajectory,
                           distances=_routing_distances(
                               instance, trajectory, result.fixed_point),
@@ -356,11 +358,7 @@ def _cmd_run(args: argparse.Namespace) -> _Outcome:
         if args.schedule_file:
             schedule = iteration.load_schedule(args.schedule_file)
         else:
-            schedule = iteration.sample_schedule(
-                op.processors, args.horizon, args.seed,
-                activation_prob=args.activation_prob,
-                max_staleness=args.staleness,
-                fairness_window=args.window)
+            schedule = _sampled_schedule(args, op.processors)
         traj = iteration.run_async(op, start, schedule)
     print(f"file: {args.instance}")
     print(f"processors: {op.processors}")

@@ -32,10 +32,14 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import PreconditionError, ScheduleRejectedError
+from .errors import PreconditionError, ScheduleRejectedError, SizeLimitError
 from .util import json_object, typed
 
 log = logging.getLogger("acokit")
+
+# widest rule table whose images BitRules.images() lists: 2**12 masks, each
+# a state of an exhaustive routing or logic check
+IMAGES_MAX_WIDTH = 12
 
 
 class DecomposedOperator:
@@ -66,6 +70,7 @@ class DecomposedOperator:
                 raise PreconditionError("domain elements must be distinct")
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
+        self._image_indices: tuple | None = None
         self.evaluations = 0
 
     @classmethod
@@ -127,6 +132,16 @@ class DecomposedOperator:
         ``None``; never calls the callable."""
         return self._images.get(state)
 
+    def image_indices(self) -> tuple:
+        """The :meth:`iter_states` index of each state's image, states in
+        :meth:`iter_states` order.  The first call makes one :meth:`apply`
+        per state; every call returns the same tuple."""
+        if self._image_indices is None:
+            index = {m: i for i, m in enumerate(self.iter_states())}
+            self._image_indices = tuple(
+                index[self.apply(m)] for m in self.iter_states())
+        return self._image_indices
+
 
 class BitRules(NamedTuple):
     """A boolean rule table over the bits ``0 .. width - 1`` of a mask.
@@ -151,7 +166,13 @@ class BitRules(NamedTuple):
     def images(self):
         """:meth:`step` of every mask ``0 .. 2**width - 1``, a numpy array
         indexed by mask, in one pass per rule.  It holds ``2**width``
-        entries, so callers check their size cap first."""
+        entries, so a width above :data:`IMAGES_MAX_WIDTH` raises
+        :class:`SizeLimitError` before anything is allocated."""
+        if self.width > IMAGES_MAX_WIDTH:
+            raise SizeLimitError(
+                f"rule table over {self.width} bits: listing the images of "
+                f"all 2**{self.width} masks is capped at {IMAGES_MAX_WIDTH} "
+                "bits")
         import numpy as np
         masks = np.arange(1 << self.width, dtype=np.int64)
         out = np.zeros_like(masks)

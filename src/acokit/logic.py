@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple
 
-from .errors import PreconditionError, SemanticsError, SizeLimitError
+from .errors import PreconditionError, SemanticsError
 from .iteration import BitRules, DecomposedOperator, rule_operator
 from .ultrametric import (
     ContractionReport,
@@ -25,7 +25,6 @@ from .ultrametric import (
 )
 from .util import json_object, refuse_assignment, typed
 
-_CLASSIFY_MAX_ATOMS = 12
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
 
@@ -399,14 +398,13 @@ def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
 
     The verdict is whatever the exhaustive check over all pairs finds;
     nothing is assumed about it.  Requires a stratification and a
-    desk-scale base.
+    desk-scale base: more than
+    :data:`~acokit.iteration.IMAGES_MAX_WIDTH` atoms raise
+    :class:`SizeLimitError` before any other work.
     """
-    if len(program.atoms) > _CLASSIFY_MAX_ATOMS:
-        raise SizeLimitError(
-            f"{len(program.atoms)} atoms; classification enumerates "
-            f"2**n interpretations and is capped at {_CLASSIFY_MAX_ATOMS}")
+    images = program.consequence_rule.images()  # checks the size cap
     space = interpretation_space(program, _require_stratification(program))
-    return classify_contraction(space, program.consequence_rule.images())
+    return classify_contraction(space, images)
 
 
 def decompose_program(program: GroundProgram) -> DecomposedOperator:

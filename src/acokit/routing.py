@@ -44,7 +44,6 @@ GRANULARITIES = (PER_NODE, PER_NEXTHOP, PER_PATH)
 
 Path = tuple
 
-_STRICT_CONTRACTION_MAX_PATHS = 12
 # a processor's values are the subsets of its paths: 2 ** 16 = 65,536
 _GROUP_MAX_PATHS = 16
 
@@ -428,15 +427,13 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     height ``h`` when they agree on every path above ``h``, so at each
     path height ``h`` the states that agree above it must have images that
     agree at and above it.  The witness is the smallest violating pair of
-    masks ``a < b``.
+    masks ``a < b``.  More than :data:`~acokit.iteration.IMAGES_MAX_WIDTH`
+    permitted paths raise :class:`SizeLimitError` before any other work.
     """
     import numpy as np
+    sig = instance.selection_rule.images()  # checks the size cap
     universe = instance.all_permitted
     p_count = len(universe)
-    if p_count > _STRICT_CONTRACTION_MAX_PATHS:
-        raise SizeLimitError(
-            f"{p_count} permitted paths; exhaustive pair check capped at "
-            f"{_STRICT_CONTRACTION_MAX_PATHS}")
     heights = instance.path_heights
     hvec = np.array([heights[p] for p in universe])
     bits = 1 << np.arange(p_count, dtype=np.int64)
@@ -447,7 +444,6 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
             universe[idx] for idx in range(p_count) if mask >> idx & 1)
 
     masks = np.arange(total, dtype=np.int64)
-    sig = instance.selection_rule.images()
     levels = sorted(set(hvec.tolist()))
     pair = _min_split(
         (masks & bits[hvec > h].sum() for h in levels),

@@ -33,7 +33,7 @@ _AXIOM_CHECK_MAX_ELEMENTS = 1024
 _BALL_ENUM_MAX_ELEMENTS = 4096
 _MAX_WITNESSES = 200
 # most cells of any temporary array one batched numpy pass allocates: a
-# chunk of radii of the ball labels here, a batch of the census in aco
+# chunk of radii of the ball labels here, the census's image indices in aco
 BATCH_CELLS = 1 << 22
 
 

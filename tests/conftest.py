@@ -56,6 +56,16 @@ def chain_table(domains, choice, subset):
     return table, next(box_members(chain[-1]))
 
 
+def gated_ring(n):
+    """Ring of ``n`` nodes of which only the first has an arc to ``d``."""
+    cycle = [str(i) for i in range(1, n + 1)]
+    arcs = {(cycle[0], "d")}
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        if a != b:
+            arcs |= {(a, b), (b, a)}
+    return ["d"] + cycle, sorted(arcs)
+
+
 def ball_from_labels(space, center, r) -> frozenset:
     """The elements whose ``space.ball_labels()`` label at radius index
     ``r`` is the label of ``center``."""

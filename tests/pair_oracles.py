@@ -14,8 +14,8 @@ checked against its plain ``isinstance`` chain.
 
 The remaining references keep earlier versions of library passes that
 were since rewritten: per-radius ball labels, the height search over
-every order-canonical assignment with every row gathered, and the
-typed-set domain check.
+every order-canonical assignment with every row gathered, the image
+hulls over state tuples, and the typed-set domain check.
 """
 
 import functools
@@ -25,6 +25,7 @@ import random
 from fractions import Fraction
 
 from acokit import routing
+from acokit.aco import box_members
 from acokit.errors import MalformedSpaceError, PreconditionError
 from acokit.iteration import Trajectory
 from acokit.ultrametric import (
@@ -33,6 +34,7 @@ from acokit.ultrametric import (
     STRICT_CONTRACTION,
     STRICT_ON_ORBITS,
 )
+from acokit.util import sorted_canonical
 
 
 def classify_by_pairs(space, sigma):
@@ -285,6 +287,25 @@ def qualifying_rows_on_all_rows(sizes, sigma):
     strict = (pair_dist[sigma, after] < np.maximum(steps, 1)).all(axis=1)
     ok = contracts & strict
     return np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
+
+
+def image_hulls_by_states(op):
+    """:func:`aco._image_hulls` as it first read: each hull the box of
+    the images of every state tuple inside the last one, from the whole
+    domain up to the first hull that repeats."""
+    def box(comps):
+        return tuple(tuple(sorted_canonical(comp)) for comp in comps)
+
+    hulls = [box(op.domains)]
+    while True:
+        images = [set() for _ in op.domains]
+        for m in box_members(hulls[-1]):
+            for comp, v in zip(images, op.apply(m)):
+                comp.add(v)
+        nxt = box(images)
+        if nxt == hulls[-1]:
+            return hulls
+        hulls.append(nxt)
 
 
 def domain_check_by_typed_sets(domains, state):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acokit import aco, iteration, routing
+from acokit import aco, iteration, logic, routing
 from acokit.aco import (
     BoxSequence,
     boxes_from_ultrametric,
@@ -36,8 +36,12 @@ from acokit.ultrametric import (
     check_axioms,
     classify_contraction,
 )
-from conftest import ball_from_labels, chain_table
-from pair_oracles import qualifying_rows_on_all_rows, search_ultrametric_by_pairs
+from conftest import ball_from_labels, chain_table, gated_ring
+from pair_oracles import (
+    image_hulls_by_states,
+    qualifying_rows_on_all_rows,
+    search_ultrametric_by_pairs,
+)
 
 DOM22 = ((0, 1), (0, 1))
 STATES22 = list(itertools.product((0, 1), (0, 1)))
@@ -166,7 +170,7 @@ def test_box_census_3x2():
             differ.append((tuple(sorted(table.items())), seq is not None,
                            metric))
     assert (total, certified, found) == (46_656, 1_548, 1_116)
-    # the batched census reads the same verdicts off every table
+    # the census reads the same verdicts off every table
     census = equivalence_census(domains)
     assert (census.total, census.agreements, census.aco_count) == \
         (46_656, 46_224, 1_116)
@@ -232,14 +236,63 @@ def test_batch_pass_matches_the_single_operator_searches(data):
         tables.append(table)
     sizes = aco._metric_sizes(domains)
     images = _image_array(domains, tables)
-    certified = aco._batch_hulls(sizes, images)
+    unique = _one_fixed_point(images)
     # the metric verdict against the height family it replaced
-    found = _one_fixed_point(images) & (
-        qualifying_rows_on_all_rows(sizes, images) >= 0)
+    found = unique & (qualifying_rows_on_all_rows(sizes, images) >= 0)
     for n, table in enumerate(tables):
         op = DecomposedOperator.from_table(domains, table)
-        assert certified[n] == (search_box_sequence(op) is not None)
+        hulls = image_hulls_by_states(op)
+        chain = box_size(hulls[-1]) == 1
+        # the census's hulls over the image indices stop where the
+        # state-tuple hulls do, and only a map with one fixed point has
+        # a chain
+        masks = aco._hulls(sizes, images[n].tolist())
+        assert len(masks) == len(hulls)
+        assert (masks[-1].bit_count() == len(sizes)) == chain
+        assert unique[n] or not chain
+        assert aco._image_hulls(op) == hulls
+        assert (search_box_sequence(op) is not None) == chain
         assert found[n] == (search_ultrametric(op) is not None)
+
+
+def test_searches_and_certify_read_one_image_table():
+    # the first search evaluates each state once; the other search, the
+    # certificate and its sampled runs read the same table
+    domains = ((0, 1, 2), (0, 1))
+    states = list(itertools.product(*domains))
+    op = DecomposedOperator.from_table(
+        domains, {(a, b): (max(a - 1, 0), min(a, 1)) for a, b in states})
+    assert search_box_sequence(op) is not None
+    table = op.image_indices()
+    assert table == tuple(states.index(op.apply(s)) for s in states)
+    assert search_ultrametric(op) is not None
+    assert certify_aco(op, schedules=1).certified
+    assert op.image_indices() is table
+    assert op.evaluations == op.size()
+
+
+def _negation_ladder_op(atoms):
+    return logic.decompose_program(logic.parse_program("a0.\n" + "".join(
+        f"a{i} :- not a{i - 1}.\n" for i in range(1, atoms))))
+
+
+def _gated_ring_per_path_op(n):
+    # 2n paths, one processor each
+    nodes, arcs = gated_ring(n)
+    return routing.decompose(routing.make_instance(nodes, "d", arcs),
+                             routing.PER_PATH)
+
+
+@pytest.mark.parametrize("build, size, depth", [
+    (_negation_ladder_op, 12, 13), (_gated_ring_per_path_op, 6, 6),
+], ids=["negation-ladder-12", "gated-ring-6-per-path"])
+def test_image_hulls_match_the_state_reference_on_deep_chains(build, size,
+                                                              depth):
+    op = build(size)
+    assert op.size() == 4096
+    hulls = aco._image_hulls(op)
+    assert len(hulls) == depth
+    assert hulls == image_hulls_by_states(op)
 
 
 def test_equivalence_census_raises_when_the_classifier_disagrees(
@@ -248,19 +301,6 @@ def test_equivalence_census_raises_when_the_classifier_disagrees(
                         lambda space, sigma: ContractionReport(
                             NOT_CONTRACTION, None))
     with pytest.raises(SemanticsError, match="disagrees"):
-        equivalence_census()
-
-
-def test_equivalence_census_raises_when_a_recheck_contradicts_the_batch(
-        monkeypatch):
-    # a box side that certifies nothing disagrees with the metric side
-    # on the 28 operators it finds, and the single-operator box search
-    # certifies each of them
-    def no_chains(sizes, images):
-        return np.zeros(len(images), dtype=bool)
-
-    monkeypatch.setattr(aco, "_batch_hulls", no_chains)
-    with pytest.raises(SemanticsError, match="single-operator searches"):
         equivalence_census()
 
 
@@ -279,18 +319,18 @@ def test_equivalence_census_is_the_same_in_every_chunking(monkeypatch, cells):
     domains = ((0, 1), (0,), (0, 1))
     expected = equivalence_census(domains)
     chunks = []
-    batch = aco._batch_hulls
+    arrays = aco._image_arrays
 
-    def recording(sizes, images):
-        chunks.append(len(images))
-        return batch(sizes, images)
+    def recording(states, chunk):
+        for images in arrays(states, chunk):
+            chunks.append(len(images))
+            yield images
 
     monkeypatch.setattr(aco, "BATCH_CELLS", cells)
-    monkeypatch.setattr(aco, "_batch_hulls", recording)
+    monkeypatch.setattr(aco, "_image_arrays", recording)
     assert equivalence_census(domains) == expected
-    # 4 states times 4 value masks per operator, and at least one operator
-    chunk = max(1, cells // (4 * 4))
-    assert aco._chunk_size((2, 2)) == chunk
+    # 4 image indices per operator, and at least one operator
+    chunk = max(1, cells // 4)
     assert chunks == [chunk] * (256 // chunk) + [256 % chunk] * (
         256 % chunk > 0)
 
@@ -435,8 +475,8 @@ def test_search_ultrametric_gate_runs_before_the_cap(monkeypatch):
 ], ids=["3x3", "5x2", "3x1x3"])
 def test_equivalence_census_cap_is_checked_before_any_table(monkeypatch,
                                                             domains):
-    for name in ("_image_arrays", "_batch_hulls", "_differing_values",
-                 "_greatest_heights"):
+    for name in ("_image_arrays", "_value_masks", "_hulls",
+                 "_differing_values", "_greatest_heights"):
         monkeypatch.setattr(aco, name, _never)
     with pytest.raises(SizeLimitError, match="states exceed the census cap 8"):
         equivalence_census(domains)

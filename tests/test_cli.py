@@ -114,9 +114,11 @@ def test_space_check_pass_and_fail(tmp_path, capsys):
     (("space", "check"), "spaces/broken_triangle.json", (), EXIT_FAIL),
     (("aco", "certify"), "operators/shift2x2.json", ("--schedules", "3"),
      EXIT_OK),
+    (("aco", "certify"), "operators/stall2x2.json", (), EXIT_FAIL),
     (("run", "sync"), "operators/shift2x2.json", (), EXIT_OK),
     (("run", "async"), "operators/shift2x2.json", ("--seed", "3"), EXIT_OK),
-], ids=["heights", "broken-triangle", "certify", "run-sync", "run-async"])
+], ids=["heights", "broken-triangle", "certify", "certify-refuted",
+        "run-sync", "run-async"])
 def test_bundled_spaces_and_operator(capsys, command, path, flags, expected):
     # the commands the installed-console-script CI step runs
     code, out, _ = run_cli(capsys, *command, corpus_path(path), *flags)

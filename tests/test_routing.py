@@ -33,7 +33,7 @@ from acokit.routing import (
 )
 from acokit.ultrametric import check_axioms, check_isosceles
 from acokit.util import canonical_key
-from conftest import corpus_path
+from conftest import corpus_path, gated_ring
 from pair_oracles import (selection_round_by_definition,
                           strict_contraction_by_pairs)
 
@@ -249,19 +249,9 @@ def _ring(n):
     return cycle, sorted(arcs)
 
 
-def _gated_ring(n):
-    """Ring of ``n`` nodes of which only the first has an arc to ``d``."""
-    cycle = [str(i) for i in range(1, n + 1)]
-    arcs = {(cycle[0], "d")}
-    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-        if a != b:
-            arcs |= {(a, b), (b, a)}
-    return ["d"] + cycle, sorted(arcs)
-
-
 @settings(max_examples=30)
 @given(st.sampled_from([(_ring, n) for n in (2, 3, 4)]
-                       + [(_gated_ring, n) for n in (1, 2, 3, 4)]),
+                       + [(gated_ring, n) for n in (1, 2, 3, 4)]),
        st.sampled_from(["hop-count", "longest-first", "all-tied"]))
 def test_strict_contraction_matches_pair_oracle(shape, preference):
     build, n = shape
