@@ -28,7 +28,6 @@ from .errors import (
 from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules)
 from .ultrametric import (
-    BATCH_CELLS,
     FiniteUltrametricSpace,
     ProductSpace,
     RadiusScale,
@@ -358,9 +357,9 @@ def _differing_values(sizes: tuple) -> tuple:
 
 def _greatest_heights(sizes: tuple, sigma) -> tuple:
     """``(heights, conditions, rounds)``: the greatest product heights
-    under which the map of image indices ``sigma`` contracts and is
-    strict on orbits, relabelled by rank, with ``heights`` ``None`` when
-    no heights do.
+    under which the map ``sigma``, a sequence of int image indices,
+    contracts and is strict on orbits, relabelled by rank, with
+    ``heights`` ``None`` when no heights do.
 
     ``heights`` holds one height per value of ``sizes``, components in
     turn.  Under the product height metric, ``d(x, y)`` is the largest
@@ -383,7 +382,6 @@ def _greatest_heights(sizes: tuple, sigma) -> tuple:
     testing it on the greatest solution decides it.  ``conditions``
     counts the conditions above, ``rounds`` the passes over them.
     """
-    sigma = sigma.tolist()
     table = _differing_values(sizes)
     at_most: dict = {}  # (S, c) -> the values a with h_a <= max(h[S]) + c
     conditions = 0
@@ -416,7 +414,7 @@ def _greatest_heights(sizes: tuple, sigma) -> tuple:
             return None, conditions, rounds
     ranks = sorted(set(h))
     rank = {v: r for r, v in enumerate(ranks, start=0 if 0 in ranks else 1)}
-    return [rank[v] for v in h], conditions, rounds
+    return tuple(rank[v] for v in h), conditions, rounds
 
 
 def _witness(domains, row) -> ProductSpace:
@@ -439,7 +437,8 @@ def _witness(domains, row) -> ProductSpace:
 
 
 def _confirm(witness: ProductSpace, sigma) -> None:
-    if not classify_contraction(witness, sigma).qualifies():
+    import numpy as np
+    if not classify_contraction(witness, np.array(sigma)).qualifies():
         raise SemanticsError(
             "inline height check disagrees with classify_contraction")
 
@@ -463,7 +462,6 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     asynchronous runs can settle on either point.  Without this condition
     the two search verdicts could not agree.
     """
-    import numpy as np
     fixed = len(_fixed_points(op))
     if fixed != 1:
         log.debug("search_ultrametric: fixed_points=%d "
@@ -472,7 +470,7 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     if op.size() > MAX_SEARCH_STATES:
         raise SizeLimitError(f"{op.size()} states exceed the ultrametric "
                              f"search cap {MAX_SEARCH_STATES}")
-    sigma = np.array(op.image_indices())
+    sigma = op.image_indices()
     heights, conditions, rounds = _greatest_heights(
         _metric_sizes(op.domains), sigma)
     log.debug("search_ultrametric: states=%d conditions=%d rounds=%d "
@@ -585,41 +583,31 @@ class CensusResult(NamedTuple):
         return self.agreements == self.total
 
 
-def _image_arrays(states: int, chunk: int):
-    """Every self-map of ``states`` states as an array of image indices,
-    in ``itertools.product`` order, ``chunk`` maps at a time."""
-    import numpy as np
-    place = states ** np.arange(states - 1, -1, -1)
-    total = states ** states
-    for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total))
-        yield codes[:, None] // place % states
-
-
 def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
     """Run both characterizations over every operator on a small product
     domain.
 
     The default domain yields the 256 self-maps of a 2x2 product; the box
     search and the ultrametric search must return the same verdict on each.
-    Every table is checked in ``itertools.product`` order, as arrays of
-    image indices of at most :data:`BATCH_CELLS` cells.  Only a map with
-    exactly one fixed point can have either verdict: the metric search
-    asks for one, and a box chain ends at a fixed point while every fixed
-    point ``x`` stays in every image hull (``x`` in ``H_n`` puts
-    ``F(x) = x`` in ``H_{n+1}``), so hulls that keep two never reach a
-    singleton.  Every other map is counted as an agreement on "no" without
-    being searched.  Each map with one fixed point goes through the same
-    :func:`_hulls` as :func:`search_box_sequence` and the same
-    :func:`_greatest_heights` as :func:`search_ultrametric`.  Each metric
-    found is confirmed by :func:`classify_contraction` on its witness
-    space, built once per heights within the call, and a disagreement
-    raises :class:`SemanticsError`.  Empty domains and repeated values
-    raise :class:`PreconditionError`, as for any operator, and domains of
+    Only a map with exactly one fixed point can have either: the metric
+    search asks for one, and a box chain ends at a fixed point while every
+    fixed point stays in every image hull (``x`` in ``H_n`` puts
+    ``F(x) = x`` in ``H_{n+1}``); every other map agrees on "no".
+    Translating each component's values, ``v -> v + t_i`` (mod ``|D_i|``),
+    maps boxes to boxes and product heights to product heights, so the
+    translate ``G(tau_t(s)) = tau_t(F(s))`` of a map ``F`` gets both
+    verdicts of ``F``, and the translations act regularly on the states.
+    So only the ``(n - 1) ** (n - 1)`` maps whose one fixed point is state
+    0 go through the :func:`_hulls` and :func:`_greatest_heights` of the
+    two searches, in ``itertools.product`` order: each count is ``n``
+    times the count found, and each mismatch is listed with its ``n``
+    translates, all in ``itertools.product`` order.  Each metric found is
+    confirmed by :func:`classify_contraction` on its witness space, built
+    once per heights; a disagreement raises :class:`SemanticsError`.  Bad
+    domains raise :class:`PreconditionError` as for any operator, and
     more than :data:`MAX_CENSUS_STATES` states raise
     :class:`SizeLimitError` before any table is built.
     """
-    import numpy as np
     # the identity operator checks the domains
     domains = DecomposedOperator(domains, lambda s: s).domains
     count = math.prod(len(dom) for dom in domains)
@@ -628,26 +616,35 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
                              f"{MAX_CENSUS_STATES}")
     states = list(itertools.product(*domains))
     sizes = _metric_sizes(domains)
-    acos = 0
-    mismatches = []
+    # shift[t][s]: the index of state s translated by state t
+    digits = list(itertools.product(*map(range, sizes)))
+    shift = [[digits.index(tuple((a + b) % m for a, b, m in zip(t, c, sizes)))
+              for c in digits] for t in digits]
+    chains = metrics = acos = 0
+    found = []  # (image indices, by boxes, by metric) of every mismatch
     witnesses = {}  # heights -> their space
-    for images in _image_arrays(count, max(1, BATCH_CELLS // count)):
-        unique = (images == np.arange(count)).sum(axis=1) == 1
-        for sigma in images[unique]:
-            hulls = _hulls(sizes, sigma.tolist())
-            by_boxes = hulls[-1].bit_count() == len(sizes)
-            heights = _greatest_heights(sizes, sigma)[0]
-            by_metric = heights is not None
-            if by_metric:
-                key = tuple(heights)
-                if key not in witnesses:
-                    witnesses[key] = _witness(domains, heights)
-                _confirm(witnesses[key], sigma)
-            if by_boxes != by_metric:
-                table = zip(states, map(states.__getitem__, sigma))
-                mismatches.append(
-                    (tuple(sorted(table)), by_boxes, by_metric))
-            acos += by_boxes and by_metric
+    for sigma in itertools.product((0,), *(
+            [f for f in range(count) if f != s] for s in range(1, count))):
+        by_boxes = _hulls(sizes, sigma)[-1].bit_count() == len(sizes)
+        heights = _greatest_heights(sizes, sigma)[0]
+        by_metric = heights is not None
+        if by_metric:
+            if heights not in witnesses:
+                witnesses[heights] = _witness(domains, heights)
+            _confirm(witnesses[heights], sigma)
+        chains += by_boxes
+        metrics += by_metric
+        acos += by_boxes and by_metric
+        if by_boxes != by_metric:
+            found += [(tuple(tau[sigma[tau.index(u)]] for u in range(count)),
+                       by_boxes, by_metric) for tau in shift]
+    log.debug("equivalence_census: states=%d maps=%d translations=%d "
+              "box_chains=%d metrics=%d witnesses=%d mismatches=%d", count,
+              (count - 1) ** (count - 1), count, chains, metrics,
+              len(witnesses), len(found) // count)
+    mismatches = tuple(
+        (tuple(sorted(zip(states, map(states.__getitem__, image)))), *verdicts)
+        for image, *verdicts in sorted(found))
     total = count ** count
-    return CensusResult(total, total - len(mismatches), acos,
-                        tuple(mismatches))
+    return CensusResult(total, total - len(mismatches), count * acos,
+                        mismatches)

@@ -179,6 +179,32 @@ def test_box_census_3x2():
     assert list(census.mismatches) == differ
 
 
+@pytest.mark.parametrize("domains", [
+    ((0, 1), (0, 1)), ((0, 1), (0,), (0, 1)), ((0, 1, 2), (0,)),
+    ((0, 1, 2, 3), (0,)),
+], ids=["2x2", "2x1x2", "3x1", "4x1"])
+def test_equivalence_census_matches_a_walk_over_every_table(domains):
+    # the census searches only the maps fixed at state 0 and multiplies;
+    # both searches on every table must give the same counts and list
+    states = list(itertools.product(*domains))
+    total = agreements = both = 0
+    differ = []
+    for images in itertools.product(states, repeat=len(states)):
+        table = dict(zip(states, images))
+        op = DecomposedOperator.from_table(domains, table)
+        by_boxes = search_box_sequence(op) is not None
+        by_metric = search_ultrametric(op) is not None
+        total += 1
+        agreements += by_boxes == by_metric
+        both += by_boxes and by_metric
+        if by_boxes != by_metric:
+            differ.append((tuple(sorted(table.items())), by_boxes,
+                           by_metric))
+    census = equivalence_census(domains)
+    assert census == (total, agreements, both, tuple(differ))
+    assert both > 0
+
+
 def _image_array(domains, tables):
     states = list(itertools.product(*domains))
     index = {s: i for i, s in enumerate(states)}
@@ -217,6 +243,44 @@ def test_search_on_random_operators(data):
     assert images == [set(comp) for comp in stalled]
     assert 1 <= refutation["boxes_examined"] <= \
         sum(map(len, domains)) - len(domains) + 1
+
+
+def _translate(domains, t):
+    """The translation of states by state ``t``: each component's value
+    moves on by ``t``'s value there, modulo the component's size."""
+    def tau(s):
+        return tuple(dom[(dom.index(v) + dom.index(w)) % len(dom)]
+                     for dom, v, w in zip(domains, s, t))
+    return tau
+
+
+@given(st.data())
+def test_translates_of_a_map_get_the_same_verdicts(data):
+    # the census counts only the maps fixed at state 0 and multiplies by
+    # the number of states: it rests on this symmetry
+    domains = data.draw(st.sampled_from(SHAPES))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, fixed = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
+    else:
+        fixed = data.draw(st.sampled_from(states))
+        table = {s: s if s == fixed else data.draw(
+            st.sampled_from([f for f in states if f != s])) for s in states}
+    op = DecomposedOperator.from_table(domains, table)
+    seq = search_box_sequence(op)
+    metric = search_ultrametric(op) is not None
+    for t in states:
+        tau = _translate(domains, t)
+        moved = DecomposedOperator.from_table(
+            domains, {tau(s): tau(f) for s, f in table.items()})
+        moved_seq = search_box_sequence(moved)
+        assert (moved_seq is None) == (seq is None)
+        if seq is not None:
+            assert moved_seq.fixed_point == tau(fixed)
+        assert (search_ultrametric(moved) is not None) == metric
 
 
 @given(st.data())
@@ -314,25 +378,19 @@ def test_equivalence_census_rejects_bad_domains(domains, message):
         equivalence_census(domains)
 
 
-@pytest.mark.parametrize("cells", [1, 100, 5_000, 100_000])
-def test_equivalence_census_is_the_same_in_every_chunking(monkeypatch, cells):
-    domains = ((0, 1), (0,), (0, 1))
-    expected = equivalence_census(domains)
-    chunks = []
-    arrays = aco._image_arrays
-
-    def recording(states, chunk):
-        for images in arrays(states, chunk):
-            chunks.append(len(images))
-            yield images
-
-    monkeypatch.setattr(aco, "BATCH_CELLS", cells)
-    monkeypatch.setattr(aco, "_image_arrays", recording)
-    assert equivalence_census(domains) == expected
-    # 4 image indices per operator, and at least one operator
-    chunk = max(1, cells // 4)
-    assert chunks == [chunk] * (256 // chunk) + [256 % chunk] * (
-        256 % chunk > 0)
+def test_equivalence_census_logs_counters(caplog):
+    # counted over the 27 maps whose one fixed point is state 0: each of
+    # the 7 metrics is confirmed by classify_contraction, on 3 witnesses
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        census = equivalence_census()
+    assert census.aco_count == 4 * 7
+    confirmed = [m for m in caplog.messages
+                 if m.startswith("classify_contraction: ")]
+    assert len(confirmed) == 7
+    assert caplog.messages[-1] == (
+        "equivalence_census: states=4 maps=27 translations=4 box_chains=7 "
+        "metrics=7 witnesses=3 mismatches=0")
+    assert len(caplog.messages) == 8
 
 
 def test_search_ultrametric_examples():
@@ -475,8 +533,8 @@ def test_search_ultrametric_gate_runs_before_the_cap(monkeypatch):
 ], ids=["3x3", "5x2", "3x1x3"])
 def test_equivalence_census_cap_is_checked_before_any_table(monkeypatch,
                                                             domains):
-    for name in ("_image_arrays", "_value_masks", "_hulls",
-                 "_differing_values", "_greatest_heights"):
+    for name in ("_value_masks", "_hulls", "_differing_values",
+                 "_greatest_heights"):
         monkeypatch.setattr(aco, name, _never)
     with pytest.raises(SizeLimitError, match="states exceed the census cap 8"):
         equivalence_census(domains)
@@ -500,12 +558,12 @@ def test_search_ultrametric_finds_metrics_for_shift_operators(domains):
 
 def test_equivalence_census_builds_the_height_family_once():
     # the heights of every map are solved over one per-shape table of
-    # differing values: one table for 2x2, read by each of the 108 maps
-    # with one fixed point
+    # differing values: one table for 2x2, read by each of the 27 maps
+    # whose one fixed point is state 0
     aco._differing_values.cache_clear()
     assert equivalence_census().ok
     info = aco._differing_values.cache_info()
-    assert (info.misses, info.hits) == (1, 107)
+    assert (info.misses, info.hits) == (1, 26)
 
 
 def test_height_family_is_shared_read_only():
@@ -524,7 +582,7 @@ def _one_fixed_point(images):
 
 
 def _found(sizes, sigma):
-    return np.array([aco._greatest_heights(sizes, s)[0] is not None
+    return np.array([aco._greatest_heights(sizes, s.tolist())[0] is not None
                      for s in sigma])
 
 
