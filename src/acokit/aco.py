@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import logging
 import math
 from typing import NamedTuple
 
@@ -33,9 +32,7 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
-from .util import jsonable, refuse_assignment, sorted_canonical
-
-log = logging.getLogger("acokit")
+from .util import jsonable, logger, refuse_assignment, sorted_canonical
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -335,8 +332,8 @@ def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     """
     hulls = _image_hulls(op)
     chain = _chain_from_hulls(hulls)
-    log.debug("search_box_sequence: boxes=%d verdict=%s", len(hulls),
-              "certified" if chain is not None else "refuted")
+    logger().debug("search_box_sequence: boxes=%d verdict=%s", len(hulls),
+                   "certified" if chain is not None else "refuted")
     return chain
 
 
@@ -436,11 +433,54 @@ def _witness(domains, row) -> ProductSpace:
     return ProductSpace(comps)
 
 
-def _confirm(witness: ProductSpace, sigma) -> None:
-    import numpy as np
-    if not classify_contraction(witness, np.array(sigma)).qualifies():
-        raise SemanticsError(
-            "inline height check disagrees with classify_contraction")
+def _confirm(domains, sigma, heights) -> None:
+    """Check that the product height metric of ``heights`` makes the map
+    ``sigma`` of state indices a contraction that is strict on orbits, and
+    raise :class:`SemanticsError` if it does not.
+
+    ``heights`` holds one height per value of each component with more
+    than one value, in order, as :func:`_witness` reads them; a one-value
+    component's value has height 0.  This checks the height search
+    without reusing its tables: it reads the metric's balls directly.
+
+    - Heights that put two values of one component at 0 are no metric.
+    - Contraction, ball by ball: ``d(x, y) <= r`` exactly when ``x`` and
+      ``y`` agree on every value whose height is above ``r``, so for each
+      radius ``r`` below the top height each state is labelled by its
+      values above ``r`` (the others merged), and states sharing a label
+      must have images sharing a label.
+    - Strictness on orbits, state by state: ``d(F(x), F(F(x))) <
+      d(x, F(x))`` for every ``x`` that ``F`` moves, each distance read
+      as the least radius at which the two states share a label.
+    """
+    sizes = _metric_sizes(domains)
+    for lo, hi in itertools.pairwise(
+            itertools.accumulate(sizes, initial=0)):
+        if heights[lo:hi].count(0) > 1:
+            raise SemanticsError(
+                "height check disagrees with the height search: two values "
+                "of one component at height 0")
+    masks = _value_masks(sizes)
+    # every distance is 0 or a height; one past the last radius stands
+    # for the top height, at which all states share a label
+    radii = sorted({0, *heights})[:-1]
+    step = [len(radii)] * len(sigma)  # d(x, F(x)) as an index of radii
+    for i in reversed(range(len(radii))):
+        above = sum(1 << c for c, h in enumerate(heights) if h > radii[i])
+        image_label = {}
+        for x, fx in enumerate(sigma):
+            label, image = masks[x] & above, masks[fx] & above
+            if image_label.setdefault(label, image) != image:
+                raise SemanticsError(
+                    "height check disagrees with the height search: not a "
+                    f"contraction at radius {radii[i]}")
+            if label == image:
+                step[x] = i
+    for x, fx in enumerate(sigma):
+        if fx != x and step[fx] >= step[x]:
+            raise SemanticsError(
+                "height check disagrees with the height search: not strict "
+                f"on the orbit of state {x}")
 
 
 def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
@@ -452,9 +492,9 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     when no product height metric does.  An operator without exactly one
     fixed point returns ``None`` on any domain; otherwise more than
     :data:`MAX_SEARCH_STATES` states raise :class:`SizeLimitError` before
-    any condition is built.  Every space found is confirmed by
-    :func:`classify_contraction`, and a disagreement raises
-    :class:`SemanticsError`.
+    any condition is built.  Every metric found is confirmed by
+    :func:`_confirm`, a plain-Python check of its balls, before its space
+    is built, and a disagreement raises :class:`SemanticsError`.
 
     The unique-fixed-point requirement is independent of any metric:
     strictness on orbits is vacuous at fixed points, so a map fixing two
@@ -464,8 +504,8 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     """
     fixed = len(_fixed_points(op))
     if fixed != 1:
-        log.debug("search_ultrametric: fixed_points=%d "
-                  "gate=unique-fixed-point", fixed)
+        logger().debug("search_ultrametric: fixed_points=%d "
+                       "gate=unique-fixed-point", fixed)
         return None
     if op.size() > MAX_SEARCH_STATES:
         raise SizeLimitError(f"{op.size()} states exceed the ultrametric "
@@ -473,14 +513,13 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     sigma = op.image_indices()
     heights, conditions, rounds = _greatest_heights(
         _metric_sizes(op.domains), sigma)
-    log.debug("search_ultrametric: states=%d conditions=%d rounds=%d "
-              "verdict=%s", len(sigma), conditions, rounds,
-              "none" if heights is None else "found")
+    logger().debug("search_ultrametric: states=%d conditions=%d rounds=%d "
+                   "verdict=%s", len(sigma), conditions, rounds,
+                   "none" if heights is None else "found")
     if heights is None:
         return None
-    witness = _witness(op.domains, heights)
-    _confirm(witness, sigma)
-    return witness
+    _confirm(op.domains, sigma, heights)
+    return _witness(op.domains, heights)
 
 
 class AcoCertificate(NamedTuple):
@@ -602,11 +641,11 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
     two searches, in ``itertools.product`` order: each count is ``n``
     times the count found, and each mismatch is listed with its ``n``
     translates, all in ``itertools.product`` order.  Each metric found is
-    confirmed by :func:`classify_contraction` on its witness space, built
-    once per heights; a disagreement raises :class:`SemanticsError`.  Bad
-    domains raise :class:`PreconditionError` as for any operator, and
-    more than :data:`MAX_CENSUS_STATES` states raise
-    :class:`SizeLimitError` before any table is built.
+    confirmed by :func:`_confirm`, which builds no space; a disagreement
+    raises :class:`SemanticsError`.  Bad domains raise
+    :class:`PreconditionError` as for any operator, and more than
+    :data:`MAX_CENSUS_STATES` states raise :class:`SizeLimitError` before
+    any table is built.
     """
     # the identity operator checks the domains
     domains = DecomposedOperator(domains, lambda s: s).domains
@@ -622,26 +661,23 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
               for c in digits] for t in digits]
     chains = metrics = acos = 0
     found = []  # (image indices, by boxes, by metric) of every mismatch
-    witnesses = {}  # heights -> their space
     for sigma in itertools.product((0,), *(
             [f for f in range(count) if f != s] for s in range(1, count))):
         by_boxes = _hulls(sizes, sigma)[-1].bit_count() == len(sizes)
         heights = _greatest_heights(sizes, sigma)[0]
         by_metric = heights is not None
         if by_metric:
-            if heights not in witnesses:
-                witnesses[heights] = _witness(domains, heights)
-            _confirm(witnesses[heights], sigma)
+            _confirm(domains, sigma, heights)
         chains += by_boxes
         metrics += by_metric
         acos += by_boxes and by_metric
         if by_boxes != by_metric:
             found += [(tuple(tau[sigma[tau.index(u)]] for u in range(count)),
                        by_boxes, by_metric) for tau in shift]
-    log.debug("equivalence_census: states=%d maps=%d translations=%d "
-              "box_chains=%d metrics=%d witnesses=%d mismatches=%d", count,
-              (count - 1) ** (count - 1), count, chains, metrics,
-              len(witnesses), len(found) // count)
+    logger().debug("equivalence_census: states=%d maps=%d translations=%d "
+                   "box_chains=%d metrics=%d mismatches=%d", count,
+                   (count - 1) ** (count - 1), count, chains, metrics,
+                   len(found) // count)
     mismatches = tuple(
         (tuple(sorted(zip(states, map(states.__getitem__, image)))), *verdicts)
         for image, *verdicts in sorted(found))

@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
 import json
-import logging
 import os
 import sys
 
@@ -29,7 +27,8 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_BAD_INPUT = 2
 
-log = logging.getLogger("acokit")
+# the values ACOKIT_LOG may take, in any case
+_LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 # what a handler returns: its exit code, its --trace text and its --json
 # payload, None for no file
@@ -43,6 +42,7 @@ def trace_csv(trajectory, distances=None, value_format=format_value) -> str:
     distance column carries the state's distance label when given and is
     empty otherwise; it is recorded, never asserted monotone.
     """
+    import csv
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["t", "processor", "activated", "value",
@@ -459,9 +459,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("ACOKIT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
-                        stream=sys.stderr)
+    # logging is imported only when ACOKIT_LOG asks for it; until then the
+    # package's DEBUG and INFO records are dropped (util.logger)
+    level = os.environ.get("ACOKIT_LOG")
+    if level is not None:
+        if level.lower() not in _LOG_LEVELS:
+            print(f"error: ACOKIT_LOG must be one of {', '.join(_LOG_LEVELS)}"
+                  f" (in any case), got {level!r}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        import logging
+        logging.basicConfig(level=level.upper(), stream=sys.stderr)
     parser = build_parser()
     args = parser.parse_args(argv)
     # a handler prints its report into ``text``; a rejected command,

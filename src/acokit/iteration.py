@@ -27,15 +27,12 @@ then reads every tick the run spans, for a full trajectory.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 import random
 from typing import NamedTuple
 
 from .errors import PreconditionError, ScheduleRejectedError, SizeLimitError
-from .util import json_object, typed
-
-log = logging.getLogger("acokit")
+from .util import INFO, json_object, logger, typed
 
 # widest rule table whose images BitRules.images() lists: 2**12 masks, each
 # a state of an exhaustive routing or logic check
@@ -53,9 +50,13 @@ class DecomposedOperator:
     calls the callable once per distinct state, checks that the image is a
     state of the domain and keeps it, one entry per distinct state read,
     for as long as the operator lives.  ``evaluations`` counts the calls
-    made to the callable.  A table operator also checks every image when
-    it is built, from its own copy of the table.
+    made to the callable.  A table operator checks every image once, when
+    it is built from its own copy of the table, and a
+    :func:`rule_operator` builds only images of its domain, so
+    :meth:`apply` checks neither again.
     """
+
+    _images_checked = False  # every image is known to be a domain state
 
     def __init__(self, domains, global_fn):
         self.domains = tuple(tuple(d) for d in domains)
@@ -85,6 +86,7 @@ class DecomposedOperator:
         if len(table) != op.size():
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
+        op._images_checked = True
         return op
 
     @property
@@ -120,10 +122,11 @@ class DecomposedOperator:
             out = tuple(self._global(state))
         except KeyError:
             raise PreconditionError(f"state {state!r} outside domain") from None
-        self._check(out, "operator maps its domain outside itself: "
-                    "image {!r} has the wrong shape",
-                    "operator maps its domain outside itself: "
-                    "image holds {!r}")
+        if not self._images_checked:
+            self._check(out, "operator maps its domain outside itself: "
+                        "image {!r} has the wrong shape",
+                        "operator maps its domain outside itself: "
+                        "image holds {!r}")
         self._images[state] = out
         return out
 
@@ -189,8 +192,10 @@ def rule_operator(rules: BitRules, values) -> DecomposedOperator:
     bits, and each mask of processor ``i``'s bits is the mask of exactly
     one of its values.  A state's mask is the OR of its values' masks,
     and its image gives each processor the value of its bits of
-    :meth:`BitRules.step` of that mask.  A value outside its processor's
-    domain raises :class:`PreconditionError` through
+    :meth:`BitRules.step` of that mask, read from ``values``, so every
+    image is a state of the domain and :meth:`DecomposedOperator.apply`
+    does not check it again.  A value outside its processor's domain
+    raises :class:`PreconditionError` through
     :meth:`DecomposedOperator.apply`.
     """
     value_of = [{mask: v for v, mask in vals.items()} for vals in values]
@@ -201,7 +206,9 @@ def rule_operator(rules: BitRules, values) -> DecomposedOperator:
         out = step(sum(map(get, values, state)))
         return tuple(map(get, value_of, map(out.__and__, held)))
 
-    return DecomposedOperator(values, global_step)
+    op = DecomposedOperator(values, global_step)
+    op._images_checked = True
+    return op
 
 
 class Schedule:
@@ -565,7 +572,8 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
                 starts, _lockstep(op, starts, schedule)):
             runs.append(CampaignRun(seed + s, start, states[-1], status,
                                     converged_at, ticks, len(states) - 1))
-    if log.isEnabledFor(logging.INFO):  # the counters cost a pass over runs
+    log = logger()
+    if log.isEnabledFor(INFO):  # the counters cost a pass over runs
         log.info("campaign: %s", " ".join(
             f"{name}={value}"
             for name, value in campaign_stats(op, runs).items()))

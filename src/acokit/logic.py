@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import io
 import re
-from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError, SemanticsError
 from .iteration import BitRules, DecomposedOperator, rule_operator
@@ -24,6 +23,11 @@ from .ultrametric import (
     classify_contraction,
 )
 from .util import json_object, refuse_assignment, typed
+
+# fractions is imported inside each function that builds a Fraction: most
+# commands build none and start faster without it
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -285,6 +289,7 @@ def interpretation_distance(strat: Stratification, left, right) -> Fraction:
     """Distance between interpretations from the shallowest disagreement:
     ``2**-s`` where ``s`` is the least stratum in the symmetric difference,
     so agreement on deeper strata means closer."""
+    from fractions import Fraction
     delta = frozenset(left) ^ frozenset(right)
     if not delta:
         return Fraction(0)
@@ -292,6 +297,7 @@ def interpretation_distance(strat: Stratification, left, right) -> Fraction:
 
 
 def interpretation_scale(strat: Stratification) -> RadiusScale:
+    from fractions import Fraction
     top = strat.max_level
     return RadiusScale(tuple(
         [Fraction(0)] + [Fraction(1, 2 ** s) for s in range(top, -1, -1)]))
@@ -304,6 +310,7 @@ def interpretation_space(program: GroundProgram,
 
     The atoms of one stratum share one component space, so its table and
     ball labels are built once."""
+    from fractions import Fraction
     scale = interpretation_scale(strat)
     levels = {level: FiniteUltrametricSpace(
         (False, True), scale,

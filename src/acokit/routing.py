@@ -14,7 +14,6 @@ at the destination is the one-node tuple ``(dest,)``.
 from __future__ import annotations
 
 import itertools
-import logging
 from functools import cached_property
 from typing import NamedTuple
 
@@ -32,10 +31,8 @@ from .iteration import (BitRules, DecomposedOperator, campaign,
                         run_sync)
 from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
                          _min_split)
-from .util import (canonical_key, json_object, refuse_assignment,
+from .util import (canonical_key, json_object, logger, refuse_assignment,
                    sorted_canonical, typed)
-
-log = logging.getLogger("acokit")
 
 PER_NODE = "per-node"
 PER_NEXTHOP = "per-source-destination-nexthop"
@@ -448,9 +445,9 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     pair = _min_split(
         (masks & bits[hvec > h].sum() for h in levels),
         (sig & bits[hvec >= h].sum() for h in levels))
-    log.debug("verify_strict_contraction: states=%d radii=%d evaluations=%d "
-              "verdict=%s", total, len(levels), total,
-              "certified" if pair is None else "refuted")
+    logger().debug("verify_strict_contraction: states=%d radii=%d "
+                   "evaluations=%d verdict=%s", total, len(levels), total,
+                   "certified" if pair is None else "refuted")
     pairs = total * (total - 1) // 2
     if pair is None:
         return ContractionCheck(True, None, pairs)

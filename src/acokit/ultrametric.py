@@ -9,18 +9,19 @@ anywhere in the checks.
 from __future__ import annotations
 
 import itertools
-import logging
-from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-# numpy is imported inside each function that uses it: most commands run
-# no numpy pass and start faster without it
+# numpy and fractions are imported inside each function that uses them:
+# most commands run no numpy pass, build no Fraction and start faster
+# without them
 
 from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
-from .util import canonical_key, json_object, refuse_assignment, typed
+from .util import (canonical_key, json_object, logger, refuse_assignment,
+                   typed)
 
-log = logging.getLogger("acokit")
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 NOT_CONTRACTION = "not-contraction"
 CONTRACTION = "contraction"
@@ -314,6 +315,7 @@ def string_distance(x, y) -> Fraction:
     they differ; a missing position (shorter sequence) counts as a
     difference, so prefixes differ at the first absent index.
     """
+    from fractions import Fraction
     if x == y:
         return Fraction(0)
     for m in range(max(len(x), len(y))):
@@ -328,6 +330,7 @@ def string_space(strings, scale: RadiusScale | None = None) -> FiniteUltrametric
     """Space over a finite string sample under :func:`string_distance`."""
     strings = tuple(strings)
     if scale is None:
+        from fractions import Fraction
         labels = {string_distance(a, b) for a, b in
                   itertools.combinations(strings, 2)}
         scale = RadiusScale.numeric(labels, zero=Fraction(0))
@@ -593,9 +596,9 @@ def classify_contraction(space, sigma) -> ContractionReport:
     sig = _sigma_array(space, sigma)
     labels = space.ball_labels()
     report = _classify(space, sig, labels, labels[:, sig])
-    log.debug("classify_contraction: states=%d radii=%d evaluations=%d "
-              "verdict=%s", len(sig), len(labels), len(sig),
-              report.classification)
+    logger().debug("classify_contraction: states=%d radii=%d evaluations=%d "
+                   "verdict=%s", len(sig), len(labels), len(sig),
+                   report.classification)
     return report
 
 

@@ -1,5 +1,6 @@
 """Small shared helpers: typed JSON reading, canonical ordering, value
-rendering and the assignment guard of immutable classes.
+rendering, the assignment guard of immutable classes and the ``acokit``
+logger.
 
 Everything that leaves the package (summaries, traces, witnesses) must not
 depend on hash-randomized set iteration order, so any set-to-sequence
@@ -9,8 +10,11 @@ conversion goes through :func:`canonical_key`.
 from __future__ import annotations
 
 import json
+import sys
 from contextlib import contextmanager
-from fractions import Fraction
+
+# logging and fractions are imported only where they are needed: most
+# commands log nothing and build no Fraction, and start faster without them
 
 
 @contextmanager
@@ -52,10 +56,11 @@ def canonical_key(value):
     Values of different kinds sort by kind rank, so heterogeneous
     collections still order deterministically.  Ints (bools included) and
     fractions key as themselves, which Python compares exactly; a float
-    keys as its exact :class:`Fraction`, so NaN raises
+    keys as its exact :class:`~fractions.Fraction`, so NaN raises
     :class:`ValueError`.
 
-    Fractions are tested last: ``isinstance`` against ``Fraction``, a
+    Fractions are tested last, and only once :mod:`fractions` is loaded
+    (no value can be one before): ``isinstance`` against ``Fraction``, a
     ``numbers`` ABC, is slow for every value that is not one.
     """
     if isinstance(value, str):
@@ -67,8 +72,10 @@ def canonical_key(value):
     if isinstance(value, int):
         return (0, value)
     if isinstance(value, float):
+        from fractions import Fraction
         return (0, Fraction(value))
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         return (0, value)
     return (4, type(value).__name__, repr(value))
 
@@ -97,11 +104,10 @@ def format_value(value) -> str:
 
 
 def jsonable(value):
-    """Convert package values into JSON-serializable structures."""
+    """Convert package values into JSON-serializable structures; any
+    other value, a :class:`~fractions.Fraction` included, as its ``str``."""
     if isinstance(value, bool) or value is None:
         return value
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, (int, float, str)):
         return value
     if isinstance(value, tuple):
@@ -111,3 +117,35 @@ def jsonable(value):
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     return str(value)
+
+
+class _Unconfigured:
+    """The ``acokit`` logger before :mod:`logging` is loaded: it drops
+    every record, as the real one drops DEBUG and INFO records until
+    logging is configured."""
+
+    def isEnabledFor(self, level) -> bool:
+        return False
+
+    def debug(self, msg, *args) -> None:
+        pass
+
+    info = debug
+
+
+_UNCONFIGURED = _Unconfigured()
+INFO = 20  # logging.INFO, read without importing logging
+
+
+def logger():
+    """The ``acokit`` logger, once :mod:`logging` is loaded.
+
+    Before that nothing can have configured a handler or a level, so no
+    DEBUG or INFO record, the only ones the package writes, could be
+    emitted, and a stand-in that drops them is returned.  ``cli.main``
+    imports :mod:`logging` only when ``ACOKIT_LOG`` is set.
+    """
+    logging = sys.modules.get("logging")
+    if logging is None:
+        return _UNCONFIGURED
+    return logging.getLogger("acokit")

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit import aco, iteration, logic, routing
@@ -29,8 +29,6 @@ from acokit.errors import (
 )
 from acokit.iteration import DecomposedOperator
 from acokit.ultrametric import (
-    NOT_CONTRACTION,
-    ContractionReport,
     FiniteUltrametricSpace,
     RadiusScale,
     check_axioms,
@@ -361,10 +359,13 @@ def test_image_hulls_match_the_state_reference_on_deep_chains(build, size,
 
 def test_equivalence_census_raises_when_the_classifier_disagrees(
         monkeypatch):
-    monkeypatch.setattr(aco, "classify_contraction",
-                        lambda space, sigma: ContractionReport(
-                            NOT_CONTRACTION, None))
-    with pytest.raises(SemanticsError, match="disagrees"):
+    # heights under which every two states are at distance 1: the second
+    # map, (0, 0, 0, 1), moves state 3 to 1 and 1 to 0, which is no step
+    # inward
+    monkeypatch.setattr(aco, "_greatest_heights",
+                        lambda sizes, sigma: ((0, 1, 0, 1), 0, 1))
+    with pytest.raises(SemanticsError, match="disagrees with the height "
+                       "search: not strict on the orbit of state 3"):
         equivalence_census()
 
 
@@ -379,18 +380,15 @@ def test_equivalence_census_rejects_bad_domains(domains, message):
 
 
 def test_equivalence_census_logs_counters(caplog):
-    # counted over the 27 maps whose one fixed point is state 0: each of
-    # the 7 metrics is confirmed by classify_contraction, on 3 witnesses
+    # counted over the 27 maps whose one fixed point is state 0; the 7
+    # metrics are confirmed by the height check, which builds no space and
+    # runs no classifier
     with caplog.at_level(logging.DEBUG, logger="acokit"):
         census = equivalence_census()
     assert census.aco_count == 4 * 7
-    confirmed = [m for m in caplog.messages
-                 if m.startswith("classify_contraction: ")]
-    assert len(confirmed) == 7
-    assert caplog.messages[-1] == (
+    assert caplog.messages == [
         "equivalence_census: states=4 maps=27 translations=4 box_chains=7 "
-        "metrics=7 witnesses=3 mismatches=0")
-    assert len(caplog.messages) == 8
+        "metrics=7 mismatches=0"]
 
 
 def test_search_ultrametric_examples():
@@ -412,11 +410,10 @@ def test_search_ultrametric_logs_counters(caplog):
         search_ultrametric(cycling)
     # the constant map's images never differ and never move twice; the
     # cycle has five pairs with differing images and two moved states
-    # whose image moves too, and its second pass finds a bound below 0
+    # whose image moves too, and its second pass finds a bound below 0;
+    # the metric found is confirmed by the height check, which logs nothing
     assert caplog.messages == [
         "search_ultrametric: states=4 conditions=0 rounds=1 verdict=found",
-        "classify_contraction: states=4 radii=2 evaluations=4 "
-        "verdict=strict-contraction",
         "search_ultrametric: fixed_points=2 gate=unique-fixed-point",
         "search_ultrametric: states=4 conditions=7 rounds=2 verdict=none"]
 
@@ -805,11 +802,85 @@ def test_certify_raises_when_a_run_converges_elsewhere(monkeypatch):
 
 def test_search_ultrametric_raises_when_the_classifier_disagrees(monkeypatch):
     assert search_ultrametric(constant_op()) is not None
-    monkeypatch.setattr(aco, "classify_contraction",
-                        lambda space, sigma: ContractionReport(
-                            NOT_CONTRACTION, None))
-    with pytest.raises(SemanticsError, match="disagrees"):
+    # the constant map contracts strictly under any metric, but two values
+    # of component 0 at height 0 are no metric
+    monkeypatch.setattr(aco, "_greatest_heights",
+                        lambda sizes, sigma: ((0, 0, 0, 1), 0, 1))
+    with pytest.raises(SemanticsError, match="disagrees with the height "
+                       "search: two values of one component at height 0"):
         search_ultrametric(constant_op())
+
+
+@pytest.mark.parametrize("sigma, heights, message", [
+    ((0, 0, 1, 0), (0, 1, 0, 2), "not a contraction at radius 1"),
+    ((0, 0, 0, 2), (0, 1, 0, 1), "not strict on the orbit of state 3"),
+], ids=["contraction", "orbit"])
+def test_confirm_names_the_condition_that_fails(sigma, heights, message):
+    # (1, 0) is at distance 1 from (0, 0) and its image (0, 1) at 2; state
+    # 3 moves to 2 and 2 to 0, each at distance 1
+    with pytest.raises(SemanticsError, match=message):
+        aco._confirm(DOM22, sigma, heights)
+
+
+def test_confirm_rejects_two_zero_heights_the_classifier_passes():
+    # the classifier reads two values of one component at height 0 as a
+    # pseudometric, (0, 0) and (1, 0) at distance 0, and the constant map
+    # still contracts strictly under it; such heights are no metric
+    domains = ((0, 1, 2), (0, 1))
+    sigma, heights = (4,) * 6, (0, 0, 1, 0, 1)
+    space = aco._witness(domains, heights)
+    assert classify_contraction(space, np.array(sigma)).qualifies()
+    with pytest.raises(SemanticsError, match="two values of one component"):
+        aco._confirm(domains, sigma, heights)
+
+
+def _two_zeros(sizes, heights) -> bool:
+    return any(heights[lo:hi].count(0) > 1 for lo, hi in itertools.pairwise(
+        itertools.accumulate(sizes, initial=0)))
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_confirm_accepts_exactly_the_metrics_the_classifier_qualifies(data):
+    domains = data.draw(st.sampled_from((
+        DOM22, ((0, 1, 2), (0, 1)), ((0, 1),) * 3, ((0, 1, 2),) * 2,
+        ((0, 1), (0,), (0, 1, 2)))))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, _ = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
+    else:
+        table = {s: data.draw(st.sampled_from(states)) for s in states}
+    sigma = tuple(states.index(table[s]) for s in states)
+    sizes = aco._metric_sizes(domains)
+    values = sum(sizes)
+    greatest = aco._greatest_heights(sizes, sigma)[0]
+    kind = data.draw(st.sampled_from(("greatest", "random", "two zeros")))
+    if kind == "greatest" and greatest is not None:
+        heights = greatest
+    else:
+        heights = data.draw(st.lists(st.integers(0, values - 1),
+                                     min_size=values, max_size=values))
+        if kind == "two zeros":
+            # the first two values of a component
+            lo = data.draw(st.sampled_from(list(itertools.accumulate(
+                sizes[:-1], initial=0))))
+            heights[lo] = heights[lo + 1] = 0
+        heights = tuple(heights)
+    try:
+        aco._confirm(domains, sigma, heights)
+        accepted = True
+    except SemanticsError:
+        accepted = False
+    qualifies = classify_contraction(aco._witness(domains, heights),
+                                     np.array(sigma)).qualifies()
+    # two values of one component at height 0 are no metric, whatever the
+    # classifier makes of them
+    assert accepted == (qualifies and not _two_zeros(sizes, heights))
+    if heights == greatest:
+        assert accepted
 
 
 def test_certificate_json_shape():

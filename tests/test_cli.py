@@ -787,6 +787,7 @@ def test_cli_import_needs_no_package_outside_the_stdlib():
 
 # commands that run no numpy pass; OP is an operator file, TRACE a CSV path
 _NUMPY_FREE_COMMANDS = [
+    ("aco", "census"),
     ("routing", "check", corpus_path("ring3.json")),
     ("routing", "solve", corpus_path("ring3.json"), "--mode", "async",
      "--schedules", "5", "--trace", "TRACE"),
@@ -827,10 +828,71 @@ def test_commands_without_a_numpy_pass_leave_numpy_unimported(tmp_path):
 
 def test_cli_commands_leave_dataclasses_and_inspect_unimported(tmp_path):
     # defining the result records as dataclasses cost about 30 ms of every
-    # CLI start, most of it in generated methods and in importing inspect
-    out = _run_numpy_free_commands(tmp_path, "", ("dataclasses", "inspect"))
+    # CLI start, most of it in generated methods and in importing inspect;
+    # logging (with traceback and string) and fractions (with decimal and
+    # numbers) are loaded only on demand
+    modules = ("dataclasses", "inspect", "logging", "fractions")
+    out = _run_numpy_free_commands(tmp_path, "", modules)
     assert out.count("exit 0\n") == len(_NUMPY_FREE_COMMANDS)
-    assert out.endswith("dataclasses loaded: False\ninspect loaded: False\n")
+    assert out.endswith("".join(f"{name} loaded: False\n"
+                                for name in modules))
+
+
+def test_routing_check_leaves_csv_unimported():
+    # only the commands that write a --trace import csv
+    check = ("import sys, acokit.cli\n"
+             f"code = acokit.cli.main(['routing', 'check', "
+             f"{corpus_path('ring3.json')!r}])\n"
+             "print(code, 'csv' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", check],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n0 False\n")
+
+
+# stderr at ACOKIT_LOG=debug of the certify command below and of aco census
+_CERTIFY = ("aco", "certify", corpus_path("operators", "shift2x2.json"),
+            "--schedules", "3")
+_CERTIFY_INFO = ("INFO:acokit:campaign: runs=12 ticks_used=204 ticks_drawn=33 "
+                 "operator_evaluations=4\n")
+_CENSUS_DEBUG = ("DEBUG:acokit:equivalence_census: states=4 maps=27 "
+                 "translations=4 box_chains=7 metrics=7 mismatches=0\n")
+
+
+def _logged(level, argv):
+    proc = subprocess.run([sys.executable, "-m", "acokit.cli", *argv],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, ACOKIT_LOG=level))
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("level, certify_err, census_err", [
+    ("debug", _CERTIFY_INFO, _CENSUS_DEBUG),
+    ("DeBuG", _CERTIFY_INFO, _CENSUS_DEBUG),
+    ("INFO", _CERTIFY_INFO, ""),
+    ("warning", "", ""),
+    ("Critical", "", ""),
+], ids=["debug", "DeBuG", "INFO", "warning", "Critical"])
+def test_acokit_log_sets_the_level_in_any_case(level, certify_err,
+                                               census_err):
+    # the certify line is that of earlier versions; the census line no
+    # longer counts witness spaces, and no classify_contraction line
+    # precedes it
+    assert _logged(level, _CERTIFY) == (EXIT_OK, certify_err)
+    assert _logged(level, ("aco", "census")) == (EXIT_OK, census_err)
+
+
+@pytest.mark.parametrize("level", ["basic_format", "verbose", "", "10"])
+def test_an_unknown_acokit_log_value_is_bad_input(capsys, monkeypatch,
+                                                  level):
+    # basic_format used to crash (logging.BASIC_FORMAT is a format string)
+    # and verbose was silently taken as warning
+    monkeypatch.setenv("ACOKIT_LOG", level)
+    code, out, err = run_cli(capsys, "routing", "check",
+                             corpus_path("ring3.json"))
+    assert (code, out) == (EXIT_BAD_INPUT, "")
+    assert err == ("error: ACOKIT_LOG must be one of debug, info, warning, "
+                   f"error, critical (in any case), got {level!r}\n")
 
 
 def test_contraction_checks_leave_numpy_ma_unimported():

@@ -554,6 +554,50 @@ def test_apply_raises_for_an_out_of_domain_state_on_every_call():
     assert op.apply((1, 1)) == (0, 0)
 
 
+def _counting_checks(monkeypatch):
+    """The states :meth:`DecomposedOperator._check` is called on, from
+    now on."""
+    checked = []
+    check = DecomposedOperator._check
+
+    def counting(self, state, *messages):
+        checked.append(state)
+        return check(self, state, *messages)
+
+    monkeypatch.setattr(DecomposedOperator, "_check", counting)
+    return checked
+
+
+def test_built_operators_check_their_images_once(monkeypatch, ring3):
+    # a table operator checks its images when it is built, and a rule
+    # operator's images are read from its own value tables, so apply
+    # checks neither again
+    checked = _counting_checks(monkeypatch)
+    table = constant_op()
+    assert len(checked) == 8  # four inputs and four images
+    rules = routing.decompose(ring3, routing.PER_PATH)
+    assert len(checked) == 8
+    checked.clear()
+    for op in (table, rules):
+        for state in op.iter_states():
+            op.apply(state)
+    assert checked == []
+
+
+def test_a_callable_image_outside_the_domain_raises_on_every_call(
+        monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    op = DecomposedOperator(((0, 1), (0, 1)), lambda s: (s[0], 2))
+    for _ in range(2):
+        with pytest.raises(PreconditionError, match=(
+                r"operator maps its domain outside itself: image holds 2")):
+            op.apply((1, 0))
+    assert checked == [(1, 2), (1, 2)] and op.evaluations == 2
+    with pytest.raises(PreconditionError, match="image .* has the wrong "
+                       "shape"):
+        DecomposedOperator(((0, 1),), lambda s: s * 2).apply((0,))
+
+
 def test_campaign_runs_equal_runs_with_fresh_operators(ring3):
     op = routing.decompose(ring3, routing.PER_PATH)
     empty = routing.state_to_components(ring3, routing.PER_PATH, frozenset())
