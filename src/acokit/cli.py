@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -387,7 +388,10 @@ def _add_campaign_flags(parser: argparse.ArgumentParser):
                         help="number of sampled schedules in a campaign")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was."""
     parser = argparse.ArgumentParser(
         prog="acokit",
         description="Certify and simulate asynchronously contracting operators")

@@ -9,6 +9,7 @@ anywhere in the checks.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -96,7 +97,6 @@ class FiniteUltrametricSpace:
     """
 
     def __init__(self, elements, scale: RadiusScale, dist):
-        import numpy as np
         elements = tuple(elements)
         if not elements:
             raise MalformedSpaceError("space needs at least one element")
@@ -105,27 +105,23 @@ class FiniteUltrametricSpace:
         self.elements = elements
         self.scale = scale
         self._pos = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-        mat = np.empty((n, n), dtype=np.int32)
+        index = scale.index
         if callable(dist):
-            for i, m in enumerate(elements):
-                for j, e in enumerate(elements):
-                    mat[i, j] = scale.index(dist(m, e))
+            label = dist
         else:
             for (m, e) in dist:
                 if m not in self._pos or e not in self._pos:
                     raise MalformedSpaceError(
                         f"table entry ({m!r}, {e!r}) names an unknown element")
-            for i, m in enumerate(elements):
-                for j, e in enumerate(elements):
-                    try:
-                        label = dist[(m, e)]
-                    except KeyError:
-                        raise MalformedSpaceError(
-                            f"missing table entry for ({m!r}, {e!r})") from None
-                    mat[i, j] = scale.index(label)
-        mat.setflags(write=False)
-        self._mat = mat
+
+            def label(m, e):
+                try:
+                    return dist[(m, e)]
+                except KeyError:
+                    raise MalformedSpaceError(
+                        f"missing table entry for ({m!r}, {e!r})") from None
+        self._rows = tuple(tuple([index(label(m, e)) for e in elements])
+                           for m in elements)
 
     def __len__(self):
         return len(self.elements)
@@ -143,14 +139,30 @@ class FiniteUltrametricSpace:
             raise MalformedSpaceError(f"unknown element {element!r}") from None
 
     def distance_index(self, m, n) -> int:
-        return int(self._mat[self.index_of(m), self.index_of(n)])
+        return self._rows[self.index_of(m)][self.index_of(n)]
 
     def distance(self, m, n):
         return self.scale.values[self.distance_index(m, n)]
 
+    def index_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Distance table as a tuple of rows of scale indices."""
+        return self._rows
+
     def index_matrix(self) -> np.ndarray:
-        """Distance table as a matrix of scale indices (read-only)."""
-        return self._mat
+        """Distance table as a matrix of scale indices (read-only), built
+        on the first call."""
+        return self._matrix
+
+    @cached_property
+    def _matrix(self) -> np.ndarray:
+        import numpy as np
+        mat = np.array(self._rows, dtype=np.int32)
+        mat.setflags(write=False)
+        return mat
+
+    @cached_property
+    def _analysis(self) -> _TableAnalysis:
+        return _TableAnalysis(self._rows)
 
     def ball_labels(self) -> np.ndarray:
         """The ball label of every element at every radius (read-only).
@@ -171,7 +183,7 @@ class FiniteUltrametricSpace:
     @cached_property
     def _ball_labels(self) -> np.ndarray:
         import numpy as np
-        D = self._mat
+        D = self._matrix
         els, values = self.elements, self.scale.values
         diagonal = np.diagonal(D)
         if diagonal.any():
@@ -232,77 +244,215 @@ def _check_axiom_size(n: int) -> None:
             f"{_AXIOM_CHECK_MAX_ELEMENTS}")
 
 
-def _space_matrix(space) -> np.ndarray:
-    _check_axiom_size(len(space.elements))
-    return space.index_matrix()
+# bytes.translate table from the 0/1 bytes of a row comparison to the
+# digits of a binary numeral
+_BINARY_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _members(bits: int) -> list[int]:
+    """Positions of the set bits of ``bits``, ascending."""
+    digits = bin(bits)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
+def _excess_over_merges(low, high) -> list[int]:
+    """For each element ``x``, the bit set of the ``e != x`` with
+    ``high[x][e]`` above the distance at which single linkage on ``low``
+    merges ``x`` and ``e``.
+
+    ``low`` and ``high`` are symmetric tables, ``low`` entrywise at most
+    ``high``; their diagonals are not read.  Single linkage merges along
+    a minimum spanning tree of ``low``, found by Prim's method in O(n²)
+    steps, in increasing weight; the elements of two merged clusters lie
+    at that weight in the subdominant ultrametric of ``low``, the largest
+    ultrametric below it.  So a table with a zero diagonal, given as both
+    ``low`` and ``high``, is an ultrametric (up to zero distances)
+    exactly when every bit set is empty (Gower & Ross, 1969).
+    """
+    n = len(low)
+    # key[k] of rest[k]: its least distance to the tree times n, plus the
+    # tree element at that distance
+    rest = list(range(1, n))
+    key = [d * n for d in low[0][1:]]
+    edges = []
+    while rest:
+        k = key.index(min(key))
+        weight, parent = divmod(key[k], n)
+        v = rest[k]
+        edges.append((weight, parent, v))
+        rest[k], key[k] = rest[-1], key[-1]
+        rest.pop()
+        key.pop()
+        row = low[v]
+        key = list(map(min, key, [row[u] * n + v for u in rest]))
+    excess = [0] * n
+    owner = list(range(n))
+    members = [[x] for x in range(n)]
+    for weight, p, v in sorted(edges):
+        small, large = owner[p], owner[v]
+        if len(members[small]) > len(members[large]):
+            small, large = large, small
+        other = members[large]
+        for x in members[small]:
+            row = high[x]
+            if max(map(row.__getitem__, other)) > weight:
+                for e in other:
+                    if row[e] > weight:
+                        excess[x] |= 1 << e
+                        excess[e] |= 1 << x
+            owner[x] = large
+        other.extend(members[small])
+        members[small] = None
+    return excess
+
+
+class _TableAnalysis:
+    """What the three space checks read of one distance table, given as
+    rows of scale indices, computed once per space.
+
+    One single linkage pass (:func:`_excess_over_merges`) over the lesser
+    of ``d(x, y)`` and ``d(y, x)`` marks as candidates the pairs whose
+    greater distance lies above their merge distance, and each element at
+    a nonzero distance from itself, paired with itself.  A table with a
+    zero diagonal and no asymmetric pair is an ultrametric exactly when
+    there is no candidate.  On any table, the unique largest side of a
+    triangle (the side ``(l, e)`` of a strong triangle violation
+    ``(l, m, e)``) is a candidate: it exceeds the two other sides, whose
+    lesser distances bound its merge distance.  Witnesses are read off bit
+    sets of the candidates, one per row and distance, and the "closer
+    than" bit sets of the rows, built as needed.
+    """
+
+    def __init__(self, rows):
+        self.rows = rows
+        n = len(rows)
+        # the elements at a nonzero distance from themselves
+        self.loops = [i for i in range(n) if rows[i][i]]
+        self.columns = tuple(zip(*rows))
+        low = high = rows
+        if self.columns != rows:
+            low = tuple(tuple(map(min, row, column))
+                        for row, column in zip(rows, self.columns))
+            high = tuple(tuple(map(max, row, column))
+                         for row, column in zip(rows, self.columns))
+        self.candidates = _excess_over_merges(low, high)
+        for i in self.loops:
+            self.candidates[i] |= 1 << i
+        # the table is an ultrametric up to zero distances
+        self.valid = not any(self.candidates)
+        self._levels = {}
+        self._below = {}
+
+    def levels(self, x):
+        """The distances from ``x`` to its candidates, ascending, and for
+        each the bit set of the candidates at that distance."""
+        found = self._levels.get(x)
+        if found is None:
+            row = self.rows[x]
+            groups = {}
+            for e in _members(self.candidates[x]):
+                groups[row[e]] = groups.get(row[e], 0) | 1 << e
+            values = sorted(groups)
+            found = self._levels[x] = (values, [groups[s] for s in values])
+        return found
+
+    def below(self, x, s) -> int:
+        """The bit set of the ``e`` with ``d(x, e) < s``."""
+        found = self._below.get((x, s))
+        if found is None:
+            flags = bytes(map(s.__gt__, self.rows[x][::-1]))
+            found = self._below[(x, s)] = int(
+                flags.translate(_BINARY_DIGITS), 2)
+        return found
+
+    def beyond(self, x, y, r) -> int:
+        """The candidates ``e`` of ``x`` with ``d(x, e) > r`` and
+        ``d(y, e) < d(x, e)``."""
+        values, bits = self.levels(x)
+        out = 0
+        for k in range(bisect_right(values, r), len(values)):
+            out |= bits[k] & self.below(y, values[k])
+        return out
+
+    def triangles(self, isosceles: bool):
+        """The index triples ``(l, m, e)`` whose largest distance is not
+        taken twice, middle element first, then ``l``, then ``e``: with
+        ``isosceles`` false only those where ``d(l, e)`` is that largest
+        distance, the strong triangle violations."""
+        rows, candidates = self.rows, self.candidates
+        every = range(len(rows))
+        starts = [x for x in every if candidates[x]]
+        for m in every:
+            # (l, e), (l, m) or (m, e) must be a candidate, so l must
+            # have one unless m has
+            for l in every if isosceles and candidates[m] else starts:
+                r = rows[l][m]
+                # the e where d(l, e) is the largest distance, then where
+                # d(l, m) is, then where d(m, e) is
+                bits = self.beyond(l, m, r)
+                if isosceles:
+                    if candidates[l] >> m & 1:
+                        bits |= self.below(l, r) & self.below(m, r)
+                    bits |= self.beyond(m, l, r)
+                for e in _members(bits):
+                    yield l, m, e
+
+
+def _checked_analysis(space) -> _TableAnalysis:
+    _check_axiom_size(len(space))
+    return space._analysis
 
 
 def check_axioms(space) -> AxiomReport:
     """Verify the three ultrametric axioms on every pair and triple.
 
-    Works on anything exposing ``elements``, ``scale`` and
-    ``index_matrix()``, including product spaces.  Violations carry the
-    witnessing elements; the list is capped to keep reports readable.
+    Works on a :class:`FiniteUltrametricSpace` or a :class:`ProductSpace`.
+    Violations carry the witnessing elements; each kind is capped at
+    :data:`_MAX_WITNESSES` to keep reports readable.
     """
-    import numpy as np
-    D = _space_matrix(space)
+    analysis = _checked_analysis(space)
+    rows = analysis.rows
     els = space.elements
-    n = len(els)
-    violations: list[AxiomViolation] = []
+    violations = [AxiomViolation("identity", (els[i], els[i]))
+                  for i in analysis.loops[:_MAX_WITNESSES]]
 
-    diag = np.diagonal(D)
-    for i in np.flatnonzero(diag != 0)[:_MAX_WITNESSES]:
-        violations.append(AxiomViolation("identity", (els[i], els[i])))
-    off_zero = (D == 0) & ~np.eye(n, dtype=bool)
-    seen_pairs = set()
-    for i, j in np.argwhere(off_zero):
-        pair = (min(i, j), max(i, j))
-        if pair in seen_pairs or len(seen_pairs) >= _MAX_WITNESSES:
-            continue
-        seen_pairs.add(pair)
-        violations.append(AxiomViolation("identity", (els[pair[0]], els[pair[1]])))
+    # a pair of zero distance is listed where its first zero shows in
+    # row order
+    zeros = ((min(i, j), max(i, j)) for i, row in enumerate(rows)
+             if row.count(0) > (row[i] == 0)
+             for j, d in enumerate(row)
+             if not d and j != i and (j > i or rows[j][i]))
+    violations.extend(
+        AxiomViolation("identity", (els[i], els[j]))
+        for i, j in itertools.islice(zeros, _MAX_WITNESSES))
 
-    asym = np.argwhere(D != D.T)
-    count = 0
-    for i, j in asym:
-        if i < j and count < _MAX_WITNESSES:
-            violations.append(AxiomViolation("symmetry", (els[i], els[j])))
-            count += 1
+    asymmetric = ((i, j) for i, (row, column) in
+                  enumerate(zip(rows, analysis.columns)) if row != column
+                  for j in range(i + 1, len(row)) if row[j] != column[j])
+    violations.extend(
+        AxiomViolation("symmetry", (els[i], els[j]))
+        for i, j in itertools.islice(asymmetric, _MAX_WITNESSES))
 
-    tri_count = 0
-    for m in range(n):
-        if tri_count >= _MAX_WITNESSES:
-            break
-        bound = np.maximum(D[:, m][:, None], D[m, :][None, :])
-        bad = np.argwhere(D > bound)
-        for l, e in bad:
-            if tri_count >= _MAX_WITNESSES:
-                break
-            violations.append(
-                AxiomViolation("strong-triangle", (els[l], els[m], els[e])))
-            tri_count += 1
-
+    violations.extend(
+        AxiomViolation("strong-triangle", (els[l], els[m], els[e]))
+        for l, m, e in itertools.islice(analysis.triangles(False),
+                                        _MAX_WITNESSES))
     return AxiomReport(not violations, tuple(violations))
 
 
 def check_isosceles(space) -> AxiomReport:
     """Every triple must have its two largest distances equal."""
-    import numpy as np
-    D = _space_matrix(space)
+    triangles = _checked_analysis(space).triangles(True)
     els = space.elements
-    n = len(els)
-    violations = []
-    for m in range(n):
-        a = D[:, m][:, None]
-        b = D[m, :][None, :]
-        top = np.maximum(np.maximum(a, b), D)
-        hits = (a == top).astype(np.int8) + (b == top) + (D == top)
-        for l, e in np.argwhere(hits < 2):
-            if len(violations) >= _MAX_WITNESSES:
-                return AxiomReport(False, tuple(violations))
-            violations.append(
-                AxiomViolation("isosceles", (els[l], els[m], els[e])))
-    return AxiomReport(not violations, tuple(violations))
+    violations = tuple(
+        AxiomViolation("isosceles", (els[l], els[m], els[e]))
+        for l, m, e in itertools.islice(triangles, _MAX_WITNESSES))
+    return AxiomReport(not violations, violations)
 
 
 _END_MARKER = object()
@@ -374,23 +524,39 @@ def check_spherical_completeness(space) -> CompletenessReport:
     That is the whole test: the chain of the balls containing a ball ``b``
     includes ``b`` itself, so it intersects to ``b``, which is never empty.
     Every finite ultrametric passes; a table that is not one may fail, with
-    two overlapping balls as the witness.
+    two overlapping balls as the witness: the first such pair when the
+    balls are ordered by size, then by their elements in canonical order.
     """
-    import numpy as np
-    n = len(space.elements)
+    n = len(space)
     if n > _BALL_ENUM_MAX_ELEMENTS:
         raise SizeLimitError(
             f"ball enumeration over {n} elements exceeds the cap "
             f"{_BALL_ENUM_MAX_ELEMENTS}")
-    D = space.index_matrix()
+    analysis = space._analysis
+    if analysis.valid:
+        return CompletenessReport(True)
+    balls = set()
+    for row in analysis.rows:
+        # the elements within each distance of the row, nearest first
+        ball, last = 0, None
+        for e in sorted(range(n), key=row.__getitem__):
+            if row[e] != last and ball:
+                balls.add(ball)
+            ball |= 1 << e
+            last = row[e]
+        balls.add(ball)
     els = space.elements
-    balls = sorted({frozenset(els[i] for i in np.flatnonzero(row))
-                    for r in range(len(space.scale))
-                    for row in np.unique(D <= r, axis=0) if row.any()},
-                   key=lambda b: (len(b), canonical_key(b)))
-    for a, b in itertools.combinations(balls, 2):
-        if a & b and not (a <= b or b <= a):
-            return CompletenessReport(False, (a, b))
+    rank = [0] * n
+    for k, i in enumerate(sorted(range(n),
+                                 key=lambda i: canonical_key(els[i]))):
+        rank[i] = k
+    ordered = sorted(balls, key=lambda b: (
+        b.bit_count(), sorted([rank[i] for i in _members(b)])))
+    for a, b in itertools.combinations(ordered, 2):
+        common = a & b
+        if common and common != a:
+            return CompletenessReport(False, tuple(
+                frozenset(els[i] for i in _members(ball)) for ball in (a, b)))
     return CompletenessReport(True)
 
 
@@ -477,6 +643,13 @@ class ProductSpace:
 
     def index_matrix(self) -> np.ndarray:
         return self._matrix
+
+    def index_rows(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._matrix.tolist()))
+
+    @cached_property
+    def _analysis(self) -> _TableAnalysis:
+        return _TableAnalysis(self.index_rows())
 
     def ball_labels(self) -> np.ndarray:
         """The ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
@@ -625,8 +798,9 @@ def load_space(source) -> FiniteUltrametricSpace:
     """Load a space description file (JSON).
 
     Fields: ``elements`` (strings), ``scale`` (labels ascending, first
-    ``"0"``), ``dist`` (triples ``[m, n, label]``).  A missing ``(m, n)``
-    entry defaults from ``(n, m)``; a missing diagonal defaults to ``"0"``.
+    ``"0"``), ``dist`` (triples ``[m, n, label]``, each ordered pair at
+    most once).  A missing ``(m, n)`` entry defaults from ``(n, m)``; a
+    missing diagonal defaults to ``"0"``.
     A file listing more elements than :func:`check_axioms` accepts raises
     :class:`SizeLimitError` before its table is built.
     """
@@ -644,6 +818,9 @@ def load_space(source) -> FiniteUltrametricSpace:
         table = {}
         for entry in typed(doc.get("dist", []), list, what):
             m, n, label = typed(entry, [str], what, 3)
+            if (m, n) in table:
+                raise MalformedSpaceError(
+                    f"dist lists the pair ({m!r}, {n!r}) twice")
             table[(m, n)] = label
     for m, n in itertools.product(elements, repeat=2):
         if (m, n) in table:

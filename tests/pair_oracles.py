@@ -13,7 +13,8 @@ an admissibility check that scans every delay.  The ordering key is
 checked against its plain ``isinstance`` chain.
 
 The remaining references keep earlier versions of library passes that
-were since rewritten: per-radius ball labels, the height search over
+were since rewritten: per-radius ball labels, the numpy space checks,
+the height search over
 every order-canonical assignment with every row gathered, the image
 hulls over state tuples, and the typed-set domain check.
 """
@@ -33,8 +34,11 @@ from acokit.ultrametric import (
     NOT_CONTRACTION,
     STRICT_CONTRACTION,
     STRICT_ON_ORBITS,
+    AxiomReport,
+    AxiomViolation,
+    CompletenessReport,
 )
-from acokit.util import sorted_canonical
+from acokit.util import canonical_key, sorted_canonical
 
 
 def classify_by_pairs(space, sigma):
@@ -93,6 +97,91 @@ def ball_labels_by_radius(space):
                 f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
                 f"= {values[D[y, z]]!r}")
     return labels
+
+
+# the numpy space checks as they read before the plain-Python table
+# analysis replaced them: every triple of a middle element at a time, and
+# the balls of each radius as the distinct rows of one threshold matrix
+_MAX_WITNESSES = 200
+
+
+def axioms_by_numpy(space):
+    """:func:`ultrametric.check_axioms` as its numpy loop first read."""
+    import numpy as np
+    D = space.index_matrix()
+    els = space.elements
+    n = len(els)
+    violations = []
+
+    diag = np.diagonal(D)
+    for i in np.flatnonzero(diag != 0)[:_MAX_WITNESSES]:
+        violations.append(AxiomViolation("identity", (els[i], els[i])))
+    off_zero = (D == 0) & ~np.eye(n, dtype=bool)
+    seen_pairs = set()
+    for i, j in np.argwhere(off_zero):
+        pair = (min(i, j), max(i, j))
+        if pair in seen_pairs or len(seen_pairs) >= _MAX_WITNESSES:
+            continue
+        seen_pairs.add(pair)
+        violations.append(AxiomViolation("identity", (els[pair[0]], els[pair[1]])))
+
+    asym = np.argwhere(D != D.T)
+    count = 0
+    for i, j in asym:
+        if i < j and count < _MAX_WITNESSES:
+            violations.append(AxiomViolation("symmetry", (els[i], els[j])))
+            count += 1
+
+    tri_count = 0
+    for m in range(n):
+        if tri_count >= _MAX_WITNESSES:
+            break
+        bound = np.maximum(D[:, m][:, None], D[m, :][None, :])
+        bad = np.argwhere(D > bound)
+        for l, e in bad:
+            if tri_count >= _MAX_WITNESSES:
+                break
+            violations.append(
+                AxiomViolation("strong-triangle", (els[l], els[m], els[e])))
+            tri_count += 1
+
+    return AxiomReport(not violations, tuple(violations))
+
+
+def isosceles_by_numpy(space):
+    """:func:`ultrametric.check_isosceles` as its numpy loop first read."""
+    import numpy as np
+    D = space.index_matrix()
+    els = space.elements
+    n = len(els)
+    violations = []
+    for m in range(n):
+        a = D[:, m][:, None]
+        b = D[m, :][None, :]
+        top = np.maximum(np.maximum(a, b), D)
+        hits = (a == top).astype(np.int8) + (b == top) + (D == top)
+        for l, e in np.argwhere(hits < 2):
+            if len(violations) >= _MAX_WITNESSES:
+                return AxiomReport(False, tuple(violations))
+            violations.append(
+                AxiomViolation("isosceles", (els[l], els[m], els[e])))
+    return AxiomReport(not violations, tuple(violations))
+
+
+def completeness_by_numpy(space):
+    """:func:`ultrametric.check_spherical_completeness` as it first read:
+    one ``np.unique`` of the threshold rows per radius."""
+    import numpy as np
+    D = space.index_matrix()
+    els = space.elements
+    balls = sorted({frozenset(els[i] for i in np.flatnonzero(row))
+                    for r in range(len(space.scale))
+                    for row in np.unique(D <= r, axis=0) if row.any()},
+                   key=lambda b: (len(b), canonical_key(b)))
+    for a, b in itertools.combinations(balls, 2):
+        if a & b and not (a <= b or b <= a):
+            return CompletenessReport(False, (a, b))
+    return CompletenessReport(True)
 
 
 def canonical_key_by_isinstance(value):

@@ -125,6 +125,18 @@ def test_bundled_spaces_and_operator(capsys, command, path, flags, expected):
     assert code == expected and out
 
 
+def test_the_parser_is_built_once_per_process(capsys):
+    from acokit.cli import build_parser
+    assert build_parser() is build_parser()
+    # a rejected command leaves it as it was
+    with pytest.raises(SystemExit):
+        main(["space", "check", "--no-such-flag"])
+    capsys.readouterr()
+    code, out, _ = run_cli(capsys, "space", "check",
+                           corpus_path("spaces", "heights.json"))
+    assert (code, out.splitlines()[-1]) == (EXIT_OK, "result: PASS")
+
+
 def test_space_check_refuses_an_over_cap_space_before_building_it(
         tmp_path, capsys):
     # no dist entries: a table built first would be refused for a
@@ -531,6 +543,11 @@ MALFORMED_FILES = [
                   "dist": [["a", "1", "1"]]}, id="int-element"),
     pytest.param(("space", "check", "DOC"),
                  {"elements": ["a"], "scale": ["0", 1]}, id="int-scale-label"),
+    # a file states each distance once
+    pytest.param(("space", "check", "DOC"),
+                 {"elements": ["a", "b"], "scale": ["0", "1", "2"],
+                  "dist": [["a", "b", "1"], ["a", "b", "2"]]},
+                 id="dist-pair-twice"),
     pytest.param(("space", "check", "DOC"),
                  {"elements": ["a", "b"], "scale": ["0", "1"],
                   "dist": [["a", "b", 1]]}, id="int-dist-label"),
@@ -785,17 +802,25 @@ def test_cli_import_needs_no_package_outside_the_stdlib():
     assert proc.stdout == "[]\n"
 
 
-# commands that run no numpy pass; OP is an operator file, TRACE a CSV path
+# every command, none of which runs a numpy pass, with its exit code; OP
+# is an operator file, TRACE a CSV path
 _NUMPY_FREE_COMMANDS = [
-    ("aco", "census"),
-    ("routing", "check", corpus_path("ring3.json")),
-    ("routing", "solve", corpus_path("ring3.json"), "--mode", "async",
-     "--schedules", "5", "--trace", "TRACE"),
-    ("logic", "solve", corpus_path("logic", "mixed.pl"), "--mode", "async",
-     "--schedules", "5"),
-    ("aco", "certify", "OP", "--schedules", "5"),
-    ("run", "async", "OP"),
+    (("aco", "census"), EXIT_OK),
+    (("routing", "check", corpus_path("ring3.json")), EXIT_OK),
+    (("routing", "solve", corpus_path("ring3.json")), EXIT_OK),
+    (("routing", "solve", corpus_path("ring3.json"), "--mode", "async",
+      "--schedules", "5", "--trace", "TRACE"), EXIT_OK),
+    (("logic", "solve", corpus_path("logic", "mixed.pl")), EXIT_OK),
+    (("logic", "solve", corpus_path("logic", "mixed.pl"), "--mode", "async",
+      "--schedules", "5"), EXIT_OK),
+    (("aco", "certify", "OP", "--schedules", "5"), EXIT_OK),
+    (("run", "sync", "OP"), EXIT_OK),
+    (("run", "async", "OP"), EXIT_OK),
+    (("space", "check", corpus_path("spaces", "heights.json")), EXIT_OK),
+    (("space", "check", corpus_path("spaces", "broken_triangle.json")),
+     EXIT_FAIL),
 ]
+_NUMPY_FREE_EXITS = "".join(f"exit {code}\n" for _, code in _NUMPY_FREE_COMMANDS)
 
 
 def _run_numpy_free_commands(tmp_path, prelude, modules=("numpy",)):
@@ -804,7 +829,8 @@ def _run_numpy_free_commands(tmp_path, prelude, modules=("numpy",)):
     loaded."""
     files = {"OP": _operator_file(tmp_path, start=[1, 1]),
              "TRACE": str(tmp_path / "trace.csv")}
-    argvs = [[files.get(a, a) for a in argv] for argv in _NUMPY_FREE_COMMANDS]
+    argvs = [[files.get(a, a) for a in argv]
+             for argv, _ in _NUMPY_FREE_COMMANDS]
     script = (f"import sys\n{prelude}\n"
               "import acokit, acokit.cli\n"
               f"for argv in {argvs!r}:\n"
@@ -817,9 +843,14 @@ def _run_numpy_free_commands(tmp_path, prelude, modules=("numpy",)):
     return proc.stdout
 
 
+def _exit_lines(out):
+    return "".join(line + "\n" for line in out.splitlines()
+                   if line.startswith("exit "))
+
+
 def test_commands_without_a_numpy_pass_leave_numpy_unimported(tmp_path):
     out = _run_numpy_free_commands(tmp_path, "")
-    assert out.count("exit 0\n") == len(_NUMPY_FREE_COMMANDS)
+    assert _exit_lines(out) == _NUMPY_FREE_EXITS
     assert out.endswith("numpy loaded: False\n")
     # an import of numpy would now raise ImportError
     assert _run_numpy_free_commands(
@@ -833,7 +864,7 @@ def test_cli_commands_leave_dataclasses_and_inspect_unimported(tmp_path):
     # numbers) are loaded only on demand
     modules = ("dataclasses", "inspect", "logging", "fractions")
     out = _run_numpy_free_commands(tmp_path, "", modules)
-    assert out.count("exit 0\n") == len(_NUMPY_FREE_COMMANDS)
+    assert _exit_lines(out) == _NUMPY_FREE_EXITS
     assert out.endswith("".join(f"{name} loaded: False\n"
                                 for name in modules))
 

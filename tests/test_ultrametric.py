@@ -5,12 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit import ultrametric
-from acokit.errors import InvalidHeightError, MalformedSpaceError
+from acokit.errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
 from acokit.ultrametric import (
+    AxiomViolation,
     FiniteUltrametricSpace,
     ProductSpace,
     RadiusScale,
@@ -29,7 +30,9 @@ from acokit.ultrametric import (
     STRICT_ON_ORBITS,
 )
 from conftest import ball_from_labels
-from pair_oracles import ball_labels_by_radius, classify_by_pairs
+from pair_oracles import (axioms_by_numpy, ball_labels_by_radius,
+                          classify_by_pairs, completeness_by_numpy,
+                          isosceles_by_numpy)
 
 
 def brute_force_axioms(elements, dist):
@@ -220,7 +223,10 @@ def test_cached_distance_and_label_arrays_are_read_only():
         for array in (space.index_matrix(), space.ball_labels()):
             with pytest.raises(ValueError, match="read-only"):
                 array[0, 0] = 1
+        assert space.index_matrix() is space.index_matrix()
         assert space.ball_labels() is space.ball_labels()
+        assert space.index_matrix().tolist() == [
+            list(row) for row in space.index_rows()]
 
 
 @st.composite
@@ -517,3 +523,160 @@ def test_load_space_defaults_and_validation(tmp_path):
     with pytest.raises(MalformedSpaceError):
         load_space({"elements": ["a"], "scale": ["0"],
                     "dist": [["a", "z", "0"]]})
+
+
+def _space_reports(space):
+    return (check_axioms(space), check_isosceles(space),
+            check_spherical_completeness(space))
+
+
+def _reference_reports(space):
+    return (axioms_by_numpy(space), isosceles_by_numpy(space),
+            completeness_by_numpy(space))
+
+
+# not in canonical order, so that the ball order of the completeness
+# witness differs from element order
+_CHECKED_ELEMENTS = ("b", "a", 3, 1, (0, "x"), "c", 2.5, "a1", (1,))
+
+
+@st.composite
+def checked_spaces(draw):
+    """A space of 1-9 elements for the three checks.  Half are valid
+    height tables.  The others are height tables or tables of random
+    labels (symmetric or not, with a zero diagonal or not) with up to two
+    entries changed, in one order or both, so that off-diagonal zeros,
+    nonzero diagonals and asymmetric pairs all occur.  One in five is a
+    product of one or two such tables of 1-3 elements.  Up to 12 distance
+    labels are drawn, and the scale may hold two more that no entry
+    uses."""
+    levels = draw(st.integers(2, 12))
+    scale = RadiusScale(tuple(range(levels + draw(st.integers(0, 2)))))
+    label = st.integers(0, levels - 1)
+    valid = draw(st.booleans())
+
+    def table(n):
+        if valid or draw(st.booleans()):
+            h = draw(st.lists(st.integers(1, levels - 1),
+                              min_size=n, max_size=n))
+            D = [[0 if i == j else max(h[i], h[j]) for j in range(n)]
+                 for i in range(n)]
+        else:
+            D = [[draw(label) for _ in range(n)] for _ in range(n)]
+            if draw(st.booleans()):
+                D = [[D[min(i, j)][max(i, j)] for j in range(n)]
+                     for i in range(n)]
+            if draw(st.booleans()):
+                for i in range(n):
+                    D[i][i] = 0
+        for _ in range(0 if valid else draw(st.integers(0, 2))):
+            i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+            D[i][j] = draw(label)
+            if draw(st.booleans()):
+                D[j][i] = D[i][j]
+        return D
+
+    def space(elements):
+        D = table(len(elements))
+        return FiniteUltrametricSpace(elements, scale, {
+            (m, e): D[i][j] for i, m in enumerate(elements)
+            for j, e in enumerate(elements)})
+
+    if draw(st.integers(0, 4)) == 0:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=2))
+        return ProductSpace(tuple(
+            space(tuple(f"c{c}v{k}" for k in range(size)))
+            for c, size in enumerate(sizes)))
+    n = draw(st.integers(1, 9))
+    return space(draw(st.permutations(_CHECKED_ELEMENTS))[:n])
+
+
+@settings(max_examples=300)
+@given(checked_spaces())
+def test_space_checks_equal_the_numpy_references(space):
+    # the same reports, violations in the same order
+    assert _space_reports(space) == _reference_reports(space)
+
+
+def test_space_checks_cap_witnesses_as_the_references():
+    rng = random.Random(20261020)
+    elements = tuple(f"e{k}" for k in range(14))
+    for symmetric in (False, True):
+        D = [[rng.randrange(5) for _ in elements] for _ in elements]
+        for i, j in itertools.product(range(len(elements)), repeat=2):
+            if symmetric:
+                D[i][j] = 0 if i == j else D[min(i, j)][max(i, j)]
+        space = FiniteUltrametricSpace(elements, RadiusScale(range(5)), {
+            (m, e): D[i][j] for i, m in enumerate(elements)
+            for j, e in enumerate(elements)})
+        reports = _space_reports(space)
+        assert reports == _reference_reports(space)
+        axioms, isosceles, _ = reports
+        assert len(isosceles.violations) == 200
+        assert sum(v.axiom == "strong-triangle"
+                   for v in axioms.violations) == 200
+
+
+def _family_doc(family, n, rng):
+    """A space file of one of the table families the checks are timed on:
+    4 height levels, distinct heights (valid ultrametrics), a height space
+    with one entry raised above the strong triangle bound (as the
+    benchmark's broken space), and distinct heights with one raised
+    entry."""
+    elements = [f"e{i}" for i in range(n)]
+    if family in ("levels", "broken"):
+        top = 4 if family == "levels" else 3
+        h = [rng.randint(1, top) for _ in elements]
+        scale = 5
+    else:
+        h = rng.sample(range(1, n + 1), n)
+        scale = n + 2
+    dist = [[elements[i], elements[j], str(max(h[i], h[j]))]
+            for i, j in itertools.combinations(range(n), 2)]
+    if family in ("broken", "raised"):
+        dist[rng.randrange(len(dist))][2] = str(scale - 1)
+    return {"elements": elements,
+            "scale": [str(v) for v in range(scale)], "dist": dist}
+
+
+@pytest.mark.parametrize("family", ["levels", "distinct", "broken", "raised"])
+def test_space_checks_equal_the_references_on_128_elements(family):
+    space = load_space(_family_doc(family, 128, random.Random(128)))
+    reports = _space_reports(space)
+    assert reports == _reference_reports(space)
+    assert all(r.ok for r in reports) == (family in ("levels", "distinct"))
+
+
+def test_space_check_caps_are_checked_before_any_table_is_built():
+    scale = RadiusScale((0, 1))
+
+    def product(*sizes):
+        return ProductSpace(tuple(
+            height_space(range(size), dict.fromkeys(range(size), 1), scale)
+            for size in sizes))
+
+    over = product(33, 32)
+    for check in (check_axioms, check_isosceles):
+        with pytest.raises(SizeLimitError) as raised:
+            check(over)
+        assert str(raised.value) == (
+            "axiom check over 1056 elements exceeds the desk-scale cap 1024")
+    far_over = product(65, 64)
+    with pytest.raises(SizeLimitError) as raised:
+        check_spherical_completeness(far_over)
+    assert str(raised.value) == (
+        "ball enumeration over 4160 elements exceeds the cap 4096")
+    for space in (over, far_over):
+        assert not {"elements", "_matrix", "_analysis"} & set(vars(space))
+
+
+def test_load_space_refuses_a_pair_listed_twice():
+    doc = {"elements": ["a", "b"], "scale": ["0", "1", "2"],
+           "dist": [["a", "b", "1"], ["a", "b", "2"]]}
+    with pytest.raises(MalformedSpaceError) as raised:
+        load_space(doc)
+    assert str(raised.value) == "dist lists the pair ('a', 'b') twice"
+    # the two orders of a pair are two entries
+    doc["dist"][1] = ["b", "a", "2"]
+    assert check_axioms(load_space(doc)).violations == (
+        AxiomViolation("symmetry", ("a", "b")),)
