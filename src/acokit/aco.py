@@ -32,7 +32,8 @@ from .ultrametric import (
     RadiusScale,
     classify_contraction,
 )
-from .util import jsonable, logger, refuse_assignment, sorted_canonical
+from .util import (canonical_key, jsonable, logger, refuse_assignment,
+                   sorted_canonical)
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -290,14 +291,18 @@ def _image_hulls(op: DecomposedOperator) -> list[Box]:
     last drops at least one value, so there are at most
     ``sum(|D_i|) - k + 1`` boxes.  :func:`_hulls` iterates them on the
     operator's :meth:`~DecomposedOperator.image_indices`; each mask is
-    read back here as a box.
+    read back here as a box.  Each domain's ``(column, value)`` pairs are
+    sorted by :func:`~acokit.util.canonical_key` once, so every component
+    read off them is already in canonical order; the domains' values are
+    distinct, so no component has duplicates.
     """
     sizes = tuple(map(len, op.domains))
     starts = itertools.accumulate(sizes, initial=0)
-    columns = [tuple(enumerate(dom, start))
+    columns = [sorted(enumerate(dom, start),
+                      key=lambda cv: canonical_key(cv[1]))
                for dom, start in zip(op.domains, starts)]
-    return [_normalize_box([v for c, v in comp if hull >> c & 1]
-                           for comp in columns)
+    return [tuple(tuple(v for c, v in comp if hull >> c & 1)
+                  for comp in columns)
             for hull in _hulls(sizes, op.image_indices())]
 
 
@@ -501,6 +506,17 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     points (the identity, say) qualifies under every metric yet its
     asynchronous runs can settle on either point.  Without this condition
     the two search verdicts could not agree.
+
+    Past the cap, an operator whose image hulls (:func:`_hulls`) stop at
+    a box with more than one member returns ``None`` before any condition
+    is built.  This is exact (Proof A in ROADMAP.md): under a product
+    height metric with one fixed point ``x*`` that is strict on orbits,
+    every orbit ends at ``x*`` and ``d(F(x), x*) < d(x, x*)`` for every
+    other ``x``, so the balls about ``x*``, which are boxes, form a box
+    chain, and :func:`search_box_sequence` finds one whenever any exists.
+    The proof uses only the one fixed point and strictness on orbits,
+    never contraction on all pairs, so the gate stays exact for any
+    metric class that keeps those two conditions.
     """
     fixed = len(_fixed_points(op))
     if fixed != 1:
@@ -510,9 +526,13 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     if op.size() > MAX_SEARCH_STATES:
         raise SizeLimitError(f"{op.size()} states exceed the ultrametric "
                              f"search cap {MAX_SEARCH_STATES}")
+    sizes = _metric_sizes(op.domains)
     sigma = op.image_indices()
-    heights, conditions, rounds = _greatest_heights(
-        _metric_sizes(op.domains), sigma)
+    if _hulls(sizes, sigma)[-1].bit_count() > len(sizes):
+        logger().debug("search_ultrametric: states=%d gate=box-chain",
+                       len(sigma))
+        return None
+    heights, conditions, rounds = _greatest_heights(sizes, sigma)
     logger().debug("search_ultrametric: states=%d conditions=%d rounds=%d "
                    "verdict=%s", len(sigma), conditions, rounds,
                    "none" if heights is None else "found")
@@ -637,10 +657,13 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
     translate ``G(tau_t(s)) = tau_t(F(s))`` of a map ``F`` gets both
     verdicts of ``F``, and the translations act regularly on the states.
     So only the ``(n - 1) ** (n - 1)`` maps whose one fixed point is state
-    0 go through the :func:`_hulls` and :func:`_greatest_heights` of the
-    two searches, in ``itertools.product`` order: each count is ``n``
-    times the count found, and each mismatch is listed with its ``n``
-    translates, all in ``itertools.product`` order.  Each metric found is
+    0 go through the :func:`_hulls` of the box search, in
+    ``itertools.product`` order, and only those with a box chain through
+    the :func:`_greatest_heights` of the metric search: as in
+    :func:`search_ultrametric`, a map without a chain has no metric
+    (Proof A in ROADMAP.md).  Each count is ``n`` times the count found,
+    and each mismatch is listed with its ``n`` translates, all in
+    ``itertools.product`` order.  Each metric found is
     confirmed by :func:`_confirm`, which builds no space; a disagreement
     raises :class:`SemanticsError`.  Bad domains raise
     :class:`PreconditionError` as for any operator, and more than
@@ -659,28 +682,27 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
     digits = list(itertools.product(*map(range, sizes)))
     shift = [[digits.index(tuple((a + b) % m for a, b, m in zip(t, c, sizes)))
               for c in digits] for t in digits]
-    chains = metrics = acos = 0
+    chains = metrics = 0
     found = []  # (image indices, by boxes, by metric) of every mismatch
     for sigma in itertools.product((0,), *(
             [f for f in range(count) if f != s] for s in range(1, count))):
-        by_boxes = _hulls(sizes, sigma)[-1].bit_count() == len(sizes)
+        if _hulls(sizes, sigma)[-1].bit_count() > len(sizes):
+            continue  # no box chain, so no metric either
+        chains += 1
         heights = _greatest_heights(sizes, sigma)[0]
-        by_metric = heights is not None
-        if by_metric:
+        if heights is not None:
             _confirm(domains, sigma, heights)
-        chains += by_boxes
-        metrics += by_metric
-        acos += by_boxes and by_metric
-        if by_boxes != by_metric:
+            metrics += 1
+        else:
             found += [(tuple(tau[sigma[tau.index(u)]] for u in range(count)),
-                       by_boxes, by_metric) for tau in shift]
+                       True, False) for tau in shift]
     logger().debug("equivalence_census: states=%d maps=%d translations=%d "
-                   "box_chains=%d metrics=%d mismatches=%d", count,
-                   (count - 1) ** (count - 1), count, chains, metrics,
-                   len(found) // count)
+                   "box_chains=%d metric_searches=%d metrics=%d "
+                   "mismatches=%d", count, (count - 1) ** (count - 1), count,
+                   chains, chains, metrics, len(found) // count)
     mismatches = tuple(
         (tuple(sorted(zip(states, map(states.__getitem__, image)))), *verdicts)
         for image, *verdicts in sorted(found))
     total = count ** count
-    return CensusResult(total, total - len(mismatches), count * acos,
+    return CensusResult(total, total - len(mismatches), count * metrics,
                         mismatches)

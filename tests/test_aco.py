@@ -144,10 +144,19 @@ def test_search_rejects_images_outside_the_domain(image, use):
         use(leaky)
 
 
+def _metric_without_the_chain_gate(op):
+    """Whether some product height metric with one fixed point makes
+    ``op`` a contraction strict on orbits, searched on every map with
+    one fixed point, whether or not it has a box chain."""
+    return len(aco._fixed_points(op)) == 1 and aco._greatest_heights(
+        aco._metric_sizes(op.domains), op.image_indices())[0] is not None
+
+
 def test_box_census_3x2():
     # every self-map of the 3x2 domain through both searches, never
-    # sampled down: every product height metric found has a box chain,
-    # but not every box chain has one
+    # sampled down: every product height metric found has a box chain
+    # (Proof A, which search_ultrametric's gate relies on, so the heights
+    # are searched here without it), but not every box chain has one
     domains = ((0, 1, 2), (0, 1))
     states = list(itertools.product(*domains))
     total = certified = found = 0
@@ -160,7 +169,8 @@ def test_box_census_3x2():
         if seq is not None:
             certified += 1
             assert verify_box_sequence(op, seq).ok
-        metric = search_ultrametric(op) is not None
+        metric = _metric_without_the_chain_gate(op)
+        assert (search_ultrametric(op) is not None) == metric
         if metric:
             found += 1
             assert seq is not None
@@ -182,8 +192,10 @@ def test_box_census_3x2():
     ((0, 1, 2, 3), (0,)),
 ], ids=["2x2", "2x1x2", "3x1", "4x1"])
 def test_equivalence_census_matches_a_walk_over_every_table(domains):
-    # the census searches only the maps fixed at state 0 and multiplies;
-    # both searches on every table must give the same counts and list
+    # the census searches only the maps fixed at state 0, and their
+    # heights only where they have a box chain, and multiplies; both
+    # searches on every table, the heights with no chain gate, must give
+    # the same counts and list
     states = list(itertools.product(*domains))
     total = agreements = both = 0
     differ = []
@@ -191,7 +203,8 @@ def test_equivalence_census_matches_a_walk_over_every_table(domains):
         table = dict(zip(states, images))
         op = DecomposedOperator.from_table(domains, table)
         by_boxes = search_box_sequence(op) is not None
-        by_metric = search_ultrametric(op) is not None
+        by_metric = _metric_without_the_chain_gate(op)
+        assert by_boxes or not by_metric
         total += 1
         agreements += by_boxes == by_metric
         both += by_boxes and by_metric
@@ -201,6 +214,14 @@ def test_equivalence_census_matches_a_walk_over_every_table(domains):
     census = equivalence_census(domains)
     assert census == (total, agreements, both, tuple(differ))
     assert both > 0
+
+
+def test_box_census_2x2x2():
+    # 41,480 box chains, 13,832 of them with a product height metric
+    census = equivalence_census(((0, 1),) * 3)
+    assert census[:3] == (16_777_216, 16_749_568, 13_832)
+    assert len(census.mismatches) == 27_648
+    assert {m[1:] for m in census.mismatches} == {(True, False)}
 
 
 def _image_array(domains, tables):
@@ -357,6 +378,36 @@ def test_image_hulls_match_the_state_reference_on_deep_chains(build, size,
     assert hulls == image_hulls_by_states(op)
 
 
+@pytest.mark.parametrize("domains", [
+    (("b", "a", 1), (2, 0)), ((2.5, -1, "x", 0), ("z", 0.5)),
+], ids=["3x2", "4x2"])
+def test_image_hulls_are_in_canonical_order_on_unsorted_domains(domains):
+    # the hulls are read off each domain's values sorted once, whatever
+    # order and types the domain lists them in; the maps are drawn on
+    # value indices and relabelled
+    rng = random.Random(29)
+    index = tuple(tuple(range(len(dom))) for dom in domains)
+    states = list(itertools.product(*index))
+
+    def relabel(s):
+        return tuple(dom[i] for dom, i in zip(domains, s))
+
+    depths = set()
+    for k in range(200):
+        if k % 2:
+            table, _ = chain_table(
+                index, rng.choice,
+                lambda xs: rng.sample(xs, rng.randint(1, len(xs) - 1)))
+        else:
+            table = {s: rng.choice(states) for s in states}
+        op = DecomposedOperator.from_table(
+            domains, {relabel(s): relabel(f) for s, f in table.items()})
+        hulls = aco._image_hulls(op)
+        assert hulls == image_hulls_by_states(op)
+        depths.add(len(hulls))
+    assert len(depths) > 2
+
+
 def test_equivalence_census_raises_when_the_classifier_disagrees(
         monkeypatch):
     # heights under which every two states are at distance 1: the second
@@ -380,15 +431,16 @@ def test_equivalence_census_rejects_bad_domains(domains, message):
 
 
 def test_equivalence_census_logs_counters(caplog):
-    # counted over the 27 maps whose one fixed point is state 0; the 7
-    # metrics are confirmed by the height check, which builds no space and
-    # runs no classifier
+    # counted over the 27 maps whose one fixed point is state 0; the
+    # heights are searched on the 7 with a box chain, and the 7 metrics
+    # are confirmed by the height check, which builds no space and runs
+    # no classifier
     with caplog.at_level(logging.DEBUG, logger="acokit"):
         census = equivalence_census()
     assert census.aco_count == 4 * 7
     assert caplog.messages == [
         "equivalence_census: states=4 maps=27 translations=4 box_chains=7 "
-        "metrics=7 mismatches=0"]
+        "metric_searches=7 metrics=7 mismatches=0"]
 
 
 def test_search_ultrametric_examples():
@@ -401,21 +453,27 @@ def test_search_ultrametric_examples():
 
 
 def test_search_ultrametric_logs_counters(caplog):
-    # one fixed point and a 2-cycle, which no metric makes strict on orbits
+    # one fixed point and a 2-cycle, whose image hulls stop at the whole
+    # domain; the 3x2 gap witness has a box chain but no metric
     cycling = op_from_map({(0, 0): (0, 0), (0, 1): (1, 0), (1, 0): (0, 1),
                            (1, 1): (0, 0)})
+    gap = DecomposedOperator.from_table(((0, 1, 2), (0, 1)), {
+        (0, 0): (1, 0), (0, 1): (2, 0), (1, 0): (2, 1),
+        (1, 1): (2, 0), (2, 0): (2, 1), (2, 1): (2, 1)})
     with caplog.at_level(logging.DEBUG, logger="acokit"):
         search_ultrametric(constant_op())
         search_ultrametric(swap_op())
         search_ultrametric(cycling)
+        assert search_ultrametric(gap) is None
     # the constant map's images never differ and never move twice; the
-    # cycle has five pairs with differing images and two moved states
-    # whose image moves too, and its second pass finds a bound below 0;
-    # the metric found is confirmed by the height check, which logs nothing
+    # cycle is turned away before any condition is built; the witness's
+    # 14 conditions have no solution, which the fourth pass shows; the
+    # metric found is confirmed by the height check, which logs nothing
     assert caplog.messages == [
         "search_ultrametric: states=4 conditions=0 rounds=1 verdict=found",
         "search_ultrametric: fixed_points=2 gate=unique-fixed-point",
-        "search_ultrametric: states=4 conditions=7 rounds=2 verdict=none"]
+        "search_ultrametric: states=4 gate=box-chain",
+        "search_ultrametric: states=6 conditions=14 rounds=4 verdict=none"]
 
 
 def heights_found(op):
@@ -555,12 +613,12 @@ def test_search_ultrametric_finds_metrics_for_shift_operators(domains):
 
 def test_equivalence_census_builds_the_height_family_once():
     # the heights of every map are solved over one per-shape table of
-    # differing values: one table for 2x2, read by each of the 27 maps
-    # whose one fixed point is state 0
+    # differing values: one table for 2x2, read by each of the 7 maps
+    # whose one fixed point is state 0 and that have a box chain
     aco._differing_values.cache_clear()
     assert equivalence_census().ok
     info = aco._differing_values.cache_info()
-    assert (info.misses, info.hits) == (1, 26)
+    assert (info.misses, info.hits) == (1, 6)
 
 
 def test_height_family_is_shared_read_only():

@@ -887,7 +887,8 @@ _CERTIFY = ("aco", "certify", corpus_path("operators", "shift2x2.json"),
 _CERTIFY_INFO = ("INFO:acokit:campaign: runs=12 ticks_used=204 ticks_drawn=33 "
                  "operator_evaluations=4\n")
 _CENSUS_DEBUG = ("DEBUG:acokit:equivalence_census: states=4 maps=27 "
-                 "translations=4 box_chains=7 metrics=7 mismatches=0\n")
+                 "translations=4 box_chains=7 metric_searches=7 metrics=7 "
+                 "mismatches=0\n")
 
 
 def _logged(level, argv):
@@ -907,8 +908,8 @@ def _logged(level, argv):
 def test_acokit_log_sets_the_level_in_any_case(level, certify_err,
                                                census_err):
     # the certify line is that of earlier versions; the census line no
-    # longer counts witness spaces, and no classify_contraction line
-    # precedes it
+    # longer counts witness spaces but counts the maps whose heights were
+    # searched, and no classify_contraction line precedes it
     assert _logged(level, _CERTIFY) == (EXIT_OK, certify_err)
     assert _logged(level, ("aco", "census")) == (EXIT_OK, census_err)
 
