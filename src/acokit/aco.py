@@ -15,9 +15,6 @@ import itertools
 import math
 from typing import NamedTuple
 
-# numpy is imported inside each function that uses it: most commands run
-# no numpy pass and start faster without it
-
 from .errors import (
     MalformedBoxError,
     PreconditionError,
@@ -162,7 +159,6 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
     product spaces).  Coinciding balls are emitted once, at their smallest
     radius.
     """
-    import numpy as np
     if set(space.elements) != set(op.iter_states()):
         raise PreconditionError(
             "space elements do not match the operator domain")
@@ -190,8 +186,8 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
     at = space.index_of(fixed)
     boxes = []
     members = None
-    for r, row in enumerate(space.ball_labels()):
-        ball = frozenset(els[i] for i in np.flatnonzero(row == row[at]))
+    for r, row in enumerate(space.ball_labels().tolist()):
+        ball = frozenset(e for e, label in zip(els, row) if label == row[at])
         if ball == members:
             continue
         members = ball
@@ -507,7 +503,7 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     asynchronous runs can settle on either point.  Without this condition
     the two search verdicts could not agree.
 
-    Past the cap, an operator whose image hulls (:func:`_hulls`) stop at
+    Within the cap, an operator whose image hulls (:func:`_hulls`) stop at
     a box with more than one member returns ``None`` before any condition
     is built.  This is exact (Proof A in ROADMAP.md): under a product
     height metric with one fixed point ``x*`` that is strict on orbits,

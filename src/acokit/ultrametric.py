@@ -34,9 +34,6 @@ STRICT_CONTRACTION = "strict-contraction"
 _AXIOM_CHECK_MAX_ELEMENTS = 1024
 _BALL_ENUM_MAX_ELEMENTS = 4096
 _MAX_WITNESSES = 200
-# most cells of any temporary array one batched numpy pass allocates: a
-# chunk of radii of the ball labels here, the census's image indices in aco
-BATCH_CELLS = 1 << 22
 
 
 class RadiusScale:
@@ -148,18 +145,6 @@ class FiniteUltrametricSpace:
         """Distance table as a tuple of rows of scale indices."""
         return self._rows
 
-    def index_matrix(self) -> np.ndarray:
-        """Distance table as a matrix of scale indices (read-only), built
-        on the first call."""
-        return self._matrix
-
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        import numpy as np
-        mat = np.array(self._rows, dtype=np.int32)
-        mat.setflags(write=False)
-        return mat
-
     @cached_property
     def _analysis(self) -> _TableAnalysis:
         return _TableAnalysis(self._rows)
@@ -167,64 +152,48 @@ class FiniteUltrametricSpace:
     def ball_labels(self) -> np.ndarray:
         """The ball label of every element at every radius (read-only).
 
-        Row ``r`` holds, for each element, the index of the smallest
-        element within distance ``r`` of it, so two elements share a
-        label exactly when they lie within ``r`` of each other.  Raises
-        :class:`MalformedSpaceError` with a witness when "within ``r``"
-        is not an equivalence relation for some ``r``, i.e. when the
-        table is not an ultrametric up to zero distances.
-
-        All radii are labelled and checked in one numpy pass, a chunk of
-        radii at a time, so that no temporary holds more than the larger
-        of ``n * n`` cells and :data:`BATCH_CELLS` for ``n`` elements.
+        Row ``r`` holds, for each element, the index of the first element
+        within distance ``r`` of it, so two elements share a label exactly
+        when they lie within ``r`` of each other.  Raises
+        :class:`MalformedSpaceError` when the table is not an ultrametric
+        up to zero distances, naming the first violation that
+        :func:`check_axioms` lists other than a pair at zero distance.
         """
         return self._ball_labels
 
     @cached_property
     def _ball_labels(self) -> np.ndarray:
         import numpy as np
-        D = self._matrix
-        els, values = self.elements, self.scale.values
-        diagonal = np.diagonal(D)
-        if diagonal.any():
-            e = np.flatnonzero(diagonal)[0]
+        analysis = self._analysis
+        if not analysis.valid:
             raise MalformedSpaceError(
-                f"not an ultrametric: d({els[e]!r}, {els[e]!r}) = "
-                f"{values[D[e, e]]!r} is not zero")
-        asymmetric = D != D.T
-        if asymmetric.any():
-            a, b = np.argwhere(asymmetric)[0]
-            raise MalformedSpaceError(
-                f"not an ultrametric: d({els[a]!r}, {els[b]!r}) = "
-                f"{values[D[a, b]]!r} but d({els[b]!r}, {els[a]!r}) = "
-                f"{values[D[b, a]]!r}")
-        labels = np.empty((len(values), len(els)), dtype=np.int64)
-        chunk = max(1, BATCH_CELLS // D.size)
-        for start in range(0, len(values), chunk):
-            radii = np.arange(start, min(start + chunk, len(values)))
-            within = D <= radii[:, None, None]
-            rows = labels[start:start + len(radii)]
-            rows[:] = within.argmax(axis=2)
-            bad = within != (rows[:, :, None] == rows[:, None, :])
-            if bad.any():
-                k = bad.any(axis=(1, 2)).argmax()
-                within, row = within[k], rows[k]
-                a, c = np.argwhere(bad[k])[0]
-                # a witness triple (x, y, z) with d(x, y) and d(y, z)
-                # within the radius but d(x, z) not
-                if not within[a, c]:
-                    x, y, z = a, row[a], c
-                elif not within[c, row[a]]:
-                    x, y, z = c, a, row[a]
-                else:
-                    x, y, z = a, c, row[c]
-                raise MalformedSpaceError(
-                    f"not an ultrametric: d({els[x]!r}, {els[z]!r}) = "
-                    f"{values[D[x, z]]!r} exceeds d({els[x]!r}, {els[y]!r}) "
-                    f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
-                    f"= {values[D[y, z]]!r}")
-        labels.setflags(write=False)
-        return labels
+                f"not an ultrametric: {self._violation(analysis)}")
+        labels = [[0] * len(self._rows) for _ in self.scale.values]
+        for x, row in enumerate(self._rows):
+            # e is the first element within d .. reach - 1 of x
+            reach = len(labels)
+            for e, d in enumerate(row):
+                if d < reach:
+                    for r in range(d, reach):
+                        labels[r][x] = e
+                    reach = d
+        out = np.array(labels, dtype=np.int64)
+        out.setflags(write=False)
+        return out
+
+    def _violation(self, analysis: _TableAnalysis) -> str:
+        """The first violation :func:`check_axioms` lists of a table that
+        is not an ultrametric, skipping the pairs at zero distance."""
+        els, values, rows = self.elements, self.scale.values, self._rows
+
+        def d(i, j):
+            return f"d({els[i]!r}, {els[j]!r}) = {values[rows[i][j]]!r}"
+        for i in analysis.loops:
+            return f"{d(i, i)} is not zero"
+        for i, j in analysis.asymmetric():
+            return f"{d(i, j)} but {d(j, i)}"
+        l, m, e = next(analysis.triangles(False))
+        return f"{d(l, e)} exceeds {d(l, m)} and {d(m, e)}"
 
 
 class AxiomViolation(NamedTuple):
@@ -312,8 +281,9 @@ def _excess_over_merges(low, high) -> list[int]:
 
 
 class _TableAnalysis:
-    """What the three space checks read of one distance table, given as
-    rows of scale indices, computed once per space.
+    """What the three space checks and the ball labels read of one
+    distance table, given as rows of scale indices, computed once per
+    space.
 
     One single linkage pass (:func:`_excess_over_merges`) over the lesser
     of ``d(x, y)`` and ``d(y, x)`` marks as candidates the pairs whose
@@ -379,6 +349,13 @@ class _TableAnalysis:
             out |= bits[k] & self.below(y, values[k])
         return out
 
+    def asymmetric(self):
+        """The index pairs ``i < j`` with ``d(i, j) != d(j, i)``, in row
+        order."""
+        return ((i, j) for i, (row, column) in
+                enumerate(zip(self.rows, self.columns)) if row != column
+                for j in range(i + 1, len(row)) if row[j] != column[j])
+
     def triangles(self, isosceles: bool):
         """The index triples ``(l, m, e)`` whose largest distance is not
         taken twice, middle element first, then ``l``, then ``e``: with
@@ -431,12 +408,9 @@ def check_axioms(space) -> AxiomReport:
         AxiomViolation("identity", (els[i], els[j]))
         for i, j in itertools.islice(zeros, _MAX_WITNESSES))
 
-    asymmetric = ((i, j) for i, (row, column) in
-                  enumerate(zip(rows, analysis.columns)) if row != column
-                  for j in range(i + 1, len(row)) if row[j] != column[j])
     violations.extend(
         AxiomViolation("symmetry", (els[i], els[j]))
-        for i, j in itertools.islice(asymmetric, _MAX_WITNESSES))
+        for i, j in itertools.islice(analysis.asymmetric(), _MAX_WITNESSES))
 
     violations.extend(
         AxiomViolation("strong-triangle", (els[l], els[m], els[e]))
@@ -626,30 +600,29 @@ class ProductSpace:
     def distance(self, m, n):
         return self.scale.values[self.distance_index(m, n)]
 
-    @cached_property
-    def _matrix(self) -> np.ndarray:
-        import numpy as np
-        total = len(self)
-        ids = np.arange(total)
-        mat = np.zeros((total, total), dtype=np.int32)
-        stride = total
-        for comp, size in zip(self.components, self._sizes):
-            stride //= size
-            digits = (ids // stride) % size
-            cm = comp.index_matrix()
-            np.maximum(mat, cm[np.ix_(digits, digits)], out=mat)
-        mat.setflags(write=False)
-        return mat
-
-    def index_matrix(self) -> np.ndarray:
-        return self._matrix
-
     def index_rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._matrix.tolist()))
+        """Distance table as a tuple of rows of scale indices: the
+        componentwise maximum of the component tables, built on the first
+        call."""
+        return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = ((0,),)
+        for comp in self.components:
+            # lifts[a][d]: row a of the component's table, each entry
+            # raised to at least d, for each distance d of the rows so
+            # far; a new row joins the lifts that an old row's entries pick
+            values = set().union(*rows)
+            lifts = [{d: tuple([max(d, c) for c in part]) for d in values}
+                     for part in comp.index_rows()]
+            rows = tuple(tuple(itertools.chain.from_iterable(
+                map(lift.__getitem__, row))) for row in rows for lift in lifts)
+        return rows
 
     @cached_property
     def _analysis(self) -> _TableAnalysis:
-        return _TableAnalysis(self.index_rows())
+        return _TableAnalysis(self._rows)
 
     def ball_labels(self) -> np.ndarray:
         """The ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
@@ -759,12 +732,11 @@ def classify_contraction(space, sigma) -> ContractionReport:
     contracts when equal ``L[r]`` always gives images with equal ``L[r]``,
     contracts strictly when equal ``L[r]`` gives images with equal
     ``L[r - 1]`` for every ``r >= 1``, and the distance of two states is
-    the first ``r`` at which their labels agree.  Only the labels of a
-    component space with ``n`` elements take ``n * n`` cells, a chunk of
-    radii at a time within :data:`BATCH_CELLS`.  Given an image array, a
-    product space's element tuple is never built: each witness is
-    decoded from its index.  A table that is not an ultrametric raises
-    :class:`MalformedSpaceError`.
+    the first ``r`` at which their labels agree.  Only the table of each
+    component space, which its labels are read from, holds pairs.  Given
+    an image array, a product space's element tuple is never built: each
+    witness is decoded from its index.  A table that is not an
+    ultrametric raises :class:`MalformedSpaceError`.
     """
     sig = _sigma_array(space, sigma)
     labels = space.ball_labels()

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from acokit import routing
 from acokit.aco import box_members
-from acokit.errors import MalformedSpaceError, PreconditionError
+from acokit.errors import PreconditionError
 from acokit.iteration import Trajectory
 from acokit.ultrametric import (
     CONTRACTION,
@@ -60,42 +60,18 @@ def classify_by_pairs(space, sigma):
 
 def ball_labels_by_radius(space):
     """:meth:`FiniteUltrametricSpace.ball_labels` as it first read: one
-    radius at a time, each checked pair by pair against its labels, with
-    the same :class:`MalformedSpaceError` messages."""
+    radius at a time, each checked pair by pair against its labels;
+    ``None`` when the table is not an ultrametric up to zero distances."""
     import numpy as np
-    D = space.index_matrix()
-    els, values = space.elements, space.scale.values
-    nonzero = np.flatnonzero(np.diagonal(D) != 0)
-    if nonzero.size:
-        e = nonzero[0]
-        raise MalformedSpaceError(
-            f"not an ultrametric: d({els[e]!r}, {els[e]!r}) = "
-            f"{values[D[e, e]]!r} is not zero")
-    asymmetric = np.argwhere(D != D.T)
-    if asymmetric.size:
-        a, b = asymmetric[0]
-        raise MalformedSpaceError(
-            f"not an ultrametric: d({els[a]!r}, {els[b]!r}) = "
-            f"{values[D[a, b]]!r} but d({els[b]!r}, {els[a]!r}) = "
-            f"{values[D[b, a]]!r}")
-    labels = np.empty((len(values), len(els)), dtype=np.int64)
+    D = np.array(space.index_rows())
+    if np.diagonal(D).any() or (D != D.T).any():
+        return None
+    labels = np.empty((len(space.scale), len(space)), dtype=np.int64)
     for r, row in enumerate(labels):
         within = D <= r
         row[:] = within.argmax(axis=1)
-        bad = np.argwhere(within != (row[:, None] == row[None, :]))
-        if bad.size:
-            a, c = bad[0]
-            if not within[a, c]:
-                x, y, z = a, row[a], c
-            elif not within[c, row[a]]:
-                x, y, z = c, a, row[a]
-            else:
-                x, y, z = a, c, row[c]
-            raise MalformedSpaceError(
-                f"not an ultrametric: d({els[x]!r}, {els[z]!r}) = "
-                f"{values[D[x, z]]!r} exceeds d({els[x]!r}, {els[y]!r}) "
-                f"= {values[D[x, y]]!r} and d({els[y]!r}, {els[z]!r}) "
-                f"= {values[D[y, z]]!r}")
+        if (within != (row[:, None] == row[None, :])).any():
+            return None
     return labels
 
 
@@ -108,7 +84,7 @@ _MAX_WITNESSES = 200
 def axioms_by_numpy(space):
     """:func:`ultrametric.check_axioms` as its numpy loop first read."""
     import numpy as np
-    D = space.index_matrix()
+    D = np.array(space.index_rows())
     els = space.elements
     n = len(els)
     violations = []
@@ -151,7 +127,7 @@ def axioms_by_numpy(space):
 def isosceles_by_numpy(space):
     """:func:`ultrametric.check_isosceles` as its numpy loop first read."""
     import numpy as np
-    D = space.index_matrix()
+    D = np.array(space.index_rows())
     els = space.elements
     n = len(els)
     violations = []
@@ -172,7 +148,7 @@ def completeness_by_numpy(space):
     """:func:`ultrametric.check_spherical_completeness` as it first read:
     one ``np.unique`` of the threshold rows per radius."""
     import numpy as np
-    D = space.index_matrix()
+    D = np.array(space.index_rows())
     els = space.elements
     balls = sorted({frozenset(els[i] for i in np.flatnonzero(row))
                     for r in range(len(space.scale))

@@ -484,7 +484,8 @@ def heights_found(op):
     if space is None:
         return None
     return space.scale.values, tuple(
-        comp.index_matrix().tolist() for comp in space.components)
+        [list(row) for row in comp.index_rows()]
+        for comp in space.components)
 
 
 def heights_expected(op):
@@ -556,7 +557,8 @@ def test_search_ultrametric_leaves_one_value_components_out_of_the_heights(
     assert caplog.messages[0] == \
         "search_ultrametric: states=5 conditions=12 rounds=4 verdict=found"
     assert space.scale.values == (0, 1, 2, 3, 4)
-    assert [comp.index_matrix().tolist() for comp in space.components] == \
+    assert [[list(row) for row in comp.index_rows()]
+            for comp in space.components] == \
         [[[0]]] * 4 + [[[0 if m == n else max(m, n) for n in range(5)]
                          for m in range(5)]]
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acokit import ultrametric
 from acokit.errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
 from acokit.ultrametric import (
     AxiomViolation,
@@ -220,21 +219,33 @@ def test_cached_distance_and_label_arrays_are_read_only():
     left = height_space(("a", "a'"), {"a": 1, "a'": 2}, scale)
     product = ProductSpace((left, height_space(("b",), {"b": 1}, scale)))
     for space in (left, product):
-        for array in (space.index_matrix(), space.ball_labels()):
-            with pytest.raises(ValueError, match="read-only"):
-                array[0, 0] = 1
-        assert space.index_matrix() is space.index_matrix()
+        with pytest.raises(ValueError, match="read-only"):
+            space.ball_labels()[0, 0] = 1
+        assert space.index_rows() is space.index_rows()
         assert space.ball_labels() is space.ball_labels()
-        assert space.index_matrix().tolist() == [
-            list(row) for row in space.index_rows()]
+
+
+@given(st.lists(st.lists(st.integers(min_value=1, max_value=4),
+                         min_size=1, max_size=3), min_size=1, max_size=3))
+def test_product_rows_are_the_product_distances(component_heights):
+    scale = RadiusScale((0, 1, 2, 3, 4))
+    product = ProductSpace(
+        height_space(range(len(heights)), dict(enumerate(heights)), scale)
+        for heights in component_heights)
+    els, rows = product.elements, product.index_rows()
+    assert len(rows) == len(els)
+    for i, row in enumerate(rows):
+        assert row == tuple(product.distance_index(els[i], e) for e in els)
+    assert check_axioms(product).ok
 
 
 @st.composite
-def distance_tables(draw):
+def distance_tables(draw, unit=1):
     """A space whose table is an ultrametric up to zero distances (the
     common-prefix distance of random codes), or that table broken at an
     entry: given a nonzero diagonal, made asymmetric, or changed in both
-    orders so that a triangle may fail at any radius."""
+    orders so that a triangle may fail at any radius.  The numeric radii
+    are multiples of ``unit``."""
     n = draw(st.integers(1, 6))
     radii = draw(st.integers(1, 5))
     codes = [draw(st.lists(st.integers(0, 1), min_size=radii - 1,
@@ -257,48 +268,67 @@ def distance_tables(draw):
         if kind == "both-orders":
             D[j][i] = label
     elements = ("a", 1, (0, "b"), "c", 2.5, Fraction(1, 3))[:n]
-    scale = RadiusScale(("0", 1, Fraction(3, 2), "x", (4,))[:radii])
+    scale = RadiusScale(
+        ("0", unit, Fraction(3, 2) * unit, "x", (4 * unit,))[:radii])
     return FiniteUltrametricSpace(elements, scale, {
         (elements[a], elements[b]): scale.values[D[a][b]]
         for a in range(n) for b in range(n)})
 
 
-def _labels_or_message(ball_labels, space):
-    try:
-        return ball_labels(space).tolist()
-    except MalformedSpaceError as exc:
-        return str(exc)
+def _first_violation_message(space):
+    """The first violation check_axioms lists, other than a pair at zero
+    distance, as ball labels name it."""
+    d = space.distance
+    for v in check_axioms(space).violations:
+        if v.axiom == "identity" and v.witness[0] == v.witness[1]:
+            x = v.witness[0]
+            return (f"not an ultrametric: d({x!r}, {x!r}) = {d(x, x)!r} "
+                    "is not zero")
+        if v.axiom == "symmetry":
+            x, y = v.witness
+            return (f"not an ultrametric: d({x!r}, {y!r}) = {d(x, y)!r} "
+                    f"but d({y!r}, {x!r}) = {d(y, x)!r}")
+        if v.axiom == "strong-triangle":
+            x, y, z = v.witness
+            return (f"not an ultrametric: d({x!r}, {z!r}) = {d(x, z)!r} "
+                    f"exceeds d({x!r}, {y!r}) = {d(x, y)!r} "
+                    f"and d({y!r}, {z!r}) = {d(y, z)!r}")
+    raise AssertionError("check_axioms lists no violation ball labels reject")
 
 
-@pytest.mark.parametrize("cells", [1, 50, ultrametric.BATCH_CELLS])
-@given(distance_tables())
-def test_ball_labels_equal_the_per_radius_reference(cells, space):
-    # 50 cells hold every radius of a 2-element table, 3 of a 4-element
-    # one and 1 of a 6-element one
-    expected = _labels_or_message(ball_labels_by_radius, space)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ultrametric, "BATCH_CELLS", cells)
-        assert _labels_or_message(type(space).ball_labels, space) == expected
+# labels read only the order of the radii; messages print their values
+UNITS = [1, 50, 1 << 22]
 
 
-@pytest.mark.parametrize("cells", [1, 50, ultrametric.BATCH_CELLS])
-def test_ball_labels_name_a_triangle_failing_at_an_inner_radius(cells):
+@pytest.mark.parametrize("unit", UNITS)
+@given(data=st.data())
+def test_ball_labels_equal_the_per_radius_reference(unit, data):
+    space = data.draw(distance_tables(unit))
+    expected = ball_labels_by_radius(space)
+    if expected is not None:
+        assert space.ball_labels().tolist() == expected.tolist()
+        return
+    with pytest.raises(MalformedSpaceError) as raised:
+        space.ball_labels()
+    assert str(raised.value) == _first_violation_message(space)
+
+
+@pytest.mark.parametrize("unit", UNITS)
+def test_ball_labels_name_a_triangle_failing_at_an_inner_radius(unit):
     # within 1, a-b and b-c but not a-c; every pair is within the top radius
     table = {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 2,
              ("a", "z"): 3, ("b", "z"): 3, ("c", "z"): 3}
     table.update({(n, m): v for (m, n), v in list(table.items())})
     table.update({(m, m): 0 for m in "abcz"})
-    space = space_from_table(table, (0, 1, 2, 3))
-    with pytest.raises(MalformedSpaceError) as reference:
-        ball_labels_by_radius(space)
-    assert str(reference.value) == (
-        "not an ultrametric: d('c', 'a') = 2 exceeds d('c', 'b') = 1 "
-        "and d('b', 'a') = 1")
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ultrametric, "BATCH_CELLS", cells)
-        with pytest.raises(MalformedSpaceError) as raised:
-            space.ball_labels()
-    assert str(raised.value) == str(reference.value)
+    table = {pair: v * unit for pair, v in table.items()}
+    space = space_from_table(table, (0, unit, 2 * unit, 3 * unit))
+    assert ball_labels_by_radius(space) is None
+    with pytest.raises(MalformedSpaceError) as raised:
+        space.ball_labels()
+    assert str(raised.value) == (
+        f"not an ultrametric: d('a', 'c') = {2 * unit} exceeds "
+        f"d('a', 'b') = {unit} and d('b', 'c') = {unit}")
+    assert str(raised.value) == _first_violation_message(space)
 
 
 def test_product_scale_must_match():
@@ -331,10 +361,10 @@ def test_every_product_ball_is_box(component_heights):
     product = ProductSpace(
         height_space(range(len(heights)), dict(enumerate(heights)), scale)
         for heights in component_heights)
-    D, index_of = product.index_matrix(), product.index_of
+    D, index_of = product.index_rows(), product.index_of
     flat = FiniteUltrametricSpace(
         product.elements, scale,
-        lambda m, n: scale.values[D[index_of(m), index_of(n)]])
+        lambda m, n: scale.values[D[index_of(m)][index_of(n)]])
     assert np.array_equal(product.ball_labels(), flat.ball_labels())
 
 
@@ -377,7 +407,7 @@ def test_classify_expansion_is_not_contraction():
 def test_classify_rejects_non_ultrametric_tables():
     # "within 1" relates a to b and b to c but not a to c
     triangle = _ordinary_triangle()
-    message = r"d\('c', 'a'\) = 2 exceeds d\('c', 'b'\) = 1 and d\('b', 'a'\) = 1"
+    message = r"d\('a', 'c'\) = 2 exceeds d\('a', 'b'\) = 1 and d\('b', 'c'\) = 1"
     with pytest.raises(MalformedSpaceError, match=message):
         classify_contraction(triangle, lambda m: m)
     fine = height_space(("x", "y"), {"x": 1, "y": 2}, triangle.scale)
@@ -667,7 +697,7 @@ def test_space_check_caps_are_checked_before_any_table_is_built():
     assert str(raised.value) == (
         "ball enumeration over 4160 elements exceeds the cap 4096")
     for space in (over, far_over):
-        assert not {"elements", "_matrix", "_analysis"} & set(vars(space))
+        assert not {"elements", "_rows", "_analysis"} & set(vars(space))
 
 
 def test_load_space_refuses_a_pair_listed_twice():
