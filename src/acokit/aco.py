@@ -168,7 +168,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
             f"operator classifies as {report.classification}; "
             "need a contraction that is strict on orbits",
             witness=report)
-    fixed_points = _fixed_points(op)
+    fixed_points = _analysis(op).fixed_points
     if len(fixed_points) != 1:
         # Strictness on orbits says nothing about points that are already
         # fixed, so the classification alone cannot rule out several of
@@ -176,7 +176,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
         raise PreconditionError(
             f"operator has {len(fixed_points)} fixed points; the ball "
             "construction needs exactly one",
-            witness=tuple(fixed_points))
+            witness=fixed_points)
     fixed = fixed_points[0]
 
     # the ball of radius r about the fixed point: the elements that share
@@ -217,10 +217,9 @@ def ultrametric_from_boxes(seq: BoxSequence) -> FiniteUltrametricSpace:
             raise PreconditionError(f"boxes {r} and {r + 1} are not strictly nested")
 
     elements = tuple(box_members(seq.boxes[-1]))
-    depth = {}
-    for r in range(len(seq.boxes) - 1, -1, -1):
-        for m in box_members(seq.boxes[r]):
-            depth[m] = r
+    # the innermost box's index is written last
+    depth = {m: r for r in reversed(range(len(seq.boxes)))
+             for m in box_members(seq.boxes[r])}
     scale = RadiusScale(tuple(range(len(seq.boxes))))
 
     def dist(m, n):
@@ -239,12 +238,9 @@ def _state_columns(sizes: tuple):
 
 def _metric_sizes(domains) -> tuple:
     """The shape the census and the height search read: the sizes of the
-    components with more than one value.
-
-    A one-value component leaves every state index as it is, never stops
-    a hull from being a singleton and never enters a distance, so it is
-    left out and its value gets height 0.
-    """
+    components with more than one value.  A one-value component changes
+    no state index, no hull verdict and no distance, so it is left out
+    and its value gets height 0."""
     return tuple(len(dom) for dom in domains if len(dom) > 1)
 
 
@@ -261,8 +257,9 @@ def _hulls(sizes: tuple, image) -> list[int]:
     domain of shape ``sizes``, as :func:`_value_masks` bit masks:
     ``H_0`` holds every value and ``H_{n+1}`` the values of the images of
     the states inside ``H_n``, up to the first ``H_m`` with
-    ``H_{m+1} == H_m``.  The hulls only shrink, so each pass scans only
-    the states inside the last hull."""
+    ``H_{m+1} == H_m``.  The hulls only shrink
+    (:func:`search_box_sequence`), so each pass scans only the states
+    inside the last hull."""
     masks = _value_masks(sizes)
     hulls = [(1 << sum(sizes)) - 1]
     inside = range(len(image))
@@ -276,64 +273,76 @@ def _hulls(sizes: tuple, image) -> list[int]:
         inside = [s for s in inside if masks[s] & hull == masks[s]]
 
 
-def _image_hulls(op: DecomposedOperator) -> list[Box]:
-    """``H_0`` the whole domain and ``H_{n+1}`` the hull of ``F(H_n)`` (the
-    smallest box containing it), up to the first ``H_m`` with
-    ``H_{m+1} == H_m``.
-
-    ``B -> hull(F(B))`` is monotone, and ``H_1 <= H_0`` because
-    :meth:`DecomposedOperator.apply` rejects every image outside the
-    domain, so ``H_{n+1} <= H_n`` for every ``n``.  Each step before the
-    last drops at least one value, so there are at most
-    ``sum(|D_i|) - k + 1`` boxes.  :func:`_hulls` iterates them on the
-    operator's :meth:`~DecomposedOperator.image_indices`; each mask is
-    read back here as a box.  Each domain's ``(column, value)`` pairs are
-    sorted by :func:`~acokit.util.canonical_key` once, so every component
-    read off them is already in canonical order; the domains' values are
-    distinct, so no component has duplicates.
-    """
-    sizes = tuple(map(len, op.domains))
-    starts = itertools.accumulate(sizes, initial=0)
-    columns = [sorted(enumerate(dom, start),
-                      key=lambda cv: canonical_key(cv[1]))
-               for dom, start in zip(op.domains, starts)]
-    return [tuple(tuple(v for c, v in comp if hull >> c & 1)
-                  for comp in columns)
-            for hull in _hulls(sizes, op.image_indices())]
+def _chained(sizes: tuple, hulls: list[int]) -> bool:
+    """Whether the :func:`_hulls` over shape ``sizes`` end at a singleton."""
+    return hulls[-1].bit_count() == len(sizes)
 
 
-def _fixed_points(op: DecomposedOperator) -> list:
-    """The states the operator fixes, in :meth:`iter_states` order."""
-    return [m for i, (m, f) in enumerate(zip(op.iter_states(),
-                                             op.image_indices())) if f == i]
+class _Analysis:
+    """One operator's fixed points, in :meth:`iter_states` order, and its
+    image hulls over the whole domain shape, read off its image table
+    once for every search and certificate (:func:`_analysis`)."""
+
+    def __init__(self, op: DecomposedOperator):
+        self.domains, self.sigma = op.domains, op.image_indices()
+        self.sizes = tuple(map(len, self.domains))
+        self.fixed_points = tuple(
+            m for i, (m, f) in enumerate(zip(op.iter_states(), self.sigma))
+            if f == i)
+
+    @functools.cached_property
+    def hulls(self) -> list[int]:
+        return _hulls(self.sizes, self.sigma)
+
+    @functools.cached_property
+    def boxes(self) -> list[Box]:
+        """The hulls as boxes, the whole domain first, each component in
+        canonical order: each domain's ``(column, value)`` pairs are sorted
+        by :func:`~acokit.util.canonical_key` once."""
+        starts = itertools.accumulate(self.sizes, initial=0)
+        columns = [sorted(enumerate(dom, start),
+                          key=lambda cv: canonical_key(cv[1]))
+                   for dom, start in zip(self.domains, starts)]
+        return [tuple(tuple(v for c, v in comp if hull >> c & 1)
+                      for comp in columns)
+                for hull in self.hulls]
+
+    @functools.cached_property
+    def chain(self) -> BoxSequence | None:
+        """The boxes innermost first, if the hulls end at a singleton."""
+        if not _chained(self.sizes, self.hulls):
+            return None
+        return BoxSequence(tuple(reversed(self.boxes)), self.fixed_points[0])
 
 
-def _chain_from_hulls(hulls: list[Box]) -> BoxSequence | None:
-    inner = hulls[-1]
-    if box_size(inner) != 1:
-        return None
-    return BoxSequence(tuple(reversed(hulls)), next(box_members(inner)))
+def _analysis(op: DecomposedOperator) -> _Analysis:
+    """The operator's :class:`_Analysis`, built on the first call and kept
+    on the operator."""
+    if op._analysis is None:
+        op._analysis = _Analysis(op)
+    return op._analysis
 
 
 def search_box_sequence(op: DecomposedOperator) -> BoxSequence | None:
     """Exact search for a certificate chain of strictly nested boxes.
 
-    Iterates the image hull from the whole domain (:func:`_image_hulls`).
-    A chain exists exactly when the hulls stop at a singleton, and then the
-    hulls read innermost first are the chain; ``None`` means no chain
-    exists at all.  This is the exhaustive search, not an approximation:
-    any chain ``C_k > ... > C_0`` starts at the whole domain and has
-    ``hull(F(C_j)) <= C_{j-1}``, because ``C_{j-1}`` is a box, so
-    monotonicity and induction give ``H_n <= C_{k-n}``.  The hulls thus
-    shrink at least as fast as every chain, and ``H_k <= C_0`` is a
-    singleton.  Hulls that stop at a box with more than one member
-    therefore rule out every chain; hulls that stop at a singleton
-    ``{x}`` have ``F(x) == x``.  Among all chains this one is the
-    innermost at every depth.
+    Iterates the image hull from the whole domain (:func:`_hulls`).
+    ``B -> hull(F(B))`` is monotone and ``H_1 <= H_0`` (:meth:`apply
+    <DecomposedOperator.apply>` rejects every image outside the domain),
+    so the hulls only shrink.  A chain exists exactly when they stop at a
+    singleton, and then the hulls read innermost first are the chain;
+    ``None`` means no chain exists at all.  This is the exhaustive search,
+    not an approximation: any chain ``C_k > ... > C_0`` starts at the
+    whole domain and has ``hull(F(C_j)) <= C_{j-1}``, because ``C_{j-1}``
+    is a box, so monotonicity and induction give ``H_n <= C_{k-n}``, and
+    ``H_k <= C_0`` is a singleton.  Hulls that stop at a singleton ``{x}``
+    have ``F(x) == x``.  Among all chains this one is the innermost at
+    every depth.
     """
-    hulls = _image_hulls(op)
-    chain = _chain_from_hulls(hulls)
-    logger().debug("search_box_sequence: boxes=%d verdict=%s", len(hulls),
+    analysis = _analysis(op)
+    chain = analysis.chain
+    logger().debug("search_box_sequence: boxes=%d verdict=%s",
+                   len(analysis.hulls),
                    "certified" if chain is not None else "refuted")
     return chain
 
@@ -420,18 +429,12 @@ def _witness(domains, row) -> ProductSpace:
     each component with more than one value, in order; a one-value
     component's value gets height 0."""
     scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
-    comps = []
-    start = 0
-    for dom in domains:
-        if len(dom) == 1:
-            table = {dom[0]: 0}
-        else:
-            table = dict(zip(dom, row[start:start + len(dom)]))
-            start += len(dom)
-        comps.append(FiniteUltrametricSpace(
-            dom, scale,
-            lambda m, n, t=table: 0 if m == n else max(t[m], t[n])))
-    return ProductSpace(comps)
+    heights = iter(row)  # zip takes len(dom) of them for each domain
+    tables = [{dom[0]: 0} if len(dom) == 1 else dict(zip(dom, heights))
+              for dom in domains]
+    return ProductSpace([FiniteUltrametricSpace(
+        dom, scale, lambda m, n, t=t: 0 if m == n else max(t[m], t[n]))
+        for dom, t in zip(domains, tables)])
 
 
 def _confirm(domains, sigma, heights) -> None:
@@ -439,10 +442,8 @@ def _confirm(domains, sigma, heights) -> None:
     ``sigma`` of state indices a contraction that is strict on orbits, and
     raise :class:`SemanticsError` if it does not.
 
-    ``heights`` holds one height per value of each component with more
-    than one value, in order, as :func:`_witness` reads them; a one-value
-    component's value has height 0.  This checks the height search
-    without reusing its tables: it reads the metric's balls directly.
+    ``heights`` are read as :func:`_witness` reads them.  This checks the
+    height search without its tables: it reads the metric's balls.
 
     - Heights that put two values of one component at 0 are no metric.
     - Contraction, ball by ball: ``d(x, y) <= r`` exactly when ``x`` and
@@ -490,31 +491,26 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     Returns the product space of the greatest heights under which the
     operator contracts and is strict on orbits around a unique fixed
     point (:func:`_greatest_heights`, relabelled by rank), or ``None``
-    when no product height metric does.  An operator without exactly one
-    fixed point returns ``None`` on any domain; otherwise more than
-    :data:`MAX_SEARCH_STATES` states raise :class:`SizeLimitError` before
-    any condition is built.  Every metric found is confirmed by
-    :func:`_confirm`, a plain-Python check of its balls, before its space
-    is built, and a disagreement raises :class:`SemanticsError`.
+    when no product height metric does.  Three gates come first, in
+    order, before any condition is built:
 
-    The unique-fixed-point requirement is independent of any metric:
-    strictness on orbits is vacuous at fixed points, so a map fixing two
-    points (the identity, say) qualifies under every metric yet its
-    asynchronous runs can settle on either point.  Without this condition
-    the two search verdicts could not agree.
+    - An operator without exactly one fixed point returns ``None``:
+      strictness on orbits is vacuous at fixed points, so the identity,
+      say, qualifies under every metric yet its runs can settle anywhere.
+    - More than :data:`MAX_SEARCH_STATES` states raise
+      :class:`SizeLimitError`.
+    - An operator without a box chain returns ``None``.  This is exact
+      (Proof A in ROADMAP.md): under a product height metric with one
+      fixed point ``x*`` that is strict on orbits, ``d(F(x), x*) < d(x,
+      x*)`` for every other ``x``, so the balls about ``x*``, which are
+      boxes, form a box chain.  Contraction on all pairs is never used.
 
-    Within the cap, an operator whose image hulls (:func:`_hulls`) stop at
-    a box with more than one member returns ``None`` before any condition
-    is built.  This is exact (Proof A in ROADMAP.md): under a product
-    height metric with one fixed point ``x*`` that is strict on orbits,
-    every orbit ends at ``x*`` and ``d(F(x), x*) < d(x, x*)`` for every
-    other ``x``, so the balls about ``x*``, which are boxes, form a box
-    chain, and :func:`search_box_sequence` finds one whenever any exists.
-    The proof uses only the one fixed point and strictness on orbits,
-    never contraction on all pairs, so the gate stays exact for any
-    metric class that keeps those two conditions.
+    Every metric found is confirmed by :func:`_confirm`, a plain-Python
+    check of its balls, before its space is built, and a disagreement
+    raises :class:`SemanticsError`.
     """
-    fixed = len(_fixed_points(op))
+    analysis = _analysis(op)
+    fixed = len(analysis.fixed_points)
     if fixed != 1:
         logger().debug("search_ultrametric: fixed_points=%d "
                        "gate=unique-fixed-point", fixed)
@@ -522,12 +518,12 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     if op.size() > MAX_SEARCH_STATES:
         raise SizeLimitError(f"{op.size()} states exceed the ultrametric "
                              f"search cap {MAX_SEARCH_STATES}")
-    sizes = _metric_sizes(op.domains)
-    sigma = op.image_indices()
-    if _hulls(sizes, sigma)[-1].bit_count() > len(sizes):
+    sigma = analysis.sigma
+    if analysis.chain is None:
         logger().debug("search_ultrametric: states=%d gate=box-chain",
                        len(sigma))
         return None
+    sizes = _metric_sizes(op.domains)
     heights, conditions, rounds = _greatest_heights(sizes, sigma)
     logger().debug("search_ultrametric: states=%d conditions=%d rounds=%d "
                    "verdict=%s", len(sigma), conditions, rounds,
@@ -553,12 +549,9 @@ class AcoCertificate(NamedTuple):
         doc: dict = {"verdict": self.verdict}
         if self.box_sequence is not None:
             doc["certificate"] = self.box_sequence.to_json_dict()
-        if self.refutation is not None:
-            doc["refutation"] = jsonable(self.refutation)
-        if self.sampling is not None:
-            doc["sampling"] = jsonable(self.sampling)
-        if self.stats is not None:
-            doc["stats"] = self.stats
+        for key in ("refutation", "sampling", "stats"):
+            if getattr(self, key) is not None:
+                doc[key] = jsonable(getattr(self, key))
         return doc
 
 
@@ -571,22 +564,23 @@ def certify_aco(op: DecomposedOperator, *,
                 activation_prob: float = 0.5) -> AcoCertificate:
     """Certify or refute an operator by exact box-sequence search.
 
-    Refutation always comes from the exact search (plus the fixed-point
-    census), never from schedule sampling.  It names ``stalled_box``, the
-    box ``B`` with more than one member and ``hull(F(B)) == B`` where the
-    image hulls stopped, which no chain can pass, and ``boxes_examined``,
-    the number of hulls visited.  A certified operator is
-    additionally exercised under seeded admissible schedules from every
-    start state, and the observed convergence ticks are recorded.  A run
-    that hits the horizon is counted; one that converges anywhere but the
-    chain's fixed point contradicts the chain and raises
-    :class:`SemanticsError`.  Fewer than one schedule is rejected before
-    any other work.
+    The verdict reads the operator's fixed points and image hulls
+    (:func:`_analysis`), never schedule sampling.  A refutation names the
+    fixed points, ``stalled_box``, the box ``B`` with more than one member
+    and ``hull(F(B)) == B`` where the hulls stopped, which no chain can
+    pass, and ``boxes_examined``, the number of hulls.  A certified
+    operator is also run under seeded admissible schedules from every
+    start state, and the convergence ticks are recorded.  A run that hits
+    the horizon is counted; one that converges anywhere but the chain's
+    fixed point contradicts the chain and raises :class:`SemanticsError`.
+    Fewer than one schedule is rejected before any other work.
     """
     check_schedules(schedules)
-    fixed_points = _fixed_points(op)
-    hulls = _image_hulls(op)
-    seq = _chain_from_hulls(hulls)
+    analysis = _analysis(op)
+    fixed_points, seq = analysis.fixed_points, analysis.chain
+    logger().debug("certify_aco: fixed_points=%d boxes=%d verdict=%s",
+                   len(fixed_points), len(analysis.hulls),
+                   "certified" if seq is not None else "refuted")
     if seq is None:
         if len(fixed_points) != 1:
             reason = (f"{len(fixed_points)} fixed points; a certificate "
@@ -595,9 +589,9 @@ def certify_aco(op: DecomposedOperator, *,
             reason = "no strictly nested box chain survives the image condition"
         return AcoCertificate("refuted", refutation={
             "reason": reason,
-            "fixed_points": tuple(fixed_points),
-            "boxes_examined": len(hulls),
-            "stalled_box": hulls[-1],
+            "fixed_points": fixed_points,
+            "boxes_examined": len(analysis.hulls),
+            "stalled_box": analysis.boxes[-1],
         })
 
     runs = campaign(op, op.iter_states(), schedules=schedules, seed=seed,
@@ -644,25 +638,18 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
 
     The default domain yields the 256 self-maps of a 2x2 product; the box
     search and the ultrametric search must return the same verdict on each.
-    Only a map with exactly one fixed point can have either: the metric
-    search asks for one, and a box chain ends at a fixed point while every
-    fixed point stays in every image hull (``x`` in ``H_n`` puts
-    ``F(x) = x`` in ``H_{n+1}``); every other map agrees on "no".
+    Only a map with exactly one fixed point can have either (every fixed
+    point stays in every image hull), so every other map agrees on "no".
     Translating each component's values, ``v -> v + t_i`` (mod ``|D_i|``),
-    maps boxes to boxes and product heights to product heights, so the
-    translate ``G(tau_t(s)) = tau_t(F(s))`` of a map ``F`` gets both
-    verdicts of ``F``, and the translations act regularly on the states.
-    So only the ``(n - 1) ** (n - 1)`` maps whose one fixed point is state
-    0 go through the :func:`_hulls` of the box search, in
-    ``itertools.product`` order, and only those with a box chain through
-    the :func:`_greatest_heights` of the metric search: as in
-    :func:`search_ultrametric`, a map without a chain has no metric
-    (Proof A in ROADMAP.md).  Each count is ``n`` times the count found,
-    and each mismatch is listed with its ``n`` translates, all in
-    ``itertools.product`` order.  Each metric found is
-    confirmed by :func:`_confirm`, which builds no space; a disagreement
-    raises :class:`SemanticsError`.  Bad domains raise
-    :class:`PreconditionError` as for any operator, and more than
+    maps boxes to boxes and product heights to product heights, and the
+    translations act regularly on the states.  So only the ``(n - 1) **
+    (n - 1)`` maps whose one fixed point is state 0 go through the
+    :func:`_hulls` of the box search, in ``itertools.product`` order, and,
+    as in :func:`search_ultrametric`, only those with a box chain through
+    its :func:`_greatest_heights` and :func:`_confirm`.  Each count is
+    ``n`` times the count found, and each mismatch is listed with its
+    ``n`` translates, all in ``itertools.product`` order.  Bad domains
+    raise :class:`PreconditionError` as for any operator, and more than
     :data:`MAX_CENSUS_STATES` states raise :class:`SizeLimitError` before
     any table is built.
     """
@@ -682,7 +669,7 @@ def equivalence_census(domains=((0, 1), (0, 1))) -> CensusResult:
     found = []  # (image indices, by boxes, by metric) of every mismatch
     for sigma in itertools.product((0,), *(
             [f for f in range(count) if f != s] for s in range(1, count))):
-        if _hulls(sizes, sigma)[-1].bit_count() > len(sizes):
+        if not _chained(sizes, _hulls(sizes, sigma)):
             continue  # no box chain, so no metric either
         chains += 1
         heights = _greatest_heights(sizes, sigma)[0]

@@ -72,6 +72,7 @@ class DecomposedOperator:
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
         self._image_indices: tuple | None = None
+        self._analysis = None  # built from _image_indices by aco._analysis
         self.evaluations = 0
 
     @classmethod

@@ -766,15 +766,44 @@ def _classify(space, sig, labels, images) -> ContractionReport:
     return ContractionReport(STRICT_CONTRACTION, None)
 
 
+class _ListedTable(dict):
+    """A space file's ``dist`` triples, one row of labels per element,
+    read as :class:`FiniteUltrametricSpace` reads a table, with the
+    defaults of :func:`load_space`; a pair naming an unknown element is
+    a key of the dict itself, for the constructor to reject."""
+
+    def __init__(self, elements):
+        super().__init__()
+        self.pos = {e: i for i, e in enumerate(elements)}
+        self.rows = [{} for _ in elements]
+
+    def add(self, m, n, label):
+        if m in self.pos and n in self.pos:
+            row, key = self.rows[self.pos[m]], self.pos[n]
+        else:
+            row, key = self, (m, n)
+        if key in row:
+            raise MalformedSpaceError(
+                f"dist lists the pair ({m!r}, {n!r}) twice")
+        row[key] = label
+
+    def __missing__(self, pair):
+        i, j = map(self.pos.__getitem__, pair)
+        label = self.rows[i].get(j, self.rows[j].get(i))
+        if label is None and i != j:
+            raise KeyError(pair)
+        return "0" if label is None else label
+
+
 def load_space(source) -> FiniteUltrametricSpace:
     """Load a space description file (JSON).
 
     Fields: ``elements`` (strings), ``scale`` (labels ascending, first
     ``"0"``), ``dist`` (triples ``[m, n, label]``, each ordered pair at
     most once).  A missing ``(m, n)`` entry defaults from ``(n, m)``; a
-    missing diagonal defaults to ``"0"``.
-    A file listing more elements than :func:`check_axioms` accepts raises
-    :class:`SizeLimitError` before its table is built.
+    missing diagonal defaults to ``"0"``.  A file listing more elements
+    than :func:`check_axioms` accepts raises :class:`SizeLimitError`
+    before its table is built.
     """
     with json_object(source, "bad space description",
                      MalformedSpaceError) as doc:
@@ -787,18 +816,7 @@ def load_space(source) -> FiniteUltrametricSpace:
             raise MalformedSpaceError('scale must start with the label "0"')
         scale = RadiusScale(tuple(scale_labels))
         what = "dist must be an array of label triples"
-        table = {}
+        table = _ListedTable(elements)
         for entry in typed(doc.get("dist", []), list, what):
-            m, n, label = typed(entry, [str], what, 3)
-            if (m, n) in table:
-                raise MalformedSpaceError(
-                    f"dist lists the pair ({m!r}, {n!r}) twice")
-            table[(m, n)] = label
-    for m, n in itertools.product(elements, repeat=2):
-        if (m, n) in table:
-            continue
-        if (n, m) in table:
-            table[(m, n)] = table[(n, m)]
-        elif m == n:
-            table[(m, n)] = "0"
+            table.add(*typed(entry, [str], what, 3))
     return FiniteUltrametricSpace(tuple(elements), scale, table)

@@ -355,9 +355,9 @@ def qualifying_rows_on_all_rows(sizes, sigma):
 
 
 def image_hulls_by_states(op):
-    """:func:`aco._image_hulls` as it first read: each hull the box of
-    the images of every state tuple inside the last one, from the whole
-    domain up to the first hull that repeats."""
+    """The hulls ``aco._analysis(op).boxes`` as they first read: each
+    hull the box of the images of every state tuple inside the last one,
+    from the whole domain up to the first hull that repeats."""
     def box(comps):
         return tuple(tuple(sorted_canonical(comp)) for comp in comps)
 

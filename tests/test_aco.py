@@ -120,6 +120,15 @@ def test_search_box_sequence_logs_counters(caplog):
         "search_box_sequence: boxes=1 verdict=refuted"]
 
 
+def test_certify_aco_logs_counters(caplog):
+    with caplog.at_level(logging.DEBUG, logger="acokit"):
+        certify_aco(constant_op(), schedules=1)
+        certify_aco(swap_op(), schedules=1)
+    assert [m for m in caplog.messages if m.startswith("certify_aco")] == [
+        "certify_aco: fixed_points=1 boxes=2 verdict=certified",
+        "certify_aco: fixed_points=2 boxes=1 verdict=refuted"]
+
+
 def test_search_refutes_wide_identity_without_a_cap():
     # 7^5 states and (2^7 - 1)^5 candidate boxes: the hulls stop at once
     wide = DecomposedOperator(
@@ -148,7 +157,7 @@ def _metric_without_the_chain_gate(op):
     """Whether some product height metric with one fixed point makes
     ``op`` a contraction strict on orbits, searched on every map with
     one fixed point, whether or not it has a box chain."""
-    return len(aco._fixed_points(op)) == 1 and aco._greatest_heights(
+    return len(aco._analysis(op).fixed_points) == 1 and aco._greatest_heights(
         aco._metric_sizes(op.domains), op.image_indices())[0] is not None
 
 
@@ -333,18 +342,26 @@ def test_batch_pass_matches_the_single_operator_searches(data):
         assert len(masks) == len(hulls)
         assert (masks[-1].bit_count() == len(sizes)) == chain
         assert unique[n] or not chain
-        assert aco._image_hulls(op) == hulls
+        assert aco._analysis(op).boxes == hulls
         assert (search_box_sequence(op) is not None) == chain
         assert found[n] == (search_ultrametric(op) is not None)
 
 
-def test_searches_and_certify_read_one_image_table():
-    # the first search evaluates each state once; the other search, the
-    # certificate and its sampled runs read the same table
+def test_searches_and_certify_read_one_image_table(monkeypatch):
+    # the first search evaluates each state once and iterates the hulls
+    # once; the other search, the certificate and its sampled runs read
+    # the same table and the same hulls
     domains = ((0, 1, 2), (0, 1))
     states = list(itertools.product(*domains))
     op = DecomposedOperator.from_table(
         domains, {(a, b): (max(a - 1, 0), min(a, 1)) for a, b in states})
+    calls = []
+
+    def hulls(sizes, image, iterate=aco._hulls):
+        calls.append(sizes)
+        return iterate(sizes, image)
+
+    monkeypatch.setattr(aco, "_hulls", hulls)
     assert search_box_sequence(op) is not None
     table = op.image_indices()
     assert table == tuple(states.index(op.apply(s)) for s in states)
@@ -352,6 +369,60 @@ def test_searches_and_certify_read_one_image_table():
     assert certify_aco(op, schedules=1).certified
     assert op.image_indices() is table
     assert op.evaluations == op.size()
+    assert calls == [(3, 2)]
+
+
+def _results(op, calls):
+    """What each of the calls returns on ``op``, in a comparable form."""
+    out = {}
+    for name in calls:
+        if name == "boxes":
+            seq = search_box_sequence(op)
+            out[name] = None if seq is None else (seq.boxes, seq.fixed_point)
+        elif name == "metric":
+            space = search_ultrametric(op)
+            out[name] = None if space is None else space.index_rows()
+        else:
+            out[name] = certify_aco(op, schedules=1).to_json_dict()
+    return out
+
+
+@given(st.data())
+def test_searches_and_certify_answer_alike_in_any_order(data):
+    # the analysis one call leaves on an operator gives every later call
+    # what a fresh operator gives it
+    domains = data.draw(st.sampled_from(
+        (DOM22, ((0, 1, 2), (0, 1)), ((0, 1),) * 3)))
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, _ = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(
+                st.sampled_from(xs), min_size=1, max_size=len(xs) - 1,
+                unique=True)))
+    else:
+        table = {s: data.draw(st.sampled_from(states)) for s in states}
+    order = data.draw(st.permutations(("boxes", "metric", "certify")))
+    shared = DecomposedOperator.from_table(domains, table)
+    assert _results(shared, order) == {
+        name: _results(DecomposedOperator.from_table(domains, table),
+                       [name])[name] for name in order}
+
+
+def test_a_capped_metric_search_leaves_the_analysis_whole():
+    # the metric search reads the one fixed point before it refuses 2048
+    # states; the box search and the certificate then read the same
+    # analysis and answer as on a fresh operator
+    def shift(s):
+        return s[1:] + (0,)
+
+    op = DecomposedOperator(((0, 1),) * 11, shift)
+    with pytest.raises(SizeLimitError, match="2048 states exceed"):
+        search_ultrametric(op)
+    fresh = DecomposedOperator(((0, 1),) * 11, shift)
+    assert _results(op, ["boxes", "certify"]) == _results(
+        fresh, ["boxes", "certify"])
+    assert len(search_box_sequence(op)) == 12
 
 
 def _negation_ladder_op(atoms):
@@ -373,7 +444,7 @@ def test_image_hulls_match_the_state_reference_on_deep_chains(build, size,
                                                               depth):
     op = build(size)
     assert op.size() == 4096
-    hulls = aco._image_hulls(op)
+    hulls = aco._analysis(op).boxes
     assert len(hulls) == depth
     assert hulls == image_hulls_by_states(op)
 
@@ -402,7 +473,7 @@ def test_image_hulls_are_in_canonical_order_on_unsorted_domains(domains):
             table = {s: rng.choice(states) for s in states}
         op = DecomposedOperator.from_table(
             domains, {relabel(s): relabel(f) for s, f in table.items()})
-        hulls = aco._image_hulls(op)
+        hulls = aco._analysis(op).boxes
         assert hulls == image_hulls_by_states(op)
         depths.add(len(hulls))
     assert len(depths) > 2

@@ -886,6 +886,8 @@ _CERTIFY = ("aco", "certify", corpus_path("operators", "shift2x2.json"),
             "--schedules", "3")
 _CERTIFY_INFO = ("INFO:acokit:campaign: runs=12 ticks_used=204 ticks_drawn=33 "
                  "operator_evaluations=4\n")
+_CERTIFY_DEBUG = ("DEBUG:acokit:certify_aco: fixed_points=1 boxes=3 "
+                  "verdict=certified\n" + _CERTIFY_INFO)
 _CENSUS_DEBUG = ("DEBUG:acokit:equivalence_census: states=4 maps=27 "
                  "translations=4 box_chains=7 metric_searches=7 metrics=7 "
                  "mismatches=0\n")
@@ -899,15 +901,16 @@ def _logged(level, argv):
 
 
 @pytest.mark.parametrize("level, certify_err, census_err", [
-    ("debug", _CERTIFY_INFO, _CENSUS_DEBUG),
-    ("DeBuG", _CERTIFY_INFO, _CENSUS_DEBUG),
+    ("debug", _CERTIFY_DEBUG, _CENSUS_DEBUG),
+    ("DeBuG", _CERTIFY_DEBUG, _CENSUS_DEBUG),
     ("INFO", _CERTIFY_INFO, ""),
     ("warning", "", ""),
     ("Critical", "", ""),
 ], ids=["debug", "DeBuG", "INFO", "warning", "Critical"])
 def test_acokit_log_sets_the_level_in_any_case(level, certify_err,
                                                census_err):
-    # the certify line is that of earlier versions; the census line no
+    # the certify INFO line is that of earlier versions, and at debug the
+    # certificate's own counters precede it; the census line no
     # longer counts witness spaces but counts the maps whose heights were
     # searched, and no classify_contraction line precedes it
     assert _logged(level, _CERTIFY) == (EXIT_OK, certify_err)

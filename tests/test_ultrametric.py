@@ -1,6 +1,7 @@
 import itertools
 import logging
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -698,6 +699,25 @@ def test_space_check_caps_are_checked_before_any_table_is_built():
         "ball enumeration over 4160 elements exceeds the cap 4096")
     for space in (over, far_over):
         assert not {"elements", "_rows", "_analysis"} & set(vars(space))
+
+
+def test_load_space_builds_no_table_of_pairs():
+    # a file listing each of the 32,640 pairs of 256 elements in one order
+    # is read into one row of labels per element: rows and labels of
+    # 65,536 entries take about 0.5 MB each, where a dict of every ordered
+    # pair took about 7 MB
+    doc = _family_doc("levels", 256, random.Random(256))
+    tracemalloc.start()
+    try:
+        space = load_space(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_500_000
+    rows = space.index_rows()
+    assert all(rows[i][j] == rows[j][i] for i, j in itertools.combinations(
+        range(256), 2))
+    assert {row[i] for i, row in enumerate(rows)} == {0}
 
 
 def test_load_space_refuses_a_pair_listed_twice():
