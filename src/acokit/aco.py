@@ -252,6 +252,16 @@ def _value_masks(sizes: tuple) -> tuple:
     return tuple(sum(1 << c for c in cols) for cols in _state_columns(sizes))
 
 
+@functools.lru_cache(maxsize=4)
+def _canonical_columns(domains: tuple, types: tuple) -> tuple:
+    """Each domain's :func:`_state_columns` columns in the canonical order
+    of their values; built once per shape and value ``types`` and kept."""
+    starts = itertools.accumulate(map(len, domains), initial=0)
+    return tuple(tuple(c for _, c in sorted(zip(map(canonical_key, dom),
+                                                itertools.count(start))))
+                 for dom, start in zip(domains, starts))
+
+
 def _hulls(sizes: tuple, image) -> list[int]:
     """The image hulls of the map of state indices ``image`` over a
     domain of shape ``sizes``, as :func:`_value_masks` bit masks:
@@ -296,15 +306,12 @@ class _Analysis:
 
     @functools.cached_property
     def boxes(self) -> list[Box]:
-        """The hulls as boxes, the whole domain first, each component in
-        canonical order: each domain's ``(column, value)`` pairs are sorted
-        by :func:`~acokit.util.canonical_key` once."""
-        starts = itertools.accumulate(self.sizes, initial=0)
-        columns = [sorted(enumerate(dom, start),
-                          key=lambda cv: canonical_key(cv[1]))
-                   for dom, start in zip(self.domains, starts)]
-        return [tuple(tuple(v for c, v in comp if hull >> c & 1)
-                      for comp in columns)
+        """The hulls as boxes, the whole domain first, in canonical order."""
+        values = tuple(itertools.chain.from_iterable(self.domains))
+        columns = _canonical_columns(self.domains, tuple(
+            tuple(map(type, dom)) for dom in self.domains))
+        return [tuple([tuple([values[c] for c in comp if hull >> c & 1])
+                       for comp in columns])
                 for hull in self.hulls]
 
     @functools.cached_property

@@ -26,6 +26,7 @@ then reads every tick the run spans, for a full trajectory.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -79,14 +80,29 @@ class DecomposedOperator:
     def from_table(cls, domains, table):
         table = dict(table)  # later changes to the caller's dict go unseen
         op = cls(domains, table.__getitem__)
+        index = _state_index(op.domains, tuple(
+            tuple(types.values()) for types in op._domain_types))
+        sigma = [None] * len(index)
         for state, image in table.items():
-            op._check(state, "table input {!r} has the wrong shape",
-                      "table input holds {!r} outside its component domain")
-            op._check(image, "operator produced a bad state {!r}",
-                      "operator produced {!r} outside its component domain")
+            try:
+                (i, types), (j, image_types) = index[state], index[image]
+            except (KeyError, TypeError):  # not a state, or unhashable
+                types = None
+            if not (isinstance(state, tuple) and isinstance(image, tuple)
+                    and types == tuple(map(type, state))
+                    and image_types == tuple(map(type, image))):
+                # _check raises the first error, the state's first; only a
+                # tuple subclass that hashes unlike a tuple passes it
+                op._check(state, "table input {!r} has the wrong shape",
+                          "table input holds {!r} outside its component domain")
+                op._check(image, "operator produced a bad state {!r}",
+                          "operator produced {!r} outside its component domain")
+                (i, _), (j, _) = index[tuple(state)], index[tuple(image)]
+            sigma[i] = j
         if len(table) != op.size():
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
+        op._image_indices = tuple(sigma)
         op._images_checked = True
         return op
 
@@ -138,13 +154,26 @@ class DecomposedOperator:
 
     def image_indices(self) -> tuple:
         """The :meth:`iter_states` index of each state's image, states in
-        :meth:`iter_states` order.  The first call makes one :meth:`apply`
-        per state; every call returns the same tuple."""
+        that order, one tuple for every call (a table operator's recorded
+        when built).  The first call evaluates each state not yet known."""
         if self._image_indices is None:
             index = {m: i for i, m in enumerate(self.iter_states())}
             self._image_indices = tuple(
                 index[self.apply(m)] for m in self.iter_states())
+        elif len(self._images) < len(self._image_indices):
+            new = {m: tuple(self._global(m)) for m in self.iter_states()
+                   if m not in self._images}
+            self._images.update(new)
+            self.evaluations += len(new)
         return self._image_indices
+
+
+@functools.lru_cache(maxsize=4)
+def _state_index(domains: tuple, types: tuple) -> dict:
+    """Each state mapped to ``(its itertools.product index, its values'
+    types)``; built once per shape and value ``types`` and kept."""
+    return {s: (i, tuple(map(type, s)))
+            for i, s in enumerate(itertools.product(*domains))}
 
 
 class BitRules(NamedTuple):
@@ -169,19 +198,26 @@ class BitRules(NamedTuple):
 
     def images(self):
         """:meth:`step` of every mask ``0 .. 2**width - 1``, a numpy array
-        indexed by mask, in one pass per rule.  It holds ``2**width``
-        entries, so a width above :data:`IMAGES_MAX_WIDTH` raises
-        :class:`SizeLimitError` before anything is allocated."""
+        indexed by mask, in one subcube slice per rule.  It holds
+        ``2**width`` entries, so a width above :data:`IMAGES_MAX_WIDTH`
+        raises :class:`SizeLimitError` before anything is allocated."""
         if self.width > IMAGES_MAX_WIDTH:
             raise SizeLimitError(
                 f"rule table over {self.width} bits: listing the images of "
                 f"all 2**{self.width} masks is capped at {IMAGES_MAX_WIDTH} "
                 "bits")
         import numpy as np
-        masks = np.arange(1 << self.width, dtype=np.int64)
-        out = np.zeros_like(masks)
+        width = self.width
+        out = np.zeros(1 << width, dtype=np.int64)
+        cube = out.reshape((2,) * width)  # bit width - 1 - a on axis a
+        every, bits = slice(None), range(width - 1, -1, -1)
         for head, pos, neg in self.rules:
-            out[((masks & pos) == pos) & ((masks & neg) == 0)] |= head
+            if pos & neg or pos >> width:
+                continue  # no mask below 2**width holds pos and misses neg
+            # a view even where every axis is fixed, so |= writes to out
+            view = cube[(*[1 if pos >> b & 1 else 0 if neg >> b & 1 else every
+                           for b in bits], ...)]
+            view |= head
         return out
 
 
@@ -447,6 +483,7 @@ def run_async(op: DecomposedOperator, start: tuple, schedule) -> Trajectory:
     ``x(0..T)``, the ones the run stopped evaluating included.
     """
     start = tuple(start)
+    op.check_state(start)
     [(states, ticks, status, converged_at)] = _lockstep(op, [start], schedule)
     activations = tuple(schedule.tick(t)[0] for t in range(1, ticks + 1))
     states += [states[-1]] * (ticks + 1 - len(states))
@@ -475,7 +512,7 @@ def _lockstep(op: DecomposedOperator, starts, schedule) -> list[tuple]:
     only up to the last tick some run evaluates.  Which runs have settled
     by a tick depends on what the shared operator has learnt from all of
     them, but a run's states, and the distinct views the operator is asked
-    for, do not.
+    for, do not.  The callers check the starts.
 
     Returns, per start in order, ``(states, ticks, status, converged_at)``:
     the states ``x(0..e)`` of the ticks the run evaluated (later states
@@ -483,11 +520,8 @@ def _lockstep(op: DecomposedOperator, starts, schedule) -> list[tuple]:
     ``horizon-exhausted``, and the tick of its last change when converged,
     else ``None``.
     """
-    runs = []
-    for start in starts:
-        op.check_state(start)
-        # its states, the tick of its last change, the ticks it spans
-        runs.append([[start], 0, schedule.horizon])
+    # per run: its states, the tick of its last change, the ticks it spans
+    runs = [[[start], 0, schedule.horizon] for start in starts]
     if schedule.processors != op.processors:
         raise PreconditionError(
             f"schedule has {schedule.processors} processors, "
@@ -569,6 +603,9 @@ def campaign(op: DecomposedOperator, starts, *, schedules: int, seed: int,
                                    activation_prob=activation_prob,
                                    max_staleness=staleness,
                                    fairness_window=window)
+        if s == 0:  # a bad sampling parameter raises before a bad start
+            for start in starts:
+                op.check_state(start)
         for start, (states, ticks, status, converged_at) in zip(
                 starts, _lockstep(op, starts, schedule)):
             runs.append(CampaignRun(seed + s, start, states[-1], status,

@@ -16,7 +16,8 @@ The remaining references keep earlier versions of library passes that
 were since rewritten: per-radius ball labels, the numpy space checks,
 the height search over
 every order-canonical assignment with every row gathered, the image
-hulls over state tuples, and the typed-set domain check.
+hulls over state tuples, the typed-set domain check, and the table
+check entry by entry.
 """
 
 import functools
@@ -28,7 +29,7 @@ from fractions import Fraction
 from acokit import routing
 from acokit.aco import box_members
 from acokit.errors import PreconditionError
-from acokit.iteration import Trajectory
+from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
     CONTRACTION,
     NOT_CONTRACTION,
@@ -382,6 +383,24 @@ def domain_check_by_typed_sets(domains, state):
         return "duplicates"
     typed = [frozenset((type(v), v) for v in dom) for dom in domains]
     return all((type(v), v) in dom for v, dom in zip(state, typed))
+
+
+def from_table_by_checks(domains, table):
+    """The callable operator over ``table`` that
+    :meth:`DecomposedOperator.from_table` must accept exactly when this
+    does, as it first checked a table: ``_check`` on each state, then on
+    its image, entry by entry in table order, then totality."""
+    table = dict(table)
+    op = DecomposedOperator(domains, table.__getitem__)
+    for state, image in table.items():
+        op._check(state, "table input {!r} has the wrong shape",
+                  "table input holds {!r} outside its component domain")
+        op._check(image, "operator produced a bad state {!r}",
+                  "operator produced {!r} outside its component domain")
+    if len(table) != op.size():
+        missing = next(s for s in op.iter_states() if s not in table)
+        raise PreconditionError(f"table misses state {missing!r}")
+    return op
 
 
 def run_async_by_definition(op, start, schedule):

@@ -11,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from acokit import iteration
-from acokit.errors import PreconditionError, ScheduleRejectedError
+from acokit.errors import (PreconditionError, ScheduleRejectedError,
+                           SizeLimitError)
 from acokit.iteration import (
+    IMAGES_MAX_WIDTH,
+    BitRules,
     DecomposedOperator,
     Schedule,
     campaign,
@@ -30,6 +33,7 @@ from acokit import routing
 from conftest import BAD_MAP_INPUTS, chain_table
 from pair_oracles import (
     domain_check_by_typed_sets,
+    from_table_by_checks,
     run_async_by_definition,
     sampled_ticks_by_choices,
     tick_violation_by_scan,
@@ -129,6 +133,97 @@ def test_from_table_keeps_its_own_copy():
     del table[(0,)]
     assert [op.apply(s) for s in op.iter_states()] == [(0,), (0,)]
     assert op.evaluations == 2
+
+
+class Pair(tuple):
+    """A tuple subclass: accepted wherever a state is."""
+
+
+# each fault made from a state, as a table key and as an image; a key
+# must stay hashable, so its "not a tuple" is a string and it is never
+# made unhashable
+TABLE_FAULTS = {
+    "wrong length": lambda s, key: s[:-1],
+    "not a tuple": lambda s, key: str(s) if key else list(s),
+    "outside": lambda s, key: s[:-1] + (7,),
+    "True for 1": lambda s, key: (True,) + s[1:],
+    "unhashable": lambda s, key: s if key else ([s[0]],) + s[1:],
+    "tuple subclass": lambda s, key: Pair(s),
+}
+
+
+def _built(build, domains, entries):
+    try:
+        return build(domains, dict(entries))
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_from_table_equals_the_entry_by_entry_check(data):
+    domains = data.draw(st.sampled_from(RUN_SHAPES))
+    states = list(itertools.product(*domains))
+    entries = [[s, data.draw(st.sampled_from(states))] for s in states]
+    entries = data.draw(st.permutations(entries))
+    for _ in range(data.draw(st.integers(0, 2))):
+        k = data.draw(st.integers(0, len(entries) - 1))
+        fault = data.draw(st.sampled_from([*TABLE_FAULTS, "missing state"]))
+        if fault == "missing state":
+            del entries[k]
+        else:
+            side = data.draw(st.integers(0, 1))
+            entries[k][side] = TABLE_FAULTS[fault](
+                data.draw(st.sampled_from(states)), side == 0)
+    op = _built(DecomposedOperator.from_table, domains, entries)
+    ref = _built(from_table_by_checks, domains, entries)
+    if isinstance(ref, tuple):
+        assert op == ref
+        return
+    assert isinstance(op, DecomposedOperator)
+    for state in data.draw(st.lists(st.sampled_from(states), max_size=6)):
+        assert op.apply(state) == ref.apply(state)
+        assert op.evaluations == ref.evaluations
+    assert op.image_indices() == ref.image_indices()
+    assert op.evaluations == ref.evaluations == len(states)
+    assert [op.apply(s) for s in states] == [ref.apply(s) for s in states]
+    assert op.evaluations == len(states)
+
+
+def test_table_operators_of_equal_domains_keep_their_value_types():
+    ints = DecomposedOperator.from_table(((0, 1),), {(0,): (1,), (1,): (1,)})
+    bools = DecomposedOperator.from_table(
+        ((False, True),), {(False,): (True,), (True,): (True,)})
+    assert ints.image_indices() == bools.image_indices() == (1, 1)
+    assert [type(bools.apply(s)[0]) for s in bools.iter_states()] == [bool] * 2
+    with pytest.raises(PreconditionError, match="produced 1 outside"):
+        DecomposedOperator.from_table(((False, True),),
+                                      {(False,): (1,), (True,): (True,)})
+
+
+@settings(max_examples=120)
+@given(st.data())
+def test_rule_images_equal_the_step_of_every_mask(data):
+    width = data.draw(st.integers(0, 10))
+    bits = st.integers(0, (1 << width) - 1)
+    heads = data.draw(st.lists(bits, min_size=1, max_size=3))
+    # facts, repeated heads, and pos and neg drawn apart, so they overlap
+    # and may name a bit past the width
+    body = st.one_of(st.just(0), st.integers(0, (2 << width) - 1))
+    rules = BitRules(width, tuple(data.draw(st.lists(
+        st.tuples(st.sampled_from(heads), body, body), max_size=12))))
+    images = rules.images()
+    assert images.dtype == "int64"
+    assert images.tolist() == [rules.step(m) for m in range(1 << width)]
+
+
+def test_rule_images_above_the_cap_raise_before_allocating():
+    import numpy as np
+    rules = BitRules(IMAGES_MAX_WIDTH + 1, ((1, 0, 0),))
+    with mock.patch.object(np, "zeros", side_effect=AssertionError), \
+            mock.patch.object(np, "arange", side_effect=AssertionError), \
+            pytest.raises(SizeLimitError, match="capped at 12 bits"):
+        rules.images()
 
 
 @pytest.mark.parametrize("inputs, message", BAD_MAP_INPUTS)
@@ -572,12 +667,15 @@ def test_built_operators_check_their_images_once(monkeypatch, ring3):
     # a table operator checks its images when it is built, and a rule
     # operator's images are read from its own value tables, so apply
     # checks neither again
+    bad = {s: (0, 0) for s in itertools.product((0, 1), repeat=2)}
+    bad[(1, 0)] = (0, 2)
+    with pytest.raises(PreconditionError) as exc:
+        DecomposedOperator.from_table(((0, 1), (0, 1)), bad)
+    assert str(exc.value) == "operator produced 2 outside its component domain"
     checked = _counting_checks(monkeypatch)
     table = constant_op()
-    assert len(checked) == 8  # four inputs and four images
     rules = routing.decompose(ring3, routing.PER_PATH)
-    assert len(checked) == 8
-    checked.clear()
+    assert checked == []
     for op in (table, rules):
         for state in op.iter_states():
             op.apply(state)
@@ -784,6 +882,28 @@ def test_campaign_rejects_fewer_than_one_schedule(schedules):
     with pytest.raises(ScheduleRejectedError):
         campaign(constant_op(), [(0, 0)], schedules=schedules, seed=0,
                  horizon=50, staleness=5, window=8, activation_prob=0.5)
+
+
+def test_campaign_checks_each_start_once(monkeypatch):
+    checked = _counting_checks(monkeypatch)
+    starts = [(0, 0), (1, 0), (0, 0)]
+    campaign(swap_op(), starts, schedules=5, seed=3, horizon=50, staleness=5,
+             window=8, activation_prob=0.5)
+    assert checked == starts
+    checked.clear()
+    run_async(swap_op(), [1, 1], sample_schedule(2, 50, 3))
+    assert checked == [(1, 1)]
+
+
+def test_campaign_rejects_its_sampling_before_its_starts():
+    def run(start, prob):
+        campaign(swap_op(), [(0, 0), start], schedules=2, seed=0, horizon=50,
+                 staleness=5, window=8, activation_prob=prob)
+
+    with pytest.raises(ScheduleRejectedError, match="activation_prob"):
+        run((0, 2), 0)
+    with pytest.raises(PreconditionError, match="2 not in component"):
+        run((0, 2), 0.5)
 
 
 def test_campaign_stats_count_ticks_and_evaluations(ring3, caplog):
