@@ -253,9 +253,8 @@ def _value_masks(sizes: tuple) -> tuple:
 
 
 @functools.lru_cache(maxsize=4)
-def _canonical_columns(domains: tuple, types: tuple) -> tuple:
-    """Each domain's :func:`_state_columns` columns in the canonical order
-    of their values; built once per shape and value ``types`` and kept."""
+def _canonical_columns(domains: tuple) -> tuple:
+    """Each domain's :func:`_state_columns` in its values' canonical order."""
     starts = itertools.accumulate(map(len, domains), initial=0)
     return tuple(tuple(c for _, c in sorted(zip(map(canonical_key, dom),
                                                 itertools.count(start))))
@@ -308,8 +307,7 @@ class _Analysis:
     def boxes(self) -> list[Box]:
         """The hulls as boxes, the whole domain first, in canonical order."""
         values = tuple(itertools.chain.from_iterable(self.domains))
-        columns = _canonical_columns(self.domains, tuple(
-            tuple(map(type, dom)) for dom in self.domains))
+        columns = _canonical_columns(self.domains)
         return [tuple([tuple([values[c] for c in comp if hull >> c & 1])
                        for comp in columns])
                 for hull in self.hulls]

@@ -80,6 +80,18 @@ class DecomposedOperator:
     def from_table(cls, domains, table):
         table = dict(table)  # later changes to the caller's dict go unseen
         op = cls(domains, table.__getitem__)
+
+        def check(state, image):  # the entry's first error, the state's first
+            op._check(state, "table input {!r} has the wrong shape",
+                      "table input holds {!r} outside its component domain")
+            op._check(image, "operator produced a bad state {!r}",
+                      "operator produced {!r} outside its component domain")
+
+        if len(table) != op.size():  # rejected: build no index
+            for state, image in table.items():
+                check(state, image)
+            missing = next(s for s in op.iter_states() if s not in table)
+            raise PreconditionError(f"table misses state {missing!r}")
         index = _state_index(op.domains, tuple(
             tuple(types.values()) for types in op._domain_types))
         sigma = [None] * len(index)
@@ -91,17 +103,11 @@ class DecomposedOperator:
             if not (isinstance(state, tuple) and isinstance(image, tuple)
                     and types == tuple(map(type, state))
                     and image_types == tuple(map(type, image))):
-                # _check raises the first error, the state's first; only a
-                # tuple subclass that hashes unlike a tuple passes it
-                op._check(state, "table input {!r} has the wrong shape",
-                          "table input holds {!r} outside its component domain")
-                op._check(image, "operator produced a bad state {!r}",
-                          "operator produced {!r} outside its component domain")
+                # only a tuple subclass that hashes unlike a tuple passes
+                check(state, image)
                 (i, _), (j, _) = index[tuple(state)], index[tuple(image)]
             sigma[i] = j
-        if len(table) != op.size():
-            missing = next(s for s in op.iter_states() if s not in table)
-            raise PreconditionError(f"table misses state {missing!r}")
+        # one entry per state, each key a state: the table is total
         op._image_indices = tuple(sigma)
         op._images_checked = True
         return op
@@ -170,8 +176,7 @@ class DecomposedOperator:
 
 @functools.lru_cache(maxsize=4)
 def _state_index(domains: tuple, types: tuple) -> dict:
-    """Each state mapped to ``(its itertools.product index, its values'
-    types)``; built once per shape and value ``types`` and kept."""
+    """Each state mapped to its itertools.product index and value types."""
     return {s: (i, tuple(map(type, s)))
             for i, s in enumerate(itertools.product(*domains))}
 
@@ -207,12 +212,11 @@ class BitRules(NamedTuple):
                 f"all 2**{self.width} masks is capped at {IMAGES_MAX_WIDTH} "
                 "bits")
         import numpy as np
-        width = self.width
-        out = np.zeros(1 << width, dtype=np.int64)
-        cube = out.reshape((2,) * width)  # bit width - 1 - a on axis a
-        every, bits = slice(None), range(width - 1, -1, -1)
+        out = np.zeros(1 << self.width, dtype=np.int64)
+        cube = out.reshape((2,) * self.width)  # bit width - 1 - a on axis a
+        every, bits = slice(None), range(self.width - 1, -1, -1)
         for head, pos, neg in self.rules:
-            if pos & neg or pos >> width:
+            if pos & neg or pos >> self.width:
                 continue  # no mask below 2**width holds pos and misses neg
             # a view even where every axis is fixed, so |= writes to out
             view = cube[(*[1 if pos >> b & 1 else 0 if neg >> b & 1 else every

@@ -235,6 +235,22 @@ def test_load_operator_checks_map_inputs(inputs, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("image, message", [
+    ([0] * 40, "table misses state " + repr((0,) * 39 + (1,))),
+    ([0] * 39 + [2], "operator produced 2 outside its component domain"),
+])
+def test_a_short_map_over_a_large_domain_is_rejected_without_an_index(
+        image, message):
+    # 2**40 states: a state index would not fit, and a map with fewer
+    # entries than states is rejected entry by entry, then for totality
+    doc = {"domains": [[0, 1]] * 40, "map": [[[0] * 40, image]]}
+    with mock.patch.object(iteration, "_state_index",
+                           side_effect=AssertionError), \
+            pytest.raises(PreconditionError) as exc:
+        load_operator(doc)
+    assert str(exc.value) == message
+
+
 def ticks(schedule, upto=None):
     upto = schedule.horizon if upto is None else upto
     return [schedule.tick(t) for t in range(1, upto + 1)]
