@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     MalformedBoxError,
@@ -23,14 +23,13 @@ from .errors import (
 )
 from .iteration import (DecomposedOperator, campaign, campaign_stats,
                         check_schedules)
-from .ultrametric import (
-    FiniteUltrametricSpace,
-    ProductSpace,
-    RadiusScale,
-    classify_contraction,
-)
 from .util import (canonical_key, jsonable, logger, refuse_assignment,
                    sorted_canonical)
+
+# ultrametric is imported inside each function that builds or classifies a
+# space: most commands build none and start faster without it
+if TYPE_CHECKING:
+    from .ultrametric import FiniteUltrametricSpace, ProductSpace
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -159,6 +158,7 @@ def boxes_from_ultrametric(space, op: DecomposedOperator) -> BoxSequence:
     product spaces).  Coinciding balls are emitted once, at their smallest
     radius.
     """
+    from .ultrametric import classify_contraction
     if set(space.elements) != set(op.iter_states()):
         raise PreconditionError(
             "space elements do not match the operator domain")
@@ -208,6 +208,7 @@ def ultrametric_from_boxes(seq: BoxSequence) -> FiniteUltrametricSpace:
     The balls about the fixed point under this distance reproduce the boxes
     exactly; radii are the box indices ``0 .. k``.
     """
+    from .ultrametric import FiniteUltrametricSpace, RadiusScale
     inner = seq.boxes[0]
     if box_size(inner) != 1 or next(box_members(inner)) != seq.fixed_point:
         raise PreconditionError("innermost box must be the fixed point singleton")
@@ -433,6 +434,7 @@ def _witness(domains, row) -> ProductSpace:
     """The product space of heights ``row``: one height per value of
     each component with more than one value, in order; a one-value
     component's value gets height 0."""
+    from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
     scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
     heights = iter(row)  # zip takes len(dom) of them for each domain
     tables = [{dom[0]: 0} if len(dom) == 1 else dict(zip(dom, heights))

@@ -20,7 +20,9 @@ import json
 import os
 import sys
 
-from . import aco, iteration, logic, routing, ultrametric
+# each handler imports the modules it uses, and the parser is built with
+# the commands of the named group only, so that a command loads only what
+# it runs
 from .errors import PreconditionError, PreferenceCycleError
 from .util import format_value, jsonable
 
@@ -71,6 +73,7 @@ def trace_csv(trajectory, distances=None, value_format=format_value) -> str:
 def _sampled_schedule(args: argparse.Namespace, processors: int):
     """The schedule the sampling flags and ``--seed`` give a run on
     ``processors`` processors."""
+    from . import iteration
     return iteration.sample_schedule(
         processors, args.horizon, args.seed,
         activation_prob=args.activation_prob, max_staleness=args.staleness,
@@ -85,6 +88,7 @@ def _campaign_args(args: argparse.Namespace) -> dict:
     every mode.  A sampled schedule checks its flags when it is made and
     draws no tick until a run reads one.
     """
+    from . import iteration
     iteration.check_schedules(args.schedules)
     _sampled_schedule(args, 1)
     return dict(schedules=args.schedules, seed=args.seed,
@@ -109,6 +113,7 @@ def _write_files(files):
 
 
 def _cmd_space_check(args: argparse.Namespace) -> _Outcome:
+    from . import ultrametric
     space = ultrametric.load_space(args.instance)
     axioms = ultrametric.check_axioms(space)
     isosceles = ultrametric.check_isosceles(space)
@@ -142,6 +147,7 @@ def _render_box(box) -> str:
 
 
 def _cmd_aco_certify(args: argparse.Namespace) -> _Outcome:
+    from . import aco, iteration
     op, _ = iteration.load_operator(args.instance)
     cert = aco.certify_aco(op, **_campaign_args(args))
     print(f"file: {args.instance}")
@@ -166,6 +172,7 @@ def _cmd_aco_certify(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_aco_census(args: argparse.Namespace) -> _Outcome:
+    from . import aco
     census = aco.equivalence_census()
     print(f"operators: {census.total}")
     print(f"verdicts agree on {census.agreements}/{census.total} operators")
@@ -180,6 +187,7 @@ def _cmd_aco_census(args: argparse.Namespace) -> _Outcome:
 
 
 def _cmd_routing_check(args: argparse.Namespace) -> _Outcome:
+    from . import routing
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
@@ -197,23 +205,25 @@ def _cmd_routing_check(args: argparse.Namespace) -> _Outcome:
     return EXIT_OK if report.ok else EXIT_FAIL, None, None
 
 
-def _routing_distances(instance, trajectory, fixed_point):
-    if fixed_point is None:
-        return None
-    out = []
-    for comps in trajectory.states:
-        state = routing.components_to_state(comps)
-        out.append(routing.state_distance(instance, state, fixed_point))
-    return out
+def _routing_trace(instance, trajectory, fixed_point) -> str:
+    """A routing run's trace: path sets as values, and each state's
+    distance to the fixed point when there is one."""
+    from . import routing
 
+    def value_format(value) -> str:
+        if isinstance(value, frozenset):
+            return routing.format_state(value)
+        return format_value(value)
 
-def _routing_value(value) -> str:
-    if isinstance(value, frozenset):
-        return routing.format_state(value)
-    return format_value(value)
+    distances = None if fixed_point is None else [
+        routing.state_distance(
+            instance, routing.components_to_state(comps), fixed_point)
+        for comps in trajectory.states]
+    return trace_csv(trajectory, distances, value_format)
 
 
 def _cmd_routing_solve(args: argparse.Namespace) -> _Outcome:
+    from . import iteration, routing
     try:
         instance = routing.load_instance(args.instance)
     except PreferenceCycleError as exc:
@@ -278,14 +288,12 @@ def _cmd_routing_solve(args: argparse.Namespace) -> _Outcome:
                 op, routing.state_to_components(
                     instance, args.granularity, frozenset()),
                 _sampled_schedule(args, op.processors))
-        trace = trace_csv(trajectory,
-                          distances=_routing_distances(
-                              instance, trajectory, result.fixed_point),
-                          value_format=_routing_value)
+        trace = _routing_trace(instance, trajectory, result.fixed_point)
     return EXIT_OK if result.status == "converged" else EXIT_FAIL, trace, payload
 
 
 def _cmd_logic_solve(args: argparse.Namespace) -> _Outcome:
+    from . import iteration, logic
     campaign_args = _campaign_args(args)
     program = logic.load_program(args.instance)
     strat_result = logic.find_stratification(program)
@@ -348,6 +356,7 @@ def _fmt_interp(interp) -> str:
 
 
 def _cmd_run(args: argparse.Namespace) -> _Outcome:
+    from . import iteration
     op, start = iteration.load_operator(args.instance)
     if start is None:
         start = tuple(dom[0] for dom in op.domains)
@@ -388,42 +397,31 @@ def _add_campaign_flags(parser: argparse.ArgumentParser):
                         help="number of sampled schedules in a campaign")
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parsing leaves it as
-    it was."""
-    parser = argparse.ArgumentParser(
-        prog="acokit",
-        description="Certify and simulate asynchronously contracting operators")
-    # each leaf names its handler; the dests only name a missing command
-    # in argparse's usage error
-    sub = parser.add_subparsers(dest="group", required=True)
-
-    space = sub.add_parser("space", help="ultrametric space files")
-    space_sub = space.add_subparsers(dest="action", required=True)
-    p = space_sub.add_parser("check", help="verify the axioms of a space file")
+def _space_commands(sub):
+    p = sub.add_parser("check", help="verify the axioms of a space file")
     p.set_defaults(handler=_cmd_space_check)
     p.add_argument("instance")
     p.add_argument("--json", dest="json_out")
 
-    aco_p = sub.add_parser("aco", help="operator certification")
-    aco_sub = aco_p.add_subparsers(dest="action", required=True)
-    p = aco_sub.add_parser("certify", help="certify an operator file")
+
+def _aco_commands(sub):
+    p = sub.add_parser("certify", help="certify an operator file")
     p.set_defaults(handler=_cmd_aco_certify)
     p.add_argument("instance")
     p.add_argument("--json", dest="json_out")
     _add_campaign_flags(p)
-    p = aco_sub.add_parser("census",
-                           help="cross-check both searches on all 2x2 operators")
+    p = sub.add_parser("census",
+                       help="cross-check both searches on all 2x2 operators")
     p.set_defaults(handler=_cmd_aco_census)
     p.add_argument("--json", dest="json_out")
 
-    routing_p = sub.add_parser("routing", help="path selection instances")
-    routing_sub = routing_p.add_subparsers(dest="action", required=True)
-    p = routing_sub.add_parser("check", help="validate an instance file")
+
+def _routing_commands(sub):
+    from . import routing
+    p = sub.add_parser("check", help="validate an instance file")
     p.set_defaults(handler=_cmd_routing_check)
     p.add_argument("instance")
-    p = routing_sub.add_parser("solve", help="run an instance to stability")
+    p = sub.add_parser("solve", help="run an instance to stability")
     p.set_defaults(handler=_cmd_routing_solve)
     p.add_argument("instance")
     p.add_argument("--mode", choices=("sync", "async"), default="sync")
@@ -436,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out")
     _add_campaign_flags(p)
 
-    logic_p = sub.add_parser("logic", help="stratified logic programs")
-    logic_sub = logic_p.add_subparsers(dest="action", required=True)
-    p = logic_sub.add_parser("solve", help="compute the perfect model")
+
+def _logic_commands(sub):
+    p = sub.add_parser("solve", help="compute the perfect model")
     p.set_defaults(handler=_cmd_logic_solve)
     p.add_argument("instance")
     p.add_argument("--mode", choices=("sync", "async"), default="sync")
@@ -446,11 +444,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", dest="json_out")
     _add_campaign_flags(p)
 
-    run_p = sub.add_parser("run", help="iterate an operator file")
-    run_sub = run_p.add_subparsers(dest="action", required=True)
-    sync_p = run_sub.add_parser("sync")
+
+def _run_commands(sub):
+    sync_p = sub.add_parser("sync")
     sync_p.add_argument("--max-steps", type=int, default=None)
-    async_p = run_sub.add_parser("async")
+    async_p = sub.add_parser("async")
     async_p.add_argument("--schedule", dest="schedule_file",
                          help="schedule file instead of sampling")
     _add_sampling_flags(async_p)
@@ -459,7 +457,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("instance")
         p.add_argument("--trace", help="write a CSV trace here")
 
+
+# each group's help and the function that adds its commands
+_GROUPS = {
+    "space": ("ultrametric space files", _space_commands),
+    "aco": ("operator certification", _aco_commands),
+    "routing": ("path selection instances", _routing_commands),
+    "logic": ("stratified logic programs", _logic_commands),
+    "run": ("iterate an operator file", _run_commands),
+}
+
+
+@functools.cache
+def _parser(group: str | None) -> argparse.ArgumentParser:
+    """The argument parser with every group, and the commands of
+    ``group`` only, or of every group for None.  Parsing a command line
+    whose first argument is ``group`` reads nothing of the other groups
+    but their names and helps, so it prints what the full parser would."""
+    parser = argparse.ArgumentParser(
+        prog="acokit",
+        description="Certify and simulate asynchronously contracting operators")
+    # each leaf names its handler; the dests only name a missing command
+    # in argparse's usage error
+    sub = parser.add_subparsers(dest="group", required=True)
+    for name, (help_text, add_commands) in _GROUPS.items():
+        group_parser = sub.add_parser(name, help=help_text)
+        if group in (None, name):
+            add_commands(group_parser.add_subparsers(dest="action",
+                                                     required=True))
     return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser with every command, built once per process:
+    parsing leaves it as it was."""
+    return _parser(None)
 
 
 def main(argv=None) -> int:
@@ -473,8 +505,10 @@ def main(argv=None) -> int:
             return EXIT_BAD_INPUT
         import logging
         logging.basicConfig(level=level.upper(), stream=sys.stderr)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    group = argv[0] if argv and argv[0] in _GROUPS else None
+    args = _parser(group).parse_args(argv)
     # a handler prints its report into ``text``; a rejected command,
     # unwritable --trace and --json paths included, leaves stdout empty
     # and no file behind

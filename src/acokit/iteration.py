@@ -38,6 +38,9 @@ from .util import INFO, json_object, logger, typed
 # widest rule table whose images BitRules.images() lists: 2**12 masks, each
 # a state of an exhaustive routing or logic check
 IMAGES_MAX_WIDTH = 12
+# most states of a table whose state index _state_index keeps for the next
+# table of its shape: every shape aco's searches take (MAX_SEARCH_STATES)
+INDEX_CACHE_STATES = 1024
 
 
 class DecomposedOperator:
@@ -92,8 +95,11 @@ class DecomposedOperator:
                 check(state, image)
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
-        index = _state_index(op.domains, tuple(
-            tuple(types.values()) for types in op._domain_types))
+        shape = op.domains, tuple(
+            tuple(types.values()) for types in op._domain_types)
+        # a larger table's index is built for it alone and freed with it
+        index = (_state_index(*shape) if len(table) <= INDEX_CACHE_STATES
+                 else _state_index.__wrapped__(*shape))
         sigma = [None] * len(index)
         for state, image in table.items():
             try:

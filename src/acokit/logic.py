@@ -15,19 +15,15 @@ from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import PreconditionError, SemanticsError
 from .iteration import BitRules, DecomposedOperator, rule_operator
-from .ultrametric import (
-    ContractionReport,
-    FiniteUltrametricSpace,
-    ProductSpace,
-    RadiusScale,
-    classify_contraction,
-)
 from .util import json_object, refuse_assignment, typed
 
-# fractions is imported inside each function that builds a Fraction: most
-# commands build none and start faster without it
+# fractions is imported inside each function that builds a Fraction, and
+# ultrametric inside each function that builds or classifies a space: most
+# commands do neither and start faster without them
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    from .ultrametric import ContractionReport, ProductSpace, RadiusScale
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -298,6 +294,8 @@ def interpretation_distance(strat: Stratification, left, right) -> Fraction:
 
 def interpretation_scale(strat: Stratification) -> RadiusScale:
     from fractions import Fraction
+
+    from .ultrametric import RadiusScale
     top = strat.max_level
     return RadiusScale(tuple(
         [Fraction(0)] + [Fraction(1, 2 ** s) for s in range(top, -1, -1)]))
@@ -311,6 +309,8 @@ def interpretation_space(program: GroundProgram,
     The atoms of one stratum share one component space, so its table and
     ball labels are built once."""
     from fractions import Fraction
+
+    from .ultrametric import FiniteUltrametricSpace, ProductSpace
     scale = interpretation_scale(strat)
     levels = {level: FiniteUltrametricSpace(
         (False, True), scale,
@@ -409,6 +409,7 @@ def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
     :data:`~acokit.iteration.IMAGES_MAX_WIDTH` atoms raise
     :class:`SizeLimitError` before any other work.
     """
+    from .ultrametric import classify_contraction
     images = program.consequence_rule.images()  # checks the size cap
     space = interpretation_space(program, _require_stratification(program))
     return classify_contraction(space, images)

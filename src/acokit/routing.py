@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 # numpy is imported inside each function that uses it: most commands run
-# no numpy pass and start faster without it
+# no numpy pass and start faster without it; ultrametric likewise inside
+# each function that builds or classifies a space
 
 from .errors import (
     PreconditionError,
@@ -29,10 +30,11 @@ from .errors import (
 from .iteration import (BitRules, DecomposedOperator, campaign,
                         campaign_stats, check_schedules, rule_operator,
                         run_sync)
-from .ultrametric import (FiniteUltrametricSpace, ProductSpace, RadiusScale,
-                         _min_split)
 from .util import (canonical_key, json_object, logger, refuse_assignment,
                    sorted_canonical, typed)
+
+if TYPE_CHECKING:
+    from .ultrametric import ProductSpace
 
 PER_NODE = "per-node"
 PER_NEXTHOP = "per-source-destination-nexthop"
@@ -227,9 +229,10 @@ class SppInstance:
     @cached_property
     def path_heights(self) -> dict:
         """The height of each path ``p``: the number of universe paths
-        ``q`` with ``p <= q``."""
-        leq = self.preference.leq
-        return {p: sum(1 for q in self.paths if leq(p, q)) for p in self.paths}
+        ``q`` with ``p <= q``, the true entries of ``p``'s row of the
+        preference matrix (:func:`make_instance` builds the preference
+        over these paths, in this order)."""
+        return dict(zip(self.paths, map(sum, self.preference.matrix)))
 
     @property
     def empty_path(self) -> Path:
@@ -428,6 +431,7 @@ def verify_strict_contraction(instance: SppInstance) -> ContractionCheck:
     permitted paths raise :class:`SizeLimitError` before any other work.
     """
     import numpy as np
+    from .ultrametric import _min_split
     sig = instance.selection_rule.images()  # checks the size cap
     universe = instance.all_permitted
     p_count = len(universe)
@@ -528,6 +532,7 @@ def decompose(instance: SppInstance, granularity: str) -> DecomposedOperator:
 def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
     """Product ultrametric matching :func:`decompose`: per group, the
     distance between two held subsets is their :func:`state_distance`."""
+    from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
     scale = RadiusScale.numeric(instance.path_heights.values())
 
     def dist(x, y):

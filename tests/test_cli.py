@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -879,6 +882,116 @@ def test_routing_check_leaves_csv_unimported():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.endswith("\n0 False\n")
+
+
+# the acokit modules each command loads beside acokit, acokit.cli,
+# acokit.errors and acokit.util
+_COMMAND_MODULES = [
+    (("space", "check", corpus_path("spaces", "heights.json")),
+     {"ultrametric"}),
+    (("aco", "certify", corpus_path("operators", "shift2x2.json"),
+      "--schedules", "3"), {"iteration", "aco"}),
+    (("aco", "census"), {"iteration", "aco"}),
+    (("routing", "check", corpus_path("ring3.json")),
+     {"iteration", "routing"}),
+    (("routing", "solve", corpus_path("ring3.json"), "--mode", "async",
+      "--schedules", "5", "--trace", "TRACE"), {"iteration", "routing"}),
+    (("logic", "solve", corpus_path("logic", "mixed.pl"), "--mode", "async",
+      "--schedules", "5", "--trace", "TRACE"), {"iteration", "logic"}),
+    (("run", "sync", "OP"), {"iteration"}),
+    (("run", "async", "OP", "--trace", "TRACE"), {"iteration"}),
+]
+
+
+@pytest.mark.parametrize("argv, modules", _COMMAND_MODULES,
+                         ids=[" ".join(argv[:2]) for argv, _ in _COMMAND_MODULES])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv,
+                                                     modules):
+    files = {"OP": _operator_file(tmp_path, start=[1, 1]),
+             "TRACE": str(tmp_path / "trace.csv")}
+    argv = [files.get(a, a) for a in argv]
+    script = ("import contextlib, io, sys, acokit.cli\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              f"    code = acokit.cli.main({argv!r})\n"
+              "print(code, sorted(m for m in sys.modules\n"
+              "                   if m.startswith('acokit.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = {"cli", "errors", "util", *modules}
+    assert proc.stdout == f"0 {sorted('acokit.' + m for m in loaded)}\n"
+
+
+def test_the_package_resolves_its_names_on_first_access():
+    script = (
+        "import sys, acokit\n"
+        "print(sorted(m for m in sys.modules if m.startswith('acokit.')))\n"
+        "for name in acokit.__all__:\n"
+        "    value = getattr(acokit, name)\n"
+        "    assert value is getattr(sys.modules[value.__module__], name)\n"
+        "    assert name not in vars(acokit), name\n"
+        "assert set(acokit.__all__) <= set(dir(acokit))\n"
+        "scope = {}\n"
+        "exec('from acokit import *', scope)\n"
+        "print(sorted(set(scope) - {'__builtins__'})"
+        " == sorted(acokit.__all__))\n"
+        "try:\n"
+        "    acokit.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("[]\nTrue\n"
+                           "module 'acokit' has no attribute 'no_such_name'\n")
+
+
+def test_a_patched_function_is_seen_through_the_package(monkeypatch):
+    import acokit
+    from acokit import iteration
+
+    def patched(*args, **kwargs):
+        return "patched"
+
+    monkeypatch.setattr(iteration, "run_sync", patched)
+    assert acokit.run_sync is patched
+
+
+def _subcommands(parser):
+    """The parsers of ``parser``'s subcommands, by name."""
+    return next(action.choices for action in parser._actions
+                if isinstance(action, argparse._SubParsersAction))
+
+
+def _parsed(parse, argv):
+    """Exit code, stdout and stderr of a parse that exits."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return exc.value.code, out.getvalue(), err.getvalue()
+
+
+def test_each_group_parses_as_the_full_parser_does():
+    # main builds the commands of the group its first argument names only;
+    # every help text and usage error must be the full parser's, byte for
+    # byte
+    from acokit.cli import _GROUPS, build_parser
+    full = build_parser()
+    groups = _subcommands(full)
+    assert list(groups) == list(_GROUPS)
+    argvs = [["--help"], [], ["nope"]]
+    for group, group_parser in groups.items():
+        argvs += [[group, "--help"], [group], [group, "nope"]]
+        for leaf, leaf_parser in _subcommands(group_parser).items():
+            argvs.append([group, leaf, "--help"])
+            required = [a for a in leaf_parser._actions if a.required]
+            if required:  # a missing argument
+                argvs.append([group, leaf])
+            argvs.append([group, leaf, "x", "--no-such-flag"])
+    assert len(argvs) == 3 + 3 * 5 + 8 * 2 + 7
+    for argv in argvs:
+        assert _parsed(main, argv) == _parsed(full.parse_args, argv), argv
 
 
 # stderr at ACOKIT_LOG=debug of the certify command below and of aco census

@@ -2,6 +2,7 @@ import contextlib
 import itertools
 import logging
 import math
+import tracemalloc
 from unittest import mock
 
 from fractions import Fraction
@@ -249,6 +250,36 @@ def test_a_short_map_over_a_large_domain_is_rejected_without_an_index(
             pytest.raises(PreconditionError) as exc:
         load_operator(doc)
     assert str(exc.value) == message
+
+
+def test_a_large_table_leaves_no_state_index_behind():
+    # 2**14 states: a kept index would hold about 460 bytes per state
+    domains = [(0, 1)] * 14
+    table = {s: s for s in itertools.product(*domains)}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        op = DecomposedOperator.from_table(domains, table)
+        assert op.image_indices() == tuple(range(len(table)))
+        del op
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert left < 1 << 20, left
+
+
+def test_tables_of_one_searchable_shape_share_one_state_index():
+    from acokit.aco import MAX_SEARCH_STATES
+    assert iteration.INDEX_CACHE_STATES >= MAX_SEARCH_STATES
+    domains = ((0, 1, 2), (0, 1))
+    states = list(itertools.product(*domains))
+    DecomposedOperator.from_table(domains, {s: s for s in states})
+    hits = iteration._state_index.cache_info().hits
+    for image in states:
+        op = DecomposedOperator.from_table(domains,
+                                           {s: image for s in states})
+        assert op.image_indices() == (states.index(image),) * len(states)
+    assert iteration._state_index.cache_info().hits == hits + len(states)
 
 
 def ticks(schedule, upto=None):

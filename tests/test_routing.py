@@ -75,6 +75,24 @@ def test_heights_single_arc(single_arc):
     assert single_arc.path_heights == {EPS: 2, P1D: 1}
 
 
+def _heights_by_leq(inst):
+    """The definition: per path, one ``leq`` call for every path."""
+    leq = inst.preference.leq
+    return {p: sum(1 for q in inst.paths if leq(p, q)) for p in inst.paths}
+
+
+def test_heights_are_the_leq_counts_on_the_corpus():
+    instances = _loadable_corpus() + [
+        make_instance(nodes, "d", arcs) for nodes, arcs in
+        (gated_ring(5), gated_ring(6), _ring(6))]
+    assert len(instances) == 7
+    for inst in instances:
+        heights = inst.path_heights
+        assert heights == _heights_by_leq(inst)
+        assert list(heights) == list(inst.paths)
+        assert all(type(h) is int for h in heights.values())
+
+
 def test_height_monotone_under_strict_preference(ring3):
     h = ring3.path_heights
     pref = ring3.preference
@@ -172,6 +190,12 @@ def policy_instances(draw):
         assume(False)
     assume(len(inst.all_permitted) <= 10)
     return inst
+
+
+@given(policy_instances())
+def test_heights_are_the_leq_counts_under_preference_pairs(inst):
+    # half of the instances declare explicit preference pairs, ties included
+    assert inst.path_heights == _heights_by_leq(inst)
 
 
 @given(policy_instances())
