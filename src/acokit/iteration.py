@@ -63,16 +63,16 @@ class DecomposedOperator:
     _images_checked = False  # every image is known to be a domain state
 
     def __init__(self, domains, global_fn):
-        self.domains = tuple(tuple(d) for d in domains)
-        if not self.domains or any(not d for d in self.domains):
+        domains = tuple(map(tuple, domains))
+        if not domains or not all(domains):
             raise PreconditionError("every processor needs a nonempty domain")
-        # each value's type, keyed by the value: equal values (1, 1.0 and
-        # True) share one key, so a domain holding two is shorter
-        self._domain_types = tuple({v: type(v) for v in d}
-                                   for d in self.domains)
-        for dom, types in zip(self.domains, self._domain_types):
-            if len(types) != len(dom):
-                raise PreconditionError("domain elements must be distinct")
+        # the values and their types, in order: (0, 1) == (False, True)
+        self._shape = domains, tuple(map(type, itertools.chain(*domains)))
+        # a larger shape's record is built for it alone
+        self.domains, self._domain_types = (
+            _domain_record(*self._shape)
+            if math.prod(map(len, domains)) <= INDEX_CACHE_STATES
+            else _domain_record.__wrapped__(*self._shape))
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
         self._image_indices: tuple | None = None
@@ -95,11 +95,9 @@ class DecomposedOperator:
                 check(state, image)
             missing = next(s for s in op.iter_states() if s not in table)
             raise PreconditionError(f"table misses state {missing!r}")
-        shape = op.domains, tuple(
-            tuple(types.values()) for types in op._domain_types)
         # a larger table's index is built for it alone and freed with it
-        index = (_state_index(*shape) if len(table) <= INDEX_CACHE_STATES
-                 else _state_index.__wrapped__(*shape))
+        index = (_state_index(*op._shape) if len(table) <= INDEX_CACHE_STATES
+                 else _state_index.__wrapped__(*op._shape))
         sigma = [None] * len(index)
         for state, image in table.items():
             try:
@@ -181,8 +179,23 @@ class DecomposedOperator:
 
 
 @functools.lru_cache(maxsize=4)
+def _domain_record(domains: tuple, types: tuple) -> tuple:
+    """``domains`` and each value's type, keyed by the value.  Equal values
+    (1, 1.0 and True) share one key, so a domain holding two is shorter
+    and is rejected.  ``types``, every value's type in order, only keys
+    the cache.  Every operator of the shape reads the same dicts, so
+    nothing writes to them."""
+    domain_types = tuple({v: type(v) for v in d} for d in domains)
+    for dom, by_value in zip(domains, domain_types):
+        if len(by_value) != len(dom):
+            raise PreconditionError("domain elements must be distinct")
+    return domains, domain_types
+
+
+@functools.lru_cache(maxsize=4)
 def _state_index(domains: tuple, types: tuple) -> dict:
-    """Each state mapped to its itertools.product index and value types."""
+    """Each state mapped to its itertools.product index and value types;
+    ``types`` keys the cache, as for :func:`_domain_record`."""
     return {s: (i, tuple(map(type, s)))
             for i, s in enumerate(itertools.product(*domains))}
 

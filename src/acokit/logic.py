@@ -23,6 +23,8 @@ from .util import json_object, refuse_assignment, typed
 if TYPE_CHECKING:
     from fractions import Fraction
 
+    import numpy as np
+
     from .ultrametric import ContractionReport, ProductSpace, RadiusScale
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
@@ -400,19 +402,47 @@ def compute_perfect_model(program: GroundProgram) -> PerfectModelResult:
     return PerfectModelResult(None, tuple(trajectory), "cycle", strat)
 
 
+def interpretation_labels(program: GroundProgram,
+                          strat: Stratification) -> np.ndarray:
+    """The ball labels of :func:`interpretation_space`, read off the masks.
+
+    An interpretation's index in the space is its mask (atom k is bit
+    ``n - 1 - k``, :attr:`GroundProgram.atom_bit`), and two
+    interpretations that differ at an atom of stratum ``s`` lie
+    ``2**-s`` apart, index ``top - s + 1`` of
+    :func:`interpretation_scale`.  So at radius index ``r`` the ball's
+    smallest mask, its label, keeps only the bits of the atoms at a
+    greater index."""
+    import numpy as np
+    top = strat.max_level
+    keep = [0] * (top + 2)
+    for atom, bit in program.atom_bit.items():
+        keep[top - strat.of(atom)] |= bit  # the greatest index below its own
+    for r in range(top, -1, -1):  # and every smaller one
+        keep[r] |= keep[r + 1]
+    return (np.arange(1 << len(program.atoms), dtype=np.int64)
+            & np.array(keep, dtype=np.int64)[:, None])
+
+
 def classify_tp_contraction(program: GroundProgram) -> ContractionReport:
     """Classify the consequence operator on the interpretation space.
 
     The verdict is whatever the exhaustive check over all pairs finds;
-    nothing is assumed about it.  Requires a stratification and a
+    nothing is assumed about it.  The check reads its ball labels off the
+    interpretation masks (:func:`interpretation_labels`), so no space is
+    built.  Requires a nonempty atom base, a stratification and a
     desk-scale base: more than
     :data:`~acokit.iteration.IMAGES_MAX_WIDTH` atoms raise
     :class:`SizeLimitError` before any other work.
     """
-    from .ultrametric import classify_contraction
+    from .ultrametric import _classify
+    if not program.atoms:
+        raise PreconditionError("program has an empty atom base")
     images = program.consequence_rule.images()  # checks the size cap
-    space = interpretation_space(program, _require_stratification(program))
-    return classify_contraction(space, images)
+    labels = interpretation_labels(program, _require_stratification(program))
+    shifts = range(len(program.atoms) - 1, -1, -1)
+    return _classify(lambda mask: tuple(bool(int(mask) >> b & 1)
+                                        for b in shifts), images, labels)
 
 
 def decompose_program(program: GroundProgram) -> DecomposedOperator:

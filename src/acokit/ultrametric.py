@@ -739,30 +739,40 @@ def classify_contraction(space, sigma) -> ContractionReport:
     ultrametric raises :class:`MalformedSpaceError`.
     """
     sig = _sigma_array(space, sigma)
-    labels = space.ball_labels()
-    report = _classify(space, sig, labels, labels[:, sig])
+    return _classify(lambda index: _element_at(space, index), sig,
+                     space.ball_labels())
+
+
+def _classify(element_at, sig, labels) -> ContractionReport:
+    """:func:`classify_contraction` of the image array ``sig`` on a space
+    with ball labels ``labels``; ``element_at`` decodes an index into the
+    element a witness names."""
+    import numpy as np
+    images = np.take(labels, sig, axis=1)  # labels[:, sig], done faster
+    report = _classification(element_at, sig, labels, images)
     logger().debug("classify_contraction: states=%d radii=%d evaluations=%d "
                    "verdict=%s", len(sig), len(labels), len(sig),
                    report.classification)
     return report
 
 
-def _classify(space, sig, labels, images) -> ContractionReport:
+def _classification(element_at, sig, labels, images) -> ContractionReport:
+    """The report of :func:`_classify`, given the images' labels."""
     import numpy as np
     pair = _min_split(labels, images)
     if pair is not None:
-        return ContractionReport(NOT_CONTRACTION, (
-            _element_at(space, pair[0]), _element_at(space, pair[1])))
-    step = (labels == images).argmax(axis=0)
-    next_step = (images == images[:, sig]).argmax(axis=0)
+        return ContractionReport(NOT_CONTRACTION, tuple(map(element_at, pair)))
+    # the distance index of x and its image, and of the image and its own:
+    # balls only grow with the radius, so the count of radii at which the
+    # labels differ (quicker than the first radius at which they agree)
+    step = (labels != images).sum(axis=0)
+    next_step = (images != np.take(images, sig, axis=1)).sum(axis=0)
     orbit_bad = (sig != np.arange(len(sig))) & (next_step >= step)
     if orbit_bad.any():
-        return ContractionReport(
-            CONTRACTION, (_element_at(space, orbit_bad.argmax()),))
+        return ContractionReport(CONTRACTION, (element_at(orbit_bad.argmax()),))
     pair = _min_split(labels[1:], images[:-1])
     if pair is not None:
-        return ContractionReport(STRICT_ON_ORBITS, (
-            _element_at(space, pair[0]), _element_at(space, pair[1])))
+        return ContractionReport(STRICT_ON_ORBITS, tuple(map(element_at, pair)))
     return ContractionReport(STRICT_CONTRACTION, None)
 
 

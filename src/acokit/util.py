@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from itertools import chain
 
 # logging and fractions are imported only where they are needed: most
 # commands log nothing and build no Fraction, and start faster without them
@@ -80,8 +81,25 @@ def canonical_key(value):
     return (4, type(value).__name__, repr(value))
 
 
-def sorted_canonical(values):
-    return sorted(values, key=canonical_key)
+# the types whose values sort among themselves as their canonical keys do
+_NATIVE = frozenset((str, int, bool))
+
+
+def sorted_canonical(values) -> list:
+    """``values`` sorted by :func:`canonical_key`, in a new list.
+
+    Values that all have one type among ``str``, ``int`` and ``bool``
+    compare as their keys do, and so do tuples whose elements together
+    have one such type (element by element, a prefix first), so those are
+    sorted as they are and build no key.  Anything else, floats included,
+    sorts by key."""
+    values = list(values)
+    kinds = set(map(type, values))
+    if kinds == {tuple}:
+        kinds = set(map(type, chain.from_iterable(values)))
+    values.sort(key=None if len(kinds) < 2 and kinds <= _NATIVE
+                else canonical_key)
+    return values
 
 
 def refuse_assignment(self, name, value):

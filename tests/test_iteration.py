@@ -282,6 +282,33 @@ def test_tables_of_one_searchable_shape_share_one_state_index():
     assert iteration._state_index.cache_info().hits == hits + len(states)
 
 
+def test_operators_of_one_shape_share_one_domain_record():
+    domains = ((0, 1, 2), (0, 1))
+    table = {s: (0, 0) for s in itertools.product(*domains)}
+    first = DecomposedOperator.from_table(domains, table)
+    hits = iteration._domain_record.cache_info().hits
+    second = DecomposedOperator.from_table([list(d) for d in domains], table)
+    assert iteration._domain_record.cache_info().hits == hits + 1
+    assert second.domains is first.domains
+    assert second._domain_types is first._domain_types
+
+
+def test_equal_domains_of_other_types_keep_their_own_records():
+    ints = DecomposedOperator.from_table(((0, 1),), {(0,): (1,), (1,): (0,)})
+    bools = DecomposedOperator.from_table(
+        ((False, True),), {(False,): (True,), (True,): (False,)})
+    assert [type(v) for v in ints.domains[0]] == [int, int]
+    assert [type(v) for v in bools.domains[0]] == [bool, bool]
+    ints.check_state((1,))
+    bools.check_state((True,))
+    with pytest.raises(PreconditionError, match="not in component domain"):
+        bools.check_state((1,))
+    with pytest.raises(PreconditionError, match="not in component domain"):
+        ints.check_state((True,))
+    with pytest.raises(PreconditionError, match="distinct"):
+        DecomposedOperator(((0, False),), lambda s: s)
+
+
 def ticks(schedule, upto=None):
     upto = schedule.horizon if upto is None else upto
     return [schedule.tick(t) for t in range(1, upto + 1)]

@@ -1,6 +1,9 @@
 import itertools
+import subprocess
+import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from acokit.logic import (
     immediate_consequence,
     interp_to_tuple,
     interpretation_distance,
+    interpretation_labels,
     interpretation_space,
     parse_program,
     perfect_model_by_strata,
@@ -25,6 +29,7 @@ from acokit.logic import (
 )
 from acokit.ultrametric import (check_axioms, check_isosceles,
                                 classify_contraction)
+from conftest import corpus_path
 from pair_oracles import consequence_by_definition
 
 THREE = parse_program("q.\np :- not q.\nr :- p.")
@@ -199,6 +204,37 @@ def test_classification_size_limit():
         classify_tp_contraction(program)
 
 
+def test_classification_rejects_an_empty_atom_base():
+    with pytest.raises(PreconditionError, match="empty atom base"):
+        classify_tp_contraction(program_from_clauses([]))
+
+
+def test_classification_leaves_fractions_unloaded():
+    script = ("import sys\n"
+              "from acokit import logic\n"
+              "program = logic.load_program(sys.argv[1])\n"
+              "print(logic.classify_tp_contraction(program).classification)\n"
+              "print('fractions' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, corpus_path("logic", "eight_atoms.pl")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "contraction\nFalse\n"
+
+
+def assert_labels_are_the_space_labels(program):
+    strat = find_stratification(program).stratification
+    labels = interpretation_labels(program, strat)
+    expected = interpretation_space(program, strat).ball_labels()
+    assert labels.dtype == expected.dtype
+    np.testing.assert_array_equal(labels, expected)
+
+
+def test_interpretation_labels_on_corpus(logic_corpus):
+    for _, program in logic_corpus:
+        assert_labels_are_the_space_labels(program)
+
+
 def test_interpretation_metric_axioms_small(logic_corpus):
     for name, program in logic_corpus:
         if len(program.atoms) > 8:
@@ -365,3 +401,9 @@ def test_tp_classification_matches_the_callable_route(program):
 
     assert classify_tp_contraction(program) == \
         classify_contraction(space, step)
+
+
+@given(arbitrary_programs(max_atoms=8).filter(
+    lambda p: find_stratification(p).ok))
+def test_interpretation_labels_on_arbitrary_programs(program):
+    assert_labels_are_the_space_labels(program)

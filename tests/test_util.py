@@ -58,6 +58,36 @@ def test_canonical_key_rejects_nan(value):
         canonical_key(value)
     with pytest.raises(ValueError):
         sorted_canonical([0, value])
+    with pytest.raises(ValueError):
+        sorted_canonical([value])
+
+
+SORTABLE = (st.text(max_size=2), st.integers(-3, 3), st.booleans())
+# lists of one kind and lists of tuples of one kind, empty tuples among them
+ONE_KIND = st.sampled_from(SORTABLE).flatmap(lambda kind: st.one_of(
+    st.lists(kind, max_size=8),
+    st.lists(st.lists(kind, max_size=3).map(tuple), max_size=8)))
+FLOATS = st.floats(allow_infinity=False)  # NaN included
+# anything else: kinds mixed, nested tuples, frozensets, floats
+MIXED_LISTS = st.lists(st.recursive(
+    st.one_of(*SORTABLE, FLOATS),
+    lambda inner: st.one_of(st.lists(inner, max_size=3).map(tuple),
+                            st.frozensets(inner, max_size=3)),
+    max_leaves=6), max_size=8)
+
+
+@given(st.one_of(ONE_KIND, st.lists(FLOATS, max_size=4), MIXED_LISTS))
+def test_sorted_canonical_sorts_by_canonical_key(values):
+    try:
+        expected = sorted(values, key=canonical_key)
+    except ValueError:  # a NaN
+        with pytest.raises(ValueError):
+            sorted_canonical(values)
+        return
+    ordered = sorted_canonical(values)
+    # both sorts are stable, so equal values keep their input order too
+    assert len(ordered) == len(expected)
+    assert all(x is y for x, y in zip(ordered, expected))
 
 
 class Small(int):
