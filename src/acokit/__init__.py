@@ -18,6 +18,7 @@ __all__ = [
     "BoxSequence",
     "DecomposedOperator",
     "FiniteUltrametricSpace",
+    "HeightMetric",
     "ProductSpace",
     "RadiusScale",
     "Schedule",
@@ -47,7 +48,8 @@ __all__ = [
 # the submodule that defines each public name
 _SOURCES = {
     **dict.fromkeys((
-        "AcoCertificate", "BoxSequence", "boxes_from_ultrametric",
+        "AcoCertificate", "BoxSequence", "HeightMetric",
+        "boxes_from_ultrametric",
         "certify_aco", "equivalence_census", "search_box_sequence",
         "search_ultrametric", "ultrametric_from_boxes",
         "verify_box_sequence"), "aco"),

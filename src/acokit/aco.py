@@ -29,7 +29,7 @@ from .util import (canonical_key, jsonable, logger, refuse_assignment,
 # ultrametric is imported inside each function that builds or classifies a
 # space: most commands build none and start faster without it
 if TYPE_CHECKING:
-    from .ultrametric import FiniteUltrametricSpace, ProductSpace
+    from .ultrametric import FiniteUltrametricSpace
 
 Box = tuple  # per-component subsets, each a canonically sorted tuple
 
@@ -86,6 +86,16 @@ class BoxSequence:
         object.__setattr__(self, "fixed_point", tuple(fixed_point))
 
     __setattr__ = refuse_assignment
+
+    @classmethod
+    def _of(cls, boxes: tuple, fixed_point: tuple) -> BoxSequence:
+        """A sequence of ``boxes`` already canonical (each component
+        sorted, nonempty and free of duplicates, one width), kept as they
+        are: :class:`_Analysis` builds its chain so."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "boxes", boxes)
+        object.__setattr__(seq, "fixed_point", fixed_point)
+        return seq
 
     def __len__(self):
         return len(self.boxes)
@@ -289,36 +299,41 @@ def _chained(sizes: tuple, hulls: list[int]) -> bool:
 
 
 class _Analysis:
-    """One operator's fixed points, in :meth:`iter_states` order, and its
-    image hulls over the whole domain shape, read off its image table
-    once for every search and certificate (:func:`_analysis`)."""
+    """One operator's fixed points, in :meth:`iter_states` order, its
+    image hulls over the whole domain shape and ``chain``, the hulls as
+    boxes innermost first if they end at a singleton, else ``None``, read
+    off its image table once for every search and certificate
+    (:func:`_analysis`)."""
 
     def __init__(self, op: DecomposedOperator):
         self.domains, self.sigma = op.domains, op.image_indices()
         self.sizes = tuple(map(len, self.domains))
+        states = op._states()
         self.fixed_points = tuple(
-            m for i, (m, f) in enumerate(zip(op.iter_states(), self.sigma))
-            if f == i)
-
-    @functools.cached_property
-    def hulls(self) -> list[int]:
-        return _hulls(self.sizes, self.sigma)
+            states[i] for i, f in enumerate(self.sigma) if f == i)
+        self.hulls = _hulls(self.sizes, self.sigma)
+        self.chain = None
+        if _chained(self.sizes, self.hulls):
+            # the boxes are canonical already, so they are not checked again
+            self.boxes = _boxes(self.domains, self.hulls)
+            self.chain = BoxSequence._of(tuple(reversed(self.boxes)),
+                                         self.fixed_points[0])
 
     @functools.cached_property
     def boxes(self) -> list[Box]:
-        """The hulls as boxes, the whole domain first, in canonical order."""
-        values = tuple(itertools.chain.from_iterable(self.domains))
-        columns = _canonical_columns(self.domains)
-        return [tuple([tuple([values[c] for c in comp if hull >> c & 1])
-                       for comp in columns])
-                for hull in self.hulls]
+        """The hulls as boxes, the whole domain first, in canonical order;
+        set when the operator is analysed if they form a chain."""
+        return _boxes(self.domains, self.hulls)
 
-    @functools.cached_property
-    def chain(self) -> BoxSequence | None:
-        """The boxes innermost first, if the hulls end at a singleton."""
-        if not _chained(self.sizes, self.hulls):
-            return None
-        return BoxSequence(tuple(reversed(self.boxes)), self.fixed_points[0])
+
+def _boxes(domains: tuple, hulls: list[int]) -> list[Box]:
+    """The :func:`_hulls` over ``domains`` as boxes, each component's
+    values in canonical order."""
+    values = tuple(itertools.chain.from_iterable(domains))
+    columns = _canonical_columns(domains)
+    return [tuple([tuple([values[c] for c in comp if hull >> c & 1])
+                   for comp in columns])
+            for hull in hulls]
 
 
 def _analysis(op: DecomposedOperator) -> _Analysis:
@@ -368,6 +383,18 @@ def _differing_values(sizes: tuple) -> tuple:
         for x in cols)
 
 
+@functools.lru_cache(maxsize=4)
+def _differing_masks(sizes: tuple) -> tuple:
+    """``(table, mask_of)``: the :func:`_differing_values` as bit masks
+    over the columns, ``table[i][j]`` for states ``i`` and ``j`` and
+    ``mask_of[values]`` for each tuple of values.  Built once per shape
+    and kept."""
+    mask_of = {d: sum(1 << v for v in d)
+               for row in _differing_values(sizes) for d in row}
+    return tuple(tuple(map(mask_of.__getitem__, row))
+                 for row in _differing_values(sizes)), mask_of
+
+
 def _greatest_heights(sizes: tuple, sigma) -> tuple:
     """``(heights, conditions, rounds)``: the greatest product heights
     under which the map ``sigma``, a sequence of int image indices,
@@ -387,61 +414,120 @@ def _greatest_heights(sizes: tuple, sigma) -> tuple:
 
     Solutions are closed under pointwise max, and the conditions read
     only the order of heights, so any solution has a copy with the same
-    order in ``0 .. max(1, V - 1)`` for ``V`` values.  Lowering each
-    ``h_a`` to its bound from ``h`` of that top until nothing changes
-    therefore ends at the greatest solution, and a bound below 0 shows
-    there is none.  Two zero heights in one component put two states at
-    distance 0; that bound holds for every larger assignment too, so
-    testing it on the greatest solution decides it.  ``conditions``
-    counts the conditions above, ``rounds`` the passes over them.
+    order in ``0 .. top``, ``top = max(1, V - 1)`` for ``V`` values.
+    Lowering each ``h_a`` to its bound from ``h`` of that top until
+    nothing changes therefore ends at the greatest solution, and a bound
+    below 0 shows there is none.  Two zero heights in one component put
+    two states at distance 0; that bound holds for every larger
+    assignment too, so testing it on the greatest solution decides it.
+    ``conditions`` counts the conditions above, ``rounds`` the passes
+    over them, each condition met once per pass in the order it was
+    first built.
+
+    The heights are kept as level masks, ``ge[L]`` the values with
+    height at least ``L`` (:func:`_differing_masks` bits): ``max(h[S])``
+    is the highest ``L`` with ``ge[L] & S``, and lowering the values of
+    ``T`` to ``bound`` clears them from ``ge[bound + 1 .. top]``.
     """
     table = _differing_values(sizes)
+    masks, mask_of = _differing_masks(sizes)
     at_most: dict = {}  # (S, c) -> the values a with h_a <= max(h[S]) + c
     conditions = 0
     for x, fx in enumerate(sigma):
-        row, images = table[x], table[fx]
+        row, images = table[x], masks[fx]
         for over, fy in zip(row[x + 1:], sigma[x + 1:]):
             if fy != fx:
-                at_most.setdefault((over, 0), set()).update(images[fy])
+                key = (over, 0)
+                at_most[key] = at_most.get(key, 0) | images[fy]
                 conditions += 1
         if sigma[fx] != fx:
-            at_most.setdefault((row[fx], -1), set()).update(
-                images[sigma[fx]])
+            key = (row[fx], -1)
+            at_most[key] = at_most.get(key, 0) | images[sigma[fx]]
             conditions += 1
-    h = [max(1, sum(sizes) - 1)] * sum(sizes)
+    top = max(1, sum(sizes) - 1)
+    every = (1 << sum(sizes)) - 1
+    ge = [every] * (top + 1)
+    bounds = [(mask_of[over], c, values)
+              for (over, c), values in at_most.items()]
     rounds = 0
     changed = True
     while changed:
         changed = False
         rounds += 1
-        for (over, c), values in at_most.items():
-            bound = max(map(h.__getitem__, over)) + c
-            if bound < 0:
+        for over, c, values in bounds:
+            level = top
+            while not ge[level] & over:
+                level -= 1
+            level += c + 1  # the lowest level the values must leave
+            if level <= 0:  # the bound is below 0
                 return None, conditions, rounds
-            for a in values:
-                if h[a] > bound:
-                    h[a] = bound
-                    changed = True
+            while level <= top and ge[level] & values:
+                ge[level] &= ~values
+                level += 1
+                changed = True
+    ge.append(0)
+    zero = every & ~ge[1]
     for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
-        if h[lo:hi].count(0) > 1:
+        if (zero >> lo & (1 << hi - lo) - 1).bit_count() > 1:
             return None, conditions, rounds
-    ranks = sorted(set(h))
-    rank = {v: r for r, v in enumerate(ranks, start=0 if 0 in ranks else 1)}
-    return tuple(rank[v] for v in h), conditions, rounds
+    # relabel by rank: the levels that hold a value, lowest first
+    h = [0] * sum(sizes)
+    rank = 0 if zero else 1
+    for level in range(top + 1):
+        exact = ge[level] & ~ge[level + 1]
+        if exact:
+            while exact:
+                low = exact & -exact
+                h[low.bit_length() - 1] = rank
+                exact ^= low
+            rank += 1
+    return tuple(h), conditions, rounds
 
 
-def _witness(domains, row) -> ProductSpace:
-    """The product space of heights ``row``: one height per value of
-    each component with more than one value, in order; a one-value
+class HeightMetric(NamedTuple):
+    """A product height metric over ``domains``: ``heights[i][k]`` is the
+    height of value ``domains[i][k]``, and two states lie at the largest
+    height among the values where they differ.  A one-value component's
+    value is at height 0.  :func:`search_ultrametric` returns one."""
+
+    domains: tuple
+    heights: tuple
+
+    def _positions(self, state) -> list[int]:
+        """Each value's index in its domain; a state outside the domains
+        raises :class:`PreconditionError`, as
+        :meth:`DecomposedOperator.check_state` words it."""
+        if not isinstance(state, tuple) or len(state) != len(self.domains):
+            raise PreconditionError(f"state {state!r} has the wrong shape")
+        out = []
+        for value, dom in zip(state, self.domains):
+            # domain values are distinct, so at most one equals the value
+            k = dom.index(value) if value in dom else None
+            if k is None or type(dom[k]) is not type(value):
+                raise PreconditionError(f"{value!r} not in component domain")
+            out.append(k)
+        return out
+
+    def distance_index(self, m: tuple, n: tuple) -> int:
+        """The largest height among the values where ``m`` and ``n``
+        differ; 0 when they are equal."""
+        return max((max(hs[j], hs[k]) for j, k, hs in zip(
+            self._positions(m), self._positions(n), self.heights) if j != k),
+            default=0)
+
+    def to_json_dict(self) -> dict:
+        return {"domains": jsonable(self.domains),
+                "heights": jsonable(self.heights)}
+
+
+def _height_metric(domains: tuple, row) -> HeightMetric:
+    """The metric of heights ``row``: one height per value of each
+    component with more than one value, in order; a one-value
     component's value gets height 0."""
-    from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
-    scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
     heights = iter(row)  # zip takes len(dom) of them for each domain
-    tables = [{dom[0]: 0} if len(dom) == 1 else dict(zip(dom, heights))
-              for dom in domains]
-    return ProductSpace([FiniteUltrametricSpace(
-        dom, scale, lambda m, n, t=t: 0 if m == n else max(t[m], t[n]))
-        for dom, t in zip(domains, tables)])
+    return HeightMetric(domains, tuple(
+        (0,) if len(dom) == 1 else tuple(h for _, h in zip(dom, heights))
+        for dom in domains))
 
 
 def _confirm(domains, sigma, heights) -> None:
@@ -449,8 +535,9 @@ def _confirm(domains, sigma, heights) -> None:
     ``sigma`` of state indices a contraction that is strict on orbits, and
     raise :class:`SemanticsError` if it does not.
 
-    ``heights`` are read as :func:`_witness` reads them.  This checks the
-    height search without its tables: it reads the metric's balls.
+    ``heights`` are read as :func:`_height_metric` reads them.  This
+    checks the height search without its tables: it reads the metric's
+    balls.
 
     - Heights that put two values of one component at 0 are no metric.
     - Contraction, ball by ball: ``d(x, y) <= r`` exactly when ``x`` and
@@ -492,11 +579,11 @@ def _confirm(domains, sigma, heights) -> None:
                 f"on the orbit of state {x}")
 
 
-def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
+def search_ultrametric(op: DecomposedOperator) -> HeightMetric | None:
     """Search product ultrametrics built from per-component heights.
 
-    Returns the product space of the greatest heights under which the
-    operator contracts and is strict on orbits around a unique fixed
+    Returns the :class:`HeightMetric` of the greatest heights under which
+    the operator contracts and is strict on orbits around a unique fixed
     point (:func:`_greatest_heights`, relabelled by rank), or ``None``
     when no product height metric does.  Three gates come first, in
     order, before any condition is built:
@@ -513,8 +600,8 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
       boxes, form a box chain.  Contraction on all pairs is never used.
 
     Every metric found is confirmed by :func:`_confirm`, a plain-Python
-    check of its balls, before its space is built, and a disagreement
-    raises :class:`SemanticsError`.
+    check of its balls, before it is returned, and a disagreement raises
+    :class:`SemanticsError`.
     """
     analysis = _analysis(op)
     fixed = len(analysis.fixed_points)
@@ -538,7 +625,7 @@ def search_ultrametric(op: DecomposedOperator) -> ProductSpace | None:
     if heights is None:
         return None
     _confirm(op.domains, sigma, heights)
-    return _witness(op.domains, heights)
+    return _height_metric(op.domains, heights)
 
 
 class AcoCertificate(NamedTuple):

@@ -53,11 +53,13 @@ class DecomposedOperator:
     images and nothing else is read.  :meth:`apply` relies on it: it
     calls the callable once per distinct state, checks that the image is a
     state of the domain and keeps it, one entry per distinct state read,
-    for as long as the operator lives.  ``evaluations`` counts the calls
-    made to the callable.  A table operator checks every image once, when
-    it is built from its own copy of the table, and a
-    :func:`rule_operator` builds only images of its domain, so
-    :meth:`apply` checks neither again.
+    for as long as the operator lives.  ``evaluations`` counts the images
+    it has kept: the calls made to the callable and, on a table operator,
+    the images :meth:`image_indices` reads off the indices recorded when
+    it was built, one per state not yet kept, without calling the table.
+    A table operator checks every image once, when it is built from its
+    own copy of the table, and a :func:`rule_operator` builds only images
+    of its domain, so :meth:`apply` checks neither again.
     """
 
     _images_checked = False  # every image is known to be a domain state
@@ -68,10 +70,11 @@ class DecomposedOperator:
             raise PreconditionError("every processor needs a nonempty domain")
         # the values and their types, in order: (0, 1) == (False, True)
         self._shape = domains, tuple(map(type, itertools.chain(*domains)))
+        self._size = math.prod(map(len, domains))
         # a larger shape's record is built for it alone
         self.domains, self._domain_types = (
             _domain_record(*self._shape)
-            if math.prod(map(len, domains)) <= INDEX_CACHE_STATES
+            if self._size <= INDEX_CACHE_STATES
             else _domain_record.__wrapped__(*self._shape))
         self._global = global_fn
         self._images: dict[tuple, tuple] = {}
@@ -121,10 +124,17 @@ class DecomposedOperator:
         return len(self.domains)
 
     def size(self) -> int:
-        return math.prod(len(d) for d in self.domains)
+        return self._size
 
     def iter_states(self):
         return itertools.product(*self.domains)
+
+    def _states(self) -> tuple:
+        """Every state in :meth:`iter_states` order, one tuple kept per
+        shape of at most :data:`INDEX_CACHE_STATES` states."""
+        if self.size() > INDEX_CACHE_STATES:
+            return tuple(self.iter_states())
+        return _shape_states(*self._shape)
 
     def _check(self, state, wrong_shape: str, outside: str):
         """Raise unless every value is an element of its domain and of that
@@ -165,15 +175,18 @@ class DecomposedOperator:
     def image_indices(self) -> tuple:
         """The :meth:`iter_states` index of each state's image, states in
         that order, one tuple for every call (a table operator's recorded
-        when built).  The first call evaluates each state not yet known."""
+        when built).  The first call evaluates each state not yet known;
+        on a table operator it keeps their images read off the recorded
+        indices instead."""
         if self._image_indices is None:
             index = {m: i for i, m in enumerate(self.iter_states())}
             self._image_indices = tuple(
                 index[self.apply(m)] for m in self.iter_states())
         elif len(self._images) < len(self._image_indices):
-            new = {m: tuple(self._global(m)) for m in self.iter_states()
-                   if m not in self._images}
-            self._images.update(new)
+            states, images = self._states(), self._images
+            new = {m: states[f] for m, f in zip(states, self._image_indices)
+                   if m not in images}
+            images.update(new)
             self.evaluations += len(new)
         return self._image_indices
 
@@ -190,6 +203,13 @@ def _domain_record(domains: tuple, types: tuple) -> tuple:
         if len(by_value) != len(dom):
             raise PreconditionError("domain elements must be distinct")
     return domains, domain_types
+
+
+@functools.lru_cache(maxsize=4)
+def _shape_states(domains: tuple, types: tuple) -> tuple:
+    """Every state in itertools.product order; ``types`` keys the cache,
+    as for :func:`_domain_record`."""
+    return tuple(itertools.product(*domains))
 
 
 @functools.lru_cache(maxsize=4)
@@ -233,13 +253,19 @@ class BitRules(NamedTuple):
         import numpy as np
         out = np.zeros(1 << self.width, dtype=np.int64)
         cube = out.reshape((2,) * self.width)  # bit width - 1 - a on axis a
-        every, bits = slice(None), range(self.width - 1, -1, -1)
+        free = [slice(None)] * self.width
+        inside = (1 << self.width) - 1
         for head, pos, neg in self.rules:
             if pos & neg or pos >> self.width:
                 continue  # no mask below 2**width holds pos and misses neg
+            index = free.copy()
+            fixed = pos | neg & inside  # no mask holds a bit of neg above
+            while fixed:
+                low = fixed & -fixed
+                index[self.width - low.bit_length()] = 1 if pos & low else 0
+                fixed ^= low
             # a view even where every axis is fixed, so |= writes to out
-            view = cube[(*[1 if pos >> b & 1 else 0 if neg >> b & 1 else every
-                           for b in bits], ...)]
+            view = cube[(*index, ...)]
             view |= head
         return out
 

@@ -15,8 +15,9 @@ checked against its plain ``isinstance`` chain.
 The remaining references keep earlier versions of library passes that
 were since rewritten: per-radius ball labels, the numpy space checks,
 the height search over
-every order-canonical assignment with every row gathered, the image
-hulls over state tuples, the typed-set domain check, and the table
+every order-canonical assignment with every row gathered, the greatest
+heights found on sets of values, the witness as a product space, the
+image hulls over state tuples, the typed-set domain check, and the table
 check entry by entry.
 """
 
@@ -27,7 +28,7 @@ import random
 from fractions import Fraction
 
 from acokit import routing
-from acokit.aco import box_members
+from acokit.aco import _differing_values, box_members
 from acokit.errors import PreconditionError
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
@@ -290,6 +291,68 @@ def search_ultrametric_by_pairs(op):
     return (tuple(range(len(labels) + shift)) if labels else (0,),
             tuple({v: h.get((i, v), 0) for v in dom}
                   for i, dom in enumerate(op.domains)))
+
+
+def greatest_heights_by_sets(sizes, sigma):
+    """``aco._greatest_heights`` as it first read: each condition's
+    values kept as a set, each height as an int, lowered one value at a
+    time; the same ``(heights, conditions, rounds)``."""
+    table = _differing_values(sizes)
+    at_most: dict = {}  # (S, c) -> the values a with h_a <= max(h[S]) + c
+    conditions = 0
+    for x, fx in enumerate(sigma):
+        row, images = table[x], table[fx]
+        for over, fy in zip(row[x + 1:], sigma[x + 1:]):
+            if fy != fx:
+                at_most.setdefault((over, 0), set()).update(images[fy])
+                conditions += 1
+        if sigma[fx] != fx:
+            at_most.setdefault((row[fx], -1), set()).update(
+                images[sigma[fx]])
+            conditions += 1
+    h = [max(1, sum(sizes) - 1)] * sum(sizes)
+    rounds = 0
+    changed = True
+    while changed:
+        changed = False
+        rounds += 1
+        for (over, c), values in at_most.items():
+            bound = max(map(h.__getitem__, over)) + c
+            if bound < 0:
+                return None, conditions, rounds
+            for a in values:
+                if h[a] > bound:
+                    h[a] = bound
+                    changed = True
+    for lo, hi in itertools.pairwise(itertools.accumulate(sizes, initial=0)):
+        if h[lo:hi].count(0) > 1:
+            return None, conditions, rounds
+    ranks = sorted(set(h))
+    rank = {v: r for r, v in enumerate(ranks, start=0 if 0 in ranks else 1)}
+    return tuple(rank[v] for v in h), conditions, rounds
+
+
+def witness_space(domains, row):
+    """The product space of heights ``row``, as ``search_ultrametric``
+    first returned its witness: one height per value of each component
+    with more than one value, in order; a one-value component's value
+    gets height 0."""
+    from acokit.ultrametric import (FiniteUltrametricSpace, ProductSpace,
+                                    RadiusScale)
+    scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
+    heights = iter(row)  # zip takes len(dom) of them for each domain
+    tables = [{dom[0]: 0} if len(dom) == 1 else dict(zip(dom, heights))
+              for dom in domains]
+    return ProductSpace([FiniteUltrametricSpace(
+        dom, scale, lambda m, n, t=t: 0 if m == n else max(t[m], t[n]))
+        for dom, t in zip(domains, tables)])
+
+
+def metric_space(metric):
+    """:func:`witness_space` of a ``HeightMetric``."""
+    return witness_space(metric.domains, [
+        h for dom, hs in zip(metric.domains, metric.heights) if len(dom) > 1
+        for h in hs])
 
 
 def _canonical_heights(sizes, top):

@@ -1,6 +1,8 @@
 import itertools
 import logging
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from acokit import aco, iteration, logic, routing
 from acokit.aco import (
     BoxSequence,
+    HeightMetric,
     boxes_from_ultrametric,
     box_members,
     box_size,
@@ -34,11 +37,14 @@ from acokit.ultrametric import (
     check_axioms,
     classify_contraction,
 )
-from conftest import ball_from_labels, chain_table, gated_ring
+from conftest import ball_from_labels, chain_table, corpus_path, gated_ring
 from pair_oracles import (
+    greatest_heights_by_sets,
     image_hulls_by_states,
+    metric_space,
     qualifying_rows_on_all_rows,
     search_ultrametric_by_pairs,
+    witness_space,
 )
 
 DOM22 = ((0, 1), (0, 1))
@@ -380,8 +386,9 @@ def _results(op, calls):
             seq = search_box_sequence(op)
             out[name] = None if seq is None else (seq.boxes, seq.fixed_point)
         elif name == "metric":
-            space = search_ultrametric(op)
-            out[name] = None if space is None else space.index_rows()
+            metric = search_ultrametric(op)
+            out[name] = None if metric is None else \
+                metric_space(metric).index_rows()
         else:
             out[name] = certify_aco(op, schedules=1).to_json_dict()
     return out
@@ -517,7 +524,8 @@ def test_equivalence_census_logs_counters(caplog):
 def test_search_ultrametric_examples():
     found = search_ultrametric(constant_op())
     assert found is not None
-    assert classify_contraction(found, constant_op().apply).qualifies()
+    assert classify_contraction(metric_space(found),
+                                constant_op().apply).qualifies()
     assert search_ultrametric(swap_op()) is None
     # multiple fixed points disqualify regardless of metric
     assert search_ultrametric(identity_op()) is None
@@ -551,9 +559,10 @@ def heights_found(op):
     """search_ultrametric's answer in the shape of
     search_ultrametric_by_pairs: scale values and per-component
     distance tables, here read off the component spaces."""
-    space = search_ultrametric(op)
-    if space is None:
+    metric = search_ultrametric(op)
+    if metric is None:
         return None
+    space = metric_space(metric)
     return space.scale.values, tuple(
         [list(row) for row in comp.index_rows()]
         for comp in space.components)
@@ -622,7 +631,7 @@ def test_search_ultrametric_leaves_one_value_components_out_of_the_heights(
     domains = ((0,), (0,), (0,), (0,), (0, 1, 2, 3, 4))
     op = DecomposedOperator(domains, lambda s: s[:4] + (max(0, s[4] - 1),))
     with caplog.at_level(logging.DEBUG, logger="acokit"):
-        space = search_ultrametric(op)
+        space = metric_space(search_ultrametric(op))
     # heights 0 .. 4 for the five values, the countdown's only order;
     # the one-value components get height 0
     assert caplog.messages[0] == \
@@ -678,9 +687,9 @@ def test_search_ultrametric_finds_metrics_for_shift_operators(domains):
         return s[1:] + (max(0, s[-1] - 1),)
 
     op = DecomposedOperator(domains, shift)
-    space = search_ultrametric(op)
-    assert space is not None
-    assert classify_contraction(space, op.apply).qualifies()
+    metric = search_ultrametric(op)
+    assert metric is not None
+    assert classify_contraction(metric_space(metric), op.apply).qualifies()
     assert search_box_sequence(op) is not None
 
 
@@ -762,12 +771,156 @@ def test_search_ultrametric_witnesses_keep_value_types():
 
     for order in ((bools, ints), (ints, bools)):
         for domains in order:
-            space = search_ultrametric(constant(domains))
+            space = metric_space(search_ultrametric(constant(domains)))
             assert [[type(v) for v in comp.elements]
                     for comp in space.components] == \
                 [[type(v) for v in dom] for dom in domains]
             assert [type(v) for v in space.elements[-1]] == \
                 [type(dom[-1]) for dom in domains]
+
+
+def _sample_tables(domains, count, rng):
+    """``count`` maps on ``domains``, every other one built on a box
+    chain, so both verdicts occur."""
+    states = list(itertools.product(*domains))
+    for k in range(count):
+        if k % 2:
+            yield chain_table(
+                domains, rng.choice,
+                lambda xs: rng.sample(xs, rng.randint(1, len(xs) - 1)))[0]
+        else:
+            yield {s: rng.choice(states) for s in states}
+
+
+def _metric_cases():
+    """Every 2x2 table, seeded 3x2 and 2x2x2 samples, and seeded samples
+    over str and bool domains, as (domains, table) pairs."""
+    for images in itertools.product(STATES22, repeat=4):
+        yield DOM22, dict(zip(STATES22, images))
+    rng = random.Random(20261022)
+    for domains, count in ((((0, 1, 2), (0, 1)), 120), (((0, 1),) * 3, 60),
+                           ((("b", "a", "c"), (True, False)), 60),
+                           (((False, True), ("x",), (0, 1)), 60)):
+        for table in _sample_tables(domains, count, rng):
+            yield domains, table
+
+
+def test_height_metric_distances_match_the_witness_space():
+    found = {}
+    for domains, table in _metric_cases():
+        metric = search_ultrametric(
+            DecomposedOperator.from_table(domains, table))
+        if metric is None:
+            continue
+        found[domains] = found.get(domains, 0) + 1
+        assert metric.domains == domains
+        assert [[type(v) for v in dom] for dom in metric.domains] == \
+            [[type(v) for v in dom] for dom in domains]
+        assert [len(hs) for hs in metric.heights] == list(map(len, domains))
+        space = metric_space(metric)
+        states = list(itertools.product(*domains))
+        for m, n in itertools.product(states, repeat=2):
+            assert metric.distance_index(m, n) == space.distance_index(m, n)
+    # every 2x2 metric, and some in each sample
+    assert found[DOM22] == 28
+    assert len(found) == 5
+
+
+def test_height_metric_record():
+    metric = search_ultrametric(DecomposedOperator.from_table(
+        ((0, 1), ("a",)), {(0, "a"): (0, "a"), (1, "a"): (0, "a")}))
+    # no condition lowers either value from the top height, 1
+    assert metric == HeightMetric(((0, 1), ("a",)), ((1, 1), (0,)))
+    assert metric.to_json_dict() == {"domains": [[0, 1], ["a"]],
+                                     "heights": [[1, 1], [0]]}
+    assert metric.distance_index((1, "a"), (0, "a")) == 1
+    assert metric.distance_index((1, "a"), (1, "a")) == 0
+    with pytest.raises(AttributeError):
+        metric.heights = ()
+
+
+@pytest.mark.parametrize("state, message", [
+    ((2, "a"), "2 not in component domain"),
+    ((True, "a"), "True not in component domain"),
+    ((0, "b"), "'b' not in component domain"),
+    ((0,), "has the wrong shape"),
+    ([0, "a"], "has the wrong shape"),
+], ids=["value", "type", "second", "short", "list"])
+def test_height_metric_rejects_states_outside_the_domain(state, message):
+    domains = ((0, 1), ("a",))
+    op = DecomposedOperator.from_table(
+        domains, {(0, "a"): (0, "a"), (1, "a"): (0, "a")})
+    metric = search_ultrametric(op)
+    with pytest.raises(PreconditionError, match=message):
+        op.check_state(state)
+    for m, n in ((state, (0, "a")), ((0, "a"), state)):
+        with pytest.raises(PreconditionError, match=message):
+            metric.distance_index(m, n)
+
+
+def test_search_ultrametric_loads_no_space_module():
+    script = ("import sys\n"
+              "from acokit import aco, iteration\n"
+              "op, _ = iteration.load_operator(sys.argv[1])\n"
+              "print(aco.search_ultrametric(op).heights)\n"
+              "print('acokit.ultrametric' in sys.modules)\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script,
+         corpus_path("operators", "shift2x2.json")],
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "((2, 2), (1, 1))\nFalse\n"
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_greatest_heights_match_the_set_reference(data):
+    sizes = data.draw(st.sampled_from(
+        ((2, 2), (3, 2), (2, 2, 2), (4, 2), (3, 3))))
+    domains = tuple(tuple(range(size)) for size in sizes)
+    states = list(itertools.product(*domains))
+    if data.draw(st.booleans()):
+        table, _ = chain_table(
+            domains, lambda xs: data.draw(st.sampled_from(xs)),
+            lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                          max_size=len(xs) - 1, unique=True)))
+        sigma = tuple(states.index(table[s]) for s in states)
+    else:
+        sigma = tuple(data.draw(st.lists(
+            st.integers(0, len(states) - 1), min_size=len(states),
+            max_size=len(states))))
+    assert aco._greatest_heights(sizes, sigma) == \
+        greatest_heights_by_sets(sizes, sigma)
+
+
+def _chain_by_the_checked_constructor(op):
+    seq = aco._analysis(op).chain
+    if seq is None:
+        return None
+    checked = BoxSequence(seq.boxes, seq.fixed_point)
+    assert (seq.boxes, seq.fixed_point) == \
+        (checked.boxes, checked.fixed_point)
+    return seq
+
+
+def test_analysis_chain_matches_the_checked_constructor_on_every_2x2():
+    chains = sum(_chain_by_the_checked_constructor(op_from_map(
+        dict(zip(STATES22, images)))) is not None
+        for images in itertools.product(STATES22, repeat=4))
+    assert chains == 28
+
+
+@given(st.data())
+def test_analysis_chain_matches_the_checked_constructor(data):
+    domains = data.draw(st.sampled_from(
+        SHAPES + ((("b", "a", "c"), (2, 0)), ((False, True), ("x",)))))
+    table, fixed = chain_table(
+        domains, lambda xs: data.draw(st.sampled_from(xs)),
+        lambda xs: data.draw(st.lists(st.sampled_from(xs), min_size=1,
+                                      max_size=len(xs) - 1, unique=True)))
+    seq = _chain_by_the_checked_constructor(
+        DecomposedOperator.from_table(domains, table))
+    assert seq.fixed_point == fixed
 
 
 def test_boxes_from_ultrametric_requires_qualifying_map(ring3):
@@ -959,7 +1112,7 @@ def test_confirm_rejects_two_zero_heights_the_classifier_passes():
     # still contracts strictly under it; such heights are no metric
     domains = ((0, 1, 2), (0, 1))
     sigma, heights = (4,) * 6, (0, 0, 1, 0, 1)
-    space = aco._witness(domains, heights)
+    space = witness_space(domains, heights)
     assert classify_contraction(space, np.array(sigma)).qualifies()
     with pytest.raises(SemanticsError, match="two values of one component"):
         aco._confirm(domains, sigma, heights)
@@ -1005,7 +1158,7 @@ def test_confirm_accepts_exactly_the_metrics_the_classifier_qualifies(data):
         accepted = True
     except SemanticsError:
         accepted = False
-    qualifies = classify_contraction(aco._witness(domains, heights),
+    qualifies = classify_contraction(witness_space(domains, heights),
                                      np.array(sigma)).qualifies()
     # two values of one component at height 0 are no metric, whatever the
     # classifier makes of them

@@ -191,6 +191,23 @@ def test_from_table_equals_the_entry_by_entry_check(data):
     assert op.evaluations == len(states)
 
 
+def test_table_image_indices_keep_the_images_without_calling_the_table():
+    # the indices recorded when the table was checked give every image;
+    # each state not yet kept still counts as one evaluation
+    domains = ((0, 1, 2), (False, True))
+    states = list(itertools.product(*domains))
+    table = {s: states[(5 * k + 1) % 6] for k, s in enumerate(states)}
+    op = DecomposedOperator.from_table(domains, table)
+    assert op.apply(states[2]) == table[states[2]]
+    op._global = mock.Mock(side_effect=AssertionError("table called"))
+    assert op.image_indices() == tuple(states.index(table[s]) for s in states)
+    assert op.evaluations == len(states)
+    for s in states:
+        assert op.known_image(s) == table[s]
+        assert list(map(type, op.apply(s))) == [int, bool]
+    assert op.evaluations == len(states)
+
+
 def test_table_operators_of_equal_domains_keep_their_value_types():
     ints = DecomposedOperator.from_table(((0, 1),), {(0,): (1,), (1,): (1,)})
     bools = DecomposedOperator.from_table(
@@ -211,8 +228,11 @@ def test_rule_images_equal_the_step_of_every_mask(data):
     # facts, repeated heads, and pos and neg drawn apart, so they overlap
     # and may name a bit past the width
     body = st.one_of(st.just(0), st.integers(0, (2 << width) - 1))
-    rules = BitRules(width, tuple(data.draw(st.lists(
-        st.tuples(st.sampled_from(heads), body, body), max_size=12))))
+    rules = data.draw(st.lists(
+        st.tuples(st.sampled_from(heads), body, body), max_size=12))
+    # and at least one rule whose neg names a bit past the width only
+    head, pos = data.draw(st.sampled_from(heads)), data.draw(bits)
+    rules = BitRules(width, (*rules, (head, pos, 1 << width)))
     images = rules.images()
     assert images.dtype == "int64"
     assert images.tolist() == [rules.step(m) for m in range(1 << width)]
