@@ -19,7 +19,6 @@ __all__ = [
     "DecomposedOperator",
     "FiniteUltrametricSpace",
     "HeightMetric",
-    "ProductSpace",
     "RadiusScale",
     "Schedule",
     "Trajectory",
@@ -32,15 +31,12 @@ __all__ = [
     "check_spherical_completeness",
     "classify_contraction",
     "equivalence_census",
-    "height_distance",
-    "height_space",
     "make_synchronous_schedule",
     "run_async",
     "run_sync",
     "sample_schedule",
     "search_box_sequence",
     "search_ultrametric",
-    "string_distance",
     "ultrametric_from_boxes",
     "verify_box_sequence",
 ]
@@ -58,10 +54,9 @@ _SOURCES = {
         "check_admissible_prefix", "make_synchronous_schedule", "run_async",
         "run_sync", "sample_schedule"), "iteration"),
     **dict.fromkeys((
-        "FiniteUltrametricSpace", "ProductSpace", "RadiusScale",
-        "check_axioms", "check_isosceles", "check_spherical_completeness",
-        "classify_contraction", "height_distance", "height_space",
-        "string_distance"), "ultrametric"),
+        "FiniteUltrametricSpace", "RadiusScale", "check_axioms",
+        "check_isosceles", "check_spherical_completeness",
+        "classify_contraction"), "ultrametric"),
 }
 
 

@@ -6,11 +6,6 @@ class MalformedSpaceError(ValueError):
     labels outside its scale."""
 
 
-class InvalidHeightError(ValueError):
-    """A height assignment maps some element to the zero radius or a
-    non-positive value."""
-
-
 class MalformedBoxError(ValueError):
     """A box is not a product of nonempty per-component subsets of the
     operator's domain."""

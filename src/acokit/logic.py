@@ -18,14 +18,14 @@ from .iteration import BitRules, DecomposedOperator, rule_operator
 from .util import json_object, refuse_assignment, typed
 
 # fractions is imported inside each function that builds a Fraction, and
-# ultrametric inside each function that builds or classifies a space: most
-# commands do neither and start faster without them
+# ultrametric inside the function that classifies: most commands do
+# neither and start faster without them
 if TYPE_CHECKING:
     from fractions import Fraction
 
     import numpy as np
 
-    from .ultrametric import ContractionReport, ProductSpace, RadiusScale
+    from .ultrametric import ContractionReport
 
 _ATOM_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
 
@@ -57,7 +57,7 @@ class GroundProgram:
     @cached_property
     def atom_bit(self) -> dict:
         """Atom k as bit ``n - 1 - k``, so a mask is the interpretation's
-        index in :func:`interpretation_space`."""
+        index in ``itertools.product((False, True), repeat=n)`` order."""
         n = len(self.atoms)
         return {a: 1 << (n - 1 - k) for k, a in enumerate(self.atoms)}
 
@@ -294,33 +294,6 @@ def interpretation_distance(strat: Stratification, left, right) -> Fraction:
     return Fraction(1, 2 ** min(strat.of(a) for a in delta))
 
 
-def interpretation_scale(strat: Stratification) -> RadiusScale:
-    from fractions import Fraction
-
-    from .ultrametric import RadiusScale
-    top = strat.max_level
-    return RadiusScale(tuple(
-        [Fraction(0)] + [Fraction(1, 2 ** s) for s in range(top, -1, -1)]))
-
-
-def interpretation_space(program: GroundProgram,
-                         strat: Stratification) -> ProductSpace:
-    """Per-atom product space whose max-distance equals
-    :func:`interpretation_distance` on the full interpretation lattice.
-
-    The atoms of one stratum share one component space, so its table and
-    ball labels are built once."""
-    from fractions import Fraction
-
-    from .ultrametric import FiniteUltrametricSpace, ProductSpace
-    scale = interpretation_scale(strat)
-    levels = {level: FiniteUltrametricSpace(
-        (False, True), scale,
-        lambda m, n, r=Fraction(1, 2 ** level): Fraction(0) if m == n else r)
-        for level in {strat.of(atom) for atom in program.atoms}}
-    return ProductSpace(levels[strat.of(atom)] for atom in program.atoms)
-
-
 def interp_to_tuple(program: GroundProgram, interp) -> tuple:
     interp = frozenset(interp)
     return tuple(a in interp for a in program.atoms)
@@ -404,15 +377,15 @@ def compute_perfect_model(program: GroundProgram) -> PerfectModelResult:
 
 def interpretation_labels(program: GroundProgram,
                           strat: Stratification) -> np.ndarray:
-    """The ball labels of :func:`interpretation_space`, read off the masks.
+    """The ball labels of the interpretations under
+    :func:`interpretation_distance`, one row per radius, read off the masks.
 
-    An interpretation's index in the space is its mask (atom k is bit
-    ``n - 1 - k``, :attr:`GroundProgram.atom_bit`), and two
-    interpretations that differ at an atom of stratum ``s`` lie
-    ``2**-s`` apart, index ``top - s + 1`` of
-    :func:`interpretation_scale`.  So at radius index ``r`` the ball's
-    smallest mask, its label, keeps only the bits of the atoms at a
-    greater index."""
+    An interpretation's index is its mask (atom k is bit ``n - 1 - k``,
+    :attr:`GroundProgram.atom_bit`).  Radius index 0 is zero and index
+    ``r >= 1`` is ``2**-(top - r + 1)``, for the deepest stratum ``top``:
+    two interpretations lie within it exactly when they agree on the atoms
+    of every stratum ``s <= top - r``.  So the ball's smallest mask, its
+    label, keeps only those atoms' bits."""
     import numpy as np
     top = strat.max_level
     keep = [0] * (top + 2)

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 # numpy is imported inside each function that uses it: most commands run
-# no numpy pass and start faster without it; ultrametric likewise inside
-# each function that builds or classifies a space
+# no numpy pass and start faster without it
 
 from .errors import (
     PreconditionError,
@@ -32,9 +31,6 @@ from .iteration import (BitRules, DecomposedOperator, campaign,
                         run_sync)
 from .util import (json_object, logger, refuse_assignment, sorted_canonical,
                    typed)
-
-if TYPE_CHECKING:
-    from .ultrametric import ProductSpace
 
 PER_NODE = "per-node"
 PER_NEXTHOP = "per-source-destination-nexthop"
@@ -528,20 +524,6 @@ def decompose(instance: SppInstance, granularity: str) -> DecomposedOperator:
     """
     return rule_operator(instance.selection_rule, _group_domains(
         instance, _groups(instance, granularity)))
-
-
-def state_space(instance: SppInstance, granularity: str) -> ProductSpace:
-    """Product ultrametric matching :func:`decompose`: per group, the
-    distance between two held subsets is their :func:`state_distance`."""
-    from .ultrametric import FiniteUltrametricSpace, ProductSpace, RadiusScale
-    scale = RadiusScale.numeric(instance.path_heights.values())
-
-    def dist(x, y):
-        return state_distance(instance, x, y)
-
-    return ProductSpace(
-        FiniteUltrametricSpace(tuple(dom), scale, dist)
-        for dom in _group_domains(instance, _groups(instance, granularity)))
 
 
 class AsyncRun(NamedTuple):

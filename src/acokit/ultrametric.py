@@ -1,4 +1,4 @@
-"""Finite ultrametric spaces: axiom checking, balls, products, contractions.
+"""Finite ultrametric spaces: axiom checking, balls, contractions.
 
 Distances map into a :class:`RadiusScale`, an explicit finite totally
 ordered label set whose first label plays the role of zero.  Keeping the
@@ -11,18 +11,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from functools import cached_property
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-# numpy and fractions are imported inside each function that uses them:
-# most commands run no numpy pass, build no Fraction and start faster
-# without them
+# numpy is imported inside each function that uses it: most commands run
+# no numpy pass and start faster without it
 
-from .errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
+from .errors import MalformedSpaceError, SizeLimitError
 from .util import (canonical_key, json_object, logger, refuse_assignment,
                    typed)
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 NOT_CONTRACTION = "not-contraction"
 CONTRACTION = "contraction"
@@ -50,15 +46,6 @@ class RadiusScale:
             raise MalformedSpaceError("radius scale labels must be distinct")
 
     __setattr__ = refuse_assignment
-
-    @classmethod
-    def numeric(cls, values, zero=0):
-        """Scale over numeric labels, sorted ascending with ``zero`` first."""
-        labels = {v for v in values if v != zero}
-        for v in labels:
-            if v < zero:
-                raise MalformedSpaceError(f"label {v!r} below zero {zero!r}")
-        return cls((zero, *sorted(labels)))
 
     @cached_property
     def _index(self) -> dict:
@@ -388,7 +375,8 @@ def _checked_analysis(space) -> _TableAnalysis:
 def check_axioms(space) -> AxiomReport:
     """Verify the three ultrametric axioms on every pair and triple.
 
-    Works on a :class:`FiniteUltrametricSpace` or a :class:`ProductSpace`.
+    Works on a :class:`FiniteUltrametricSpace`, or any space with
+    ``elements`` and a cached table analysis (``_analysis``).
     Violations carry the witnessing elements; each kind is capped at
     :data:`_MAX_WITNESSES` to keep reports readable.
     """
@@ -427,64 +415,6 @@ def check_isosceles(space) -> AxiomReport:
         AxiomViolation("isosceles", (els[l], els[m], els[e]))
         for l, m, e in itertools.islice(triangles, _MAX_WITNESSES))
     return AxiomReport(not violations, violations)
-
-
-_END_MARKER = object()
-
-
-def string_distance(x, y) -> Fraction:
-    """Distance between two symbol sequences.
-
-    Zero when equal, otherwise ``2**-m`` for the least index ``m`` where
-    they differ; a missing position (shorter sequence) counts as a
-    difference, so prefixes differ at the first absent index.
-    """
-    from fractions import Fraction
-    if x == y:
-        return Fraction(0)
-    for m in range(max(len(x), len(y))):
-        a = x[m] if m < len(x) else _END_MARKER
-        b = y[m] if m < len(y) else _END_MARKER
-        if a != b:
-            return Fraction(1, 2 ** m)
-    return Fraction(0)
-
-
-def string_space(strings, scale: RadiusScale | None = None) -> FiniteUltrametricSpace:
-    """Space over a finite string sample under :func:`string_distance`."""
-    strings = tuple(strings)
-    if scale is None:
-        from fractions import Fraction
-        labels = {string_distance(a, b) for a, b in
-                  itertools.combinations(strings, 2)}
-        scale = RadiusScale.numeric(labels, zero=Fraction(0))
-    return FiniteUltrametricSpace(strings, scale, string_distance)
-
-
-def _height_of(heights, element):
-    value = heights(element) if callable(heights) else heights[element]
-    if not value > 0:
-        raise InvalidHeightError(
-            f"height of {element!r} is {value!r}; heights must be positive")
-    return value
-
-
-def height_distance(heights, m, n):
-    """Zero when ``m == n``, otherwise the larger of the two heights."""
-    if m == n:
-        _height_of(heights, m)
-        return 0
-    return max(_height_of(heights, m), _height_of(heights, n))
-
-
-def height_space(elements, heights, scale: RadiusScale | None = None,
-                 ) -> FiniteUltrametricSpace:
-    """Space induced by a positive height assignment."""
-    elements = tuple(elements)
-    if scale is None:
-        scale = RadiusScale.numeric(_height_of(heights, e) for e in elements)
-    return FiniteUltrametricSpace(
-        elements, scale, lambda m, n: height_distance(heights, m, n))
 
 
 class CompletenessReport(NamedTuple):
@@ -532,117 +462,6 @@ def check_spherical_completeness(space) -> CompletenessReport:
             return CompletenessReport(False, tuple(
                 frozenset(els[i] for i in _members(ball)) for ball in (a, b)))
     return CompletenessReport(True)
-
-
-class ProductSpace:
-    """Max-product of component spaces over one shared scale.
-
-    Elements are tuples, one coordinate per component, and the distance is
-    the componentwise maximum.  The element set is the full cartesian
-    product in ``itertools.product`` order.
-    """
-
-    def __init__(self, components):
-        components = tuple(components)
-        if not components:
-            raise MalformedSpaceError("product needs at least one component")
-        scale = components[0].scale
-        for comp in components[1:]:
-            if comp.scale.values != scale.values:
-                raise MalformedSpaceError(
-                    "product components must share one radius scale")
-        self.components = components
-        self.scale = scale
-        self._sizes = tuple(len(c.elements) for c in components)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.components)
-
-    def __len__(self):
-        size = 1
-        for s in self._sizes:
-            size *= s
-        return size
-
-    def __repr__(self):
-        return f"ProductSpace(dimension={self.dimension}, size={len(self)})"
-
-    @cached_property
-    def elements(self) -> tuple:
-        return tuple(itertools.product(*(c.elements for c in self.components)))
-
-    @cached_property
-    def _index(self) -> dict:
-        return {e: i for i, e in enumerate(self.elements)}
-
-    def __contains__(self, element):
-        return element in self._index
-
-    def index_of(self, element) -> int:
-        try:
-            return self._index[element]
-        except (KeyError, TypeError):
-            raise MalformedSpaceError(f"unknown element {element!r}") from None
-
-    def _check_vector(self, m):
-        if not isinstance(m, tuple) or len(m) != self.dimension:
-            raise MalformedSpaceError(
-                f"expected a vector of {self.dimension} coordinates, got {m!r}")
-
-    def distance_index(self, m, n) -> int:
-        self._check_vector(m)
-        self._check_vector(n)
-        return max(
-            comp.distance_index(a, b)
-            for comp, a, b in zip(self.components, m, n))
-
-    def distance(self, m, n):
-        return self.scale.values[self.distance_index(m, n)]
-
-    def index_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Distance table as a tuple of rows of scale indices: the
-        componentwise maximum of the component tables, built on the first
-        call."""
-        return self._rows
-
-    @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], ...]:
-        rows = ((0,),)
-        for comp in self.components:
-            # lifts[a][d]: row a of the component's table, each entry
-            # raised to at least d, for each distance d of the rows so
-            # far; a new row joins the lifts that an old row's entries pick
-            values = set().union(*rows)
-            lifts = [{d: tuple([max(d, c) for c in part]) for d in values}
-                     for part in comp.index_rows()]
-            rows = tuple(tuple(itertools.chain.from_iterable(
-                map(lift.__getitem__, row))) for row in rows for lift in lifts)
-        return rows
-
-    @cached_property
-    def _analysis(self) -> _TableAnalysis:
-        return _TableAnalysis(self._rows)
-
-    def ball_labels(self) -> np.ndarray:
-        """The ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
-
-        A product ball is the box of its component balls, so the label
-        combines the component labels in mixed radix, in element order:
-        the index of the box's smallest element.  Each component checks
-        its own table.  Computed once per space (read-only).
-        """
-        return self._ball_labels
-
-    @cached_property
-    def _ball_labels(self) -> np.ndarray:
-        import numpy as np
-        labels = np.zeros((len(self.scale), 1), dtype=np.int64)
-        for comp, size in zip(self.components, self._sizes):
-            labels = (labels[:, :, None] * size
-                      + comp.ball_labels()[:, None, :]).reshape(len(labels), -1)
-        labels.setflags(write=False)
-        return labels
 
 
 class ContractionReport(NamedTuple):
@@ -702,21 +521,6 @@ def _sigma_array(space, sigma) -> np.ndarray:
     return out
 
 
-def _element_at(space, index):
-    """``space.elements[index]``.  A product space's element is decoded
-    from the index in mixed radix over its components' elements, the
-    last component varying fastest as in ``itertools.product``, so its
-    element tuple is never built."""
-    if not isinstance(space, ProductSpace):
-        return space.elements[index]
-    index = int(index)
-    coords = []
-    for comp, size in zip(space.components[::-1], space._sizes[::-1]):
-        index, digit = divmod(index, size)
-        coords.append(comp.elements[digit])
-    return tuple(coords[::-1])
-
-
 def classify_contraction(space, sigma) -> ContractionReport:
     """Classify a self-map against the contraction taxonomy.
 
@@ -732,14 +536,12 @@ def classify_contraction(space, sigma) -> ContractionReport:
     contracts when equal ``L[r]`` always gives images with equal ``L[r]``,
     contracts strictly when equal ``L[r]`` gives images with equal
     ``L[r - 1]`` for every ``r >= 1``, and the distance of two states is
-    the first ``r`` at which their labels agree.  Only the table of each
-    component space, which its labels are read from, holds pairs.  Given
-    an image array, a product space's element tuple is never built: each
-    witness is decoded from its index.  A table that is not an
-    ultrametric raises :class:`MalformedSpaceError`.
+    the first ``r`` at which their labels agree.  Only the distance
+    table, which the labels are read from, holds pairs.  A table that is
+    not an ultrametric raises :class:`MalformedSpaceError`.
     """
     sig = _sigma_array(space, sigma)
-    return _classify(lambda index: _element_at(space, index), sig,
+    return _classify(lambda index: space.elements[int(index)], sig,
                      space.ball_labels())
 
 

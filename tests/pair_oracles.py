@@ -19,6 +19,11 @@ every order-canonical assignment with every row gathered, the greatest
 heights found on sets of values, the witness as a product space, the
 image hulls over state tuples, the typed-set domain check, and the table
 check entry by entry.
+
+The generic space layer lives here too, as the spaces the library's checks
+and the label passes read off masks are tested on: max-products of spaces
+(``ProductSpace``), the string and height spaces, the routing state space
+and the interpretation space of a stratified program.
 """
 
 import functools
@@ -29,7 +34,7 @@ from fractions import Fraction
 
 from acokit import routing
 from acokit.aco import _differing_values, box_members
-from acokit.errors import PreconditionError
+from acokit.errors import MalformedSpaceError, PreconditionError
 from acokit.iteration import DecomposedOperator, Trajectory
 from acokit.ultrametric import (
     CONTRACTION,
@@ -39,6 +44,9 @@ from acokit.ultrametric import (
     AxiomReport,
     AxiomViolation,
     CompletenessReport,
+    FiniteUltrametricSpace,
+    RadiusScale,
+    _TableAnalysis,
 )
 from acokit.util import canonical_key, sorted_canonical
 
@@ -332,20 +340,193 @@ def greatest_heights_by_sets(sizes, sigma):
     return tuple(rank[v] for v in h), conditions, rounds
 
 
+def numeric_scale(values, zero=0):
+    """Scale over numeric labels, sorted ascending with ``zero`` first."""
+    return RadiusScale((zero, *sorted(set(values) - {zero})))
+
+
+def string_distance(x, y) -> Fraction:
+    """Distance between two symbol sequences.
+
+    Zero when equal, otherwise ``2**-m`` for the least index ``m`` where
+    they differ; a missing position (shorter sequence) counts as a
+    difference, so prefixes differ at the first absent index.
+    """
+    if x == y:
+        return Fraction(0)
+    return Fraction(1, 2 ** next(
+        (m for m, (a, b) in enumerate(zip(x, y)) if a != b),
+        min(len(x), len(y))))
+
+
+def string_space(strings) -> FiniteUltrametricSpace:
+    """Space over a finite string sample under :func:`string_distance`."""
+    strings = tuple(strings)
+    scale = numeric_scale({string_distance(a, b) for a, b in
+                           itertools.combinations(strings, 2)})
+    return FiniteUltrametricSpace(strings, scale, string_distance)
+
+
+def height_space(elements, heights, scale=None) -> FiniteUltrametricSpace:
+    """Space induced by positive heights (a dict over ``elements``): zero
+    between equal elements, otherwise the larger of the two heights."""
+    elements = tuple(elements)
+    if scale is None:
+        scale = numeric_scale(heights[e] for e in elements)
+    return FiniteUltrametricSpace(elements, scale, lambda m, n: 0 if m == n
+                                  else max(heights[m], heights[n]))
+
+
+class ProductSpace:
+    """Max-product of component spaces over one shared scale.
+
+    Elements are tuples, one coordinate per component, and the distance is
+    the componentwise maximum.  The element set is the full cartesian
+    product in ``itertools.product`` order.
+    """
+
+    def __init__(self, components):
+        components = tuple(components)
+        if not components:
+            raise MalformedSpaceError("product needs at least one component")
+        scale = components[0].scale
+        for comp in components[1:]:
+            if comp.scale.values != scale.values:
+                raise MalformedSpaceError(
+                    "product components must share one radius scale")
+        self.components = components
+        self.scale = scale
+        self._sizes = tuple(len(c.elements) for c in components)
+
+    @property
+    def dimension(self) -> int:
+        return len(self.components)
+
+    def __len__(self):
+        return math.prod(self._sizes)
+
+    @functools.cached_property
+    def elements(self) -> tuple:
+        return tuple(itertools.product(*(c.elements for c in self.components)))
+
+    @functools.cached_property
+    def _index(self) -> dict:
+        return {e: i for i, e in enumerate(self.elements)}
+
+    def __contains__(self, element):
+        return element in self._index
+
+    def index_of(self, element) -> int:
+        try:
+            return self._index[element]
+        except (KeyError, TypeError):
+            raise MalformedSpaceError(f"unknown element {element!r}") from None
+
+    def _check_vector(self, m):
+        if not isinstance(m, tuple) or len(m) != self.dimension:
+            raise MalformedSpaceError(
+                f"expected a vector of {self.dimension} coordinates, got {m!r}")
+
+    def distance_index(self, m, n) -> int:
+        self._check_vector(m)
+        self._check_vector(n)
+        return max(
+            comp.distance_index(a, b)
+            for comp, a, b in zip(self.components, m, n))
+
+    def distance(self, m, n):
+        return self.scale.values[self.distance_index(m, n)]
+
+    def index_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Distance table as a tuple of rows of scale indices: the
+        componentwise maximum of the component tables, built on the first
+        call."""
+        return self._rows
+
+    @functools.cached_property
+    def _rows(self) -> tuple[tuple[int, ...], ...]:
+        rows = ((0,),)
+        for comp in self.components:
+            # lifts[a][d]: row a of the component's table, each entry
+            # raised to at least d, for each distance d of the rows so
+            # far; a new row joins the lifts that an old row's entries pick
+            values = set().union(*rows)
+            lifts = [{d: tuple([max(d, c) for c in part]) for d in values}
+                     for part in comp.index_rows()]
+            rows = tuple(tuple(itertools.chain.from_iterable(
+                map(lift.__getitem__, row))) for row in rows for lift in lifts)
+        return rows
+
+    @functools.cached_property
+    def _analysis(self) -> _TableAnalysis:
+        return _TableAnalysis(self._rows)
+
+    def ball_labels(self):
+        """The ball labels (see :meth:`FiniteUltrametricSpace.ball_labels`).
+
+        A product ball is the box of its component balls, so the label
+        combines the component labels in mixed radix, in element order:
+        the index of the box's smallest element.  Each component checks
+        its own table.  Computed once per space (read-only).
+        """
+        return self._ball_labels
+
+    @functools.cached_property
+    def _ball_labels(self):
+        import numpy as np
+        labels = np.zeros((len(self.scale), 1), dtype=np.int64)
+        for comp, size in zip(self.components, self._sizes):
+            labels = (labels[:, :, None] * size
+                      + comp.ball_labels()[:, None, :]).reshape(len(labels), -1)
+        labels.setflags(write=False)
+        return labels
+
+
+def state_space(instance, granularity) -> ProductSpace:
+    """Product ultrametric matching ``routing.decompose``: per group, the
+    distance between two held subsets is their ``routing.state_distance``."""
+    scale = numeric_scale(instance.path_heights.values())
+
+    def dist(x, y):
+        return routing.state_distance(instance, x, y)
+
+    return ProductSpace(
+        FiniteUltrametricSpace(tuple(dom), scale, dist)
+        for dom in routing._group_domains(
+            instance, routing._groups(instance, granularity)))
+
+
+def interpretation_scale(strat) -> RadiusScale:
+    """Zero, then ``2**-s`` for each stratum ``s`` from the deepest."""
+    return RadiusScale(tuple([Fraction(0)] + [
+        Fraction(1, 2 ** s) for s in range(strat.max_level, -1, -1)]))
+
+
+def interpretation_space(program, strat) -> ProductSpace:
+    """Per-atom product space whose max-distance equals
+    ``logic.interpretation_distance`` on the full interpretation lattice.
+
+    The atoms of one stratum share one component space, so its table and
+    ball labels are built once."""
+    scale = interpretation_scale(strat)
+    levels = {level: FiniteUltrametricSpace(
+        (False, True), scale,
+        lambda m, n, r=Fraction(1, 2 ** level): Fraction(0) if m == n else r)
+        for level in {strat.of(atom) for atom in program.atoms}}
+    return ProductSpace(levels[strat.of(atom)] for atom in program.atoms)
+
+
 def witness_space(domains, row):
     """The product space of heights ``row``, as ``search_ultrametric``
     first returned its witness: one height per value of each component
     with more than one value, in order; a one-value component's value
     gets height 0."""
-    from acokit.ultrametric import (FiniteUltrametricSpace, ProductSpace,
-                                    RadiusScale)
     scale = RadiusScale(tuple(range(max(row, default=0) + 1)))
     heights = iter(row)  # zip takes len(dom) of them for each domain
     tables = [{dom[0]: 0} if len(dom) == 1 else dict(zip(dom, heights))
               for dom in domains]
-    return ProductSpace([FiniteUltrametricSpace(
-        dom, scale, lambda m, n, t=t: 0 if m == n else max(t[m], t[n]))
-        for dom, t in zip(domains, tables)])
+    return ProductSpace([height_space(dom, t, scale)
+                         for dom, t in zip(domains, tables)])
 
 
 def metric_space(metric):

@@ -17,16 +17,11 @@ from acokit import aco, logic, routing
 from acokit.aco import box_members
 from acokit.errors import PreferenceCycleError
 from acokit.iteration import DecomposedOperator, campaign
-from acokit.ultrametric import (
-    ProductSpace,
-    RadiusScale,
-    check_axioms,
-    check_isosceles,
-    height_space,
-    string_space,
-)
+from acokit.ultrametric import RadiusScale, check_axioms, check_isosceles
 
 from conftest import ball_from_labels, corpus_path, logic_corpus_paths
+from pair_oracles import (ProductSpace, height_space, interpretation_space,
+                          state_space, string_space)
 
 STATES22 = list(itertools.product((0, 1), (0, 1)))
 
@@ -50,7 +45,7 @@ def _corpus_operators():
         inst = routing.load_instance(corpus_path(fname))
         for granularity in (routing.PER_NODE, routing.PER_PATH):
             op = routing.decompose(inst, granularity)
-            space = routing.state_space(inst, granularity)
+            space = state_space(inst, granularity)
             pairs.append((f"{fname}:{granularity}", op,
                           aco.boxes_from_ultrametric(space, op)))
     return pairs
@@ -114,7 +109,7 @@ def test_criterion_3_ultrametric_axioms():
         inst = routing.load_instance(corpus_path(fname))
         for granularity in (routing.PER_NODE, routing.PER_PATH):
             spaces.append((f"{fname}:{granularity}",
-                           routing.state_space(inst, granularity)))
+                           state_space(inst, granularity)))
 
     small_programs = 0
     for path in logic_corpus_paths():
@@ -124,7 +119,7 @@ def test_criterion_3_ultrametric_axioms():
         small_programs += 1
         strat = logic.find_stratification(program).stratification
         spaces.append((os.path.basename(path),
-                       logic.interpretation_space(program, strat)))
+                       interpretation_space(program, strat)))
     assert small_programs >= 8
 
     for name, space in spaces:

@@ -44,6 +44,7 @@ from pair_oracles import (
     metric_space,
     qualifying_rows_on_all_rows,
     search_ultrametric_by_pairs,
+    state_space,
     witness_space,
 )
 
@@ -924,7 +925,7 @@ def test_analysis_chain_matches_the_checked_constructor(data):
 
 
 def test_boxes_from_ultrametric_requires_qualifying_map(ring3):
-    space = routing.state_space(ring3, routing.PER_NODE)
+    space = state_space(ring3, routing.PER_NODE)
     op = routing.decompose(ring3, routing.PER_NODE)
     swapped = swap_op()
     with pytest.raises(PreconditionError):

@@ -922,10 +922,41 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv,
     assert proc.stdout == f"0 {sorted('acokit.' + m for m in loaded)}\n"
 
 
+# the public names, and the generic space layer that left the library:
+# each removed name, in the submodule that defined it
+_PUBLIC_NAMES = [
+    "AcoCertificate", "BoxSequence", "DecomposedOperator",
+    "FiniteUltrametricSpace", "HeightMetric", "RadiusScale", "Schedule",
+    "Trajectory", "boxes_from_ultrametric", "campaign", "certify_aco",
+    "check_admissible_prefix", "check_axioms", "check_isosceles",
+    "check_spherical_completeness", "classify_contraction",
+    "equivalence_census", "make_synchronous_schedule", "run_async",
+    "run_sync", "sample_schedule", "search_box_sequence",
+    "search_ultrametric", "ultrametric_from_boxes", "verify_box_sequence"]
+_REMOVED_NAMES = {
+    "ultrametric": ["ProductSpace", "string_distance", "string_space",
+                    "height_space", "height_distance", "_element_at"],
+    "routing": ["state_space"],
+    "logic": ["interpretation_space", "interpretation_scale"],
+    "errors": ["InvalidHeightError"],
+}
+
+
 def test_the_package_resolves_its_names_on_first_access():
     script = (
-        "import sys, acokit\n"
+        "import importlib, sys, acokit\n"
         "print(sorted(m for m in sys.modules if m.startswith('acokit.')))\n"
+        f"assert acokit.__all__ == {_PUBLIC_NAMES!r}, acokit.__all__\n"
+        f"for module, names in {_REMOVED_NAMES!r}.items():\n"
+        "    for name in names:\n"
+        "        assert not hasattr(importlib.import_module("
+        "'acokit.' + module), name), name\n"
+        "        if not name.startswith('_'):\n"
+        "            try:\n"
+        "                getattr(acokit, name)\n"
+        "            except AttributeError:\n"
+        "                continue\n"
+        "            raise AssertionError(name)\n"
         "for name in acokit.__all__:\n"
         "    value = getattr(acokit, name)\n"
         "    assert value is getattr(sys.modules[value.__module__], name)\n"

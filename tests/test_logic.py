@@ -21,7 +21,6 @@ from acokit.logic import (
     interp_to_tuple,
     interpretation_distance,
     interpretation_labels,
-    interpretation_space,
     parse_program,
     perfect_model_by_strata,
     program_from_clauses,
@@ -30,7 +29,7 @@ from acokit.logic import (
 from acokit.ultrametric import (check_axioms, check_isosceles,
                                 classify_contraction)
 from conftest import corpus_path
-from pair_oracles import consequence_by_definition
+from pair_oracles import consequence_by_definition, interpretation_space
 
 THREE = parse_program("q.\np :- not q.\nr :- p.")
 

@@ -27,14 +27,13 @@ from acokit.routing import (
     sigma_step,
     solve,
     state_distance,
-    state_space,
     state_to_components,
     verify_strict_contraction,
 )
 from acokit.ultrametric import check_axioms, check_isosceles
 from acokit.util import canonical_key
 from conftest import corpus_path, gated_ring
-from pair_oracles import (selection_round_by_definition,
+from pair_oracles import (selection_round_by_definition, state_space,
                           strict_contraction_by_pairs)
 
 EPS = ("d",)
@@ -222,7 +221,7 @@ def test_state_distance_examples(ring3):
 
 
 def test_state_space_matches_state_distance(ring3):
-    space = routing.state_space(ring3, PER_NODE)
+    space = state_space(ring3, PER_NODE)
     for m in space.elements[:12]:
         for n in space.elements[:12]:
             assert space.distance(m, n) == state_distance(

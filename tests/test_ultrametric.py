@@ -9,30 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from acokit.errors import InvalidHeightError, MalformedSpaceError, SizeLimitError
+from acokit.errors import MalformedSpaceError, SizeLimitError
 from acokit.ultrametric import (
     AxiomViolation,
     FiniteUltrametricSpace,
-    ProductSpace,
     RadiusScale,
     check_axioms,
     check_isosceles,
     check_spherical_completeness,
     classify_contraction,
-    height_distance,
-    height_space,
     load_space,
-    string_distance,
-    string_space,
     CONTRACTION,
     NOT_CONTRACTION,
     STRICT_CONTRACTION,
     STRICT_ON_ORBITS,
 )
 from conftest import ball_from_labels
-from pair_oracles import (axioms_by_numpy, ball_labels_by_radius,
-                          classify_by_pairs, completeness_by_numpy,
-                          isosceles_by_numpy)
+from pair_oracles import (ProductSpace, axioms_by_numpy,
+                          ball_labels_by_radius, classify_by_pairs,
+                          completeness_by_numpy, height_space,
+                          isosceles_by_numpy, string_space)
 
 
 def brute_force_axioms(elements, dist):
@@ -114,31 +110,12 @@ def test_missing_entry_is_malformed():
                          (0, 1))
 
 
-def test_string_distance_examples():
-    assert string_distance("abc", "abc") == 0
-    assert string_distance("abc", "abd") == Fraction(1, 4)
-    assert string_distance("x", "yx") == 1
-    # prefixes differ at the first absent index
-    assert string_distance("ab", "abc") == Fraction(1, 4)
-
-
 @given(st.lists(st.text(alphabet="abc", max_size=4),
                 min_size=3, max_size=3, unique=True))
 def test_string_distance_is_ultrametric(strings):
-    x, y, z = strings
-    assert string_distance(x, z) <= max(string_distance(x, y),
-                                        string_distance(y, z))
-
-
-def test_height_distance_examples():
-    h = {"a": 3, "b": 5}
-    assert height_distance(h, "a", "a") == 0
-    assert height_distance(h, "a", "b") == 5
-
-
-def test_height_distance_rejects_zero_height():
-    with pytest.raises(InvalidHeightError):
-        height_distance({"a": 0, "b": 1}, "a", "b")
+    space = string_space(strings)
+    assert check_axioms(space).ok
+    assert check_isosceles(space).ok
 
 
 def test_height_space_passes_axioms():
@@ -332,13 +309,6 @@ def test_ball_labels_name_a_triangle_failing_at_an_inner_radius(unit):
     assert str(raised.value) == _first_violation_message(space)
 
 
-def test_product_scale_must_match():
-    a = height_space(("x",), {"x": 1})
-    b = height_space(("y",), {"y": 2})
-    with pytest.raises(MalformedSpaceError):
-        ProductSpace((a, b))
-
-
 @pytest.mark.parametrize("wrong", [("a",), ("a", "b", "b")])
 def test_product_rejects_vectors_of_the_wrong_length(wrong):
     scale = RadiusScale((0, 1, 2))
@@ -430,14 +400,14 @@ def test_classify_rejects_non_ultrametric_tables():
 
 
 def _random_product(rng):
-    """A function building a random product of height spaces afresh."""
+    """A random product of height spaces."""
     top = rng.randint(1, 5)
     scale = RadiusScale(tuple(range(top + 1)))
     heights = [{f"c{i}v{j}": rng.randint(1, top)
                 for j in range(rng.randint(1, 3))}
                for i in range(rng.randint(1, 3))]
-    return lambda: ProductSpace(tuple(height_space(tuple(h), h, scale)
-                                      for h in heights))
+    return ProductSpace(tuple(height_space(tuple(h), h, scale)
+                              for h in heights))
 
 
 def _random_classify_case(rng):
@@ -445,7 +415,7 @@ def _random_classify_case(rng):
     a self-map on it that is constant, nearly constant or arbitrary."""
     kind = rng.randrange(3)
     if kind == 0:
-        space = _random_product(rng)()
+        space = _random_product(rng)
     elif kind == 1:
         space = height_space(tuple(range(rng.randint(1, 6))),
                              {k: rng.randint(1, 5) for k in range(6)})
@@ -499,28 +469,6 @@ def test_pair_oracle_cases_reach_every_class():
     for _ in range(300):
         space, sigma = _random_classify_case(rng)
         report = classify_contraction(space, sigma)
-        assert (report.classification, report.witness) == \
-            classify_by_pairs(space, sigma)
-        seen.add(report.classification)
-    assert seen == {NOT_CONTRACTION, CONTRACTION, STRICT_ON_ORBITS,
-                    STRICT_CONTRACTION}
-
-
-def test_classify_leaves_a_product_unlisted_given_an_image_array():
-    rng = random.Random(20261019)
-    seen = set()
-    for _ in range(300):
-        build = _random_product(rng)
-        els = build().elements
-        target = rng.choice(els)
-        keep = rng.choice((0.0, 0.6, 0.9, 1.0))
-        images = np.array([els.index(target) if rng.random() < keep
-                           else rng.randrange(len(els)) for _ in els])
-        space = build()
-        report = classify_contraction(space, images)
-        assert "elements" not in space.__dict__
-        # the witnesses name the elements the space lists when asked
-        sigma = dict(zip(space.elements, (els[i] for i in images)))
         assert (report.classification, report.witness) == \
             classify_by_pairs(space, sigma)
         seen.add(report.classification)
